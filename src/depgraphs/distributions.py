@@ -8,8 +8,13 @@ uniform choice of a edges out of a block of m.  Edges not covered by any
 explicit block get one private coin each.
 
 The declared latent order is: explicit blocks in listed order, then the
-private coins ascending by edge index.  The sampler consumes uniforms in
-exactly that order, which pins down sample(model, seed) bit for bit.
+private coins ascending by edge index.  A model holds that order once, as
+the flat arrays of its LatentLayout, and everything that maps latents to
+edges goes through it: the sampler draws every latent value in one
+generator call in declared order (which pins down sample(model, seed) bit
+for bit) and scatters the values to edge presence; latent capture returns
+the drawn values; realize scatters a given state the same way; the audit
+reads block ownership from it; the oracle sizes its state space by it.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block,
@@ -117,8 +122,62 @@ class DependencySpec:
 
 
 class SampleOutcome(NamedTuple):
+    """A sampled graph, and its latent state when capture was asked for.
+
+    latent_state lists one value per latent in declared order: a bool per
+    Bernoulli coin, or for uniform-subset latents the sorted tuple of the
+    a positions (in range(m)) kept in that block.
+    """
     graph: Graph
     latent_state: tuple | None
+
+
+@dataclass(frozen=True, eq=False)
+class LatentLayout:
+    """A model's latents as read-only index arrays, in declared order.
+
+    Latent j < block_count drives the edges flat[bid == j]; latent
+    block_count + i is the private coin of edge singles[i].  a and m are
+    set only for uniform-subset models, whose latents are all blocks: block
+    j holds edges j*m .. j*m + m - 1 and keeps a of them.
+    """
+    flat: np.ndarray      # explicit block edges, blocks concatenated
+    bid: np.ndarray       # block id of each entry of flat
+    singles: np.ndarray   # private-coin edges, ascending
+    block_count: int
+    a: int | None = None
+    m: int | None = None
+
+    @property
+    def uniform(self) -> bool:
+        return self.a is not None
+
+    @property
+    def latents(self) -> int:
+        return self.block_count + int(self.singles.size)
+
+    @property
+    def coins(self) -> int:
+        """Number of Bernoulli latents."""
+        return 0 if self.uniform else self.latents
+
+
+def _build_layout(n: int, blocks: tuple[tuple[int, ...], ...],
+                  a: int | None = None, m: int | None = None) -> LatentLayout:
+    L = num_edges(n)
+    if blocks:
+        flat = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+        bid = np.repeat(np.arange(len(blocks), dtype=np.int64),
+                        [len(b) for b in blocks])
+    else:
+        flat = np.empty(0, dtype=np.int64)
+        bid = np.empty(0, dtype=np.int64)
+    covered = np.zeros(L, dtype=bool)
+    covered[flat] = True
+    singles = np.flatnonzero(~covered).astype(np.int64)
+    for arr in (flat, bid, singles):
+        arr.flags.writeable = False
+    return LatentLayout(flat, bid, singles, len(blocks), a, m)
 
 
 class DistributionModel:
@@ -131,7 +190,7 @@ class DistributionModel:
     partition into consecutive index ranges of size m.
     """
 
-    __slots__ = ("kind", "n", "p", "d", "params", "blocks", "_arrays")
+    __slots__ = ("kind", "n", "p", "d", "params", "blocks", "_layout")
 
     def __init__(self, kind: str, n: int, p, d: int, params: dict,
                  blocks: tuple[tuple[int, ...], ...]):
@@ -148,7 +207,7 @@ class DistributionModel:
         self.d = d
         self.params = dict(params)
         self.blocks = tuple(tuple(b) for b in blocks)
-        self._arrays = None
+        self._layout = None
         covered = set()
         limit = num_edges(n)
         for b in self.blocks:
@@ -161,14 +220,23 @@ class DistributionModel:
 
     # -- latent layout -------------------------------------------------
 
+    @property
+    def layout(self) -> LatentLayout:
+        """The latent layout, built on first use (it is O(n^2) in size)."""
+        if self._layout is None:
+            if self.kind == EDGE_BLOCK_EXACT:
+                self._layout = _build_layout(self.n, self.blocks,
+                                             self.params["a"], self.params["m"])
+            else:
+                self._layout = _build_layout(self.n, self.blocks)
+        return self._layout
+
     def single_edges(self) -> np.ndarray:
         """Edge indices driven by private coins, ascending."""
-        return self._ensure_arrays()["singles"]
+        return self.layout.singles
 
     def latent_count(self) -> int:
-        if self.kind == EDGE_BLOCK_EXACT:
-            return len(self.blocks)
-        return len(self.blocks) + int(self.single_edges().size)
+        return self.layout.latents
 
     def iter_latents(self) -> Iterator[Latent]:
         """Latent descriptors in declared order (blocks, then private coins)."""
@@ -185,26 +253,6 @@ class DistributionModel:
     def dependency_spec(self) -> DependencySpec:
         groups = tuple(b for b in self.blocks if len(b) >= 2)
         return DependencySpec(self.n, self.d, groups)
-
-    def _ensure_arrays(self) -> dict:
-        if self._arrays is None:
-            L = num_edges(self.n)
-            covered = np.zeros(L, dtype=bool)
-            if self.blocks:
-                flat = np.concatenate([np.asarray(b, dtype=np.int64)
-                                       for b in self.blocks])
-                covered[flat] = True
-                bid = np.repeat(np.arange(len(self.blocks), dtype=np.int64),
-                                [len(b) for b in self.blocks])
-            else:
-                flat = np.empty(0, dtype=np.int64)
-                bid = np.empty(0, dtype=np.int64)
-            self._arrays = {
-                "flat": flat,
-                "bid": bid,
-                "singles": np.flatnonzero(~covered).astype(np.int64),
-            }
-        return self._arrays
 
     # -- plumbing ------------------------------------------------------
 
@@ -430,95 +478,97 @@ def _graph_from_present(n: int, present: np.ndarray) -> Graph:
     return Graph._from_rows_unchecked(n, rows)
 
 
-def _sample_present(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
-    """Presence bitmap over edge indices; one generator call per latent batch."""
-    L = num_edges(model.n)
-    present = np.zeros(L, dtype=bool)
-    if model.kind == EDGE_BLOCK_EXACT:
-        m = model.params["m"]
-        a = model.params["a"]
-        nb = L // m
-        if a == m:
-            present[:] = True
-            return present
-        keys = gen.random((nb, m))
-        chosen = np.argpartition(keys, a - 1, axis=1)[:, :a]
-        present[(np.arange(nb, dtype=np.int64)[:, None] * m + chosen).ravel()] = True
+def _draw_latents(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
+    """Every latent value in declared order, from one generator call.
+
+    Coins come back as a bool array with one entry per latent; uniform
+    subsets as a (blocks, a) array of the positions kept in each block.
+    """
+    layout = model.layout
+    if not layout.uniform:
+        return gen.random(layout.latents) < float(model.p)
+    if layout.a == layout.m:
+        return np.broadcast_to(np.arange(layout.m), (layout.block_count, layout.m))
+    keys = gen.random((layout.block_count, layout.m))
+    return np.argpartition(keys, layout.a - 1, axis=1)[:, :layout.a]
+
+
+def _scatter(model: DistributionModel, values: np.ndarray) -> np.ndarray:
+    """Presence bitmap over edge indices for latent values in declared order."""
+    layout = model.layout
+    present = np.zeros(num_edges(model.n), dtype=bool)
+    if layout.uniform:
+        starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
+        present[(starts + values).ravel()] = True
         return present
-    arrays = model._ensure_arrays()
-    nb = len(model.blocks)
-    u = gen.random(nb + arrays["singles"].size)
-    pf = float(model.p)
-    if nb:
-        on = u[:nb] < pf
-        present[arrays["flat"]] = on[arrays["bid"]]
-    present[arrays["singles"]] = u[nb:] < pf
+    if layout.block_count:
+        present[layout.flat] = values[layout.bid]
+    present[layout.singles] = values[layout.block_count:]
     return present
 
 
-def _capture_state(model: DistributionModel,
-                   gen: np.random.Generator) -> tuple[np.ndarray, tuple]:
-    # slower twin of _sample_present that also records per-latent values
-    L = num_edges(model.n)
-    present = np.zeros(L, dtype=bool)
-    state = []
-    if model.kind == EDGE_BLOCK_EXACT:
-        m = model.params["m"]
-        a = model.params["a"]
-        nb = L // m
-        if a == m:
-            present[:] = True
-            return present, tuple(tuple(range(m)) for _ in range(nb))
-        keys = gen.random((nb, m))
-        chosen = np.argpartition(keys, a - 1, axis=1)[:, :a]
-        for j in range(nb):
-            picks = tuple(sorted(int(c) for c in chosen[j]))
-            state.append(picks)
-            for c in picks:
-                present[j * m + c] = True
-        return present, tuple(state)
-    arrays = model._ensure_arrays()
-    nb = len(model.blocks)
-    u = gen.random(nb + arrays["singles"].size)
-    pf = float(model.p)
-    for i, block in enumerate(model.blocks):
-        on = bool(u[i] < pf)
-        state.append(on)
-        if on:
-            present[list(block)] = True
-    for j, e in enumerate(arrays["singles"]):
-        on = bool(u[nb + j] < pf)
-        state.append(on)
-        present[e] = on
-    return present, tuple(state)
+def _sample_present(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
+    """Presence bitmap of one draw; one generator call per sample."""
+    return _scatter(model, _draw_latents(model, gen))
+
+
+def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
+    if layout.uniform:
+        return tuple(map(tuple, np.sort(values, axis=1).tolist()))
+    return tuple(values.tolist())
+
+
+def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
+    """Latent values for _scatter from a latent state, rejecting bad entries."""
+    if len(state) != layout.latents:
+        raise ValueError(f"state has {len(state)} entries, "
+                         f"model has {layout.latents} latents")
+    try:
+        values = np.asarray(state)
+    except (ValueError, TypeError, OverflowError):    # ragged entries
+        values = None
+    if layout.uniform:
+        a, m = layout.a, layout.m
+        if (values is not None and values.shape == (layout.block_count, a)
+                and values.dtype.kind in "iu"
+                and values.min() >= 0 and values.max() < m
+                and (np.diff(np.sort(values, axis=1), axis=1) > 0).all()):
+            return values.astype(np.int64, copy=False)
+        raise ValueError(f"bad latent state: each entry must be {a} distinct "
+                         f"positions in range({m})")
+    if values is not None and values.ndim == 1 and (
+            values.dtype == bool or values.size == 0
+            or (values.dtype.kind in "iu" and ((values == 0) | (values == 1)).all())):
+        return values.astype(bool, copy=False)
+    raise ValueError("bad latent state: each entry must be a bool or 0/1")
 
 
 def sample(model: DistributionModel, seed: int,
            keep_latents: bool = False) -> SampleOutcome:
-    """Draw one graph; a pure function of (model, seed)."""
+    """Draw one graph; a pure function of (model, seed).
+
+    With keep_latents the outcome also carries the latent state that
+    realize() maps back to the same graph.  Capture reuses the arrays of
+    the draw, so it costs about what a plain sample does.
+    """
     gen = rngmod.generator(seed)
-    if keep_latents:
-        present, state = _capture_state(model, gen)
-        return SampleOutcome(_graph_from_present(model.n, present), state)
-    present = _sample_present(model, gen)
-    return SampleOutcome(_graph_from_present(model.n, present), None)
+    if not keep_latents:
+        return SampleOutcome(_graph_from_present(model.n, _sample_present(model, gen)),
+                             None)
+    values = _draw_latents(model, gen)
+    graph = _graph_from_present(model.n, _scatter(model, values))
+    return SampleOutcome(graph, _latent_state(model.layout, values))
 
 
 def realize(model: DistributionModel, state: Sequence) -> Graph:
-    """Graph determined by a full latent assignment (declared order)."""
-    L = num_edges(model.n)
-    present = np.zeros(L, dtype=bool)
-    latents = list(model.iter_latents())
-    if len(state) != len(latents):
-        raise ValueError(f"state has {len(state)} entries, model has {len(latents)} latents")
-    for value, latent in zip(state, latents):
-        if latent.kind == "bernoulli":
-            if value:
-                present[list(latent.edges)] = True
-        else:
-            for pos in value:
-                present[latent.edges[pos]] = True
-    return _graph_from_present(model.n, present)
+    """Graph determined by a full latent assignment (declared order).
+
+    Raises ValueError unless state has one entry per latent: a bool or 0/1
+    for each coin, and for each uniform subset a distinct positions in
+    range(m).
+    """
+    values = _state_values(model.layout, state)
+    return _graph_from_present(model.n, _scatter(model, values))
 
 
 # -- marginal and independence audit -----------------------------------
@@ -578,10 +628,9 @@ class AuditReport:
 def _independent_pairs(model: DistributionModel, gen: np.random.Generator,
                        want: int) -> list[tuple[int, int]]:
     L = num_edges(model.n)
-    owner: dict[int, int] = {}
-    for i, b in enumerate(model.blocks):
-        for e in b:
-            owner[e] = i
+    layout = model.layout
+    owner = np.full(L, -1, dtype=np.int64)
+    owner[layout.flat] = layout.bid
     pairs: list[tuple[int, int]] = []
     seen = set()
     attempts = 0
@@ -595,8 +644,7 @@ def _independent_pairs(model: DistributionModel, gen: np.random.Generator,
         if (e1, e2) in seen:
             continue
         seen.add((e1, e2))
-        o1, o2 = owner.get(e1), owner.get(e2)
-        if o1 is not None and o1 == o2:
+        if owner[e1] >= 0 and owner[e1] == owner[e2]:
             continue    # same latent: dependent by design
         pairs.append((e1, e2))
     return pairs

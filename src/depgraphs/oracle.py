@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
@@ -39,20 +39,28 @@ class ExactEventQuery(NamedTuple):
 
 def state_space_size(model: DistributionModel) -> int:
     """Number of joint latent assignments the enumeration must visit."""
-    size = 1
-    for latent in model.iter_latents():
-        if latent.kind == "bernoulli":
-            size *= 2
-        else:
-            size *= comb(len(latent.edges), latent.a)
+    layout = model.layout
+    size = 1 << layout.coins
+    if layout.uniform:
+        size *= comb(layout.m, layout.a) ** layout.block_count
     return size
 
 
 def _check_budget(model: DistributionModel) -> None:
-    size = state_space_size(model)
-    if size > ENUMERATION_BUDGET:
+    layout = model.layout
+    if layout.uniform:
+        m, a, b = layout.m, layout.a, layout.block_count
+        log2_size = b * (lgamma(m + 1) - lgamma(a + 1) - lgamma(m - a + 1)) / log(2)
+        text = f"comb({m},{a})^{b}"
+    else:
+        log2_size = layout.coins
+        text = f"2^{layout.coins}"
+    # log2_size is off by far less than a bit, so a size a bit past the
+    # budget is rejected without forming it: it can run to millions of digits
+    if (log2_size > ENUMERATION_BUDGET.bit_length()
+            or state_space_size(model) > ENUMERATION_BUDGET):
         raise ResourceLimitError(
-            f"latent space has {size} outcomes, budget is {ENUMERATION_BUDGET}")
+            f"latent space has {text} outcomes, budget is {ENUMERATION_BUDGET}")
 
 
 def _latent_options(model: DistributionModel):

@@ -1,6 +1,9 @@
 """End-to-end command-line behavior, including exit codes and provenance."""
 
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +278,13 @@ def test_oracle_budget_exit_2(capsys):
                        "--p", "1/2", "--predicate", "connected")
     assert code == 2
     assert "budget" in err or "resource" in err.lower()
+    # 2^19900 outcomes: once exit 1 from the int -> str digit limit
+    start = time.perf_counter()
+    code, _, err = run(capsys, "oracle", "--dist", "er", "--n", "200",
+                       "--p", "1/2", "--predicate", "connected")
+    assert code == 2
+    assert "2^19900 outcomes" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_json(capsys):
@@ -288,6 +298,23 @@ def test_oracle_json(capsys):
 
 
 # -- global behavior ---------------------------------------------------
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines
+            if ln.startswith("depgraphs ") and "--config" not in ln]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("DEPGRAPHS_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 def test_unknown_subcommand_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1

@@ -209,6 +209,44 @@ def test_capture_realize_roundtrip():
             assert realize(m, out.latent_state) == out.graph
 
 
+def test_realize_accepts_zero_one_coins():
+    m = correlated_star(7, 0.5, 2)
+    state = sample(m, 3, keep_latents=True).latent_state
+    assert realize(m, tuple(int(v) for v in state)) == realize(m, state)
+    assert realize(m, np.array(state)) == realize(m, state)
+
+
+# edge_block_exact(4, 2, 3): two blocks of three slots, two kept in each
+@pytest.mark.parametrize("state", [
+    ((0, 1), (-1, 2)),       # a negative position would wrap to another edge
+    ((0, 1), (1, 3)),        # position past the block
+    ((0, 1), (2,)),          # too few positions
+    ((0, 1), (0, 1, 2)),     # too many positions
+    ((0, 1), (2, 2)),        # a repeated position
+    ((0, 1), "ab"),
+    ((0, 1), 2),
+], ids=["negative", "out-of-range", "too-few", "too-many", "duplicate",
+        "text", "scalar"])
+def test_realize_rejects_malformed_subset_entry(state):
+    with pytest.raises(ValueError, match=r"2 distinct positions in range\(3\)"):
+        realize(edge_block_exact(4, 2, 3), state)
+
+
+@pytest.mark.parametrize("bad", [2, -1, "x", 0.5, None, (True,)],
+                         ids=["two", "minus-one", "text", "float", "none", "tuple"])
+def test_realize_rejects_non_coin_values(bad):
+    m = erdos_renyi(4, 0.5)
+    with pytest.raises(ValueError, match="bool or 0/1"):
+        realize(m, (True, False, True, bad, False, True))
+
+
+def test_realize_rejects_wrong_length():
+    with pytest.raises(ValueError, match="6 latents"):
+        realize(erdos_renyi(4, 0.5), (True,) * 5)
+    with pytest.raises(ValueError, match="2 latents"):
+        realize(edge_block_exact(4, 2, 3), ((0, 1),))
+
+
 def test_star_all_or_nothing():
     # the defining property: an outside vertex is bonded to all of S or none
     n, d = 10, 3

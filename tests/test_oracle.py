@@ -8,6 +8,7 @@ loops) before the rest of the suite is allowed to trust it.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -126,12 +127,31 @@ def test_budget_enforced():
         exact_edge_marginals(big)
 
 
+def test_budget_check_forms_no_giant_integer():
+    # 2^1999000 outcomes once took ~100 s to form and then overflowed the
+    # int -> str digit limit while formatting the error message
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"has 2\^1999000 outcomes"):
+        exact_event_probability(erdos_renyi(2000, 0.01), connected())
+    with pytest.raises(ResourceLimitError, match=r"has 2\^780 outcomes"):
+        exact_edge_marginals(erdos_renyi(40, Fraction(1, 2)))
+    with pytest.raises(ResourceLimitError, match=r"has comb\(3,1\)\^145 outcomes"):
+        exact_edge_marginals(edge_block_exact(30, 1, 3))
+    # one block of all 499500 slots keeping half: comb(499500, 249750) alone
+    # took 3 s to form
+    with pytest.raises(ResourceLimitError, match=r"comb\(499500,249750\)\^1 "):
+        exact_edge_marginals(edge_block_exact(1000, 249750, 499500))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_state_space_size():
     assert state_space_size(erdos_renyi(4, 0.5)) == 2 ** 6
     # 3 blocks of 2 slots keeping 1: 2 choices each
     assert state_space_size(edge_block_exact(4, 1, 2)) == 8
     # star n=4 d=1: 2 block coins + 2 private edges (01 and 23)
     assert state_space_size(correlated_star(4, 0.5, 1)) == 2 ** 4
+    assert state_space_size(edge_block_exact(6, 2, 5)) == math.comb(5, 2) ** 3
+    assert state_space_size(erdos_renyi(40, 0.5)) == 2 ** 780
 
 
 # -- binomial tail -----------------------------------------------------
