@@ -300,7 +300,7 @@ def test_oracle_json(capsys):
 # -- global behavior ---------------------------------------------------
 
 def _readme_commands():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(ln)[1:] for ln in lines
@@ -315,6 +315,7 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
     for argv in commands:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
 
 def test_unknown_subcommand_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
