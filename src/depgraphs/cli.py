@@ -14,6 +14,7 @@ import argparse
 import configparser
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .distributions import (audit_model, blocks_from_text, build,
                             parse_probability, sample)
 from .errors import ResourceLimitError
 from .graphs import to_edge_list
-from .oracle import exact_event_probability
+from .oracle import exact_event_probability, state_space_size
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -208,11 +209,10 @@ def _run_experiment(args, forced_task: str | None = None) -> int:
             # provenance document alongside the table
             Path(args.output + ".json").write_text(result.to_json(),
                                                    encoding="utf-8")
-    if result.all_failed():
-        for pt in result.points:
+    for pt in result.points:
+        if pt.error is not None:
             print(f"point {pt.index}: {pt.error}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    return EXIT_USAGE if result.all_failed() else EXIT_OK
 
 
 def cmd_experiment(args) -> int:
@@ -279,12 +279,15 @@ def cmd_audit(args) -> int:
 def cmd_oracle(args) -> int:
     model = _model_from_args(args)
     pred = predicates.parse_predicate(args.predicate, p=model.p)
+    start = time.perf_counter()
     value = exact_event_probability(model, pred)
+    duration = time.perf_counter() - start
     rational = format_probability(value) if isinstance(value, Fraction) else ""
     decimal = float(value)
     if args.format == "json":
         doc = {"model": _model_echo(model), "predicate": pred.name,
-               "rational": rational or None, "decimal": decimal}
+               "rational": rational or None, "decimal": decimal,
+               "outcomes": state_space_size(model), "duration_s": duration}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         _emit(f"# depgraphs oracle\n# model: {_model_echo(model)}\n"

@@ -250,11 +250,14 @@ def clique_number(g: Graph) -> int:
 class SubgraphPattern:
     """A small target graph H together with its derived quantities."""
 
-    __slots__ = ("graph", "name")
+    __slots__ = ("graph", "name", "_plan")
 
     def __init__(self, graph: Graph, name: str | None = None):
         self.graph = graph
         self.name = name
+        # contains_subgraph's plan, made on first use; threads that race
+        # here compute equal plans, so either one may win
+        self._plan = None
 
     @property
     def vertex_count(self) -> int:
@@ -329,20 +332,32 @@ def _embedding_order(h: Graph) -> list[int]:
     return placed
 
 
+class _EmbeddingPlan(NamedTuple):
+    """Pattern vertices in placement order, as the matcher needs them."""
+    back_edges: list[list[int]]  # earlier-placed neighbors, as positions in the order
+    degrees: list[int]           # pattern degree of each vertex in the order
+    edge_count: int
+
+
+def _embedding_plan(h: Graph) -> _EmbeddingPlan:
+    order = _embedding_order(h)
+    back_edges = [[j for j in range(i) if h.has_edge(v, order[j])]
+                  for i, v in enumerate(order)]
+    return _EmbeddingPlan(back_edges, [h.degree(v) for v in order], h.edge_count())
+
+
 def contains_subgraph(g: Graph, pattern: SubgraphPattern) -> bool:
     """True iff g has a (not necessarily induced) copy of the pattern."""
-    h = pattern.graph
-    k = h.n
+    k = pattern.graph.n
     if k > g.n:
         return False
-    if h.edge_count() > g.edge_count():
+    plan = pattern._plan
+    if plan is None:
+        plan = pattern._plan = _embedding_plan(pattern.graph)
+    if plan.edge_count > g.edge_count():
         return False
-    order = _embedding_order(h)
-    # earlier-placed pattern neighbors of order[i], as positions in `order`
-    back_edges: list[list[int]] = []
-    for i, v in enumerate(order):
-        back_edges.append([j for j in range(i) if h.has_edge(v, order[j])])
-    h_degs = [h.degree(v) for v in order]
+    back_edges = plan.back_edges
+    h_degs = plan.degrees
     g_degs = degree_sequence(g)
     full = (1 << g.n) - 1
     images = [0] * k

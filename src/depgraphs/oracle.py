@@ -1,20 +1,27 @@
 """Exact backends that validate the stochastic components.
 
-Everything here is independent of the samplers' fast paths: events are
-computed by walking the full joint latent space, binomial tails by direct
-summation, and jumbledness by enumerating all 4^n subset pairs.  Budgets
-are enforced, never silently degraded.
+Events, edge marginals and statistic moments come from one walk over the
+full joint latent space (`_walk`).  It reads the latents from the model's
+LatentLayout, gives each latent an XOR table of the adjacency-row bits its
+edges set, and visits the outcomes in Gray order, so each step toggles one
+latent's edges in the rows: coins in reflected binary Gray order with a
+running count of coins set, uniform subsets in reflected mixed-radix Gray
+order over each block's choices.  Outcome weights are integer counts per
+number of coins set, collapsed to a probability at the end.  The walk
+shares only the layout with the sampler, none of its presence code, so an
+exact value and a Monte Carlo estimate of it are computed independently.
+
+Binomial tails come by direct summation and jumbledness by enumerating
+all 4^n subset pairs.  Budgets are enforced, never silently degraded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lgamma, log
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +37,6 @@ JUMBLEDNESS_MAX_N = 12
 
 # rational arithmetic is used up to this denominator, floats beyond
 RATIONAL_DENOMINATOR_LIMIT = 1 << 16
-
-
-class ExactEventQuery(NamedTuple):
-    model: DistributionModel
-    predicate: Predicate
 
 
 def state_space_size(model: DistributionModel) -> int:
@@ -63,31 +65,102 @@ def _check_budget(model: DistributionModel) -> None:
             f"latent space has {text} outcomes, budget is {ENUMERATION_BUDGET}")
 
 
-def _latent_options(model: DistributionModel):
-    """Per-latent option lists of (coin increment, edges turned on)."""
-    options = []
-    coins = 0
-    uniform_combos = 1
-    for latent in model.iter_latents():
-        if latent.kind == "bernoulli":
-            coins += 1
-            options.append(((0, ()), (1, latent.edges)))
+def _endpoints(n: int, edges: np.ndarray) -> list[tuple[int, int]]:
+    """(u, v) with u < v for each colex edge index, in exact integers."""
+    tri = np.arange(n + 1, dtype=np.int64)
+    tri = tri * (tri - 1) // 2
+    v = np.searchsorted(tri, edges, side="right") - 1
+    return list(zip((edges - tri[v]).tolist(), v.tolist()))
+
+
+def _next_combination(x: int) -> int:
+    """The next larger int with as many bits set (Gosper's hack)."""
+    low = x & -x
+    r = x + low
+    return (((r ^ x) >> 2) // low) | r
+
+
+def _walk(model: DistributionModel):
+    """Yield (k, rows) once for every joint latent outcome, in Gray order.
+
+    k is the number of coins set and rows the outcome's adjacency, one int
+    per vertex.  rows is one list updated in place between outcomes, so a
+    consumer that keeps it must copy it.  Each step moves one latent, and
+    only that latent's edges are toggled in rows.
+    """
+    layout = model.layout
+    n = model.n
+    rows = [0] * n
+    pairs = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    if layout.uniform:
+        yield from _walk_subsets(layout, rows, pairs)
+        return
+    # per latent, the XOR toggle of its edges: (vertex, row mask) pairs
+    owner = layout.bid.tolist() + list(range(layout.block_count, layout.latents))
+    masks = [{} for _ in range(layout.latents)]
+    for j, (u, v) in zip(owner, pairs):
+        masks[j][u] = masks[j].get(u, 0) | (1 << v)
+        masks[j][v] = masks[j].get(v, 0) | (1 << u)
+    toggles = [tuple(t.items()) for t in masks]
+    # reflected binary Gray order: step i flips latent ctz(i)
+    on = 0
+    k = 0
+    yield k, rows
+    for i in range(1, 1 << layout.latents):
+        j = (i & -i).bit_length() - 1
+        for v, mask in toggles[j]:
+            rows[v] ^= mask
+        on ^= 1 << j
+        k += 1 if (on >> j) & 1 else -1
+        yield k, rows
+
+
+def _walk_subsets(layout, rows: list[int], pairs: list[tuple[int, int]]):
+    """_walk for uniform-subset models: every block keeps a of its m slots.
+
+    A block's choice is an m-bit mask with a bits set, and its choices run
+    in increasing order of that mask.  The blocks move in reflected
+    mixed-radix Gray order (TAOCP 7.2.1.1, Algorithm H), so each step
+    moves one block to its next or previous choice.
+    """
+    a, m, blocks = layout.a, layout.m, layout.block_count
+    full = (1 << m) - 1
+
+    def toggle(j: int, diff: int) -> None:
+        base = j * m
+        while diff:
+            u, v = pairs[base + (diff & -diff).bit_length() - 1]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            diff &= diff - 1
+
+    choice = [(1 << a) - 1] * blocks
+    for j in range(blocks):
+        toggle(j, choice[j])
+    radix = comb(m, a)
+    if radix == 1:
+        yield 0, rows
+        return
+    digit = [0] * blocks
+    step = [1] * blocks
+    focus = list(range(blocks + 1))
+    while True:
+        yield 0, rows
+        j = focus[0]
+        focus[0] = 0
+        if j == blocks:
+            return
+        old = choice[j]
+        if step[j] > 0:
+            choice[j] = _next_combination(old)
         else:
-            combos = tuple((0, c) for c in
-                           itertools.combinations(latent.edges, latent.a))
-            uniform_combos *= len(combos)
-            options.append(combos)
-    return options, coins, uniform_combos
-
-
-def _outcomes(options):
-    for choice in itertools.product(*options):
-        k = 0
-        edges = []
-        for inc, es in choice:
-            k += inc
-            edges.extend(es)
-        yield k, edges
+            choice[j] = full ^ _next_combination(full ^ old)
+        toggle(j, old ^ choice[j])
+        digit[j] += step[j]
+        if digit[j] == 0 or digit[j] == radix - 1:
+            step[j] = -step[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
 
 
 def _exact_p_arithmetic(p):
@@ -108,38 +181,39 @@ def _collapse(weights_by_k, p, coins: int, uniform_combos: int):
     return total / uniform_combos
 
 
-def exact_event_probability(model_or_query, predicate: Predicate | None = None):
+def _collapse_for(model: DistributionModel, weights_by_k):
+    coins = model.layout.coins
+    return _collapse(weights_by_k, model.p, coins, state_space_size(model) >> coins)
+
+
+def exact_event_probability(model: DistributionModel, predicate: Predicate):
     """P(predicate) by full latent enumeration; exact Fraction for rational p.
 
     Raises ResourceLimitError when the joint latent space exceeds the
     2^24-outcome budget.
     """
-    if isinstance(model_or_query, ExactEventQuery):
-        model, predicate = model_or_query
-    else:
-        model = model_or_query
-        if predicate is None:
-            raise ValueError("predicate required")
     _check_budget(model)
-    options, coins, uniform_combos = _latent_options(model)
-    acc = [0] * (coins + 1)
+    acc = [0] * (model.layout.coins + 1)
     n = model.n
-    for k, edges in _outcomes(options):
-        if predicate(Graph.from_edge_indices(n, edges)):
+    for k, rows in _walk(model):
+        if predicate(Graph._from_rows_unchecked(n, rows)):
             acc[k] += 1
-    return _collapse(acc, model.p, coins, uniform_combos)
+    return _collapse_for(model, acc)
 
 
 def exact_edge_marginals(model: DistributionModel) -> list:
     """Per-edge presence probability by full latent enumeration."""
     _check_budget(model)
-    options, coins, uniform_combos = _latent_options(model)
     L = num_edges(model.n)
-    acc = [[0] * (coins + 1) for _ in range(L)]
-    for k, edges in _outcomes(options):
-        for e in edges:
-            acc[e][k] += 1
-    return [_collapse(acc[e], model.p, coins, uniform_combos) for e in range(L)]
+    probes = [(e, u, 1 << v) for e, (u, v)
+              in enumerate(_endpoints(model.n, np.arange(L, dtype=np.int64)))]
+    acc = [[0] * L for _ in range(model.layout.coins + 1)]
+    for k, rows in _walk(model):
+        counts = acc[k]
+        for e, u, bit in probes:
+            if rows[u] & bit:
+                counts[e] += 1
+    return [_collapse_for(model, [counts[e] for counts in acc]) for e in range(L)]
 
 
 @lru_cache(maxsize=None)
@@ -286,16 +360,15 @@ def mean_variance_check(model: DistributionModel, statistic: Statistic,
     except ResourceLimitError:
         pass
     else:
-        options, coins, uniform_combos = _latent_options(model)
-        s1 = [0] * (coins + 1)
-        s2 = [0] * (coins + 1)
-        for k, edges in _outcomes(options):
-            v = statistic(Graph.from_edge_indices(n, edges))
+        s1 = [0] * (model.layout.coins + 1)
+        s2 = [0] * (model.layout.coins + 1)
+        for k, rows in _walk(model):
+            v = statistic(Graph._from_rows_unchecked(n, rows))
             iv = int(v) if float(v).is_integer() else v
             s1[k] += iv
             s2[k] += iv * iv
-        exact_mean = _collapse(s1, model.p, coins, uniform_combos)
-        second = _collapse(s2, model.p, coins, uniform_combos)
+        exact_mean = _collapse_for(model, s1)
+        second = _collapse_for(model, s2)
         exact_var = second - exact_mean * exact_mean
         mean_flag = abs(emp_mean - float(exact_mean)) > 4.0 * mean_se
         var_flag = abs(emp_var - float(exact_var)) > 4.0 * var_se

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from depgraphs import bounds, cli
+from depgraphs import bounds, cli, harness
 from depgraphs.distributions import (AuditReport, edge_block_exact,
                                      to_descriptor)
 from depgraphs.graphs import from_edge_list, named_pattern
@@ -189,6 +189,16 @@ def test_experiment_all_points_fail_exit_1(capsys):
     assert "perfect square" in err
 
 
+def test_experiment_partial_failure_reported_on_stderr(capsys):
+    argv = ("experiment", "--task", "clique", "--kind", "er", "--n", "10,70",
+            "--p", "1/2", "--trials", "3", "--seed", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == "point 1: n=70 exceeds the exact clique search limit 60\n"
+    config = cli._experiment_config(cli.build_parser().parse_args(argv), None)
+    assert out == harness.run_experiment(config).to_csv()
+
+
 def test_sweep_subcommand_forces_task(capsys):
     code, out, _ = run(capsys, "sweep", "--kind", "er", "--n", "20",
                        "--p", "0.05,0.1,0.2", "--trials", "20", "--seed", "8")
@@ -295,6 +305,18 @@ def test_oracle_json(capsys):
     doc = json.loads(out)
     assert doc["rational"] == "19/32"
     assert doc["decimal"] == pytest.approx(19 / 32)
+    assert doc["outcomes"] == 2 ** 6
+    assert doc["duration_s"] >= 0.0
+
+
+def test_oracle_csv_bytes(capsys):
+    code, out, _ = run(capsys, "oracle", "--dist", "er", "--n", "4",
+                       "--p", "1/2", "--predicate", "connected")
+    assert code == 0
+    assert out == ("# depgraphs oracle\n"
+                   "# model: kind=erdos-renyi n=4 p=1/2 d=0\n"
+                   "# predicate: connected\n"
+                   "rational,decimal\n19/32,0.59375\n")
 
 
 # -- global behavior ---------------------------------------------------

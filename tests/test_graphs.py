@@ -227,6 +227,30 @@ def test_contains_matches_brute(seed, n, p, name):
     assert contains_subgraph(g, pat) == brute_contains(g, pat.graph)
 
 
+def test_contains_matches_networkx_vf2():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(20240)
+    patterns = [named_pattern(name) for name in
+                ("k3", "k4", "c4", "c5", "path2", "path3", "edge")]
+    patterns += [SubgraphPattern(random_graph(rng, rng.randint(2, 5), 0.6))
+                 for _ in range(8)]
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+        big = to_nx(g)
+        for pat in patterns:
+            want = (pat.graph.n <= g.n and GraphMatcher(
+                big, to_nx(pat.graph)).subgraph_is_monomorphic())
+            assert contains_subgraph(g, pat) == want, (to_edge_list(g), pat)
+
+
 def test_contains_k3_in_triangle():
     assert contains_subgraph(Graph.complete(3), named_pattern("k3"))
     assert not contains_subgraph(named_pattern("c4").graph, named_pattern("k3"))

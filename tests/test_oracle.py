@@ -12,22 +12,21 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 from depgraphs import predicates
 from depgraphs.distributions import (blocks_from_text, correlated_star,
                                      custom_blocks, edge_block_exact,
-                                     erdos_renyi, sample)
+                                     erdos_renyi, realize, sample)
 from depgraphs.errors import ResourceLimitError
 from depgraphs.graphs import Graph, count_edges_between
-from depgraphs.oracle import (ENUMERATION_BUDGET, ExactEventQuery,
-                              er_connectivity_probability,
+from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
                               exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check,
-                              mean_variance_check, state_space_size)
+                              mean_variance_check, state_space_size, _walk)
 from depgraphs.predicates import (connected, edge_count_statistic,
                                   edges_between_statistic, parse_predicate)
 
@@ -81,13 +80,6 @@ def test_star_triangle_by_hand_enumeration():
     assert exact_event_probability(m, parse_predicate("contains:k3")) == total
 
 
-def test_query_tuple_form():
-    q = ExactEventQuery(erdos_renyi(3, Fraction(1, 2)), connected())
-    assert exact_event_probability(q) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        exact_event_probability(erdos_renyi(3, 0.5))
-
-
 def test_trivial_predicate_is_one():
     m = edge_block_exact(4, 1, 2)
     assert exact_event_probability(m, parse_predicate("true")) == Fraction(1)
@@ -116,6 +108,102 @@ def test_custom_block_triangle():
                for u, v, w in itertools.combinations(range(4), 3)):
             brute += Fraction(1, 16)
     assert got == brute
+
+
+# -- the Gray walk against brute force through realize --------------------
+
+WALK_PREDICATES = ["connected", "contains:k3", "isolated-vertex",
+                   "contains:path2", "edge-count:3", "degree-in:1:3"]
+WALK_PROBABILITIES = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+                      Fraction(12345, 54321)]
+
+
+@st.composite
+def walk_models(draw):
+    """Small models of the three latent shapes, at most 2^12 outcomes."""
+    shape = draw(st.sampled_from(["custom", "star", "edge-block"]))
+    if shape == "edge-block":
+        n = draw(st.integers(2, 7))
+        L = n * (n - 1) // 2
+        m = draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+        model = edge_block_exact(n, draw(st.integers(1, m)), m)
+    elif shape == "star":
+        n = draw(st.integers(2, 7))
+        model = correlated_star(n, draw(st.sampled_from(WALK_PROBABILITIES)),
+                                draw(st.integers(0, n - 2)))
+    else:
+        n = draw(st.integers(1, 6))
+        L = n * (n - 1) // 2
+        labels = draw(st.lists(st.integers(0, 11), min_size=L, max_size=L))
+        blocks = {}
+        for e, label in enumerate(labels):
+            blocks.setdefault(label, []).append(e)
+        model = custom_blocks(n, draw(st.sampled_from(WALK_PROBABILITIES)),
+                              list(blocks.values()))
+    assume(state_space_size(model) <= 1 << 12)
+    return model
+
+
+def _brute_outcomes(model):
+    """(weight, graph) for every latent state, through the sampler's realize."""
+    layout = model.layout
+    if layout.uniform:
+        choices = list(itertools.combinations(range(layout.m), layout.a))
+        per_latent = [choices] * layout.latents
+        combos = len(choices) ** layout.latents
+    else:
+        per_latent = [(False, True)] * layout.latents
+        combos = 1
+    p = model.p
+    for state in itertools.product(*per_latent):
+        k = sum(1 for value in state if value is True)
+        weight = p ** k * (1 - p) ** (layout.coins - k) / combos
+        yield weight, realize(model, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_models(), st.sampled_from(WALK_PREDICATES))
+def test_walk_matches_brute_force_through_realize(model, text):
+    predicate = parse_predicate(text)
+    outcomes = list(_brute_outcomes(model))
+    L = model.n * (model.n - 1) // 2
+    assert exact_event_probability(model, predicate) == sum(
+        (w for w, g in outcomes if predicate(g)), Fraction(0))
+    marginals = [Fraction(0)] * L
+    for w, g in outcomes:
+        for e in g.edge_indices():
+            marginals[e] += w
+    assert exact_edge_marginals(model) == marginals
+    # every outcome is visited once: the walk's graphs are the realized ones
+    walked = {tuple(rows) for _, rows in _walk(model)}
+    assert len(walked) == state_space_size(model)
+    assert walked == {g.rows for _, g in outcomes}
+
+
+def test_walk_steps_one_latent_at_a_time():
+    # Gray order: consecutive outcomes differ in one latent's edges, and k
+    # moves by one as that latent's coin turns on or off
+    model = correlated_star(6, Fraction(1, 2), 2)
+    latents = ([frozenset(b) for b in model.blocks]
+               + [frozenset([int(e)]) for e in model.layout.singles])
+    previous = None
+    for k, rows in _walk(model):
+        edges = set(Graph(model.n, rows).edge_indices())
+        if previous is not None:
+            old_k, old_edges = previous
+            assert edges ^ old_edges in latents
+            assert k - old_k == (1 if edges > old_edges else -1)
+        previous = k, edges
+    # uniform subsets: each step moves one block to another choice
+    model = edge_block_exact(5, 2, 5)
+    previous = None
+    for k, rows in _walk(model):
+        assert k == 0
+        edges = set(Graph(model.n, rows).edge_indices())
+        assert len(edges) == 4
+        if previous is not None:
+            assert len({e // 5 for e in edges ^ previous}) == 1
+        previous = edges
 
 
 def test_budget_enforced():
