@@ -12,9 +12,10 @@ private coins ascending by edge index.  A model holds that order once, as
 the flat arrays of its LatentLayout, and everything that maps latents to
 edges goes through it: the sampler draws every latent value in one
 generator call in declared order (which pins down sample(model, seed) bit
-for bit) and scatters the values to edge presence; latent capture returns
-the drawn values; realize scatters a given state the same way; the audit
-reads block ownership from it; the oracle sizes its state space by it.
+for bit), maps the values to the present edge indices and packs those
+straight into adjacency rows; latent capture returns the drawn values;
+realize maps a given state the same way; the audit reads block ownership
+from it; the oracle sizes its state space by it.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block,
@@ -28,8 +29,9 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import ceil, isqrt, log
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,13 +73,6 @@ def format_probability(p) -> str:
 def _check_probability(p) -> None:
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-
-
-class Latent(NamedTuple):
-    """Descriptor of one latent variable and the edges it controls."""
-    kind: str                 # "bernoulli" or "uniform-subset"
-    edges: tuple[int, ...]    # edge indices driven by this latent
-    a: int | None = None      # edges kept, for uniform-subset only
 
 
 @dataclass(frozen=True)
@@ -162,19 +157,45 @@ class LatentLayout:
         return 0 if self.uniform else self.latents
 
 
+def _block_edges(n: int, blocks: Sequence[Sequence[int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The block edges concatenated in declared order, as int64, and the
+    bitmap of the edge indices they cover.
+
+    Raises ValueError unless every index is in range for n and none appears
+    twice; the first offending entry in declared order names the error.
+    """
+    limit = num_edges(n)
+    try:
+        flat = np.fromiter(chain.from_iterable(blocks), dtype=np.int64)
+    except OverflowError:    # an index beyond int64, named by the walk below
+        flat = None
+    if flat is not None and ((flat >= 0) & (flat < limit)).all():
+        covered = np.zeros(limit, dtype=bool)
+        covered[flat] = True
+        if np.count_nonzero(covered) == flat.size:
+            return flat, covered
+    seen = set()
+    for e in chain.from_iterable(blocks):
+        if not 0 <= e < limit:
+            raise ValueError(f"edge index {e} out of range for n={n}")
+        if e in seen:
+            raise ValueError(f"edge index {e} appears in two blocks")
+        seen.add(e)
+    raise AssertionError("unreachable: the checks above found a bad entry")
+
+
 def _build_layout(n: int, blocks: tuple[tuple[int, ...], ...],
                   a: int | None = None, m: int | None = None) -> LatentLayout:
-    L = num_edges(n)
     if blocks:
-        flat = np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks])
+        flat, covered = _block_edges(n, blocks)
         bid = np.repeat(np.arange(len(blocks), dtype=np.int64),
-                        [len(b) for b in blocks])
+                        np.fromiter(map(len, blocks), dtype=np.int64))
+        singles = np.flatnonzero(~covered)
     else:
         flat = np.empty(0, dtype=np.int64)
         bid = np.empty(0, dtype=np.int64)
-    covered = np.zeros(L, dtype=bool)
-    covered[flat] = True
-    singles = np.flatnonzero(~covered).astype(np.int64)
+        singles = np.arange(num_edges(n), dtype=np.int64)
     for arr in (flat, bid, singles):
         arr.flags.writeable = False
     return LatentLayout(flat, bid, singles, len(blocks), a, m)
@@ -208,15 +229,8 @@ class DistributionModel:
         self.params = dict(params)
         self.blocks = tuple(tuple(b) for b in blocks)
         self._layout = None
-        covered = set()
-        limit = num_edges(n)
-        for b in self.blocks:
-            for e in b:
-                if not 0 <= e < limit:
-                    raise ValueError(f"edge index {e} out of range for n={n}")
-                if e in covered:
-                    raise ValueError(f"edge index {e} appears in two blocks")
-                covered.add(e)
+        if self.blocks:
+            _block_edges(n, self.blocks)
 
     # -- latent layout -------------------------------------------------
 
@@ -237,18 +251,6 @@ class DistributionModel:
 
     def latent_count(self) -> int:
         return self.layout.latents
-
-    def iter_latents(self) -> Iterator[Latent]:
-        """Latent descriptors in declared order (blocks, then private coins)."""
-        if self.kind == EDGE_BLOCK_EXACT:
-            a = self.params["a"]
-            for b in self.blocks:
-                yield Latent("uniform-subset", b, a)
-            return
-        for b in self.blocks:
-            yield Latent("bernoulli", b)
-        for e in self.single_edges():
-            yield Latent("bernoulli", (int(e),))
 
     def dependency_spec(self) -> DependencySpec:
         groups = tuple(b for b in self.blocks if len(b) >= 2)
@@ -277,13 +279,15 @@ def erdos_renyi(n: int, p) -> DistributionModel:
     return DistributionModel(ERDOS_RENYI, n, p, 0, {}, ())
 
 
+def _tri(v: np.ndarray) -> np.ndarray:
+    # edge_index(u, v, n) for u < v is _tri(v) + u
+    return v * (v - 1) // 2
+
+
 def _star_blocks(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    from .graphs import edge_index
     s = d + 1
-    blocks = []
-    for x in range(s, n):
-        blocks.append(tuple(edge_index(x, v, n) for v in range(s)))
-    return tuple(blocks)
+    xs = np.arange(s, n, dtype=np.int64)[:, None]
+    return tuple(map(tuple, (_tri(xs) + np.arange(s)).tolist()))
 
 
 def correlated_star(n: int, p, d: int) -> DistributionModel:
@@ -303,7 +307,6 @@ def correlated_star(n: int, p, d: int) -> DistributionModel:
 
 
 def _gadget_layout(n: int, d: int):
-    from .graphs import edge_index
     d1 = d + 1
     s = isqrt(d1)
     if s * s != d1:
@@ -316,28 +319,24 @@ def _gadget_layout(n: int, d: int):
             f"n={n} too small: |A|={a_size} is below the group size {s}")
     if a_size >= n:
         raise ValueError(f"n={n} too small: no vertices left for the B side")
-    a_groups = [tuple(range(i, min(i + s, a_size))) for i in range(0, a_size, s)]
-    b_blocks = [tuple(range(i, min(i + d1, n))) for i in range(a_size, n, d1)]
+    a_groups = [np.arange(i, min(i + s, a_size)) for i in range(0, a_size, s)]
     blocks = []
     # edges inside and between A-groups, one coin per unordered group pair
-    for i in range(len(a_groups)):
-        gi = a_groups[i]
-        within = tuple(edge_index(u, v, n) for ai, u in enumerate(gi)
-                       for v in gi[ai + 1:])
-        if len(within) >= 2:
-            blocks.append(within)
-        for j in range(i + 1, len(a_groups)):
-            gj = a_groups[j]
-            between = tuple(edge_index(u, v, n) for u in gi for v in gj)
-            if len(between) >= 2:
-                blocks.append(between)
-    # one coin per (A-vertex, B-block) pair
+    for i, gi in enumerate(a_groups):
+        iu, iv = np.triu_indices(gi.size, 1)
+        blocks.append((_tri(gi[iv]) + gi[iu]).tolist())
+        for gj in a_groups[i + 1:]:
+            blocks.append((_tri(gj) + gi[:, None]).ravel().tolist())
+    # one coin per (A-vertex, B-run) pair: runs of d+1, the last maybe shorter
+    tri_b = _tri(np.arange(a_size, n, dtype=np.int64))
+    full = tri_b.size - tri_b.size % d1
+    xs = np.arange(a_size)[:, None]
+    runs = (tri_b[:full].reshape(1, -1, d1) + xs[:, :, None]).tolist()
+    tails = (tri_b[full:] + xs).tolist()
     for x in range(a_size):
-        for bb in b_blocks:
-            blk = tuple(edge_index(x, y, n) for y in bb)
-            if len(blk) >= 2:
-                blocks.append(blk)
-    return a_size, s, tuple(blocks)
+        blocks.extend(runs[x])
+        blocks.append(tails[x])
+    return a_size, s, tuple(tuple(b) for b in blocks if len(b) >= 2)
 
 
 def connectivity_gadget(n: int, p, d: int) -> DistributionModel:
@@ -386,19 +385,12 @@ def custom_blocks(n: int, p, blocks: Iterable[Iterable[int]]) -> DistributionMod
         raise ValueError("need at least one vertex")
     _check_probability(p)
     normalized = [tuple(int(e) for e in b) for b in blocks]
+    if not all(normalized):
+        raise ValueError("empty block in partition")
     L = num_edges(n)
-    seen: set[int] = set()
-    for b in normalized:
-        if not b:
-            raise ValueError("empty block in partition")
-        for e in b:
-            if not 0 <= e < L:
-                raise ValueError(f"edge index {e} out of range for n={n}")
-            if e in seen:
-                raise ValueError(f"edge index {e} appears in two blocks")
-            seen.add(e)
-    if len(seen) != L:
-        missing = next(e for e in range(L) if e not in seen)
+    flat, covered = _block_edges(n, normalized)
+    if flat.size != L:
+        missing = int(np.flatnonzero(~covered)[0])
         raise ValueError(f"blocks do not cover edge index {missing}")
     d = max((len(b) for b in normalized), default=1) - 1
     kept = tuple(b for b in normalized if len(b) >= 2)
@@ -465,17 +457,47 @@ def _colex_uv(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _graph_from_present(n: int, present: np.ndarray) -> Graph:
-    if n == 1:
-        return Graph(1)
+def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
+    """Graph with exactly the given (distinct) edge indices present.
+
+    Both endpoints' bits are set in one bool matrix whose rows are padded
+    to whole 64-bit words, and a single packbits call turns it into rows.
+    """
     u, v = _colex_uv(n)
-    idx = np.flatnonzero(present)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[u[idx], v[idx]] = True
-    adj[v[idx], u[idx]] = True
+    eu, ev = u[edges], v[edges]
+    width = -(-n // 64) * 64
+    adj = np.zeros((n, width), dtype=bool)
+    adj[eu, ev] = True
+    adj[ev, eu] = True
     packed = np.packbits(adj, axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-    return Graph._from_rows_unchecked(n, rows)
+    if width == 64:
+        return Graph._from_rows_unchecked(n, packed.view("<u8").ravel().tolist())
+    buf = memoryview(packed.tobytes())
+    stride = width // 8
+    return Graph._from_rows_unchecked(
+        n, [int.from_bytes(buf[i:i + stride], "little")
+            for i in range(0, n * stride, stride)])
+
+
+_RAW_CHUNK = 1 << 15     # raw words per random_raw call: 256 KiB
+
+
+def _coins(gen: np.random.Generator, count: int, p) -> np.ndarray:
+    """count Bernoulli(p) coins, equal bit for bit to gen.random(count) < float(p).
+
+    A Philox double is (raw >> 11) * 2**-53 for a raw 64-bit word, so it is
+    below p exactly when raw >> 11 < c = ceil(p * 2**53), that is when
+    raw <= (c << 11) - 1.  Comparing the raw words skips the conversion, and
+    drawing them in cache-sized chunks keeps the words out of main memory.
+    """
+    c = ceil(float(p) * 2.0 ** 53)
+    bits = gen.bit_generator
+    coins = np.zeros(count, dtype=bool)
+    for i in range(0, count, _RAW_CHUNK):
+        raw = bits.random_raw(min(_RAW_CHUNK, count - i))
+        if c:
+            np.less_equal(raw, np.uint64((c << 11) - 1), out=coins[i:i + _RAW_CHUNK])
+    return coins
 
 
 def _draw_latents(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
@@ -486,30 +508,40 @@ def _draw_latents(model: DistributionModel, gen: np.random.Generator) -> np.ndar
     """
     layout = model.layout
     if not layout.uniform:
-        return gen.random(layout.latents) < float(model.p)
+        return _coins(gen, layout.latents, model.p)
     if layout.a == layout.m:
         return np.broadcast_to(np.arange(layout.m), (layout.block_count, layout.m))
     keys = gen.random((layout.block_count, layout.m))
     return np.argpartition(keys, layout.a - 1, axis=1)[:, :layout.a]
 
 
-def _scatter(model: DistributionModel, values: np.ndarray) -> np.ndarray:
-    """Presence bitmap over edge indices for latent values in declared order."""
+def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
+    """Present edge indices for latent values in declared order."""
     layout = model.layout
-    present = np.zeros(num_edges(model.n), dtype=bool)
     if layout.uniform:
         starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
-        present[(starts + values).ravel()] = True
-        return present
-    if layout.block_count:
-        present[layout.flat] = values[layout.bid]
-    present[layout.singles] = values[layout.block_count:]
+        return (starts + values).ravel()
+    if not layout.block_count:
+        return np.flatnonzero(values)    # the singles are all edges, in order
+    return np.concatenate((layout.flat[values[layout.bid]],
+                           layout.singles[values[layout.block_count:]]))
+
+
+def _graph_from_present(n: int, present: np.ndarray) -> Graph:
+    """Graph of a presence bitmap over edge indices."""
+    return _graph_from_edges(n, np.flatnonzero(present))
+
+
+def _present(model: DistributionModel, values: np.ndarray) -> np.ndarray:
+    """Presence bitmap over edge indices for latent values in declared order."""
+    present = np.zeros(num_edges(model.n), dtype=bool)
+    present[_edges(model, values)] = True
     return present
 
 
 def _sample_present(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
-    """Presence bitmap of one draw; one generator call per sample."""
-    return _scatter(model, _draw_latents(model, gen))
+    """Presence bitmap of one draw from gen."""
+    return _present(model, _draw_latents(model, gen))
 
 
 def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
@@ -519,7 +551,7 @@ def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
 
 
 def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
-    """Latent values for _scatter from a latent state, rejecting bad entries."""
+    """Latent values for _edges from a latent state, rejecting bad entries."""
     if len(state) != layout.latents:
         raise ValueError(f"state has {len(state)} entries, "
                          f"model has {layout.latents} latents")
@@ -549,15 +581,13 @@ def sample(model: DistributionModel, seed: int,
 
     With keep_latents the outcome also carries the latent state that
     realize() maps back to the same graph.  Capture reuses the arrays of
-    the draw, so it costs about what a plain sample does.
+    the draw, so it costs about what a plain sample does.  The draw comes
+    from this thread's generator reset to rng.generator(seed)'s state.
     """
-    gen = rngmod.generator(seed)
-    if not keep_latents:
-        return SampleOutcome(_graph_from_present(model.n, _sample_present(model, gen)),
-                             None)
-    values = _draw_latents(model, gen)
-    graph = _graph_from_present(model.n, _scatter(model, values))
-    return SampleOutcome(graph, _latent_state(model.layout, values))
+    values = _draw_latents(model, rngmod.seeded(seed))
+    graph = _graph_from_edges(model.n, _edges(model, values))
+    state = _latent_state(model.layout, values) if keep_latents else None
+    return SampleOutcome(graph, state)
 
 
 def realize(model: DistributionModel, state: Sequence) -> Graph:
@@ -568,7 +598,7 @@ def realize(model: DistributionModel, state: Sequence) -> Graph:
     range(m).
     """
     values = _state_values(model.layout, state)
-    return _graph_from_present(model.n, _scatter(model, values))
+    return _graph_from_edges(model.n, _edges(model, values))
 
 
 # -- marginal and independence audit -----------------------------------
@@ -660,13 +690,26 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
-    counts = np.zeros(L, dtype=np.int64)
+    layout = model.layout
+    # an edge of a coin model is present iff its latent is on, so the drawn
+    # coins are tallied as they are and each edge reads its latent's tally;
+    # uniform subsets are tallied per edge
+    if layout.uniform:
+        slot = np.arange(L)
+    else:
+        slot = np.empty(L, dtype=np.int64)
+        slot[layout.flat] = layout.bid
+        slot[layout.singles] = np.arange(layout.block_count, layout.latents)
+    s1, s2 = slot[e1s], slot[e2s]
+    tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
     joint = np.zeros(len(pair_list), dtype=np.int64)
     for _ in range(trials):
-        present = _sample_present(model, gen)
-        counts += present
+        values = _draw_latents(model, gen)
+        on = _present(model, values) if layout.uniform else values
+        tally += on
         if len(pair_list):
-            joint += present[e1s] & present[e2s]
+            joint += on[s1] & on[s2]
+    counts = tally[slot]
 
     pf = float(model.p)
     marginals = []

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lgamma, log
+from operator import mul
 
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import DistributionModel, _graph_from_present, _sample_present
+from .distributions import DistributionModel, _draw_latents, _edges, _graph_from_edges
 from .errors import ResourceLimitError
 from .graphs import Graph, num_edges
 from .predicates import Predicate, Statistic
@@ -170,20 +171,38 @@ def _exact_p_arithmetic(p):
     return pf, 1.0 - pf, 0.0
 
 
-def _collapse(weights_by_k, p, coins: int, uniform_combos: int):
-    # weights_by_k[k] counts qualifying outcomes with exactly k coins on;
-    # every uniform combination carries the same 1/uniform_combos factor
-    pv, qv, zero = _exact_p_arithmetic(p)
-    total = zero
-    for k, w in enumerate(weights_by_k):
-        if w:
-            total = total + w * pv ** k * qv ** (coins - k)
-    return total / uniform_combos
+def _collapser(model: DistributionModel):
+    """The map from outcome counts per number of coins set to a probability.
 
-
-def _collapse_for(model: DistributionModel, weights_by_k):
+    counts[k] counts qualifying outcomes with exactly k coins on; each has
+    weight p^k q^(coins-k) / combos, since every uniform combination carries
+    the same 1/combos factor.  The weights are formed once here, not once
+    per collapsed list.
+    """
     coins = model.layout.coins
-    return _collapse(weights_by_k, model.p, coins, state_space_size(model) >> coins)
+    combos = state_space_size(model) >> coins
+    pv, qv, zero = _exact_p_arithmetic(model.p)
+    powers = [(pv ** k, qv ** (coins - k)) for k in range(coins + 1)]
+
+    def collapse(counts):
+        total = zero
+        for w, (pk, qk) in zip(counts, powers):
+            if w:
+                total = total + w * pk * qk
+        return total / combos
+
+    if not isinstance(pv, Fraction):
+        return collapse
+    # with p = a/b every weight is an integer over b^coins * combos, so
+    # rational counts collapse to one Fraction; float counts keep the loop
+    a, b = pv.numerator, pv.denominator
+    nums = [a ** k * (b - a) ** (coins - k) for k in range(coins + 1)]
+    den = b ** coins * combos
+
+    def collapse_exact(counts):
+        total = sum(map(mul, counts, nums))
+        return collapse(counts) if isinstance(total, float) else Fraction(total, den)
+    return collapse_exact
 
 
 def exact_event_probability(model: DistributionModel, predicate: Predicate):
@@ -198,7 +217,7 @@ def exact_event_probability(model: DistributionModel, predicate: Predicate):
     for k, rows in _walk(model):
         if predicate(Graph._from_rows_unchecked(n, rows)):
             acc[k] += 1
-    return _collapse_for(model, acc)
+    return _collapser(model)(acc)
 
 
 def exact_edge_marginals(model: DistributionModel) -> list:
@@ -213,7 +232,8 @@ def exact_edge_marginals(model: DistributionModel) -> list:
         for e, u, bit in probes:
             if rows[u] & bit:
                 counts[e] += 1
-    return [_collapse_for(model, [counts[e] for counts in acc]) for e in range(L)]
+    collapse = _collapser(model)
+    return [collapse([counts[e] for counts in acc]) for e in range(L)]
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +366,7 @@ def mean_variance_check(model: DistributionModel, statistic: Statistic,
     n = model.n
     values = np.empty(trials, dtype=np.float64)
     for i in range(trials):
-        g = _graph_from_present(n, _sample_present(model, gen))
+        g = _graph_from_edges(n, _edges(model, _draw_latents(model, gen)))
         values[i] = statistic(g)
     emp_mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
@@ -367,8 +387,9 @@ def mean_variance_check(model: DistributionModel, statistic: Statistic,
             iv = int(v) if float(v).is_integer() else v
             s1[k] += iv
             s2[k] += iv * iv
-        exact_mean = _collapse_for(model, s1)
-        second = _collapse_for(model, s2)
+        collapse = _collapser(model)
+        exact_mean = collapse(s1)
+        second = collapse(s2)
         exact_var = second - exact_mean * exact_mean
         mean_flag = abs(emp_mean - float(exact_mean)) > 4.0 * mean_se
         var_flag = abs(emp_var - float(exact_var)) > 4.0 * var_se

@@ -10,6 +10,7 @@ worker count and scheduling.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -39,8 +40,36 @@ def derive_seed(master: int, *indices: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Counter-based generator for one sample; cheap to create per trial."""
+    """A fresh counter-based generator keyed by seed.
+
+    Building one costs about 20 us, most of it spent drawing OS entropy for
+    a SeedSequence that the key then discards, so per-trial callers use
+    seeded() instead; both give the same stream for the same seed.
+    """
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
+
+
+_local = threading.local()
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def seeded(seed: int) -> np.random.Generator:
+    """This thread's generator, reset to the state generator(seed) starts in.
+
+    Philox output is a pure function of (key, counter), so resetting the
+    counter, the key and the output buffers reproduces generator(seed) bit
+    for bit, at about a tenth of its cost.  The generator is shared by every
+    later call in the thread, so use it only until the next seeded() call.
+    """
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": (seed & MASK64, 0)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def default_seed() -> int:

@@ -117,6 +117,8 @@ def test_custom_blocks_validation():
         custom_blocks(4, 0.5, [(0, 1, 2)])
     with pytest.raises(ValueError, match="range"):
         custom_blocks(4, 0.5, [(0, 1, 2, 3, 4, 5, 6)])
+    with pytest.raises(ValueError, match=f"index {2 ** 70} out of range"):
+        custom_blocks(4, 0.5, [(0, 1, 2, 3, 4, 5), (2 ** 70,)])
     with pytest.raises(ValueError, match="empty"):
         custom_blocks(4, 0.5, [(), (0, 1, 2, 3, 4, 5)])
 
@@ -182,9 +184,10 @@ def test_dependency_spec_rejects_overlap():
 
 def test_declared_order_blocks_then_singles():
     m = custom_blocks(4, 0.5, [(2, 4), (0,), (1,), (3,), (5,)])
-    kinds = [lat for lat in m.iter_latents()]
-    assert kinds[0].edges == (2, 4)
-    assert [lat.edges for lat in kinds[1:]] == [(0,), (1,), (3,), (5,)]
+    layout = m.layout
+    assert layout.block_count == 1 and m.latent_count() == 5
+    assert layout.flat.tolist() == [2, 4] and layout.bid.tolist() == [0, 0]
+    assert layout.singles.tolist() == [0, 1, 3, 5]
 
 
 # -- sampling ----------------------------------------------------------

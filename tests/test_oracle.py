@@ -26,7 +26,8 @@ from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
                               exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check,
-                              mean_variance_check, state_space_size, _walk)
+                              mean_variance_check, state_space_size, _collapser,
+                              _walk)
 from depgraphs.predicates import (connected, edge_count_statistic,
                                   edges_between_statistic, parse_predicate)
 
@@ -347,6 +348,26 @@ def test_jumbledness_sampled_graphs_clean_at_true_p():
     for seed in range(25):
         g = sample(m, seed).graph
         assert exhaustive_jumbledness_check(g, 0.4, 0) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Fraction(1, 3), Fraction(0), Fraction(1), Fraction(5, 7),
+                        Fraction(1, 1 << 17), 0.3]),
+       st.lists(st.one_of(st.integers(0, 10 ** 6), st.fractions(0, 50),
+                          st.floats(0, 50)), min_size=5, max_size=5))
+def test_collapser_equals_direct_sum(p, counts):
+    # weights formed once per call give what the sum formed per term gave
+    m = erdos_renyi(3, p)       # 3 coins: counts per k = 0..3
+    exact = isinstance(p, Fraction) and p.denominator <= 1 << 16
+    pv, zero = (p, Fraction(0)) if exact else (float(p), 0.0)
+    direct = zero
+    for k, w in enumerate(counts[:4]):
+        if w:
+            direct = direct + w * pv ** k * (1 - pv) ** (3 - k)
+    got = _collapser(m)(counts[:4])
+    assert got == direct and type(got) is type(direct)
+    blocks = edge_block_exact(4, 1, 2)      # no coins, 2^3 uniform combinations
+    assert _collapser(blocks)(counts[4:]) == counts[4] / Fraction(8)
 
 
 # -- mean/variance check -----------------------------------------------
