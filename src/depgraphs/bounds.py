@@ -16,10 +16,12 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ResourceLimitError
-from .graphs import Graph, SubgraphPattern, edge_cover_number
+import numpy as np
 
-# edge subsets are enumerated explicitly; 2^18 terms is the cutoff
+from .errors import ResourceLimitError
+from .graphs import Graph, SubgraphPattern
+
+# the subset sum has one term per edge subset; 2^18 terms is the cutoff
 PHI_MAX_EDGES = 18
 
 
@@ -132,18 +134,32 @@ def dependence_ratio(n: int, d: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _phi_profile(h: Graph) -> tuple[tuple[int, int, int], ...]:
-    # (|V(Gamma)|, |E(Gamma)|, f(Gamma)) for every nonempty edge subset Gamma
-    edges = tuple(h.edges())
-    out = []
-    for mask in range(1, 1 << len(edges)):
-        chosen = [edges[i] for i in range(len(edges)) if (mask >> i) & 1]
-        endpoints = 0
-        for u, v in chosen:
-            endpoints |= (1 << u) | (1 << v)
-        sub = SubgraphPattern(Graph.from_edges(h.n, chosen))
-        out.append((endpoints.bit_count(), len(chosen), edge_cover_number(sub)))
-    return tuple(out)
+def _phi_profile(h: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|V(Gamma)|, |E(Gamma)|, f(Gamma)) for every nonempty edge subset Gamma.
+
+    Three read-only uint8 arrays, entry mask - 1 for the subset whose bit i
+    picks h.edges()[i].  One pass over the masks in increasing order: with
+    e the top edge of Gamma, the matching number is
+    nu(Gamma) = max(nu(Gamma - e), 1 + nu(Gamma minus every edge touching e)),
+    V(Gamma) = V(Gamma - e) | ends(e), and f = |V(Gamma)| - nu(Gamma) by
+    the Gallai identity.
+    """
+    edges = list(h.edges())
+    # vertex bits over the endpoints only, at most 2 * PHI_MAX_EDGES of them
+    label = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    nu = np.zeros(1 << len(edges), dtype=np.uint8)
+    cover = np.zeros(1 << len(edges), dtype=np.uint64)
+    for i, (u, v) in enumerate(edges):
+        low = 1 << i
+        touching = sum(1 << j for j, e in enumerate(edges[:i]) if u in e or v in e)
+        apart = np.arange(low) & ((low - 1) ^ touching)
+        nu[low:2 * low] = np.maximum(nu[:low], nu[apart] + 1)
+        cover[low:2 * low] = cover[:low] | np.uint64((1 << label[u]) | (1 << label[v]))
+    nv = np.bitwise_count(cover[1:])
+    profile = (nv, np.bitwise_count(np.arange(1, len(nu))), nv - nu[1:])
+    for a in profile:
+        a.flags.writeable = False
+    return profile
 
 
 def _as_pattern(pattern) -> SubgraphPattern:
@@ -173,10 +189,17 @@ def phi_functional(pattern: SubgraphPattern, n: int, p: float, d: int) -> float:
     pf = float(p)
     base = 20.0 * pattern.vertex_count / n
     d1 = d + 1
-    total = 0.0
-    for nv, ne, f in _phi_profile(pattern.graph):
-        total += base ** nv * d1 ** f / pf ** ne
-    return total
+    nv, ne, f = _phi_profile(pattern.graph)
+    # each power is a Python float, as in the term base**nv * d1**f / p**ne
+    base_pow = np.array([base ** k for k in range(int(nv.max()) + 1)])
+    d1_pow = np.array([float(d1 ** k) for k in range(int(f.max()) + 1)])
+    p_pow = np.array([pf ** k for k in range(ecount + 1)])
+    if not p_pow.all():
+        raise ZeroDivisionError("float division by zero")
+    with np.errstate(all="ignore"):
+        terms = base_pow[nv] * d1_pow[f] / p_pow[ne]
+        # summed in mask order, one term after another, as a float loop would
+        return float(np.cumsum(terms)[-1])
 
 
 def containment_failure_bound(pattern: SubgraphPattern, n: int, p: float,

@@ -25,6 +25,7 @@ from .distributions import (audit_model, blocks_from_text, build,
                             parse_probability, sample)
 from .errors import ResourceLimitError
 from .graphs import to_edge_list
+from .harness import _cell
 from .oracle import exact_event_probability, state_space_size
 
 EXIT_OK = 0
@@ -89,16 +90,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _model_echo(model) -> str:
     parts = [f"kind={model.kind}", f"n={model.n}",
              f"p={format_probability(model.p)}", f"d={model.d}"]
@@ -137,9 +128,9 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
     lines = ["# depgraphs bounds", "name,params,value,vacuous,hypothesis"]
     for r in reports:
-        inputs = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(r.inputs.items()))
-        lines.append(f"{r.name},{inputs},{_fmt(r.value)},{_fmt(r.vacuous)},"
-                     f"{_fmt(r.hypothesis)}")
+        inputs = ";".join(f"{k}={_cell(v)}" for k, v in sorted(r.inputs.items()))
+        lines.append(f"{r.name},{inputs},{_cell(r.value)},{_cell(r.vacuous)},"
+                     f"{_cell(r.hypothesis)}")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -259,19 +250,19 @@ def cmd_audit(args) -> int:
         ]
         for mg in report.marginals:
             lines.append(f"edge,{mg.edge},,{mg.successes},{mg.trials},"
-                         f"{_fmt(mg.estimate)},{_fmt(mg.ci_low)},{_fmt(mg.ci_high)},,,"
-                         f"{_fmt(mg.flagged)}")
+                         f"{_cell(mg.estimate)},{_cell(mg.ci_low)},{_cell(mg.ci_high)},,,"
+                         f"{_cell(mg.flagged)}")
         for q in report.pairs:
             lines.append(f"pair,{q.edge_a},{q.edge_b},{q.table[0]},{report.trials},"
-                         f",,,{_fmt(q.statistic)},{_fmt(q.p_value)},{_fmt(q.flagged)}")
+                         f",,,{_cell(q.statistic)},{_cell(q.p_value)},{_cell(q.flagged)}")
         lines.append(f"summary-degree,,,,,,,,{report.max_dependency_degree},,"
-                     f"{_fmt(not report.degree_ok)}")
+                     f"{_cell(not report.degree_ok)}")
         lines.append(f"summary-marginals,,,{report.marginal_misses},,,,,"
-                     f"{_fmt(report.marginal_tolerance)},,"
-                     f"{_fmt(report.marginal_misses > report.marginal_tolerance)}")
+                     f"{_cell(report.marginal_tolerance)},,"
+                     f"{_cell(report.marginal_misses > report.marginal_tolerance)}")
         lines.append(f"summary-pairs,,,{report.pair_misses},,,,,"
-                     f"{_fmt(report.pair_tolerance)},,"
-                     f"{_fmt(report.pair_misses > report.pair_tolerance)}")
+                     f"{_cell(report.pair_tolerance)},,"
+                     f"{_cell(report.pair_misses > report.pair_tolerance)}")
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_AUDIT if report.flagged else EXIT_OK
 

@@ -10,7 +10,6 @@ a pair never depends on n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -380,7 +379,6 @@ def contains_subgraph(g: Graph, pattern: SubgraphPattern) -> bool:
     return place(0, 0)
 
 
-@lru_cache(maxsize=None)
 def _max_matching(n: int, edges: tuple[tuple[int, int], ...]) -> int:
     adj = [0] * n
     for u, v in edges:

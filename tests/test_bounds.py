@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from depgraphs import bounds
 from depgraphs.errors import ResourceLimitError
-from depgraphs.graphs import Graph, SubgraphPattern, named_pattern
+from depgraphs.graphs import (Graph, SubgraphPattern, edge_cover_number,
+                              named_pattern)
 
 
 # -- tail bound shapes -------------------------------------------------
@@ -221,6 +222,53 @@ def test_phi_matches_brute(name):
     for n, p, d in [(100, 0.5, 0), (200, 0.3, 3), (50, 0.1, 1)]:
         assert bounds.phi_functional(pat, n, p, d) == pytest.approx(
             brute_phi(pat.graph, n, p, d), rel=1e-9)
+
+
+def reference_phi_profile(h: Graph) -> list[tuple[int, int, int]]:
+    """(|V|, |E|, edge cover number) per nonempty edge subset, in mask order,
+    one pattern graph and one edge_cover_number call per subset."""
+    edges = tuple(h.edges())
+    out = []
+    for mask in range(1, 1 << len(edges)):
+        chosen = [edges[i] for i in range(len(edges)) if (mask >> i) & 1]
+        endpoints = 0
+        for u, v in chosen:
+            endpoints |= (1 << u) | (1 << v)
+        sub = SubgraphPattern(Graph.from_edges(h.n, chosen))
+        out.append((endpoints.bit_count(), len(chosen), edge_cover_number(sub)))
+    return out
+
+
+@st.composite
+def small_patterns(draw):
+    n = draw(st.integers(2, 70))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), min_size=1, max_size=10))
+    return Graph.from_edges(n, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_patterns())
+def test_phi_profile_matches_per_subset_edge_cover(h):
+    nv, ne, f = bounds._phi_profile(h)
+    assert list(zip(nv.tolist(), ne.tolist(), f.tolist())) == reference_phi_profile(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_patterns(), st.sampled_from([(500, 0.2, 3), (100, 0.5, 0), (50, 0.1, 1)]))
+def test_phi_equals_sequential_sum(h, args):
+    # the value of a plain float loop over the subsets in mask order, to the bit
+    n, p, d = args
+    base = 20.0 * h.n / n
+    total = 0.0
+    for nv, ne, f in reference_phi_profile(h):
+        total += base ** nv * (d + 1) ** f / p ** ne
+    assert bounds.phi_functional(h, n, p, d) == total
+
+
+def test_phi_k6_in_8_frozen_value():
+    k6 = Graph.from_edges(8, itertools.combinations((0, 2, 3, 5, 6, 7), 2))
+    assert bounds.phi_functional(k6, 500, 0.2, 3) == 32399670632.018284
 
 
 def test_phi_monotone_in_d():

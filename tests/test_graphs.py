@@ -9,8 +9,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 from depgraphs import graphs as G
 from depgraphs.graphs import (Graph, SubgraphPattern, clique_number,
@@ -160,6 +161,31 @@ def test_connectivity_matches_union_find(seed, n, p):
     comps = brute_components(g)
     assert len(connected_components(g)) == comps
     assert is_connected(g) == (comps == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32),
+       st.one_of(st.sampled_from([1, 63, 64, 65]), st.integers(1, 130)),
+       st.floats(0.0, 4.0))
+@example(seed=1, n=1, c=0.0)
+@example(seed=2, n=63, c=3.0)
+@example(seed=3, n=64, c=1.0)
+@example(seed=4, n=65, c=4.0)
+def test_connectivity_matches_scipy(seed, n, c):
+    # average degree near c straddles the connectivity threshold at every n
+    g = random_graph(random.Random(seed), n, min(1.0, c / n))
+    edges = list(g.edges())
+    rows = [u for u, _ in edges]
+    cols = [v for _, v in edges]
+    adj = csr_matrix(([1] * len(edges), (rows, cols)), shape=(n, n))
+    count, labels = csgraph.connected_components(adj, directed=False)
+    want = [0] * count
+    for v, label in enumerate(labels.tolist()):
+        want[label] |= 1 << v
+    comps = connected_components(g)
+    # components come in order of their lowest vertex
+    assert comps == sorted(want, key=lambda m: m & -m)
+    assert is_connected(g) == (count == 1)
 
 
 def test_single_vertex_connected():

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -308,8 +308,13 @@ def test_jumbledness_budget():
 
 
 def brute_jumbledness(g, p, d, C=10.0):
-    """Plain double loop over all subset pairs; returns the max slack."""
+    """Plain double loop over all subset pairs; returns the max slack.
+
+    Each pair's slack uses the scan's float expressions, with the size
+    |A||B| formed as an integer first, so the two agree to the bit.
+    """
     n = g.n
+    scale = n * p * (d + 1)
     best = 0.0
     arg = None
     subsets = []
@@ -318,28 +323,67 @@ def brute_jumbledness(g, p, d, C=10.0):
     for a in subsets:
         for b in subsets:
             e = count_edges_between(g, a, b)
-            dev = abs(e - p * len(a) * len(b))
-            allow = C * math.sqrt(len(a) * len(b) * n * p * (d + 1))
+            size = len(a) * len(b)
+            dev = abs(e - p * size)
+            allow = C * math.sqrt(size * scale)
             if dev - allow > best:
                 best = dev - allow
                 arg = (tuple(a), tuple(b))
     return best, arg
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32), st.floats(0.005, 0.1))
-def test_jumbledness_matches_brute(seed, p):
-    # tiny claimed p makes violations findable on dense 6-vertex graphs
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.integers(1, 7),
+       st.integers(0, 3), st.sampled_from([0.1, 1.0, 10.0]))
+@example(seed=1, p=0.0, n=6, d=0, C=10.0)
+@example(seed=2, p=1.0, n=7, d=3, C=0.1)
+@example(seed=3, p=0.0, n=1, d=1, C=1.0)
+def test_jumbledness_matches_brute(seed, p, n, d, C):
+    # dense graphs against a spread of claimed p, p = 0 and 1 included
     rng = random.Random(seed)
-    g = Graph.from_edges(6, [(u, v) for v in range(6) for u in range(v)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
                              if rng.random() < 0.7])
-    fast = exhaustive_jumbledness_check(g, p, 0)
-    slack, arg = brute_jumbledness(g, p, 0)
+    fast = exhaustive_jumbledness_check(g, p, d, C=C)
+    slack, arg = brute_jumbledness(g, p, d, C=C)
     if fast is None:
-        assert slack == pytest.approx(0.0, abs=1e-9)
+        assert arg is None
     else:
-        assert fast.slack == pytest.approx(slack, rel=1e-9)
+        assert fast.slack == slack
         assert (fast.a_vertices, fast.b_vertices) == arg
+        assert fast.edges == count_edges_between(g, *arg)
+
+
+# (n, graph seed, p, d, C) and the violation a full 4^n scan returned
+PINNED_VIOLATIONS = [
+    ((10, 1, 0.3, 0, 1.0),
+     "JumblednessViolation(a_vertices=(3, 6), b_vertices=(4, 5, 7, 8, 9), "
+     "edges=10, expected=3.0, deviation=7.0, allowance=5.477225575051661, "
+     "slack=1.5227744249483388)"),
+    ((11, 2, 0.5, 2, 0.3),
+     "JumblednessViolation(a_vertices=(0, 2, 4, 5, 6, 7, 8, 9, 10), "
+     "b_vertices=(0, 2, 4, 5, 6, 7, 8, 9, 10), edges=24, expected=40.5, "
+     "deviation=16.5, allowance=10.967451846258546, slack=5.532548153741454)"),
+    ((11, 5, 0.5, 2, 1.0), "None"),
+    ((12, 3, 0.2, 1, 0.5),
+     "JumblednessViolation(a_vertices=(1, 2, 3, 4, 5, 6, 7, 8, 10, 11), "
+     "b_vertices=(1, 2, 3, 4, 5, 6, 7, 8, 10, 11), edges=6, expected=20.0, "
+     "deviation=14.0, allowance=10.954451150103322, slack=3.0455488498966776)"),
+    ((12, 4, 0.6, 0, 0.5),
+     "JumblednessViolation(a_vertices=(0, 2, 3, 6, 7, 9, 11), "
+     "b_vertices=(0, 2, 3, 6, 7, 9, 11), edges=16, expected=29.400000000000002, "
+     "deviation=13.399999999999999, allowance=9.391485505499116, "
+     "slack=4.008514494500883)"),
+]
+
+
+@pytest.mark.parametrize("case, want", PINNED_VIOLATIONS)
+def test_jumbledness_pinned_violations(case, want):
+    # graphs with each pair present with probability p, seeded
+    n, seed, p, d, C = case
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rng.random() < p])
+    assert repr(exhaustive_jumbledness_check(g, p, d, C=C)) == want
 
 
 def test_jumbledness_sampled_graphs_clean_at_true_p():
