@@ -5,6 +5,9 @@ with bit v of row u set iff {u,v} is an edge.  Unordered pairs carry a
 colexicographic index: {u,v} with u < v maps to v*(v-1)//2 + u, so the
 pairs on the first k vertices occupy indices 0..C(k,2)-1 and the index of
 a pair never depends on n.
+
+The batch kernels at the end take many graphs at once: a (T, n) unsigned
+array, n <= 64, whose row t holds graph t's adjacency rows as bitsets.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 def num_edges(n: int) -> int:
@@ -494,3 +499,90 @@ def from_edge_list(text: str) -> Graph:
             raise ValueError(f"bad edge line {ln!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return Graph.from_edges(n, edges)
+
+
+# -- batch kernels over (T, n) bitset rows --------------------------------
+
+BATCH_MAX_N = 64
+
+
+def batch_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype whose bits hold an n-vertex row."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if n <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype)
+    raise ValueError(f"batched rows need n <= {BATCH_MAX_N}, got n={n}")
+
+
+def _columns(rows: np.ndarray) -> np.ndarray:
+    # vertex-major copy: one contiguous array of T row words per vertex
+    return np.ascontiguousarray(rows.T)
+
+
+def _union_of_rows(cols: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per graph t, the OR of its rows v over the vertices v in masks[t];
+    only vertices in some graph's mask are visited."""
+    dtype = cols.dtype.type
+    union = np.zeros_like(masks)
+    for v in iter_bits(int(np.bitwise_or.reduce(masks))):
+        union |= cols[v] * ((masks >> dtype(v)) & dtype(1))
+    return union
+
+
+def batch_connected(rows: np.ndarray) -> np.ndarray:
+    """is_connected of every graph: the vertices reached from vertex 0 grow
+    by their neighbourhoods, at most n - 1 rounds, until no graph gains one."""
+    count, n = rows.shape
+    cols = _columns(rows)
+    reached = np.ones(count, dtype=rows.dtype)
+    for _ in range(n - 1):
+        grown = reached | _union_of_rows(cols, reached)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return reached == rows.dtype.type((1 << n) - 1)
+
+
+def batch_has_clique(rows: np.ndarray, k: int) -> np.ndarray:
+    """Whether each graph has a k-clique, k >= 1."""
+    full = np.full(len(rows), (1 << rows.shape[1]) - 1, dtype=rows.dtype)
+    return _clique_among(_columns(rows), full, k)
+
+
+def _clique_among(cols: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
+    # per graph t, whether the vertex set cand[t] holds a k-clique
+    if k == 1:
+        return cand != 0
+    if k == 2:
+        return (_union_of_rows(cols, cand) & cand) != 0
+    dtype = cols.dtype.type
+    full = (1 << len(cols)) - 1
+    found = np.zeros(len(cand), dtype=bool)
+    live = cand
+    done = 0
+    # cliques by lowest vertex v: the rest lie among v's higher neighbours
+    # in the set, at least k - 1 of them; a graph leaves once it has one
+    while rest := int(np.bitwise_or.reduce(live)) & ~done:
+        v = (rest & -rest).bit_length() - 1
+        done = (2 << v) - 1
+        sub = (cols[v] & live & dtype(full ^ done)) * ((live >> dtype(v)) & dtype(1))
+        sub *= (np.bitwise_count(sub) >= k - 1).astype(sub.dtype)
+        if sub.any():
+            hit = _clique_among(cols, sub, k - 1)
+            found |= hit
+            live = live * (~hit).astype(live.dtype)
+    return found
+
+
+def batch_edge_counts(rows: np.ndarray) -> np.ndarray:
+    """edge_count of every graph, as int64."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64) // 2
+
+
+def batch_edges_between(rows: np.ndarray, a: Iterable[int],
+                        b: Iterable[int]) -> np.ndarray:
+    """count_edges_between(g, a, b) of every graph, as int64."""
+    n = rows.shape[1]
+    bm = rows.dtype.type(vertex_mask(b, n))
+    picked = rows[:, list(iter_bits(vertex_mask(a, n)))]
+    return np.bitwise_count(picked & bm).sum(axis=1, dtype=np.int64)

@@ -1,20 +1,35 @@
 """Exact backends that validate the stochastic components.
 
-Events, edge marginals and statistic moments come from one walk over the
-full joint latent space (`_walk`).  It reads the latents from the model's
-LatentLayout, gives each latent an XOR table of the adjacency-row bits its
-edges set, and visits the outcomes in Gray order, so each step toggles one
-latent's edges in the rows: coins in reflected binary Gray order with a
-running count of coins set, uniform subsets in reflected mixed-radix Gray
-order over each block's choices.  Outcome weights are integer counts per
-number of coins set, collapsed to a probability at the end.  The walk
-shares only the layout with the sampler, none of its presence code, so an
-exact value and a Monte Carlo estimate of it are computed independently.
+Events, edge marginals and statistic moments come from one enumeration of
+the full joint latent space.  It reads the latents from the model's
+LatentLayout and gives each latent value a table of the adjacency-row bits
+its edges set, sharing only the layout with the sampler, none of its
+presence code, so an exact value and a Monte Carlo estimate of it are
+computed independently.
 
-Binomial tails come by direct summation.  The jumbledness check finds the
-pair a scan of all 4^n subset pairs would, from sorted prefix sums of each
-set's neighbour weights (O(2^n n log n)).  Budgets are enforced, never
-silently degraded.
+For n <= 64 the enumeration is batched (`_walk_batches`): it yields blocks
+of outcomes as (T, n) unsigned arrays, one bitset row per vertex.  A low
+table holds every joint value of the first latents, built by doubling; the
+next latent's values (a uniform block's subsets unranked in colex order)
+are read in slices that fill a block with it, and each block is XORed with
+every joint value of the latents above.  A block is evaluated with the
+predicate's or statistic's batch kernel, or with `fn` on each outcome's
+Graph when it has none, and its size follows from one byte budget
+(BATCH_BYTES) on the widest array formed per outcome.  Beyond 64 vertices
+a row no longer fits a machine word, and the scalar walk (`_walk`) visits
+the outcomes one at a time in Gray order, each step toggling one latent's
+edges in Python-int rows: coins in reflected binary Gray order with a
+running count of coins set, uniform subsets in reflected mixed-radix Gray
+order over each block's choices.  Each outcome is then evaluated on its
+own Graph.  The scalar walk is also the tests' reference for the batched
+one.
+
+Outcome weights are integer counts per number of coins set, accumulated in
+int64 and collapsed to a probability from Python ints at the end, so the
+result does not depend on the order of the walk.  Binomial tails come by
+direct summation.  The jumbledness check finds the pair a scan of all 4^n
+subset pairs would, from sorted prefix sums of each set's neighbour weights
+(O(2^n n log n)).  Budgets are enforced, never silently degraded.
 """
 
 from __future__ import annotations
@@ -22,21 +37,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lgamma, log
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
 from . import rng as rngmod
 from .distributions import DistributionModel, _draw_latents, _edges, _graph_from_edges
 from .errors import ResourceLimitError
-from .graphs import Graph, num_edges
+from .graphs import BATCH_MAX_N, Graph, batch_dtype, num_edges
 from .predicates import Predicate, Statistic
 
 ENUMERATION_BUDGET = 1 << 24
 
 JUMBLEDNESS_MAX_N = 12
+
+# the widest array formed per block of outcomes, in bytes (see _batch_cap)
+BATCH_BYTES = 1 << 18
 
 # rational arithmetic is used up to this denominator, floats beyond
 RATIONAL_DENOMINATOR_LIMIT = 1 << 16
@@ -68,12 +85,12 @@ def _check_budget(model: DistributionModel) -> None:
             f"latent space has {text} outcomes, budget is {ENUMERATION_BUDGET}")
 
 
-def _endpoints(n: int, edges: np.ndarray) -> list[tuple[int, int]]:
-    """(u, v) with u < v for each colex edge index, in exact integers."""
+def _endpoints(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays u and v with u < v, the endpoints of each colex edge index."""
     tri = np.arange(n + 1, dtype=np.int64)
     tri = tri * (tri - 1) // 2
     v = np.searchsorted(tri, edges, side="right") - 1
-    return list(zip((edges - tri[v]).tolist(), v.tolist()))
+    return edges - tri[v], v
 
 
 def _next_combination(x: int) -> int:
@@ -94,7 +111,8 @@ def _walk(model: DistributionModel):
     layout = model.layout
     n = model.n
     rows = [0] * n
-    pairs = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    pairs = list(zip(u.tolist(), v.tolist()))
     if layout.uniform:
         yield from _walk_subsets(layout, rows, pairs)
         return
@@ -166,6 +184,128 @@ def _walk_subsets(layout, rows: list[int], pairs: list[tuple[int, int]]):
             focus[j + 1] = j + 1
 
 
+def _slot_rows(model: DistributionModel, dtype: np.dtype) -> np.ndarray:
+    """Per latent edge slot (the layout's flat edges, then its singles), the
+    adjacency-row bits of its edge: one (n,) row of the given dtype each."""
+    layout = model.layout
+    n = model.n
+    edges = np.concatenate([layout.flat, layout.singles])
+    u, v = _endpoints(n, edges)
+    at = np.arange(edges.size)
+    one = dtype.type(1)
+    slots = np.zeros((edges.size, n), dtype=dtype)
+    slots[at, u] = one << v.astype(dtype)
+    slots[at, v] = one << u.astype(dtype)
+    return slots
+
+
+def _subset_rows(slots: np.ndarray, ladders: list[np.ndarray], start: int,
+                 stop: int) -> np.ndarray:
+    """The XOR of the slot rows of each a-subset of the m slots, for the
+    subsets of colex rank start .. stop - 1 (increasing bitmask order).
+
+    A subset c_1 < ... < c_a has rank sum comb(c_i, i), so its i-th slot is
+    the largest x with comb(x, i) <= what is left of the rank; ladders[i-1]
+    holds comb(x, i) for x < m.
+    """
+    rank = np.arange(start, stop, dtype=np.int64)
+    rows = np.zeros((stop - start, slots.shape[1]), dtype=slots.dtype)
+    for ladder in reversed(ladders):
+        top = np.searchsorted(ladder, rank, side="right") - 1
+        rank -= ladder[top]
+        rows ^= slots[top]
+    return rows
+
+
+def _joint_values(values, radix: int, step: int, latents: range, k: int,
+                  row: np.ndarray):
+    """Yield (k + c, row ^ r) for each joint value of the latents, where c
+    counts the coins it sets and r is the XOR of its rows; each latent's
+    values are read step at a time."""
+    if not latents:
+        yield k, row
+        return
+    for start in range(0, radix, step):
+        ks, rows = values(latents[0], start, min(radix, start + step))
+        for vk, vrow in zip(ks.tolist(), rows):
+            yield from _joint_values(values, radix, step, latents[1:], k + vk, row ^ vrow)
+
+
+def _walk_batches(model: DistributionModel, cap: int):
+    """Yield (k, rows) for blocks of at most cap joint latent outcomes, each
+    outcome once.
+
+    rows is a (T, n) unsigned array, one bitset row per vertex (n <= 64),
+    and k the int64 number of coins set in each outcome.  A latent's value
+    sets the rows of the edges it turns on and some number of coins: a coin
+    is off or on, a uniform block keeps one of its a-subsets.  The first
+    latents, as many as fit a block, form a low table of all their joint
+    values by doubling.  The next latent's values are read in slices that
+    fit a block with the low table, and each such block is XORed with every
+    joint value of the latents above.  No table holds more than cap values,
+    and only the latent layout is shared with the sampler.
+    """
+    layout = model.layout
+    n = model.n
+    slots = _slot_rows(model, batch_dtype(n))
+    if layout.uniform:
+        m, a = layout.m, layout.a
+        radix = comb(m, a)
+        blocks = slots.reshape(layout.block_count, m, n)
+        ladders = [np.array([comb(x, i) for x in range(m)], dtype=np.int64)
+                   for i in range(1, a + 1)]
+
+        def values(j, start, stop):
+            return (np.zeros(stop - start, dtype=np.int64),
+                    _subset_rows(blocks[j], ladders, start, stop))
+    else:
+        radix = 2
+        owner = np.concatenate([layout.bid, np.arange(layout.block_count, layout.latents)])
+        toggles = np.zeros((layout.latents, n), dtype=slots.dtype)
+        np.bitwise_xor.at(toggles, owner, slots)
+        table = np.stack([np.zeros_like(toggles), toggles], axis=1)
+
+        def values(j, start, stop):
+            return np.arange(start, stop, dtype=np.int64), table[j, start:stop]
+
+    def spread(k, rows, low_k, low):
+        # every value times every low entry, the low entry varying fastest
+        return ((k[:, None] + low_k[None, :]).reshape(-1),
+                (rows[:, None, :] ^ low[None, :, :]).reshape(-1, n))
+
+    low_k = np.zeros(1, dtype=np.int64)
+    low = np.zeros((1, n), dtype=slots.dtype)
+    split = 0
+    while split < layout.latents and len(low) * radix <= cap:
+        low_k, low = spread(*values(split, 0, radix), low_k, low)
+        split += 1
+    if split == layout.latents:
+        yield low_k, low
+        return
+    step = cap // len(low)
+    high = range(split + 1, layout.latents)
+    for start in range(0, radix, step):
+        mid_k, mid = spread(*values(split, start, min(radix, start + step)), low_k, low)
+        for k, row in _joint_values(values, radix, cap, high, 0, np.zeros(n, low.dtype)):
+            yield mid_k + k, mid ^ row
+
+
+def _batch_cap(n: int, columns: int) -> int:
+    """Outcomes per block of _walk_batches: as many as keep an array of
+    `columns` row-sized cells per outcome, the widest a consumer forms,
+    within BATCH_BYTES, and at least one."""
+    return max(1, BATCH_BYTES // (columns * batch_dtype(n).itemsize))
+
+
+def _apply(functional, rows: np.ndarray):
+    """The predicate or statistic on each outcome of a block: its batch
+    kernel when it has one, else fn on each outcome's Graph."""
+    if functional.batch is not None:
+        return functional.batch(rows)
+    n = rows.shape[1]
+    return [functional(Graph._from_rows_unchecked(n, row.tolist())) for row in rows]
+
+
 def _exact_p_arithmetic(p):
     if isinstance(p, Fraction) and p.denominator <= RATIONAL_DENOMINATOR_LIMIT:
         return p, Fraction(1) - p, Fraction(0)
@@ -214,47 +354,66 @@ def exact_event_probability(model: DistributionModel, predicate: Predicate):
     2^24-outcome budget.
     """
     _check_budget(model)
-    acc = [0] * (model.layout.coins + 1)
     n = model.n
-    for k, rows in _walk(model):
-        if predicate(Graph._from_rows_unchecked(n, rows)):
-            acc[k] += 1
-    return _collapser(model)(acc)
+    size = model.layout.coins + 1
+    if n > BATCH_MAX_N:
+        counts = [0] * size
+        for k, rows in _walk(model):
+            if predicate(Graph._from_rows_unchecked(n, rows)):
+                counts[k] += 1
+        return _collapser(model)(counts)
+    acc = np.zeros(size, dtype=np.int64)
+    for k, rows in _walk_batches(model, _batch_cap(n, n)):
+        acc += np.bincount(k[np.asarray(_apply(predicate, rows), dtype=bool)],
+                           minlength=size)
+    return _collapser(model)(acc.tolist())
 
 
 def exact_edge_marginals(model: DistributionModel) -> list:
     """Per-edge presence probability by full latent enumeration."""
     _check_budget(model)
-    L = num_edges(model.n)
-    probes = [(e, u, 1 << v) for e, (u, v)
-              in enumerate(_endpoints(model.n, np.arange(L, dtype=np.int64)))]
-    acc = [[0] * L for _ in range(model.layout.coins + 1)]
-    for k, rows in _walk(model):
-        counts = acc[k]
-        for e, u, bit in probes:
-            if rows[u] & bit:
-                counts[e] += 1
+    n = model.n
+    L = num_edges(n)
+    size = model.layout.coins + 1
+    u, v = _endpoints(n, np.arange(L, dtype=np.int64))
     collapse = _collapser(model)
-    return [collapse([counts[e] for counts in acc]) for e in range(L)]
+    if n > BATCH_MAX_N:
+        probes = [(e, x, 1 << y) for e, (x, y) in enumerate(zip(u.tolist(), v.tolist()))]
+        counts = [[0] * L for _ in range(size)]
+        for k, rows in _walk(model):
+            tally = counts[k]
+            for e, x, bit in probes:
+                if rows[x] & bit:
+                    tally[e] += 1
+        return [collapse([c[e] for c in counts]) for e in range(L)]
+    acc = np.zeros((size, L), dtype=np.int64)
+    for k, rows in _walk_batches(model, _batch_cap(n, max(n, L))):
+        # outcomes sorted by k, so each k's run sums at once; present[t, e]
+        # is 1 when edge e is in outcome t
+        order = np.argsort(k, kind="stable")
+        ks, starts = np.unique(k[order], return_index=True)
+        present = (rows[order][:, u] >> v.astype(rows.dtype)) & 1
+        acc[ks] += np.add.reduceat(present, starts, axis=0, dtype=np.int64)
+    return [collapse(counts) for counts in acc.T.tolist()]
 
 
-@lru_cache(maxsize=None)
 def er_connectivity_probability(n: int, p):
     """P(independent-edge graph on n vertices is connected), by the standard
-    recursion on the component containing vertex 1.  Independent of the
-    latent enumeration; used to cross-check it.
+    recursion on the component containing vertex 1, evaluated bottom up.
+    Independent of the latent enumeration; used to cross-check it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     one = Fraction(1) if isinstance(p, Fraction) else 1.0
-    if n == 1:
-        return one
     q = one - p
-    total = one * 0
-    for k in range(1, n):
-        total += (comb(n - 1, k - 1) * er_connectivity_probability(k, p)
-                  * q ** (k * (n - k)))
-    return one - total
+    # connected[j] = P(the graph on j vertices is connected)
+    connected = [None, one]
+    for size in range(2, n + 1):
+        total = one * 0
+        for k in range(1, size):
+            total += comb(size - 1, k - 1) * connected[k] * q ** (k * (size - k))
+        connected.append(one - total)
+    return connected[n]
 
 
 def exact_binomial_two_sided_tail(N: int, p: float, t: float) -> float:
@@ -367,6 +526,18 @@ class MeanVarianceReport:
     variance_flag: bool
 
 
+def _exact(value):
+    """An integral statistic value as a Python int, so its sums are exact."""
+    return int(value) if float(value).is_integer() else value
+
+
+def _add_by_k(sums: list, k: np.ndarray, values: np.ndarray) -> list:
+    """sums plus, per number of coins set, the values of the outcomes with it."""
+    part = np.zeros(len(sums), dtype=values.dtype)
+    np.add.at(part, k, values)
+    return list(map(add, sums, part.tolist()))
+
+
 def mean_variance_check(model: DistributionModel, statistic: Statistic,
                         trials: int, seed: int) -> MeanVarianceReport:
     """Compare sampled moments of a statistic with exact enumerated moments."""
@@ -390,13 +561,21 @@ def mean_variance_check(model: DistributionModel, statistic: Statistic,
     except ResourceLimitError:
         pass
     else:
-        s1 = [0] * (model.layout.coins + 1)
-        s2 = [0] * (model.layout.coins + 1)
-        for k, rows in _walk(model):
-            v = statistic(Graph._from_rows_unchecked(n, rows))
-            iv = int(v) if float(v).is_integer() else v
-            s1[k] += iv
-            s2[k] += iv * iv
+        size = model.layout.coins + 1
+        s1 = [0] * size
+        s2 = [0] * size
+        if n > BATCH_MAX_N:
+            for k, rows in _walk(model):
+                v = _exact(statistic(Graph._from_rows_unchecked(n, rows)))
+                s1[k] += v
+                s2[k] += v * v
+        else:
+            for k, rows in _walk_batches(model, _batch_cap(n, n)):
+                values = _apply(statistic, rows)
+                if not isinstance(values, np.ndarray):
+                    values = np.array([_exact(v) for v in values], dtype=object)
+                s1 = _add_by_k(s1, k, values)
+                s2 = _add_by_k(s2, k, values * values)
         collapse = _collapser(model)
         exact_mean = collapse(s1)
         second = collapse(s2)

@@ -2,7 +2,10 @@
 
 Keeping these in one place guarantees that the exact enumeration and the
 Monte Carlo estimate of the "same" event really evaluate the same
-indicator function.
+indicator function.  A functional may also carry `batch`, the same
+function over a block of graphs given as (T, n) bitset rows (see the
+kernels in `graphs`); the oracle uses it when present, and `fn` per graph
+otherwise.
 """
 
 from __future__ import annotations
@@ -11,8 +14,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import graphs
 from .graphs import Graph, SubgraphPattern, named_pattern
+
+# the largest clique pattern given a batch kernel; its cost grows as n^(k-2)
+BATCH_CLIQUE_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -20,6 +28,7 @@ class Predicate:
     """A named boolean graph event."""
     name: str
     fn: Callable[[Graph], bool] = field(compare=False)
+    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __call__(self, g: Graph) -> bool:
         return bool(self.fn(g))
@@ -30,48 +39,72 @@ class Statistic:
     """A named numeric graph functional."""
     name: str
     fn: Callable[[Graph], float] = field(compare=False)
+    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def __call__(self, g: Graph) -> float:
         return self.fn(g)
 
 
+def _complement(batch):
+    """The batch kernel of the negated event, or None without a kernel."""
+    return None if batch is None else lambda rows: ~batch(rows)
+
+
 def always_true() -> Predicate:
-    return Predicate("true", lambda g: True)
+    return Predicate("true", lambda g: True, lambda rows: np.ones(len(rows), dtype=bool))
 
 
 def connected() -> Predicate:
-    return Predicate("connected", graphs.is_connected)
+    return Predicate("connected", graphs.is_connected, graphs.batch_connected)
 
 
 def not_connected() -> Predicate:
-    return Predicate("not-connected", lambda g: not graphs.is_connected(g))
+    return Predicate("not-connected", lambda g: not graphs.is_connected(g),
+                     _complement(graphs.batch_connected))
 
 
 def has_isolated_vertex() -> Predicate:
-    return Predicate("isolated-vertex", lambda g: any(r == 0 for r in g.rows))
+    return Predicate("isolated-vertex", lambda g: any(r == 0 for r in g.rows),
+                     lambda rows: (rows == 0).any(axis=1))
+
+
+def _contains_kernel(pattern: SubgraphPattern):
+    """A batch kernel for containing the pattern, or None: cliques of 2 to
+    BATCH_CLIQUE_MAX vertices (the edge is k2) have one."""
+    h = pattern.graph
+    if 2 <= h.n <= BATCH_CLIQUE_MAX and h == Graph.complete(h.n):
+        return lambda rows: graphs.batch_has_clique(rows, h.n)
+    return None
 
 
 def contains_pattern(pattern: SubgraphPattern) -> Predicate:
     label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
     return Predicate(f"contains:{label}",
-                     lambda g: graphs.contains_subgraph(g, pattern))
+                     lambda g: graphs.contains_subgraph(g, pattern),
+                     _contains_kernel(pattern))
 
 
 def lacks_pattern(pattern: SubgraphPattern) -> Predicate:
     label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
     return Predicate(f"lacks:{label}",
-                     lambda g: not graphs.contains_subgraph(g, pattern))
+                     lambda g: not graphs.contains_subgraph(g, pattern),
+                     _complement(_contains_kernel(pattern)))
 
 
 def edge_count_equals(k: int) -> Predicate:
-    return Predicate(f"edge-count:{k}", lambda g: g.edge_count() == k)
+    return Predicate(f"edge-count:{k}", lambda g: g.edge_count() == k,
+                     lambda rows: graphs.batch_edge_counts(rows) == k)
 
 
 def degree_in_range(low: float, high: float) -> Predicate:
     """Every vertex degree inside [low, high], endpoints included."""
     def fn(g: Graph) -> bool:
         return all(low <= r.bit_count() <= high for r in g.rows)
-    return Predicate(f"degree-in:{low}:{high}", fn)
+
+    def batch(rows: np.ndarray) -> np.ndarray:
+        degrees = np.bitwise_count(rows)
+        return ((low <= degrees) & (degrees <= high)).all(axis=1)
+    return Predicate(f"degree-in:{low}:{high}", fn, batch)
 
 
 def edge_deviation_exceeds(a: tuple[int, ...], b: tuple[int, ...], p,
@@ -83,11 +116,15 @@ def edge_deviation_exceeds(a: tuple[int, ...], b: tuple[int, ...], p,
 
     def fn(g: Graph) -> bool:
         return abs(graphs.count_edges_between(g, a, b) - expected) > t
-    return Predicate(f"deviation:{t}", fn)
+
+    def batch(rows: np.ndarray) -> np.ndarray:
+        return np.abs(graphs.batch_edges_between(rows, a, b) - expected) > t
+    return Predicate(f"deviation:{t}", fn, batch)
 
 
 def negate(pred: Predicate) -> Predicate:
-    return Predicate(f"not({pred.name})", lambda g: not pred.fn(g))
+    return Predicate(f"not({pred.name})", lambda g: not pred.fn(g),
+                     _complement(pred.batch))
 
 
 def resolve_pattern(spec: str) -> SubgraphPattern:
@@ -146,16 +183,18 @@ def parse_predicate(text: str, p=None) -> Predicate:
 
 
 def edge_count_statistic() -> Statistic:
-    return Statistic("edge-count", lambda g: g.edge_count())
+    return Statistic("edge-count", lambda g: g.edge_count(), graphs.batch_edge_counts)
 
 
 def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Statistic:
     a = tuple(a)
     b = tuple(b)
     return Statistic("edges-between",
-                     lambda g: graphs.count_edges_between(g, a, b))
+                     lambda g: graphs.count_edges_between(g, a, b),
+                     lambda rows: graphs.batch_edges_between(rows, a, b))
 
 
 def isolated_count_statistic() -> Statistic:
     return Statistic("isolated-count",
-                     lambda g: sum(1 for r in g.rows if r == 0))
+                     lambda g: sum(1 for r in g.rows if r == 0),
+                     lambda rows: np.count_nonzero(rows == 0, axis=1).astype(np.int64))

@@ -221,6 +221,19 @@ def test_clique_number_matches_brute(seed, n, p):
     assert clique_number(g) == brute_clique(g)
 
 
+def test_clique_number_matches_networkx_find_cliques():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(40417)
+    cases = [Graph.empty(1), Graph.empty(40), Graph.complete(1), Graph.complete(40)]
+    cases += [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.2, 0.5, 0.8]))
+              for _ in range(40)]
+    for g in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert clique_number(g) == max(len(c) for c in nx.find_cliques(h)), g
+
+
 def test_clique_number_examples():
     assert clique_number(Graph.empty(5)) == 1
     assert clique_number(Graph.complete(7)) == 7

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from depgraphs import harness
 from depgraphs.harness import (CSV_COLUMNS, ExperimentConfig,
                                ExperimentResult, check_monotone_trend,
                                run_experiment)
 from depgraphs.oracle import er_connectivity_probability
+from depgraphs.rng import derive_seed
 from depgraphs.stats import wilson_interval
 
 
@@ -120,6 +122,35 @@ def test_error_rows_do_not_kill_run():
     assert result.points[0].error is not None
     assert result.points[1].error is None
     assert not result.all_failed()
+
+
+def _failing_trial(monkeypatch, exc, c, point, trial):
+    # harness.sample raises exc on one trial of one grid point
+    bad_seed = derive_seed(c.seed, point, trial)
+    real = harness.sample
+
+    def sample(model, seed, *args, **kwargs):
+        if seed == bad_seed:
+            raise exc
+        return real(model, seed, *args, **kwargs)
+    monkeypatch.setattr(harness, "sample", sample)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_trial_error_kills_run(monkeypatch, workers):
+    c = cfg(ns=(8, 10), trials=40, workers=workers)
+    _failing_trial(monkeypatch, RuntimeError("trial broke"), c, 1, 17)
+    with pytest.raises(RuntimeError, match="trial broke"):
+        run_experiment(c)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_value_error_in_trial_is_point_error(monkeypatch, workers):
+    c = cfg(ns=(8, 10), trials=40, workers=workers)
+    _failing_trial(monkeypatch, ValueError("bad trial"), c, 0, 17)
+    result = run_experiment(c)
+    assert [pt.error for pt in result.points] == ["bad trial", None]
+    assert result.points[1].successes is not None
 
 
 def test_all_failed():

@@ -9,17 +9,22 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from depgraphs import predicates
-from depgraphs.distributions import (blocks_from_text, correlated_star,
-                                     custom_blocks, edge_block_exact,
-                                     erdos_renyi, realize, sample)
+from depgraphs import oracle
+from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
+                                     correlated_star, custom_blocks,
+                                     edge_block_exact, erdos_renyi, realize,
+                                     sample)
 from depgraphs.errors import ResourceLimitError
 from depgraphs.graphs import Graph, count_edges_between
 from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
@@ -27,9 +32,11 @@ from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check,
                               mean_variance_check, state_space_size, _collapser,
-                              _walk)
-from depgraphs.predicates import (connected, edge_count_statistic,
-                                  edges_between_statistic, parse_predicate)
+                              _walk, _walk_batches)
+from depgraphs.predicates import (Statistic, connected, edge_count_statistic,
+                                  edges_between_statistic,
+                                  edge_deviation_exceeds,
+                                  isolated_count_statistic, parse_predicate)
 
 
 # -- event probabilities against the independent recursion --------------
@@ -113,8 +120,9 @@ def test_custom_block_triangle():
 
 # -- the Gray walk against brute force through realize --------------------
 
-WALK_PREDICATES = ["connected", "contains:k3", "isolated-vertex",
-                   "contains:path2", "edge-count:3", "degree-in:1:3"]
+WALK_PREDICATES = ["connected", "not-connected", "contains:k3", "lacks:k3",
+                   "contains:k4", "isolated-vertex", "contains:path2",
+                   "edge-count:3", "degree-in:1:3", "true"]
 WALK_PROBABILITIES = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
                       Fraction(12345, 54321)]
 
@@ -205,6 +213,143 @@ def test_walk_steps_one_latent_at_a_time():
         if previous is not None:
             assert len({e // 5 for e in edges ^ previous}) == 1
         previous = edges
+
+
+# -- the batched walk against the scalar walk -----------------------------
+
+@st.composite
+def batch_models(draw):
+    """A small model of each of the five kinds, n from 1 to 8, at most 2^14
+    outcomes."""
+    kind = draw(st.sampled_from(["er", "star", "gadget", "edge-block", "custom"]))
+    p = draw(st.sampled_from(WALK_PROBABILITIES))
+    if kind == "er":
+        model = erdos_renyi(draw(st.integers(1, 5)), p)
+    elif kind == "star":
+        n = draw(st.integers(2, 8))
+        model = correlated_star(n, p, draw(st.integers(0, n - 2)))
+    elif kind == "gadget":
+        model = connectivity_gadget(draw(st.integers(4, 8)), p, draw(st.sampled_from([0, 3])))
+    elif kind == "edge-block":
+        n = draw(st.integers(2, 8))
+        L = n * (n - 1) // 2
+        m = draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+        model = edge_block_exact(n, draw(st.integers(1, m)), m)
+    else:
+        n = draw(st.integers(1, 8))
+        L = n * (n - 1) // 2
+        labels = draw(st.lists(st.integers(0, 13), min_size=L, max_size=L))
+        blocks = {}
+        for e, label in enumerate(labels):
+            blocks.setdefault(label, []).append(e)
+        model = custom_blocks(n, p, list(blocks.values()))
+    assume(state_space_size(model) <= 1 << 14)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch_models(), st.sampled_from([1, 3, 16, 1 << 16]),
+       st.randoms(use_true_random=False))
+def test_walk_batches_match_scalar_walk(model, cap, rnd):
+    n = model.n
+    # the blocks hold every outcome once, with its number of coins set; a
+    # small block cap leaves latents above the low table, and a cap below
+    # one latent's values reads that latent in slices
+    scalar = Counter((k, tuple(rows)) for k, rows in _walk(model))
+    blocks = list(_walk_batches(model, cap))
+    assert all(len(k) <= cap for k, _ in blocks)
+    batched = Counter()
+    for k, rows in blocks:
+        assert k.dtype == np.int64 and rows.shape == (len(k), n)
+        batched.update(zip(k.tolist(), map(tuple, rows.tolist())))
+    assert batched == scalar
+    # every kernel tallies per k what its fn tallies over the scalar walk
+    a = tuple(rnd.sample(range(n), rnd.randint(0, n)))
+    b = tuple(rnd.sample(range(n), rnd.randint(0, n)))
+    functionals = [parse_predicate(text) for text in WALK_PREDICATES]
+    functionals += [edge_deviation_exceeds(a, b, model.p, 0.5), edge_count_statistic(),
+                    isolated_count_statistic(), edges_between_statistic(a, b)]
+    for f in functionals:
+        if f.batch is None:
+            continue
+        want, got = Counter(), Counter()
+        for k, rows in _walk(model):
+            want[k] += f.fn(Graph._from_rows_unchecked(n, rows))
+        for k, rows in blocks:
+            for kk, value in zip(k.tolist(), f.batch(rows).tolist()):
+                got[kk] += value
+        assert got == want, f.name
+
+
+def test_exact_beyond_64_vertices_walks_scalar():
+    # n = 66 has no machine-word rows: two blocks cover every slot, the star
+    # at vertex 0 and the clique on the rest, so the walk has 4 outcomes
+    n = 66
+    star = [v * (v - 1) // 2 for v in range(1, n)]
+    rest = sorted(set(range(n * (n - 1) // 2)) - set(star))
+    p = Fraction(1, 3)
+    model = custom_blocks(n, p, [star, rest])
+    assert state_space_size(model) == 4
+    q = 1 - p
+    for text, want in [("connected", p), ("isolated-vertex", q),
+                       ("contains:k3", p), ("contains:path2", 1 - q * q),
+                       ("edge-count:65", p * q), ("true", 1)]:
+        assert exact_event_probability(model, parse_predicate(text)) == want, text
+    assert exact_edge_marginals(model) == [p] * (n * (n - 1) // 2)
+    rep = mean_variance_check(model, edge_count_statistic(), trials=2, seed=0)
+    assert rep.exact_mean == p * len(star) + p * len(rest)
+    assert rep.exact_variance == p * q * (len(star) ** 2 + len(rest) ** 2)
+    # eight coins: 256 outcomes, tallied one at a time; a (T, L) table of
+    # their edge bits as Python ints would take about 30 MiB
+    L = n * (n - 1) // 2
+    model = custom_blocks(n, p, [list(range(j, L, 8)) for j in range(8)])
+    assert state_space_size(model) == 256
+    assert exact_edge_marginals(model) == [p] * L
+    assert _peak_bytes(exact_edge_marginals, model) < 4 << 20
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_batches_read_a_large_latent_in_slices(monkeypatch):
+    # one uniform block of all 28 slots keeping 4 has comb(28, 4) = 20475
+    # values: with a budget of 64 outcomes (8 one-byte rows each) per block,
+    # its values are formed 64 at a time, never as one table
+    model = edge_block_exact(8, 4, 28)
+    pred = parse_predicate("connected")
+    want = exact_event_probability(model, pred)
+    counts = Counter()
+    for k, rows in _walk(model):
+        counts[k] += pred(Graph._from_rows_unchecked(8, rows))
+    assert want == _collapser(model)([counts[0]])
+    monkeypatch.setattr(oracle, "BATCH_BYTES", 64 * 8)
+    assert oracle._batch_cap(8, 8) == 64
+    assert all(len(k) <= 64 for k, _ in _walk_batches(model, 64))
+    assert exact_event_probability(model, pred) == want
+    # the full table of the values' rows alone would take 160 KiB
+    assert _peak_bytes(exact_event_probability, model, pred) < 64 << 10
+
+
+def test_mean_variance_statistic_without_kernel():
+    # a statistic without a batch kernel is evaluated on each outcome's Graph
+    model = correlated_star(5, Fraction(1, 3), 2)
+    stat = Statistic("max-degree", lambda g: max(r.bit_count() for r in g.rows))
+    collapse = _collapser(model)
+    s1 = [0] * (model.layout.coins + 1)
+    s2 = [0] * (model.layout.coins + 1)
+    for k, rows in _walk(model):
+        v = stat(Graph._from_rows_unchecked(model.n, rows))
+        s1[k] += v
+        s2[k] += v * v
+    rep = mean_variance_check(model, stat, trials=200, seed=4)
+    assert rep.exact_mean == collapse(s1)
+    assert rep.exact_variance == collapse(s2) - collapse(s1) ** 2
 
 
 def test_budget_enforced():
@@ -484,3 +629,28 @@ def test_er_connectivity_complete_and_empty():
     assert er_connectivity_probability(5, Fraction(1)) == 1
     assert er_connectivity_probability(5, Fraction(0)) == 0
     assert er_connectivity_probability(1, Fraction(0)) == 1
+
+
+def _recursive_connectivity(n, p, memo):
+    # the recursion as first written, top down; memo holds one p's values
+    one = Fraction(1) if isinstance(p, Fraction) else 1.0
+    if n == 1:
+        return one
+    if n not in memo:
+        q = one - p
+        total = one * 0
+        for k in range(1, n):
+            total += (comb(n - 1, k - 1) * _recursive_connectivity(k, p, memo)
+                      * q ** (k * (n - k)))
+        memo[n] = one - total
+    return memo[n]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 7), Fraction(12345, 54321),
+                               0.5, 0.1, 0.37, 1e-3])
+def test_er_connectivity_bottom_up_equals_recursion(p):
+    # same expression in the same order: bit-identical floats and Fractions
+    for n in range(1, 31):
+        got = er_connectivity_probability(n, p)
+        want = _recursive_connectivity(n, p, {})
+        assert got == want and type(got) is type(want), n

@@ -1,14 +1,24 @@
 """Predicate and statistic parsing plus their graph semantics."""
 
-import pytest
+import random
 
-from depgraphs.graphs import Graph, named_pattern
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depgraphs.graphs import Graph, SubgraphPattern, batch_dtype, named_pattern
 from depgraphs.predicates import (connected, contains_pattern, degree_in_range,
                                   edge_count_equals, edge_count_statistic,
                                   edge_deviation_exceeds,
                                   edges_between_statistic, has_isolated_vertex,
                                   isolated_count_statistic, lacks_pattern,
                                   negate, parse_predicate, resolve_pattern)
+
+KERNEL_PREDICATES = ["true", "connected", "not-connected", "isolated-vertex",
+                     "contains:edge", "contains:k2", "contains:k3", "lacks:k3",
+                     "contains:k4", "lacks:k4", "edge-count:3",
+                     "degree-in:1:3", "degree-in:0.5:2.5"]
 
 K3 = Graph.complete(3)
 PATH = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -96,3 +106,46 @@ def test_statistics():
 def test_predicate_names_stable():
     assert parse_predicate("connected").name == "connected"
     assert parse_predicate("contains:k3").name.endswith("k3")
+
+
+# -- batch kernels against the per-graph functions -------------------------
+
+def _random_graph(rnd, n, density):
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                                if rnd.random() < density])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 7, 8, 9, 16, 17, 63, 64]), st.integers(0, 2 ** 32),
+       st.lists(st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.6, 1.0]), min_size=1, max_size=6))
+def test_kernels_match_fn(n, seed, densities):
+    # a kernel gives, graph by graph, what fn gives on the same rows,
+    # at widths on both sides of each unsigned dtype's bit count
+    rnd = random.Random(seed)
+    gs = [_random_graph(rnd, n, density) for density in densities]
+    rows = np.array([g.rows for g in gs], dtype=batch_dtype(n))
+    a = tuple(rnd.sample(range(n), rnd.randint(0, n)))
+    b = tuple(rnd.sample(range(n), rnd.randint(0, n)))
+    preds = [parse_predicate(text) for text in KERNEL_PREDICATES]
+    preds += [negate(connected()), edge_deviation_exceeds(a, b, 0.3, 1.5),
+              edge_count_equals(gs[0].edge_count())]
+    for pred in preds:
+        got = pred.batch(rows)
+        assert got.dtype == bool and got.shape == (len(gs),)
+        assert got.tolist() == [pred(g) for g in gs], pred.name
+    for stat in (edge_count_statistic(), isolated_count_statistic(),
+                 edges_between_statistic(a, b)):
+        got = stat.batch(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == [stat(g) for g in gs], stat.name
+
+
+def test_kernels_only_for_small_cliques():
+    # other patterns fall back to fn in the oracle; a file named like a
+    # clique gets no clique kernel unless its graph is one
+    for name in ("k5", "c4", "path2"):
+        assert parse_predicate(f"contains:{name}").batch is None
+        assert parse_predicate(f"lacks:{name}").batch is None
+    fake = SubgraphPattern(PATH, name="k3")
+    assert contains_pattern(fake).batch is None
+    assert negate(contains_pattern(fake)).batch is None
