@@ -13,7 +13,8 @@ the flat arrays of its LatentLayout, and everything that maps latents to
 edges goes through it: the sampler draws every latent value in one
 generator call in declared order (which pins down sample(model, seed) bit
 for bit), maps the values to the present edge indices and packs those
-straight into adjacency rows; latent capture returns the drawn values;
+straight into adjacency rows; sample_rows draws many seeds' graphs the
+same way, as bitset rows; latent capture returns the drawn values;
 realize maps a given state the same way; the audit reads block ownership
 from it; the oracle sizes its state space by it.
 
@@ -30,14 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import ceil, isqrt, log
+from math import ceil, isqrt, log, prod
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
 from . import stats
-from .graphs import Graph, num_edges
+from .graphs import Graph, batch_dtype, batch_size, num_edges
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -482,37 +483,67 @@ def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
 _RAW_CHUNK = 1 << 15     # raw words per random_raw call: 256 KiB
 
 
-def _coins(gen: np.random.Generator, count: int, p) -> np.ndarray:
+def _coins(gen: np.random.Generator, count: int, p, out: np.ndarray | None = None
+           ) -> np.ndarray:
     """count Bernoulli(p) coins, equal bit for bit to gen.random(count) < float(p).
 
     A Philox double is (raw >> 11) * 2**-53 for a raw 64-bit word, so it is
     below p exactly when raw >> 11 < c = ceil(p * 2**53), that is when
     raw <= (c << 11) - 1.  Comparing the raw words skips the conversion, and
     drawing them in cache-sized chunks keeps the words out of main memory.
+    The coins go to out, a flat bool array of count entries, when given.
     """
     c = ceil(float(p) * 2.0 ** 53)
     bits = gen.bit_generator
-    coins = np.zeros(count, dtype=bool)
+    coins = np.empty(count, dtype=bool) if out is None else out
     for i in range(0, count, _RAW_CHUNK):
         raw = bits.random_raw(min(_RAW_CHUNK, count - i))
         if c:
             np.less_equal(raw, np.uint64((c << 11) - 1), out=coins[i:i + _RAW_CHUNK])
+        else:
+            coins[i:i + _RAW_CHUNK] = False
     return coins
 
 
-def _draw_latents(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
+# the largest block for which argmin keeps the position that
+# argpartition(keys, 0) keeps, ties included; on larger rows numpy's
+# selection may return a later one of several equal minima
+_ARGMIN_MAX_M = 3
+
+
+def _picks(keys: np.ndarray, a: int) -> np.ndarray:
+    """The positions of the a smallest keys along the last axis."""
+    if a == 1 and keys.shape[-1] <= _ARGMIN_MAX_M:
+        return keys.argmin(axis=-1, keepdims=True)
+    return np.argpartition(keys, a - 1, axis=-1)[..., :a]
+
+
+def _draw_latents(model: DistributionModel, gen: np.random.Generator,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Every latent value in declared order, from one generator call.
 
     Coins come back as a bool array with one entry per latent; uniform
     subsets as a (blocks, a) array of the positions kept in each block.
+    With out, a C-contiguous array of that shape or of (T,) + that shape,
+    the values of one trial or of T trials drawn in turn from gen (the
+    words T single draws consume) are written to it and it is returned.
     """
     layout = model.layout
     if not layout.uniform:
-        return _coins(gen, layout.latents, model.p)
+        if out is None:
+            return _coins(gen, layout.latents, model.p)
+        _coins(gen, out.size, model.p, out.reshape(-1))
+        return out
+    lead = () if out is None else out.shape[:-2]
+    shape = lead + (layout.block_count, layout.m)
     if layout.a == layout.m:
-        return np.broadcast_to(np.arange(layout.m), (layout.block_count, layout.m))
-    keys = gen.random((layout.block_count, layout.m))
-    return np.argpartition(keys, layout.a - 1, axis=1)[:, :layout.a]
+        values = np.broadcast_to(np.arange(layout.m), shape)
+    else:
+        values = _picks(gen.random(shape), layout.a)
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
@@ -527,21 +558,81 @@ def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
                            layout.singles[values[layout.block_count:]]))
 
 
-def _graph_from_present(n: int, present: np.ndarray) -> Graph:
-    """Graph of a presence bitmap over edge indices."""
-    return _graph_from_edges(n, np.flatnonzero(present))
-
-
 def _present(model: DistributionModel, values: np.ndarray) -> np.ndarray:
-    """Presence bitmap over edge indices for latent values in declared order."""
-    present = np.zeros(num_edges(model.n), dtype=bool)
-    present[_edges(model, values)] = True
+    """Presence bitmap over edge indices for latent values in declared order;
+    uniform subsets with a leading trial axis give one bitmap per trial."""
+    lead = values.shape[:-2] if model.layout.uniform else ()
+    present = np.zeros(lead + (num_edges(model.n),), dtype=bool)
+    np.put_along_axis(present, _edges(model, values).reshape(lead + (-1,)),
+                      True, axis=-1)
     return present
 
 
-def _sample_present(model: DistributionModel, gen: np.random.Generator) -> np.ndarray:
-    """Presence bitmap of one draw from gen."""
-    return _present(model, _draw_latents(model, gen))
+def _edge_slots(model: DistributionModel) -> np.ndarray:
+    """Per edge index, the column that records whether the edge is present:
+    its latent's for coins, where an edge is present iff its latent is on,
+    and its own for uniform subsets, which are recorded per edge."""
+    layout = model.layout
+    if layout.uniform:
+        return np.arange(num_edges(model.n))
+    slot = np.empty(num_edges(model.n), dtype=np.int64)
+    slot[layout.flat] = layout.bid
+    slot[layout.singles] = np.arange(layout.block_count, layout.latents)
+    return slot
+
+
+def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
+                 ) -> np.ndarray:
+    """An empty array for the latent values of T <= trials trials (see
+    _draw_latents), T as large as keeps the wider of one trial's values and
+    item_bytes per trial within graphs.BATCH_BYTES."""
+    layout = model.layout
+    if layout.uniform:
+        shape, dtype = (layout.block_count, layout.a), np.dtype(np.intp)
+    else:
+        shape, dtype = (layout.latents,), np.dtype(bool)
+    per_trial = max(item_bytes, prod(shape) * dtype.itemsize)
+    return np.empty((min(trials, batch_size(per_trial)),) + shape, dtype=dtype)
+
+
+def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
+    """sample(model, seed).graph for each seed, as (T, n) bitset rows.
+
+    Row v of graph t is an unsigned word of graphs.batch_dtype(n), n <= 64,
+    with bit w set when v and w are adjacent.  Each trial draws its latents
+    as sample does, from this thread's generator reset to its seed, into
+    one row of a block's latent array.  A block's rows then come from one
+    gather of those values through an (n, W) table of the column behind
+    each row bit, and one packbits; the bits without an edge are cleared.
+    Blocks are sized so that their widest array fits graphs.BATCH_BYTES.
+    """
+    layout = model.layout
+    n = model.n
+    dtype = batch_dtype(n)
+    seeds = list(map(int, seeds))
+    rows = np.zeros((len(seeds), n), dtype=dtype)
+    if not seeds or not num_edges(n):
+        return rows
+    width = 8 * dtype.itemsize
+    # the column behind bit w of row v; column 0 where there is no edge
+    v = np.arange(n)[:, None]
+    w = np.arange(width)
+    lo, hi = np.minimum(v, w), np.maximum(v, w)
+    edge = np.where((w < n) & (w != v), hi * (hi - 1) // 2 + lo, 0)
+    table = _edge_slots(model)[edge].ravel()
+    edge_bits = dtype.type((1 << n) - 1) ^ (dtype.type(1) << np.arange(n, dtype=dtype))
+    values = _latent_rows(model, len(seeds), n * width)
+    block = len(values)
+    for start in range(0, len(seeds), block):
+        count = min(block, len(seeds) - start)
+        for t, seed in enumerate(seeds[start:start + count]):
+            _draw_latents(model, rngmod.seeded(seed), values[t])
+        drawn = _present(model, values[:count]) if layout.uniform else values[:count]
+        packed = np.packbits(drawn.take(table, axis=1).reshape(count, n, width),
+                             axis=2, bitorder="little")
+        rows[start:start + count] = packed.view(dtype.newbyteorder("<"))[..., 0]
+    rows &= edge_bits
+    return rows
 
 
 def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
@@ -691,24 +782,21 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
     layout = model.layout
-    # an edge of a coin model is present iff its latent is on, so the drawn
-    # coins are tallied as they are and each edge reads its latent's tally;
-    # uniform subsets are tallied per edge
-    if layout.uniform:
-        slot = np.arange(L)
-    else:
-        slot = np.empty(L, dtype=np.int64)
-        slot[layout.flat] = layout.bid
-        slot[layout.singles] = np.arange(layout.block_count, layout.latents)
+    # the drawn coins are tallied as they are and each edge reads its
+    # latent's tally; uniform subsets are tallied per edge.  Trials are
+    # drawn a batch at a time, in turn from gen, as a loop would draw them.
+    slot = _edge_slots(model)
     s1, s2 = slot[e1s], slot[e2s]
+    # a uniform draw forms a float64 key per edge slot
+    values = _latent_rows(model, trials, 8 * L if layout.uniform else 0)
+    batch = len(values)
     tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
     joint = np.zeros(len(pair_list), dtype=np.int64)
-    for _ in range(trials):
-        values = _draw_latents(model, gen)
-        on = _present(model, values) if layout.uniform else values
-        tally += on
-        if len(pair_list):
-            joint += on[s1] & on[s2]
+    for start in range(0, trials, batch):
+        drawn = _draw_latents(model, gen, values[:min(batch, trials - start)])
+        on = _present(model, drawn) if layout.uniform else drawn
+        tally += on.sum(axis=0)
+        joint += (on[:, s1] & on[:, s2]).sum(axis=0)
     counts = tally[slot]
 
     pf = float(model.p)

@@ -505,6 +505,15 @@ def from_edge_list(text: str) -> Graph:
 
 BATCH_MAX_N = 64
 
+# the widest array a batched consumer forms per block, in bytes (batch_size)
+BATCH_BYTES = 1 << 18
+
+
+def batch_size(item_bytes: int) -> int:
+    """Items per block: as many as keep an array of item_bytes bytes per
+    item within BATCH_BYTES, and at least one."""
+    return max(1, BATCH_BYTES // max(1, item_bytes))
+
 
 def batch_dtype(n: int) -> np.dtype:
     """The narrowest unsigned dtype whose bits hold an n-vertex row."""

@@ -2,8 +2,10 @@
 
 A config names a model family, a grid over (n, p, d), a task, a trial
 count, and a master seed.  Trial t of grid point i always runs on seed
-derive_seed(master, i, t), and per-chunk partial results merge by
-commutative sums, so the output is byte-identical for 1 and N workers.
+derive_seed(master, i, t), and the per-trial values merge in trial order,
+so the output is byte-identical for 1 and N workers.  Up to 64 vertices
+the trials run in blocks of bitset rows (sample_rows), evaluated by the
+predicate's batch kernel when it has one.
 
 The CSV view deliberately omits anything scheduling-dependent (wall-clock
 times, worker count); those live only in the JSON provenance document.
@@ -20,16 +22,20 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable
+
+import numpy as np
 
 from . import bounds, predicates, stats
 from .distributions import (CORRELATED_STAR, CUSTOM_BLOCKS, EDGE_BLOCK_EXACT,
                             ERDOS_RENYI, _canonical_kind, blocks_from_text,
-                            build, format_probability, parse_probability, sample)
+                            build, format_probability, parse_probability, sample,
+                            sample_rows)
 from .errors import ResourceLimitError
-from .graphs import Graph, clique_number
-from .rng import derive_seed
+from .graphs import BATCH_MAX_N, Graph, batch_dtype, batch_size, clique_number
+from .predicates import evaluate_rows
+from .rng import derive_seed, derive_seeds
 
 TASKS = ("probability", "sweep", "degree-violation", "witness",
          "containment", "clique")
@@ -242,40 +248,41 @@ def _cell_p(p) -> str:
 
 
 def _run_trials(config: ExperimentConfig, point_index: int, model,
-                trial_fn: Callable[[Graph], float], mode: str):
-    """Executes this point's trials; merge order is fixed, so the totals are
-    independent of worker count and scheduling."""
+                trial_fn: Callable[[Graph], float], mode: str) -> np.ndarray:
+    """This point's per-trial values, in trial order, as bools for a
+    predicate and floats for a statistic.
+
+    Each worker runs one contiguous span of trials.  Up to BATCH_MAX_N
+    vertices a span runs in blocks: sample_rows draws a block's graphs as
+    bitset rows, and trial_fn's batch kernel, or trial_fn on each row's
+    Graph, evaluates them; beyond that each trial samples its own Graph.
+    Every trial keeps its seed and its value, so the values, and all that
+    is merged from them, do not depend on the worker count.
+    """
     trials = config.trials
-    chunk = max(1, math.ceil(trials / (config.workers * 4)))
-    ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+    span = -(-trials // config.workers)
+    n = model.n
+    block = batch_size(n * batch_dtype(n).itemsize) if n <= BATCH_MAX_N else 0
 
-    def work(span):
-        start, stop = span
-        successes = 0
-        vmin, vmax, vsum = math.inf, -math.inf, 0.0
-        for t in range(start, stop):
-            g = sample(model, derive_seed(config.seed, point_index, t)).graph
-            v = trial_fn(g)
-            if mode == "predicate":
-                successes += bool(v)
-            else:
-                fv = float(v)
-                vmin = min(vmin, fv)
-                vmax = max(vmax, fv)
-                vsum += fv
-        return successes, vmin, vmax, vsum
+    def work(start):
+        stop = min(start + span, trials)
+        if not block:
+            return [trial_fn(sample(model, derive_seed(config.seed, point_index, t)).graph)
+                    for t in range(start, stop)]
+        values = []
+        for lo in range(start, stop, block):
+            seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, stop))
+            values.extend(evaluate_rows(trial_fn, sample_rows(model, seeds)))
+        return values
 
-    if config.workers == 1 or len(ranges) == 1:
-        parts = [work(r) for r in ranges]
+    starts = range(0, trials, span)
+    if len(starts) == 1:
+        parts = [work(0)]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(work, ranges))
-
-    successes = sum(p[0] for p in parts)
-    vmin = min(p[1] for p in parts)
-    vmax = max(p[2] for p in parts)
-    vsum = math.fsum(p[3] for p in parts)
-    return successes, vmin, vmax, vsum
+            parts = list(pool.map(work, starts))
+    return np.array(list(chain.from_iterable(parts)),
+                    dtype=bool if mode == "predicate" else float)
 
 
 def _execute(config: ExperimentConfig,
@@ -292,8 +299,7 @@ def _execute(config: ExperimentConfig,
             model = make_model(pt)
             extras = annotate(pt, model)
             trial_fn = make_trial(pt, model)
-            successes, vmin, vmax, vsum = _run_trials(
-                config, index, model, trial_fn, mode)
+            values = _run_trials(config, index, model, trial_fn, mode)
         except (ValueError, ResourceLimitError) as exc:
             row.error = str(exc)
             row.duration = time.perf_counter() - started
@@ -302,13 +308,13 @@ def _execute(config: ExperimentConfig,
         for key, value in extras.items():
             setattr(row, key, value)
         if mode == "predicate":
-            row.successes = successes
-            row.estimate = successes / config.trials
-            row.ci_low, row.ci_high = stats.wilson_interval(successes, config.trials)
+            row.successes = int(np.count_nonzero(values))
+            row.estimate = row.successes / config.trials
+            row.ci_low, row.ci_high = stats.wilson_interval(row.successes, config.trials)
         else:
-            row.stat_min = vmin
-            row.stat_max = vmax
-            row.stat_mean = vsum / config.trials
+            row.stat_min = float(values.min())
+            row.stat_max = float(values.max())
+            row.stat_mean = math.fsum(values) / config.trials
         row.duration = time.perf_counter() - started
         result.points.append(row)
     result.duration = time.perf_counter() - t0
@@ -373,10 +379,7 @@ def degree_violation_rate(config: ExperimentConfig) -> ExperimentResult:
 
     def make_trial(pt, model):
         lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
-
-        def violated(g: Graph) -> bool:
-            return any(not lo <= r.bit_count() <= hi for r in g.rows)
-        return violated
+        return predicates.negate(predicates.degree_in_range(lo, hi))
 
     return _execute(config, lambda pt: _default_model(pt, config.blocks),
                     annotate, make_trial)

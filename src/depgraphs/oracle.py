@@ -15,8 +15,8 @@ are read in slices that fill a block with it, and each block is XORed with
 every joint value of the latents above.  A block is evaluated with the
 predicate's or statistic's batch kernel, or with `fn` on each outcome's
 Graph when it has none, and its size follows from one byte budget
-(BATCH_BYTES) on the widest array formed per outcome.  Beyond 64 vertices
-a row no longer fits a machine word, and the scalar walk (`_walk`) visits
+(graphs.BATCH_BYTES) on the widest array formed per outcome.  Beyond 64
+vertices a row no longer fits a machine word, and the scalar walk (`_walk`) visits
 the outcomes one at a time in Gray order, each step toggling one latent's
 edges in Python-int rows: coins in reflected binary Gray order with a
 running count of coins set, uniform subsets in reflected mixed-radix Gray
@@ -45,15 +45,12 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import DistributionModel, _draw_latents, _edges, _graph_from_edges
 from .errors import ResourceLimitError
-from .graphs import BATCH_MAX_N, Graph, batch_dtype, num_edges
-from .predicates import Predicate, Statistic
+from .graphs import BATCH_MAX_N, Graph, batch_dtype, batch_size, num_edges
+from .predicates import Predicate, Statistic, evaluate_rows
 
 ENUMERATION_BUDGET = 1 << 24
 
 JUMBLEDNESS_MAX_N = 12
-
-# the widest array formed per block of outcomes, in bytes (see _batch_cap)
-BATCH_BYTES = 1 << 18
 
 # rational arithmetic is used up to this denominator, floats beyond
 RATIONAL_DENOMINATOR_LIMIT = 1 << 16
@@ -293,17 +290,8 @@ def _walk_batches(model: DistributionModel, cap: int):
 def _batch_cap(n: int, columns: int) -> int:
     """Outcomes per block of _walk_batches: as many as keep an array of
     `columns` row-sized cells per outcome, the widest a consumer forms,
-    within BATCH_BYTES, and at least one."""
-    return max(1, BATCH_BYTES // (columns * batch_dtype(n).itemsize))
-
-
-def _apply(functional, rows: np.ndarray):
-    """The predicate or statistic on each outcome of a block: its batch
-    kernel when it has one, else fn on each outcome's Graph."""
-    if functional.batch is not None:
-        return functional.batch(rows)
-    n = rows.shape[1]
-    return [functional(Graph._from_rows_unchecked(n, row.tolist())) for row in rows]
+    within graphs.BATCH_BYTES."""
+    return batch_size(columns * batch_dtype(n).itemsize)
 
 
 def _exact_p_arithmetic(p):
@@ -364,7 +352,7 @@ def exact_event_probability(model: DistributionModel, predicate: Predicate):
         return _collapser(model)(counts)
     acc = np.zeros(size, dtype=np.int64)
     for k, rows in _walk_batches(model, _batch_cap(n, n)):
-        acc += np.bincount(k[np.asarray(_apply(predicate, rows), dtype=bool)],
+        acc += np.bincount(k[np.asarray(evaluate_rows(predicate, rows), dtype=bool)],
                            minlength=size)
     return _collapser(model)(acc.tolist())
 
@@ -571,7 +559,7 @@ def mean_variance_check(model: DistributionModel, statistic: Statistic,
                 s2[k] += v * v
         else:
             for k, rows in _walk_batches(model, _batch_cap(n, n)):
-                values = _apply(statistic, rows)
+                values = evaluate_rows(statistic, rows)
                 if not isinstance(values, np.ndarray):
                     values = np.array([_exact(v) for v in values], dtype=object)
                 s1 = _add_by_k(s1, k, values)

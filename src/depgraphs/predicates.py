@@ -4,8 +4,8 @@ Keeping these in one place guarantees that the exact enumeration and the
 Monte Carlo estimate of the "same" event really evaluate the same
 indicator function.  A functional may also carry `batch`, the same
 function over a block of graphs given as (T, n) bitset rows (see the
-kernels in `graphs`); the oracle uses it when present, and `fn` per graph
-otherwise.
+kernels in `graphs`); the oracle and the harness use it when present, and
+`fn` per graph otherwise (`evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,16 @@ class Statistic:
 
     def __call__(self, g: Graph) -> float:
         return self.fn(g)
+
+
+def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
+    """functional on each graph of a block of (T, n) bitset rows: its batch
+    kernel when it has one, else the functional on each row's Graph."""
+    batch = getattr(functional, "batch", None)
+    if batch is not None:
+        return batch(rows)
+    n = rows.shape[1]
+    return [functional(Graph._from_rows_unchecked(n, row)) for row in rows.tolist()]
 
 
 def _complement(batch):

@@ -39,6 +39,24 @@ def derive_seed(master: int, *indices: int) -> int:
     return h
 
 
+_U64 = np.uint64
+
+
+def derive_seeds(master: int, point: int, start: int, stop: int) -> np.ndarray:
+    """derive_seed(master, point, t) for t in range(start, stop), as uint64.
+
+    The last splitmix64 step runs on the whole range at once, in numpy's
+    wrapping uint64 arithmetic, which is the reduction mod 2^64 that
+    derive_seed does by masking.
+    """
+    h = _U64(derive_seed(master, point))
+    x = np.arange(max(0, stop - start), dtype=_U64) + _U64(start & MASK64)
+    x = (h ^ (x * _U64(0xD1B54A32D192ED03))) + _U64(0x9E3779B97F4A7C15)
+    z = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
 def generator(seed: int) -> np.random.Generator:
     """A fresh counter-based generator keyed by seed.
 

@@ -14,12 +14,14 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from depgraphs import rng
 from depgraphs.bounds import (connectivity_example_threshold,
                               containment_failure_bound,
                               containment_hypothesis, jumbledness_hypothesis)
-from depgraphs.distributions import (_graph_from_present, _sample_present,
-                                     blocks_from_text, connectivity_gadget,
+from depgraphs.distributions import (_draw_latents, _graph_from_edges,
+                                     _present, blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, sample)
 from depgraphs.graphs import (Graph, SubgraphPattern, clique_number,
@@ -199,11 +201,11 @@ def test_criterion_09_edge_block_exact_counts_and_frequencies():
     gen = rng.generator(1)
     counts = [0] * 45
     for t in range(trials):
-        present = _sample_present(model, gen)
+        present = _present(model, _draw_latents(model, gen))
         assert int(present.sum()) == 15
         if t < 200:
             # spot check that the packed Graph agrees with the raw vector
-            assert _graph_from_present(10, present).edge_count() == 15
+            assert _graph_from_edges(10, np.flatnonzero(present)).edge_count() == 15
         for e in present.nonzero()[0]:
             counts[e] += 1
     for e in range(45):
@@ -242,7 +244,8 @@ def test_criterion_10_monte_carlo_agrees_with_exact_oracle():
         gen = rng.generator(rng.derive_seed(0, j))
         hits = 0
         for _ in range(trials):
-            g = _graph_from_present(model.n, _sample_present(model, gen))
+            present = _present(model, _draw_latents(model, gen))
+            g = _graph_from_edges(model.n, np.flatnonzero(present))
             hits += bool(pred(g))
         lo, hi = wilson_interval(hits, trials)
         inside += lo <= float(exact) <= hi

@@ -1,0 +1,191 @@
+"""Batched Monte Carlo trials, checked against the per-trial path.
+
+Up to 64 vertices the harness derives a block's seeds at once
+(rng.derive_seeds), draws the block's graphs as bitset rows
+(distributions.sample_rows) and evaluates them with a batch kernel.  Each
+piece is compared here with the per-trial form it stands for:
+derive_seed, the rows of sample(model, seed).graph, and the trial
+function on one Graph.
+"""
+
+import itertools
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from depgraphs import graphs, harness
+from depgraphs.distributions import (_draw_latents, blocks_from_text,
+                                     connectivity_gadget, correlated_star,
+                                     custom_blocks, edge_block_exact,
+                                     erdos_renyi, sample, sample_rows)
+from depgraphs.graphs import Graph, batch_dtype, batch_size, clique_number, num_edges
+from depgraphs.harness import ExperimentConfig
+from depgraphs.predicates import (connected, degree_in_range, evaluate_rows,
+                                  negate, parse_predicate)
+from depgraphs.rng import derive_seed, derive_seeds
+
+U64 = st.integers(0, 2 ** 64 - 1)
+WIDE = st.integers(-2 ** 66, 2 ** 66) | U64
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE, WIDE, WIDE, st.integers(0, 40))
+@example(2 ** 64 - 1, 2 ** 63, 2 ** 64 - 3, 6)
+@example(-1, -2 ** 63, -4, 8)
+@example(2 ** 63 + 1, 0, 2 ** 63 - 2, 5)
+def test_derive_seeds_match_derive_seed(master, point, start, count):
+    seeds = derive_seeds(master, point, start, start + count)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(master, point, t)
+                              for t in range(start, start + count)]
+
+
+def test_derive_seeds_of_an_empty_range():
+    assert derive_seeds(1, 2, 5, 5).size == 0
+    assert derive_seeds(1, 2, 5, 3).size == 0
+
+
+# -- sample_rows against sample --------------------------------------------
+
+ROW_NS = (1, 2, 7, 8, 9, 16, 17, 63, 64)
+ROW_PS = (0, 1, 2.0 ** -53)
+ROW_SEEDS = (0, 1, 12345, 2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1)
+
+
+def _models(n, p):
+    """Every kind that exists at n: the coin kinds at p, edge blocks at the
+    a/m their block sizes allow."""
+    yield erdos_renyi(n, p)
+    L = num_edges(n)
+    yield custom_blocks(n, p, blocks_from_text(n, " ".join(map(str, range(L // 2)))))
+    for d in (1, 3, 8):
+        for make in (correlated_star, connectivity_gadget):
+            try:
+                yield make(n, p, d)
+            except ValueError:    # n too small for this construction
+                pass
+    for m in (1, 2, 3, 4, 5):
+        if n >= 2 and L % m == 0:
+            for a in sorted({1, max(1, m - 2), m}):
+                yield edge_block_exact(n, a, m)
+
+
+def _sampled_rows(model, seeds):
+    return [list(sample(model, s).graph.rows) for s in seeds]
+
+
+@pytest.mark.parametrize("p", ROW_PS)
+@pytest.mark.parametrize("n", ROW_NS)
+def test_sample_rows_are_the_rows_of_sample(n, p):
+    kinds = set()
+    for model in _models(n, p):
+        rows = sample_rows(model, ROW_SEEDS)
+        assert rows.dtype == batch_dtype(n) and rows.shape == (len(ROW_SEEDS), n)
+        assert rows.tolist() == _sampled_rows(model, ROW_SEEDS), model
+        kinds.add(model.kind)
+    assert len(kinds) == (5 if n >= 7 else 2 + (n >= 2) + (n >= 3))
+
+
+def test_sample_rows_across_blocks(monkeypatch):
+    # a small budget splits one call into blocks of a few trials each
+    seeds = derive_seeds(3, 1, 0, 23)
+    models = [erdos_renyi(20, 0.3), correlated_star(33, Fraction(1, 3), 3),
+              edge_block_exact(9, 1, 3), edge_block_exact(16, 2, 5)]
+    want = [_sampled_rows(model, seeds.tolist()) for model in models]
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 5000)
+    assert batch_size(20 * 32) < 23
+    for model, rows in zip(models, want):
+        assert sample_rows(model, seeds).tolist() == rows
+    assert sample_rows(models[0], []).shape == (0, 20)
+
+
+class _Keys:
+    """Stands in for a generator whose random() repeats the given keys."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=float)
+
+    def random(self, shape):
+        return np.resize(self.keys, shape)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (3, 3)])
+def test_single_picks_take_the_first_of_equal_keys(n, m):
+    # every key row over {0, 1/2, 3/4}, ties at the minimum included: the
+    # pick is the one argpartition(keys, 0) makes, on single draws and on
+    # a draw of several trials into one array
+    keys = list(itertools.product((0.0, 0.5, 0.75), repeat=m))
+    model = edge_block_exact(n, 1, m)
+    blocks = model.layout.block_count
+    for row in keys:
+        got = _draw_latents(model, _Keys([row]))
+        want = np.argpartition(np.resize(row, (blocks, m)), 0, axis=1)[:, :1]
+        assert np.array_equal(got, want), row
+    out = np.empty((len(keys), blocks, 1), dtype=np.intp)
+    stub = _Keys(keys)
+    want = np.argpartition(stub.random(out.shape[:-1] + (m,)), 0, axis=-1)[..., :1]
+    assert np.array_equal(_draw_latents(model, stub, out), want)
+
+
+def test_one_block_at_64_vertices_stays_within_a_few_budgets():
+    # the harness's block at n = 64 is 512 trials, whose rows take one
+    # budget; drawn whole, its coins would take 1 MiB more and the bits
+    # gathered for packing 2 MiB, where each chunk's arrays fit a budget
+    block = batch_size(64 * 8)
+    assert block == 512
+    seeds = derive_seeds(7, 0, 0, block)
+    for model, pred in ((erdos_renyi(64, 0.1), connected()),
+                        (edge_block_exact(64, 1, 3), parse_predicate("isolated-vertex"))):
+        sample_rows(model, seeds[:1])
+        tracemalloc.start()
+        try:
+            values = evaluate_rows(pred, sample_rows(model, seeds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == block
+        assert peak < 6 * graphs.BATCH_BYTES, (model, peak)
+
+
+# -- harness blocks against single trials ----------------------------------
+
+def test_degree_violation_is_the_negated_degree_range():
+    lo, hi = 2.5, 6.0
+    pred = negate(degree_in_range(lo, hi))
+    model = erdos_renyi(12, 0.4)
+    seeds = derive_seeds(5, 0, 0, 200).tolist()
+    rows = sample_rows(model, seeds)
+    old = [any(not lo <= r.bit_count() <= hi for r in sample(model, s).graph.rows)
+           for s in seeds]
+    assert 0 < sum(old) < len(old)
+    assert [pred(sample(model, s).graph) for s in seeds] == old
+    assert evaluate_rows(pred, rows).tolist() == old
+
+
+def _witness(n, p, d):
+    s = d + 1
+    smask = (1 << s) - 1
+
+    def fn(g: Graph) -> bool:
+        b = sum(1 << x for x in range(s, n) if g.rows[x] & smask == smask)
+        return sum((g.rows[v] & b).bit_count() for v in range(s)) > p * s * b.bit_count()
+    return fn
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_trials_values_are_the_per_trial_values(workers):
+    config = ExperimentConfig(ns=(30,), ps=(0.2,), trials=70, seed=9, workers=workers)
+    cases = [
+        (erdos_renyi(30, 0.2), parse_predicate("connected"), "predicate"),
+        (correlated_star(24, 0.3, 2), _witness(24, 0.3, 2), "predicate"),
+        (edge_block_exact(12, 1, 3), clique_number, "statistic"),
+        (erdos_renyi(66, 0.1), parse_predicate("isolated-vertex"), "predicate"),
+    ]
+    for point, (model, fn, mode) in enumerate(cases):
+        got = harness._run_trials(config, point, model, fn, mode)
+        want = [fn(sample(model, derive_seed(9, point, t)).graph) for t in range(70)]
+        assert got.tolist() == [bool(v) if mode == "predicate" else float(v) for v in want]

@@ -296,10 +296,10 @@ def test_empirical_marginals_near_p():
     L = num_edges(8)
     counts = np.zeros(L)
     gen = rng.generator(424242)
-    from depgraphs.distributions import _sample_present
+    from depgraphs.distributions import _draw_latents, _present
     trials = 3000
     for _ in range(trials):
-        counts += _sample_present(m, gen)
+        counts += _present(m, _draw_latents(m, gen))
     freq = counts / trials
     assert np.all(np.abs(freq - 0.25) < 0.05)
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from depgraphs import harness
+from depgraphs.graphs import BATCH_MAX_N
 from depgraphs.harness import (CSV_COLUMNS, ExperimentConfig,
                                ExperimentResult, check_monotone_trend,
                                run_experiment)
@@ -124,33 +125,61 @@ def test_error_rows_do_not_kill_run():
     assert not result.all_failed()
 
 
+# grids run by blocks of rows (harness.sample_rows), and by one sample
+# per trial (harness.sample)
+PATH_NS = ((8, 10), (65, 66))
+
+
 def _failing_trial(monkeypatch, exc, c, point, trial):
-    # harness.sample raises exc on one trial of one grid point
+    # the sampler of each path raises exc on one trial of one grid point;
+    # returns the number of calls each sampler gets
     bad_seed = derive_seed(c.seed, point, trial)
-    real = harness.sample
+    real_sample, real_rows = harness.sample, harness.sample_rows
+    calls = {"sample": 0, "sample_rows": 0}
 
     def sample(model, seed, *args, **kwargs):
+        calls["sample"] += 1
         if seed == bad_seed:
             raise exc
-        return real(model, seed, *args, **kwargs)
+        return real_sample(model, seed, *args, **kwargs)
+
+    def sample_rows(model, seeds):
+        calls["sample_rows"] += 1
+        if bad_seed in seeds.tolist():
+            raise exc
+        return real_rows(model, seeds)
     monkeypatch.setattr(harness, "sample", sample)
+    monkeypatch.setattr(harness, "sample_rows", sample_rows)
+    return calls
+
+
+def _path_calls(ns, calls):
+    # only the sampler of the grid's path ran
+    batched = max(ns) <= BATCH_MAX_N
+    return bool(calls["sample_rows"]) == batched and bool(calls["sample"]) != batched
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unexpected_trial_error_kills_run(monkeypatch, workers):
-    c = cfg(ns=(8, 10), trials=40, workers=workers)
-    _failing_trial(monkeypatch, RuntimeError("trial broke"), c, 1, 17)
-    with pytest.raises(RuntimeError, match="trial broke"):
-        run_experiment(c)
+    for ns in PATH_NS:
+        c = cfg(ns=ns, trials=40, workers=workers)
+        with monkeypatch.context() as mp:
+            calls = _failing_trial(mp, RuntimeError("trial broke"), c, 1, 17)
+            with pytest.raises(RuntimeError, match="trial broke"):
+                run_experiment(c)
+        assert _path_calls(ns, calls), (ns, calls)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_value_error_in_trial_is_point_error(monkeypatch, workers):
-    c = cfg(ns=(8, 10), trials=40, workers=workers)
-    _failing_trial(monkeypatch, ValueError("bad trial"), c, 0, 17)
-    result = run_experiment(c)
-    assert [pt.error for pt in result.points] == ["bad trial", None]
-    assert result.points[1].successes is not None
+    for ns in PATH_NS:
+        c = cfg(ns=ns, trials=40, workers=workers)
+        with monkeypatch.context() as mp:
+            calls = _failing_trial(mp, ValueError("bad trial"), c, 0, 17)
+            result = run_experiment(c)
+        assert [pt.error for pt in result.points] == ["bad trial", None]
+        assert result.points[1].successes is not None
+        assert _path_calls(ns, calls), (ns, calls)
 
 
 def test_all_failed():

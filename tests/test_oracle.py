@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from depgraphs import oracle
+from depgraphs import graphs, oracle
 from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, realize,
@@ -328,7 +328,7 @@ def test_walk_batches_read_a_large_latent_in_slices(monkeypatch):
     for k, rows in _walk(model):
         counts[k] += pred(Graph._from_rows_unchecked(8, rows))
     assert want == _collapser(model)([counts[0]])
-    monkeypatch.setattr(oracle, "BATCH_BYTES", 64 * 8)
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 64 * 8)
     assert oracle._batch_cap(8, 8) == 64
     assert all(len(k) <= 64 for k, _ in _walk_batches(model, 64))
     assert exact_event_probability(model, pred) == want
