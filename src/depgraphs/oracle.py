@@ -16,13 +16,13 @@ every joint value of the latents above.  A block is evaluated with the
 predicate's or statistic's batch kernel, or with `fn` on each outcome's
 Graph when it has none, and its size follows from one byte budget
 (graphs.BATCH_BYTES) on the widest array formed per outcome.  Beyond 64
-vertices a row no longer fits a machine word, and the scalar walk (`_walk`) visits
-the outcomes one at a time in Gray order, each step toggling one latent's
-edges in Python-int rows: coins in reflected binary Gray order with a
-running count of coins set, uniform subsets in reflected mixed-radix Gray
-order over each block's choices.  Each outcome is then evaluated on its
-own Graph.  The scalar walk is also the tests' reference for the batched
-one.
+vertices a row no longer fits a machine word, and the scalar walk
+(`_walk`) visits the outcomes one at a time in Gray order, each step
+toggling one latent's edges in Python-int rows: coins in reflected binary
+Gray order with a running count of coins set, uniform subsets in reflected
+mixed-radix Gray order over each block's choices.  Each outcome is then
+evaluated on its own Graph.  The scalar walk is also the tests' reference
+for the batched one.
 
 Outcome weights are integer counts per number of coins set, accumulated in
 int64 and collapsed to a probability from Python ints at the end, so the
