@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -483,38 +484,61 @@ def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
 _RAW_CHUNK = 1 << 15     # raw words per random_raw call: 256 KiB
 
 
+def _coin_threshold(p) -> np.uint64 | None:
+    """The largest raw Philox word that makes a coin of probability p come
+    up, or None when p = 0 and no word does.
+
+    A Philox double is (raw >> 11) * 2**-53 for a raw 64-bit word, so it is
+    below p exactly when raw >> 11 < c = ceil(p * 2**53), that is when
+    raw <= (c << 11) - 1.
+    """
+    c = ceil(float(p) * 2.0 ** 53)
+    return np.uint64((c << 11) - 1) if c else None
+
+
 def _coins(gen: np.random.Generator, count: int, p, out: np.ndarray | None = None
            ) -> np.ndarray:
     """count Bernoulli(p) coins, equal bit for bit to gen.random(count) < float(p).
 
-    A Philox double is (raw >> 11) * 2**-53 for a raw 64-bit word, so it is
-    below p exactly when raw >> 11 < c = ceil(p * 2**53), that is when
-    raw <= (c << 11) - 1.  Comparing the raw words skips the conversion, and
-    drawing them in cache-sized chunks keeps the words out of main memory.
-    The coins go to out, a flat bool array of count entries, when given.
+    Comparing raw words with _coin_threshold(p) skips the conversion to
+    doubles, and drawing them in cache-sized chunks keeps the words out of
+    main memory.  The coins go to out, a flat bool array of count entries,
+    when given.
     """
-    c = ceil(float(p) * 2.0 ** 53)
+    threshold = _coin_threshold(p)
     bits = gen.bit_generator
     coins = np.empty(count, dtype=bool) if out is None else out
     for i in range(0, count, _RAW_CHUNK):
         raw = bits.random_raw(min(_RAW_CHUNK, count - i))
-        if c:
-            np.less_equal(raw, np.uint64((c << 11) - 1), out=coins[i:i + _RAW_CHUNK])
-        else:
+        if threshold is None:
             coins[i:i + _RAW_CHUNK] = False
+        else:
+            np.less_equal(raw, threshold, out=coins[i:i + _RAW_CHUNK])
     return coins
 
 
-# the largest block for which argmin keeps the position that
-# argpartition(keys, 0) keeps, ties included; on larger rows numpy's
+# the longest rows on which the first minimum is the position that
+# argpartition(keys, 0) keeps, ties included; on longer rows numpy's
 # selection may return a later one of several equal minima
-_ARGMIN_MAX_M = 3
+_FIRST_MIN_MAX_M = 3
+
+
+def _first_min(keys: np.ndarray) -> np.ndarray:
+    """keys.argmin(axis=-1, keepdims=True) for rows of 2 or 3 keys (none
+    NaN), from elementwise compares, which cost less than argmin's loop over
+    a short axis.  A later key is picked only when it is below every earlier
+    one, so a tie goes to the first of the equal minima, as in argmin."""
+    k0, k1 = keys[..., :1], keys[..., 1:2]
+    later = k1 < k0
+    if keys.shape[-1] == 2:
+        return later.astype(np.intp)
+    return np.where(keys[..., 2:] < np.minimum(k0, k1), 2, later)
 
 
 def _picks(keys: np.ndarray, a: int) -> np.ndarray:
     """The positions of the a smallest keys along the last axis."""
-    if a == 1 and keys.shape[-1] <= _ARGMIN_MAX_M:
-        return keys.argmin(axis=-1, keepdims=True)
+    if a == 1 and 2 <= keys.shape[-1] <= _FIRST_MIN_MAX_M:
+        return _first_min(keys)
     return np.argpartition(keys, a - 1, axis=-1)[..., :a]
 
 
@@ -599,12 +623,14 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     """sample(model, seed).graph for each seed, as (T, n) bitset rows.
 
     Row v of graph t is an unsigned word of graphs.batch_dtype(n), n <= 64,
-    with bit w set when v and w are adjacent.  Each trial draws its latents
-    as sample does, from this thread's generator reset to its seed, into
-    one row of a block's latent array.  A block's rows then come from one
-    gather of those values through an (n, W) table of the column behind
-    each row bit, and one packbits; the bits without an edge are cleared.
-    Blocks are sized so that their widest array fits graphs.BATCH_BYTES.
+    with bit w set when v and w are adjacent.  Each trial draws as sample
+    does, from this thread's generator reset to its seed, into one row of a
+    block's array: coins compare one raw draw with a threshold formed once
+    per call; uniform subsets draw their keys, and one _picks call picks
+    from the whole block.  A block's rows then come from one gather of the
+    latent values through an (n, W) table of the column behind each row
+    bit, and one packbits; the bits without an edge are cleared.  Blocks
+    are sized so that their widest array fits graphs.BATCH_BYTES.
     """
     layout = model.layout
     n = model.n
@@ -621,13 +647,30 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     edge = np.where((w < n) & (w != v), hi * (hi - 1) // 2 + lo, 0)
     table = _edge_slots(model)[edge].ravel()
     edge_bits = dtype.type((1 << n) - 1) ^ (dtype.type(1) << np.arange(n, dtype=dtype))
-    values = _latent_rows(model, len(seeds), n * width)
-    block = len(values)
+    if layout.uniform:
+        # a float64 key per edge slot and trial, picked from a block at a time
+        keys = np.empty((min(len(seeds), batch_size(max(n * width, 8 * num_edges(n)))),
+                         layout.block_count, layout.m))
+        block = len(keys)
+    else:
+        values = _latent_rows(model, len(seeds), n * width)
+        block = len(values)
+        threshold = _coin_threshold(model.p)
     for start in range(0, len(seeds), block):
         count = min(block, len(seeds) - start)
-        for t, seed in enumerate(seeds[start:start + count]):
-            _draw_latents(model, rngmod.seeded(seed), values[t])
-        drawn = _present(model, values[:count]) if layout.uniform else values[:count]
+        if layout.uniform:
+            for t, seed in enumerate(seeds[start:start + count]):
+                rngmod.seeded(seed).random(out=keys[t])
+            drawn = _present(model, _picks(keys[:count], layout.a))
+        elif threshold is not None:
+            drawn = values[:count]
+            # at most 2016 latents at n <= 64, so one raw draw, as in _coins
+            for t, seed in enumerate(seeds[start:start + count]):
+                raw = rngmod.seeded(seed).bit_generator.random_raw(layout.latents)
+                np.less_equal(raw, threshold, out=drawn[t])
+        else:
+            drawn = values[:count]
+            drawn[...] = False    # p = 0
         packed = np.packbits(drawn.take(table, axis=1).reshape(count, n, width),
                              axis=2, bitorder="little")
         rows[start:start + count] = packed.view(dtype.newbyteorder("<"))[..., 0]
@@ -635,10 +678,60 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     return rows
 
 
+# A latent state's marshal image at format version 2, which has no
+# back-references: a tuple "(" or list "[" is its type code and a 4-byte
+# count, then its items; a bool is one type code, "T" or "F", and an int of
+# 32 bits the type code "i" and 4 bytes.
+_IMAGE_VERSION = 2
+_IMAGE_HEAD = 5                                   # a sequence's code and count
+_IMAGE_TRUE, _IMAGE_FALSE = np.uint8(ord("T")), np.uint8(ord("F"))
+
+
 def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
     if layout.uniform:
-        return tuple(map(tuple, np.sort(values, axis=1).tolist()))
-    return tuple(values.tolist())
+        # zip over the columns forms the blocks' tuples without a call per row
+        columns = values if layout.a == 1 else np.sort(values, axis=1)
+        return tuple(zip(*columns.T.tolist()))
+    # the coins' image, read back as a tuple of bools in one pass
+    codes = np.where(values, _IMAGE_TRUE, _IMAGE_FALSE)
+    return marshal.loads(b"(" + values.size.to_bytes(4, "little") + codes.tobytes())
+
+
+def _image_values(layout: LatentLayout, state: tuple | list) -> np.ndarray | None:
+    """The values of a state of capture's form, read at C speed from its
+    marshal image; None for a state of any other form.
+
+    Capture's form is a tuple or list of Python bools (coins), or of tuples
+    or lists of a Python ints of 32 bits each (uniform subsets).  Its image
+    has a fixed width, and its type codes and counts are checked at every
+    position.  np.asarray makes an array of the same values and kind from
+    such a state, so realize judges it the same either way.
+    """
+    try:
+        image = marshal.dumps(state, _IMAGE_VERSION)
+    except ValueError:       # an entry marshal does not write, like np.int64
+        return None
+    if not layout.uniform:
+        body = image[_IMAGE_HEAD:]
+        if len(body) != len(state) or body.translate(None, b"TF"):
+            return None
+        return np.frombuffer(body, dtype=np.uint8) == _IMAGE_TRUE
+    entry = np.dtype([("code", "u1"), ("count", "<i4"),
+                      ("items", [("code", "u1"), ("value", "<i4")], (layout.a,))])
+    if len(image) != _IMAGE_HEAD + len(state) * entry.itemsize:
+        return None
+    entries = np.frombuffer(image, entry, offset=_IMAGE_HEAD)
+    if not (np.isin(entries["code"], (ord("("), ord("["))).all()
+            and (entries["count"] == layout.a).all()
+            and (entries["items"]["code"] == ord("i")).all()):
+        return None
+    return entries["items"]["value"]
+
+
+def _state_array(layout: LatentLayout, state: Sequence) -> np.ndarray:
+    """np.asarray(state), from the state's image when it has capture's form."""
+    values = _image_values(layout, state) if type(state) in (tuple, list) else None
+    return np.asarray(state) if values is None else values
 
 
 def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
@@ -647,7 +740,7 @@ def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
         raise ValueError(f"state has {len(state)} entries, "
                          f"model has {layout.latents} latents")
     try:
-        values = np.asarray(state)
+        values = _state_array(layout, state)
     except (ValueError, TypeError, OverflowError):    # ragged entries
         values = None
     if layout.uniform:
@@ -783,10 +876,16 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
     layout = model.layout
     # the drawn coins are tallied as they are and each edge reads its
-    # latent's tally; uniform subsets are tallied per edge.  Trials are
-    # drawn a batch at a time, in turn from gen, as a loop would draw them.
+    # latent's tally; uniform subsets are tallied per edge, straight from
+    # the picks: edge block * m + pick is present, and a pair's edges are
+    # both present when each one's block picked it.  Trials are drawn a
+    # batch at a time, in turn from gen, as a loop would draw them.
     slot = _edge_slots(model)
-    s1, s2 = slot[e1s], slot[e2s]
+    if layout.uniform:
+        starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
+        (b1, q1), (b2, q2) = divmod(e1s, layout.m), divmod(e2s, layout.m)
+    else:
+        s1, s2 = slot[e1s], slot[e2s]
     # a uniform draw forms a float64 key per edge slot
     values = _latent_rows(model, trials, 8 * L if layout.uniform else 0)
     batch = len(values)
@@ -794,9 +893,14 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     joint = np.zeros(len(pair_list), dtype=np.int64)
     for start in range(0, trials, batch):
         drawn = _draw_latents(model, gen, values[:min(batch, trials - start)])
-        on = _present(model, drawn) if layout.uniform else drawn
-        tally += on.sum(axis=0)
-        joint += (on[:, s1] & on[:, s2]).sum(axis=0)
+        if layout.uniform:
+            tally += np.bincount((drawn + starts).ravel(), minlength=L)
+            on1 = (drawn[:, b1] == q1[:, None]).any(axis=-1)
+            on2 = (drawn[:, b2] == q2[:, None]).any(axis=-1)
+            joint += (on1 & on2).sum(axis=0)
+        else:
+            tally += drawn.sum(axis=0)
+            joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
     counts = tally[slot]
 
     pf = float(model.p)

@@ -5,7 +5,9 @@ count, and a master seed.  Trial t of grid point i always runs on seed
 derive_seed(master, i, t), and the per-trial values merge in trial order,
 so the output is byte-identical for 1 and N workers.  Up to 64 vertices
 the trials run in blocks of bitset rows (sample_rows), evaluated by the
-predicate's batch kernel when it has one.
+predicate's batch kernel when it has one, in the calling thread; workers
+parallelize only the per-trial path beyond 64 vertices, whose Philox draws
+and numpy calls release the GIL.
 
 The CSV view deliberately omits anything scheduling-dependent (wall-clock
 times, worker count); those live only in the JSON provenance document.
@@ -252,28 +254,31 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     """This point's per-trial values, in trial order, as bools for a
     predicate and floats for a statistic.
 
-    Each worker runs one contiguous span of trials.  Up to BATCH_MAX_N
-    vertices a span runs in blocks: sample_rows draws a block's graphs as
-    bitset rows, and trial_fn's batch kernel, or trial_fn on each row's
-    Graph, evaluates them; beyond that each trial samples its own Graph.
-    Every trial keeps its seed and its value, so the values, and all that
-    is merged from them, do not depend on the worker count.
+    Up to BATCH_MAX_N vertices the trials run in blocks in the calling
+    thread, whatever the worker count: sample_rows draws a block's graphs
+    as bitset rows, and trial_fn's batch kernel, or trial_fn on each row's
+    Graph, evaluates them.  That work holds the GIL, so threads would only
+    contend for it and halve the blocks.  Beyond that each trial samples its
+    own Graph, and each worker thread runs one contiguous span of trials;
+    Philox and numpy release the GIL there.  Every trial keeps its seed and
+    its value, so the values, and all that is merged from them, do not
+    depend on the worker count.
     """
     trials = config.trials
-    span = -(-trials // config.workers)
     n = model.n
-    block = batch_size(n * batch_dtype(n).itemsize) if n <= BATCH_MAX_N else 0
+    dtype = bool if mode == "predicate" else float
+    if n <= BATCH_MAX_N:
+        block = batch_size(n * batch_dtype(n).itemsize)
+        values = []
+        for lo in range(0, trials, block):
+            seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, trials))
+            values.extend(evaluate_rows(trial_fn, sample_rows(model, seeds)))
+        return np.array(values, dtype=dtype)
+    span = -(-trials // config.workers)
 
     def work(start):
-        stop = min(start + span, trials)
-        if not block:
-            return [trial_fn(sample(model, derive_seed(config.seed, point_index, t)).graph)
-                    for t in range(start, stop)]
-        values = []
-        for lo in range(start, stop, block):
-            seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, stop))
-            values.extend(evaluate_rows(trial_fn, sample_rows(model, seeds)))
-        return values
+        return [trial_fn(sample(model, derive_seed(config.seed, point_index, t)).graph)
+                for t in range(start, min(start + span, trials))]
 
     starts = range(0, trials, span)
     if len(starts) == 1:
@@ -281,8 +286,7 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(work, starts))
-    return np.array(list(chain.from_iterable(parts)),
-                    dtype=bool if mode == "predicate" else float)
+    return np.array(list(chain.from_iterable(parts)), dtype=dtype)
 
 
 def _execute(config: ExperimentConfig,

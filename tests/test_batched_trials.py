@@ -9,6 +9,7 @@ function on one Graph.
 """
 
 import itertools
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depgraphs import graphs, harness
-from depgraphs.distributions import (_draw_latents, blocks_from_text,
+from depgraphs import graphs, harness, rng
+from depgraphs.distributions import (_draw_latents, _independent_pairs,
+                                     _latent_rows, _picks, _present,
+                                     audit_model, blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
                                      erdos_renyi, sample, sample_rows)
@@ -131,6 +134,50 @@ def test_single_picks_take_the_first_of_equal_keys(n, m):
     assert np.array_equal(_draw_latents(model, stub, out), want)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_single_picks_are_the_first_minimum(m):
+    # integer-valued keys tie often; every pick is argmin's, the first of
+    # the equal minima, with and without leading axes
+    gen = np.random.default_rng(m)
+    for shape in ((m,), (200, m), (7, 40, m), (3, 5, 9, m)):
+        keys = gen.integers(0, 3, shape).astype(float)
+        got = _picks(keys, 1)
+        assert got.shape == shape[:-1] + (1,)
+        assert np.array_equal(got, keys.argmin(-1, keepdims=True)), shape
+
+
+def _present_tallies(model, trials, seed, pairs):
+    """The audit's pairs, per-edge counts and pair joints, tallied from a
+    presence bitmap per batch of trials."""
+    L = num_edges(model.n)
+    gen = rng.generator(seed)
+    pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
+    e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
+    e2s = np.array([b for _, b in pair_list], dtype=np.int64)
+    values = _latent_rows(model, trials, 8 * L)
+    counts = np.zeros(L, dtype=np.int64)
+    joint = np.zeros(len(pair_list), dtype=np.int64)
+    for start in range(0, trials, len(values)):
+        drawn = _draw_latents(model, gen, values[:min(len(values), trials - start)])
+        on = _present(model, drawn)
+        counts += on.sum(axis=0)
+        joint += (on[:, e1s] & on[:, e2s]).sum(axis=0)
+    return pair_list, counts.tolist(), joint.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 5), st.integers(2, 14),
+       st.integers(1, 400), U64, st.integers(0, 12))
+def test_uniform_audit_tallies_equal_presence_tallies(a, m, n, trials, seed, pairs):
+    n = next(k for k in range(n, n + 2 * m) if num_edges(k) % m == 0)
+    model = edge_block_exact(n, a, m)
+    report = audit_model(model, trials, seed, pairs)
+    pair_list, counts, joint = _present_tallies(model, trials, seed, pairs)
+    assert [e.successes for e in report.marginals] == counts
+    assert [(q.edge_a, q.edge_b) for q in report.pairs] == pair_list
+    assert [q.table[0] for q in report.pairs] == joint
+
+
 def test_one_block_at_64_vertices_stays_within_a_few_budgets():
     # the harness's block at n = 64 is 512 trials, whose rows take one
     # budget; drawn whole, its coins would take 1 MiB more and the bits
@@ -189,3 +236,17 @@ def test_run_trials_values_are_the_per_trial_values(workers):
         got = harness._run_trials(config, point, model, fn, mode)
         want = [fn(sample(model, derive_seed(9, point, t)).graph) for t in range(70)]
         assert got.tolist() == [bool(v) if mode == "predicate" else float(v) for v in want]
+
+
+def test_batched_points_run_in_the_calling_thread():
+    # threads would contend for the GIL on the interpreter-bound draw, so
+    # only the per-trial path beyond 64 vertices spreads over workers
+    config = ExperimentConfig(ns=(64,), ps=(0.2,), trials=90, seed=9, workers=3)
+    for model, in_caller in ((erdos_renyi(64, 0.1), True), (erdos_renyi(66, 0.1), False)):
+        seen = set()
+
+        def fn(g):
+            seen.add(threading.get_ident())
+            return True
+        assert harness._run_trials(config, 0, model, fn, "predicate").all()
+        assert (seen == {threading.get_ident()}) == in_caller

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depgraphs import rng
+from depgraphs import distributions, rng
 from depgraphs.distributions import (DistributionModel, audit_model,
                                      blocks_from_text, build,
                                      connectivity_gadget, correlated_star,
@@ -212,14 +212,43 @@ def test_capture_realize_roundtrip():
             assert realize(m, out.latent_state) == out.graph
 
 
+class _Index:
+    """An int-like object: bytes() and operator.index take it, numpy does not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _realized_or_error(model, state):
+    try:
+        return list(realize(model, state).edge_indices())
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_realize_accepts_zero_one_coins():
     m = correlated_star(7, 0.5, 2)
     state = sample(m, 3, keep_latents=True).latent_state
     assert realize(m, tuple(int(v) for v in state)) == realize(m, state)
     assert realize(m, np.array(state)) == realize(m, state)
+    m = erdos_renyi(4, 0.5)
+    state = (True, False, True, True, False, True)
+    want = list(realize(m, state).edge_indices())
+    assert want == [0, 2, 3, 5]
+    ints = tuple(int(v) for v in state)
+    for same in (list(state), list(ints),
+                 np.array(ints), np.array(ints, dtype=np.uint8),   # bytes() of an
+                 np.array(state),                                  # int64 array is 48 B
+                 tuple(map(np.int64, ints)), tuple(map(np.bool_, state)),
+                 (True, 0, 1, True, False, 1),                     # True mixed with 1
+                 [np.int64(1), False, True, np.uint8(1), 0, True]):
+        assert list(realize(m, same).edge_indices()) == want, same
+    assert realize(erdos_renyi(1, 0.5), ()).n == 1
 
 
-# edge_block_exact(4, 2, 3): two blocks of three slots, two kept in each
 @pytest.mark.parametrize("state", [
     ((0, 1), (-1, 2)),       # a negative position would wrap to another edge
     ((0, 1), (1, 3)),        # position past the block
@@ -228,19 +257,113 @@ def test_realize_accepts_zero_one_coins():
     ((0, 1), (2, 2)),        # a repeated position
     ((0, 1), "ab"),
     ((0, 1), 2),
+    ((0, 1, 2), (1,)),       # wrong lengths that still total blocks * a
+    ((0,), (1, 2, 0)),
+    ((True, False), (True, False)),
+    ((0, 1), (_Index(1), 2)),
+    ((0, 1), (0.0, 1.0)),
+    ((0, 1), (np.uint64(0), np.int64(1))),    # promoted to float64
 ], ids=["negative", "out-of-range", "too-few", "too-many", "duplicate",
-        "text", "scalar"])
+        "text", "scalar", "lengths-3-1", "lengths-1-3", "bools", "index",
+        "floats", "mixed-unsigned"])
 def test_realize_rejects_malformed_subset_entry(state):
     with pytest.raises(ValueError, match=r"2 distinct positions in range\(3\)"):
         realize(edge_block_exact(4, 2, 3), state)
 
 
-@pytest.mark.parametrize("bad", [2, -1, "x", 0.5, None, (True,)],
-                         ids=["two", "minus-one", "text", "float", "none", "tuple"])
+def test_realize_accepts_subset_states_in_any_integer_form():
+    m = edge_block_exact(4, 2, 3)
+    state = sample(m, 5, keep_latents=True).latent_state
+    want = list(realize(m, state).edge_indices())
+    for same in (list(state), [list(e) for e in state], np.array(state),
+                 tuple(tuple(reversed(e)) for e in state),
+                 tuple(tuple(map(np.int64, e)) for e in state)):
+        assert list(realize(m, same).edge_indices()) == want, same
+    # positions of 256 and more: one block of 276 slots keeps two
+    wide = edge_block_exact(24, 2, 276)
+    assert list(realize(wide, ((256, 275),)).edge_indices()) == [256, 275]
+    assert list(realize(wide, ([275, 3],)).edge_indices()) == [3, 275]
+    assert list(realize(wide, ((np.int64(256), 275),)).edge_indices()) == [256, 275]
+    for bad in (((256, 276),), ((256, 256),), ((2 ** 31, 1),), ((2 ** 40, 1),)):
+        with pytest.raises(ValueError, match=r"2 distinct positions in range\(276\)"):
+            realize(wide, bad)
+
+
+@pytest.mark.parametrize("bad", [2, -1, "x", 0.5, None, (True,), 255, 256,
+                                 _Index(1), np.int64(2), 1.0, b"\x01"],
+                         ids=["two", "minus-one", "text", "float", "none", "tuple",
+                              "255", "256", "index", "int64-two", "float-one",
+                              "bytes"])
 def test_realize_rejects_non_coin_values(bad):
     m = erdos_renyi(4, 0.5)
     with pytest.raises(ValueError, match="bool or 0/1"):
         realize(m, (True, False, True, bad, False, True))
+    with pytest.raises(ValueError, match="bool or 0/1"):
+        realize(m, [True, False, True, bad, False, True])
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1, 0, 1, 2, 0, 1]),
+    np.ones((6, 1), dtype=bool),             # six entries of one coin each
+    np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0]),
+    np.array([True, False, True, True, False, True], dtype=object),
+    (np.uint64(1), np.int64(0), 1, 1, 0, 1),  # promoted to float64
+], ids=["int64-two", "two-d", "float-array", "object-array", "mixed-unsigned"])
+def test_realize_rejects_non_coin_arrays(bad):
+    with pytest.raises(ValueError, match="bool or 0/1"):
+        realize(erdos_renyi(4, 0.5), bad)
+
+
+STATE_CASES = [
+    (erdos_renyi(4, 0.5), (True, False, True, True, False, True)),
+    (erdos_renyi(4, 0.5), (1, 0, 1, 1, 0, 1)),
+    (erdos_renyi(4, 0.5), (1, 0, 1, 2, 0, 1)),
+    (erdos_renyi(4, 0.5), (True, False, True, 255, False, True)),
+    (erdos_renyi(4, 0.5), (True, False, True, _Index(0), False, True)),
+    (erdos_renyi(4, 0.5), ["T", "F", "T", "T", "F", "T"]),
+    (erdos_renyi(4, 0.5), (True, False, True, (), False, True)),
+    (edge_block_exact(4, 2, 3), ((0, 1), (1, 2))),
+    (edge_block_exact(4, 2, 3), [[2, 1], [1, 0]]),
+    (edge_block_exact(4, 2, 3), ((0, 1), [1, 2])),
+    (edge_block_exact(4, 2, 3), ((0, 1), (1, 3))),
+    (edge_block_exact(4, 2, 3), ((0, 1, 2), (1,))),
+    (edge_block_exact(4, 2, 3), ((0, 1), (1, True))),
+    (edge_block_exact(4, 2, 3), ((0, 1), {1, 2})),
+    (edge_block_exact(4, 1, 3), ((0,), (2,))),
+    (edge_block_exact(4, 1, 3), ((0,), 2)),
+    (edge_block_exact(24, 1, 276), ((275,),)),
+    (edge_block_exact(24, 1, 276), ((2 ** 31,),)),
+]
+
+
+@pytest.mark.parametrize("model,state", STATE_CASES)
+def test_realize_judges_states_as_asarray_does(monkeypatch, model, state):
+    # the state image is only a faster np.asarray: realize with np.asarray
+    # in its place gives the same graph, or the same error
+    got = _realized_or_error(model, state)
+    monkeypatch.setattr(distributions, "_state_array",
+                        lambda layout, state: np.asarray(state))
+    assert _realized_or_error(model, state) == got
+
+
+def test_captured_states_are_read_from_their_image(monkeypatch):
+    # capture's tuples, and lists of the same entries, never reach np.asarray
+    class NoAsarray:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, *args, **kwargs):
+            raise AssertionError("np.asarray read a captured state")
+
+    models = [correlated_star(9, 0.5, 2), erdos_renyi(1, 0.5),
+              edge_block_exact(6, 1, 3), edge_block_exact(6, 2, 5),
+              edge_block_exact(24, 2, 276)]
+    states = [sample(m, 7, keep_latents=True) for m in models]
+    monkeypatch.setattr(distributions, "np", NoAsarray())
+    for m, out in zip(models, states):
+        assert realize(m, out.latent_state) == out.graph
+        assert realize(m, [list(e) if m.layout.uniform else e
+                           for e in out.latent_state]) == out.graph
 
 
 def test_realize_rejects_wrong_length():
