@@ -239,9 +239,9 @@ def test_realize_accepts_zero_one_coins():
     want = list(realize(m, state).edge_indices())
     assert want == [0, 2, 3, 5]
     ints = tuple(int(v) for v in state)
+    # bytes() of the int64 array is its 48-byte buffer, not six coins
     for same in (list(state), list(ints),
-                 np.array(ints), np.array(ints, dtype=np.uint8),   # bytes() of an
-                 np.array(state),                                  # int64 array is 48 B
+                 np.array(ints), np.array(ints, dtype=np.uint8), np.array(state),
                  tuple(map(np.int64, ints)), tuple(map(np.bool_, state)),
                  (True, 0, 1, True, False, 1),                     # True mixed with 1
                  [np.int64(1), False, True, np.uint8(1), 0, True]):
@@ -249,6 +249,7 @@ def test_realize_accepts_zero_one_coins():
     assert realize(erdos_renyi(1, 0.5), ()).n == 1
 
 
+# edge_block_exact(4, 2, 3): two blocks of three slots, two kept in each
 @pytest.mark.parametrize("state", [
     ((0, 1), (-1, 2)),       # a negative position would wrap to another edge
     ((0, 1), (1, 3)),        # position past the block
