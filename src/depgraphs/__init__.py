@@ -14,11 +14,10 @@ from .bounds import (BOUND_NAMES, BoundReport, clique_bounds,
                      janson_bernstein, janson_phi, jumbledness_deviation,
                      jumbledness_hypothesis, jumbledness_witness_floor, phi,
                      phi_functional)
-from .distributions import (DependencySpec, DistributionModel, SampleOutcome,
-                            audit_model, blocks_from_text, build,
-                            connectivity_gadget, correlated_star,
-                            custom_blocks, edge_block_exact, erdos_renyi,
-                            format_probability, from_descriptor,
+from .distributions import (DistributionModel, SampleOutcome, audit_model,
+                            blocks_from_text, build, connectivity_gadget,
+                            correlated_star, custom_blocks, edge_block_exact,
+                            erdos_renyi, format_probability, from_descriptor,
                             parse_probability, realize, sample, to_descriptor)
 from .errors import ResourceLimitError
 from .graphs import (DensityResult, Graph, SubgraphPattern, edge_cover_number,
@@ -37,8 +36,8 @@ from .rng import derive_seed, generator
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_NAMES", "BoundReport", "DensityResult", "DependencySpec",
-    "DistributionModel", "ExperimentConfig", "ExperimentResult", "Graph",
+    "BOUND_NAMES", "BoundReport", "DensityResult", "DistributionModel",
+    "ExperimentConfig", "ExperimentResult", "Graph",
     "JumblednessViolation", "MeanVarianceReport", "PointResult", "Predicate",
     "ResourceLimitError", "SampleOutcome", "Statistic", "SubgraphPattern",
     "audit_model", "blocks_from_text", "build", "check_monotone_trend",

@@ -27,6 +27,7 @@ from .errors import ResourceLimitError
 from .graphs import to_edge_list
 from .harness import _cell
 from .oracle import exact_event_probability, state_space_size
+from .predicates import _ints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,10 +142,6 @@ def _json_value(v):
     return v
 
 
-def _split_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
 def _split_probs(text: str) -> tuple:
     return tuple(parse_probability(tok) for tok in text.split(",") if tok.strip())
 
@@ -171,11 +168,11 @@ def _experiment_config(args, forced_task: str | None) -> harness.ExperimentConfi
         if value is not None:
             overrides[key] = value
     if args.n:
-        overrides["ns"] = _split_ints(args.n)
+        overrides["ns"] = _ints(args.n)
     if args.p:
         overrides["ps"] = _split_probs(args.p)
     if args.d:
-        overrides["ds"] = _split_ints(args.d)
+        overrides["ds"] = _ints(args.d)
     for key in ("trials", "workers", "a", "m"):
         value = getattr(args, key, None)
         if value is not None:

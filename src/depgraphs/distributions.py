@@ -19,8 +19,10 @@ realize maps a given state the same way; the audit reads block ownership
 from it; the oracle sizes its state space by it.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
-so the dependency graph is a disjoint union of cliques, one per block,
-and its max degree is max(block size) - 1 <= d.
+so the dependency graph is a disjoint union of cliques, one per block.
+The model rejects blocks that overlap, so the max degree is the largest
+block size minus 1 (max_dependency_degree), which the audit checks
+against d.
 """
 
 from __future__ import annotations
@@ -75,47 +77,6 @@ def format_probability(p) -> str:
 def _check_probability(p) -> None:
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class DependencySpec:
-    """Edge-dependency structure: disjoint groups of mutually dependent edges.
-
-    Edges in the same group are pairwise dependent; all other pairs are
-    independent.  d is the declared bound on the max dependency degree.
-    """
-    n: int
-    d: int
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        limit = num_edges(self.n)
-        for g in self.groups:
-            for e in g:
-                if not 0 <= e < limit:
-                    raise ValueError(f"edge index {e} out of range")
-                if e in seen:
-                    raise ValueError(f"edge index {e} in two dependency groups")
-                seen.add(e)
-
-    def max_degree(self) -> int:
-        return max((len(g) - 1 for g in self.groups), default=0)
-
-    def neighbors(self, e: int) -> frozenset[int]:
-        for g in self.groups:
-            if e in g:
-                return frozenset(g) - {e}
-        return frozenset()
-
-    def neighbors_map(self) -> dict[int, frozenset[int]]:
-        """Full edge -> dependent-edges map; O(n^2) entries, small n only."""
-        out = {e: frozenset() for e in range(num_edges(self.n))}
-        for g in self.groups:
-            gs = frozenset(g)
-            for e in g:
-                out[e] = gs - {e}
-        return out
 
 
 class SampleOutcome(NamedTuple):
@@ -247,16 +208,13 @@ class DistributionModel:
                 self._layout = _build_layout(self.n, self.blocks)
         return self._layout
 
-    def single_edges(self) -> np.ndarray:
-        """Edge indices driven by private coins, ascending."""
-        return self.layout.singles
-
     def latent_count(self) -> int:
         return self.layout.latents
 
-    def dependency_spec(self) -> DependencySpec:
-        groups = tuple(b for b in self.blocks if len(b) >= 2)
-        return DependencySpec(self.n, self.d, groups)
+    def max_dependency_degree(self) -> int:
+        """The dependency graph's max degree: the largest block size minus
+        1, or 0 without a block of 2 or more edges."""
+        return max([1, *map(len, self.blocks)]) - 1
 
     # -- plumbing ------------------------------------------------------
 
@@ -926,8 +884,7 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
         pair_reports.append(PairIndependence(a, b, (n11, n10, n01, n00),
                                              stat, pval, bad))
 
-    spec = model.dependency_spec()
-    max_deg = spec.max_degree()
+    max_deg = model.max_dependency_degree()
     return AuditReport(
         kind=model.kind, n=model.n, p=pf, declared_d=model.d,
         trials=trials, seed=seed,

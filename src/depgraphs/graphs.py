@@ -385,6 +385,8 @@ def contains_subgraph(g: Graph, pattern: SubgraphPattern) -> bool:
 
 
 def _max_matching(n: int, edges: tuple[tuple[int, int], ...]) -> int:
+    """Matching number of the graph on n vertices with these edges, by a
+    memoized search over vertex subsets."""
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
@@ -428,6 +430,11 @@ def edge_cover_number(pattern: SubgraphPattern) -> int:
 
     Uses the Gallai identity |V| - (maximum matching); every matching edge
     covers two vertices and each leftover vertex needs one more edge.
+
+    Phi(H) no longer calls this: bounds._phi_profile forms f(Gamma) for
+    every edge subset at once by a matching-number recurrence.  It stays
+    public as the one-pattern reference that recurrence is checked
+    against, and the acceptance tests check it against brute force.
     """
     h = pattern.graph
     edges = tuple(h.edges())

@@ -1,13 +1,18 @@
 """Seeded, parallel, reproducible experiment grids.
 
 A config names a model family, a grid over (n, p, d), a task, a trial
-count, and a master seed.  Trial t of grid point i always runs on seed
-derive_seed(master, i, t), and the per-trial values merge in trial order,
-so the output is byte-identical for 1 and N workers.  Up to 64 vertices
-the trials run in blocks of bitset rows (sample_rows), evaluated by the
-predicate's batch kernel when it has one, in the calling thread; workers
-parallelize only the per-trial path beyond 64 vertices, whose Philox draws
-and numpy calls release the GIL.
+count, and a master seed.  Each task is one row of the TASKS table, which
+gives per grid point the function each trial evaluates, the theory
+columns of the point's row, and whether the values merge as an event or
+as a statistic; run_experiment runs every task the same way.
+
+Trial t of grid point i always runs on seed derive_seed(master, i, t), and
+the per-trial values merge in trial order, so the output is byte-identical
+for 1 and N workers.  Up to 64 vertices the trials run in blocks of bitset
+rows (sample_rows), evaluated by the trial function's batch kernel when it
+has one, in the calling thread; workers parallelize only the per-trial
+path beyond 64 vertices, whose Philox draws and numpy calls release the
+GIL.
 
 The CSV view deliberately omits anything scheduling-dependent (wall-clock
 times, worker count); those live only in the JSON provenance document.
@@ -25,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,9 +43,6 @@ from .errors import ResourceLimitError
 from .graphs import BATCH_MAX_N, Graph, batch_dtype, batch_size, clique_number
 from .predicates import evaluate_rows
 from .rng import derive_seed, derive_seeds
-
-TASKS = ("probability", "sweep", "degree-violation", "witness",
-         "containment", "clique")
 
 CLIQUE_MAX_N = 60
 
@@ -250,9 +252,9 @@ def _cell_p(p) -> str:
 
 
 def _run_trials(config: ExperimentConfig, point_index: int, model,
-                trial_fn: Callable[[Graph], float], mode: str) -> np.ndarray:
-    """This point's per-trial values, in trial order, as bools for a
-    predicate and floats for a statistic.
+                trial_fn: Callable[[Graph], float], statistic: bool) -> np.ndarray:
+    """This point's per-trial values, in trial order, as bools for an
+    event and floats for a statistic.
 
     Up to BATCH_MAX_N vertices the trials run in blocks in the calling
     thread, whatever the worker count: sample_rows draws a block's graphs
@@ -266,7 +268,7 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     """
     trials = config.trials
     n = model.n
-    dtype = bool if mode == "predicate" else float
+    dtype = float if statistic else bool
     if n <= BATCH_MAX_N:
         block = batch_size(n * batch_dtype(n).itemsize)
         values = []
@@ -289,42 +291,6 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     return np.array(list(chain.from_iterable(parts)), dtype=dtype)
 
 
-def _execute(config: ExperimentConfig,
-             make_model: Callable[[dict], object],
-             annotate: Callable[[dict, object], dict],
-             make_trial: Callable[[dict, object], Callable[[Graph], float]],
-             mode: str = "predicate") -> ExperimentResult:
-    t0 = time.perf_counter()
-    result = ExperimentResult(task=config.task, seed=config.seed, config=config)
-    for index, pt in enumerate(config.grid_points()):
-        row = PointResult(index=index, params=dict(pt), trials=config.trials)
-        started = time.perf_counter()
-        try:
-            model = make_model(pt)
-            extras = annotate(pt, model)
-            trial_fn = make_trial(pt, model)
-            values = _run_trials(config, index, model, trial_fn, mode)
-        except (ValueError, ResourceLimitError) as exc:
-            row.error = str(exc)
-            row.duration = time.perf_counter() - started
-            result.points.append(row)
-            continue
-        for key, value in extras.items():
-            setattr(row, key, value)
-        if mode == "predicate":
-            row.successes = int(np.count_nonzero(values))
-            row.estimate = row.successes / config.trials
-            row.ci_low, row.ci_high = stats.wilson_interval(row.successes, config.trials)
-        else:
-            row.stat_min = float(values.min())
-            row.stat_max = float(values.max())
-            row.stat_mean = math.fsum(values) / config.trials
-        row.duration = time.perf_counter() - started
-        result.points.append(row)
-    result.duration = time.perf_counter() - t0
-    return result
-
-
 def _default_model(pt: dict, blocks_text: str | None = None):
     if pt["kind"] == CUSTOM_BLOCKS:
         if not blocks_text:
@@ -336,153 +302,166 @@ def _default_model(pt: dict, blocks_text: str | None = None):
 
 # -- tasks -------------------------------------------------------------
 
-def estimate_probability(config: ExperimentConfig) -> ExperimentResult:
-    """P(predicate) per grid point, with Wilson 99% intervals."""
+class Task(NamedTuple):
+    """One row of the task table.
 
-    def make_trial(pt, model):
-        pred = predicates.parse_predicate(config.predicate, p=pt["p"])
-        return pred
-
-    return _execute(config, lambda pt: _default_model(pt, config.blocks),
-                    lambda pt, model: {}, make_trial)
-
-
-def threshold_sweep(config: ExperimentConfig) -> ExperimentResult:
-    """Monotone-predicate probabilities along an increasing p grid.
-
-    Each row carries the proved upper threshold (d+1) ln(n)/n and the
-    example lower threshold (1-eps)(d+1) ln(n/sqrt(d+1))/n for its (n, d).
+    check(config) runs before any grid point: it raises ValueError for a
+    config the task cannot run, and returns the pattern the task looks for,
+    or None.  A grid point above max_n fails before its model is built.
+    Then theory(pt, config, pattern) gives the point's theory columns and
+    trial(pt, config, pattern) the function each trial evaluates on its
+    graph; a ValueError from any of these fails only that point.  An
+    event's values merge to a success count, an estimate and a Wilson
+    interval, a statistic's to min, mean and max.
     """
+    trial: Callable[[dict, ExperimentConfig, object], Callable[[Graph], float]]
+    theory: Callable[[dict, ExperimentConfig, object], dict]
+    statistic: bool = False
+    check: Callable[[ExperimentConfig], object] | None = None
+    max_n: int | None = None
+
+
+def _predicate(pt, config, pattern):
+    return predicates.parse_predicate(config.predicate, p=pt["p"])
+
+
+def _no_theory(pt, config, pattern):
+    return {}
+
+
+def _sweep_check(config):
     if config.kind == EDGE_BLOCK_EXACT:
         raise ValueError("sweep needs an explicit p grid, not an edge-block model")
     if any(float(q) <= float(p) for p, q in zip(config.ps, config.ps[1:])):
         raise ValueError("sweep p grid must be strictly increasing")
 
-    def annotate(pt, model):
-        return {
-            "theory_low": bounds.connectivity_example_threshold(
-                pt["n"], pt["d"], config.eps),
-            "theory_high": bounds.connectivity_upper_threshold(pt["n"], pt["d"]),
-        }
 
-    def make_trial(pt, model):
-        return predicates.parse_predicate(config.predicate, p=pt["p"])
-
-    return _execute(config, lambda pt: _default_model(pt, config.blocks),
-                    annotate, make_trial)
+def _sweep_theory(pt, config, pattern):
+    """The example lower threshold (1-eps)(d+1) ln(n/sqrt(d+1))/n and the
+    proved upper threshold (d+1) ln(n)/n at the point's (n, d)."""
+    return {
+        "theory_low": bounds.connectivity_example_threshold(pt["n"], pt["d"], config.eps),
+        "theory_high": bounds.connectivity_upper_threshold(pt["n"], pt["d"]),
+    }
 
 
-def degree_violation_rate(config: ExperimentConfig) -> ExperimentResult:
-    """Fraction of trials in which some vertex leaves the theoretical
-    degree interval np +- 4 sqrt(np d1 ln n)."""
-
-    def annotate(pt, model):
-        lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
-        return {"theory_low": lo, "theory_high": hi,
-                "hypothesis": bounds.degree_hypothesis(pt["n"], pt["p"], pt["d"])}
-
-    def make_trial(pt, model):
-        lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
-        return predicates.negate(predicates.degree_in_range(lo, hi))
-
-    return _execute(config, lambda pt: _default_model(pt, config.blocks),
-                    annotate, make_trial)
+def _degree_theory(pt, config, pattern):
+    lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
+    return {"theory_low": lo, "theory_high": hi,
+            "hypothesis": bounds.degree_hypothesis(pt["n"], pt["p"], pt["d"])}
 
 
-def jumbledness_witness_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Success rate of the constructed witness pair against its floor.
+def _degree_violation(pt, config, pattern):
+    """Some vertex leaves the degree interval np +- 4 sqrt(np d1 ln n)."""
+    lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
+    return predicates.negate(predicates.degree_in_range(lo, hi))
 
-    Samples the correlated-star model; S is the hub set, B the common
-    neighborhood of S outside S.  A trial succeeds when
-    e(S,B) - p|S||B| > WITNESS_SLACK * floor(|S|, |B|).  The theory_value
-    column is the floor at the typical size |B| = np(1 - (d+1)/n).
-    """
+
+def _witness_check(config):
     if config.kind != CORRELATED_STAR:
         raise ValueError("the witness experiment is defined for correlated-star")
 
-    def annotate(pt, model):
-        n, p, d = pt["n"], float(pt["p"]), pt["d"]
-        typical_b = max(0, round(n * p * (1.0 - (d + 1) / n)))
-        return {"theory_value": bounds.jumbledness_witness_floor(
-            d + 1, typical_b, n, p, d)}
 
-    def make_trial(pt, model):
-        n, p, d = pt["n"], float(pt["p"]), pt["d"]
-        s = d + 1
-        smask = (1 << s) - 1
-
-        def witness_beats_floor(g: Graph) -> bool:
-            bmask = 0
-            for x in range(s, n):
-                if g.rows[x] & smask == smask:
-                    bmask |= 1 << x
-            bsize = bmask.bit_count()
-            crossing = sum((g.rows[v] & bmask).bit_count() for v in range(s))
-            deviation = crossing - p * s * bsize
-            floor = bounds.jumbledness_witness_floor(s, bsize, n, p, d)
-            return deviation > WITNESS_SLACK * floor
-        return witness_beats_floor
-
-    return _execute(config, lambda pt: _default_model(pt, config.blocks),
-                    annotate, make_trial)
+def _witness_theory(pt, config, pattern):
+    """The witness floor at the typical size |B| = np(1 - (d+1)/n)."""
+    n, p, d = pt["n"], float(pt["p"]), pt["d"]
+    typical_b = max(0, round(n * p * (1.0 - (d + 1) / n)))
+    return {"theory_value": bounds.jumbledness_witness_floor(d + 1, typical_b, n, p, d)}
 
 
-def containment_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Empirical P(no copy of H) against the bound min(1, 10 Phi(H))."""
+def _witness(pt, config, pattern):
+    """The constructed witness pair beats its floor: with S the hub set and
+    B the common neighborhood of S outside S,
+    e(S,B) - p|S||B| > WITNESS_SLACK * floor(|S|, |B|)."""
+    n, p, d = pt["n"], float(pt["p"]), pt["d"]
+    s = d + 1
+    smask = (1 << s) - 1
+
+    def witness_beats_floor(g: Graph) -> bool:
+        bmask = 0
+        for x in range(s, n):
+            if g.rows[x] & smask == smask:
+                bmask |= 1 << x
+        bsize = bmask.bit_count()
+        crossing = sum((g.rows[v] & bmask).bit_count() for v in range(s))
+        deviation = crossing - p * s * bsize
+        floor = bounds.jumbledness_witness_floor(s, bsize, n, p, d)
+        return deviation > WITNESS_SLACK * floor
+    return witness_beats_floor
+
+
+def _clique_theory(pt, config, pattern):
+    lo, hi = bounds.clique_bounds(pt["n"], pt["p"], pt["d"])
+    return {"theory_low": lo, "theory_high": hi,
+            "hypothesis": bounds.clique_hypothesis(pt["n"], pt["p"], pt["d"])}
+
+
+def _containment_check(config):
     if not config.pattern:
         raise ValueError("containment experiment needs a pattern")
-    pattern = predicates.resolve_pattern(config.pattern)
-
-    def annotate(pt, model):
-        value = bounds.containment_failure_bound(
-            pattern, pt["n"], pt["p"], pt["d"])
-        return {"theory_value": min(1.0, value),
-                "hypothesis": bounds.containment_hypothesis(
-                    pattern, pt["n"], pt["d"])}
-
-    def make_trial(pt, model):
-        return predicates.lacks_pattern(pattern)
-
-    result = _execute(config, lambda pt: _default_model(pt, config.blocks),
-                      annotate, make_trial)
-    for row in result.points:
-        row.params["pattern"] = pattern.name
-    return result
+    return predicates.resolve_pattern(config.pattern)
 
 
-def clique_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Min/mean/max clique number per grid point with reference curves."""
-
-    def make_model(pt):
-        if pt["n"] > CLIQUE_MAX_N:
-            raise ValueError(
-                f"n={pt['n']} exceeds the exact clique search limit {CLIQUE_MAX_N}")
-        return _default_model(pt, config.blocks)
-
-    def annotate(pt, model):
-        lo, hi = bounds.clique_bounds(pt["n"], pt["p"], pt["d"])
-        return {"theory_low": lo, "theory_high": hi,
-                "hypothesis": bounds.clique_hypothesis(pt["n"], pt["p"], pt["d"])}
-
-    def make_trial(pt, model):
-        return clique_number
-
-    return _execute(config, make_model, annotate, make_trial, mode="statistic")
+def _containment_theory(pt, config, pattern):
+    """The bound min(1, 10 Phi(H)) on P(no copy of H)."""
+    value = bounds.containment_failure_bound(pattern, pt["n"], pt["p"], pt["d"])
+    return {"theory_value": min(1.0, value),
+            "hypothesis": bounds.containment_hypothesis(pattern, pt["n"], pt["d"])}
 
 
-_TASK_RUNNERS = {
-    "probability": estimate_probability,
-    "sweep": threshold_sweep,
-    "degree-violation": degree_violation_rate,
-    "witness": jumbledness_witness_experiment,
-    "containment": containment_experiment,
-    "clique": clique_experiment,
+# probability and sweep estimate P(predicate), sweep along an increasing p
+# grid; degree-violation, witness and containment estimate the events
+# above; clique reports the clique number's min, mean and max.
+TASKS = {
+    "probability": Task(_predicate, _no_theory),
+    "sweep": Task(_predicate, _sweep_theory, check=_sweep_check),
+    "degree-violation": Task(_degree_violation, _degree_theory),
+    "witness": Task(_witness, _witness_theory, check=_witness_check),
+    "containment": Task(lambda pt, config, pattern: predicates.lacks_pattern(pattern),
+                        _containment_theory, check=_containment_check),
+    "clique": Task(lambda pt, config, pattern: clique_number, _clique_theory,
+                   statistic=True, max_n=CLIQUE_MAX_N),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch a config to its task runner."""
-    return _TASK_RUNNERS[config.task](config)
+    """Run the config's task on every grid point, in grid order."""
+    t0 = time.perf_counter()
+    task = TASKS[config.task]
+    pattern = task.check(config) if task.check else None
+    result = ExperimentResult(task=config.task, seed=config.seed, config=config)
+    for index, pt in enumerate(config.grid_points()):
+        row = PointResult(index=index, params=dict(pt), trials=config.trials)
+        if pattern is not None:
+            row.params["pattern"] = pattern.name
+        started = time.perf_counter()
+        try:
+            if task.max_n is not None and pt["n"] > task.max_n:
+                raise ValueError(f"n={pt['n']} exceeds the exact {config.task} "
+                                 f"search limit {task.max_n}")
+            model = _default_model(pt, config.blocks)
+            extras = task.theory(pt, config, pattern)
+            trial_fn = task.trial(pt, config, pattern)
+            values = _run_trials(config, index, model, trial_fn, task.statistic)
+        except (ValueError, ResourceLimitError) as exc:
+            row.error = str(exc)
+            row.duration = time.perf_counter() - started
+            result.points.append(row)
+            continue
+        for key, value in extras.items():
+            setattr(row, key, value)
+        if task.statistic:
+            row.stat_min = float(values.min())
+            row.stat_max = float(values.max())
+            row.stat_mean = math.fsum(values) / config.trials
+        else:
+            row.successes = int(np.count_nonzero(values))
+            row.estimate = row.successes / config.trials
+            row.ci_low, row.ci_high = stats.wilson_interval(row.successes, config.trials)
+        row.duration = time.perf_counter() - started
+        result.points.append(row)
+    result.duration = time.perf_counter() - t0
+    return result
 
 
 def check_monotone_trend(result: ExperimentResult, z: float = 3.0) -> bool:

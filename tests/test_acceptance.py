@@ -82,7 +82,7 @@ def test_criterion_03_dependency_degree_never_exceeds_d():
     models.append(custom_blocks(6, 0.3, blocks_from_text(6, "0 1; 2 3 4 5")))
     assert len(models) == 50
     for model in models:
-        assert model.dependency_spec().max_degree() <= model.d, model
+        assert model.max_dependency_degree() <= model.d, model
 
 
 def test_criterion_04_degree_concentration_violation_rate():

@@ -206,6 +206,14 @@ def test_sweep_subcommand_forces_task(capsys):
     assert '"task":"sweep"' in out
 
 
+def test_task_choices_are_the_task_table(capsys):
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    experiment = sub.choices["experiment"]
+    (task,) = [a for a in experiment._actions if a.dest == "task"]
+    assert list(task.choices) == list(harness.TASKS)
+    assert not [a for a in sub.choices["sweep"]._actions if a.dest == "task"]
+
+
 # -- audit -------------------------------------------------------------
 
 def test_audit_clean_exit_0(capsys):

@@ -49,7 +49,7 @@ def test_er_has_no_blocks():
     m = erdos_renyi(6, 0.3)
     assert m.d == 0 and m.blocks == ()
     assert m.latent_count() == 15
-    assert list(m.single_edges()) == list(range(15))
+    assert m.layout.singles.tolist() == list(range(15))
 
 
 def test_star_blocks_are_stars():
@@ -66,7 +66,7 @@ def test_star_blocks_are_stars():
 def test_star_d0_is_er_in_law():
     m = correlated_star(8, 0.4, 0)
     assert m.blocks == ()
-    assert m.dependency_spec().max_degree() == 0
+    assert m.max_dependency_degree() == 0
 
 
 def test_star_needs_room_for_s():
@@ -78,7 +78,7 @@ def test_star_needs_room_for_s():
 def test_gadget_block_sizes_respect_d():
     m = connectivity_gadget(100, 0.1, 3)
     assert all(2 <= len(b) <= 4 for b in m.blocks)
-    assert m.dependency_spec().max_degree() <= 3
+    assert m.max_dependency_degree() <= 3
 
 
 def test_gadget_square_requirement():
@@ -164,22 +164,13 @@ def test_model_rejects_overlapping_blocks():
         DistributionModel("custom-blocks", 4, 0.5, 2, {}, ((0, 1), (1, 2)))
 
 
-# -- dependency spec ---------------------------------------------------
+# -- dependency degree and latent order --------------------------------
 
-def test_dependency_spec_neighbors():
-    m = custom_blocks(4, 0.5, [(0, 1, 2), (3, 4), (5,)])
-    spec = m.dependency_spec()
-    assert spec.neighbors(0) == {1, 2}
-    assert spec.neighbors(3) == {4}
-    assert spec.neighbors(5) == frozenset()
-    nm = spec.neighbors_map()
-    assert nm[1] == {0, 2} and nm[5] == frozenset()
-
-
-def test_dependency_spec_rejects_overlap():
-    from depgraphs.distributions import DependencySpec
-    with pytest.raises(ValueError):
-        DependencySpec(4, 1, ((0, 1), (1, 2)))
+def test_max_dependency_degree_is_largest_block_minus_one():
+    assert custom_blocks(4, 0.5, [(0, 1, 2), (3, 4), (5,)]).max_dependency_degree() == 2
+    assert custom_blocks(4, 0.5, [(e,) for e in range(6)]).max_dependency_degree() == 0
+    assert erdos_renyi(5, 0.5).max_dependency_degree() == 0
+    assert edge_block_exact(6, 1, 3).max_dependency_degree() == 2
 
 
 def test_declared_order_blocks_then_singles():

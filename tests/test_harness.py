@@ -268,6 +268,43 @@ def test_clique_size_gate():
     result = run_experiment(c)
     assert result.points[0].error is not None
     assert "61" in result.points[0].error
+    # connectivity-gadget with d = 2 fails to build (3 is not a square); the
+    # size gate runs before the model is built, so it reports first
+    c = cfg(task="clique", kind="gadget", ns=(61, 30), ps=(0.25,), ds=(2,),
+            trials=5)
+    result = run_experiment(c)
+    assert result.points[0].error == "n=61 exceeds the exact clique search limit 60"
+    assert "perfect square" in result.points[1].error
+
+
+@pytest.mark.parametrize("config, match", [
+    (cfg(task="sweep", ps=(0.2, 0.1)), "increasing"),
+    (ExperimentConfig(task="sweep", kind="edge-block", ns=(4,), a=1, m=2),
+     "edge-block"),
+    (cfg(task="witness"), "correlated-star"),
+    (cfg(task="containment"), "needs a pattern"),
+    (cfg(task="containment", pattern=""), "needs a pattern"),
+    (cfg(task="containment", pattern="no-such-pattern"), "unknown pattern"),
+])
+def test_run_level_errors_raise_before_any_point(monkeypatch, config, match):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+    monkeypatch.setattr(harness, "build", no_model)
+    with pytest.raises(ValueError, match=match):
+        run_experiment(config)
+
+
+@pytest.mark.parametrize("task", ["probability", "sweep", "degree-violation",
+                                  "witness", "clique"])
+def test_pattern_is_ignored_outside_containment(monkeypatch, task):
+    def no_resolve(spec):
+        raise AssertionError(f"pattern {spec!r} resolved")
+    monkeypatch.setattr(harness.predicates, "resolve_pattern", no_resolve)
+    c = cfg(task=task, kind="star", ns=(10,), ps=(0.3,), ds=(1,), trials=10,
+            pattern="no-such-pattern")
+    (pt,) = run_experiment(c).points
+    assert pt.error is None
+    assert "pattern" not in pt.params
 
 
 # -- determinism -------------------------------------------------------
