@@ -32,7 +32,6 @@ import io
 import marshal
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import ceil, isqrt, log, prod
 from typing import Iterable, NamedTuple, Sequence
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import stats
-from .graphs import Graph, batch_dtype, batch_size, num_edges
+from .graphs import Graph, _endpoints, batch_dtype, batch_size, num_edges
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -407,24 +406,13 @@ def _require(value, name):
 
 # -- sampling ----------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _colex_uv(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # endpoint arrays aligned with the colex edge index
-    counts = np.arange(1, n, dtype=np.int64)
-    v = np.repeat(counts, counts)
-    offsets = v * (v - 1) // 2
-    u = np.arange(num_edges(n), dtype=np.int64) - offsets
-    return u, v
-
-
 def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
     """Graph with exactly the given (distinct) edge indices present.
 
     Both endpoints' bits are set in one bool matrix whose rows are padded
     to whole 64-bit words, and a single packbits call turns it into rows.
     """
-    u, v = _colex_uv(n)
-    eu, ev = u[edges], v[edges]
+    eu, ev = _endpoints(n, edges)
     width = -(-n // 64) * 64
     adj = np.zeros((n, width), dtype=bool)
     adj[eu, ev] = True

@@ -48,6 +48,14 @@ def edge_endpoints(index: int, n: int) -> tuple[int, int]:
     return index - v * (v - 1) // 2, v
 
 
+def _endpoints(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays u and v with u < v, the endpoints of each colex edge index."""
+    tri = np.arange(n + 1, dtype=np.int64)
+    tri = tri * (tri - 1) // 2
+    v = np.searchsorted(tri, edges, side="right") - 1
+    return edges - tri[v], v
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of set bits, ascending."""
     while mask:

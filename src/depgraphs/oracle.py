@@ -45,7 +45,8 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import DistributionModel, _draw_latents, _edges, _graph_from_edges
 from .errors import ResourceLimitError
-from .graphs import BATCH_MAX_N, Graph, batch_dtype, batch_size, num_edges
+from .graphs import (BATCH_MAX_N, Graph, _endpoints, batch_dtype, batch_size,
+                     num_edges)
 from .predicates import Predicate, Statistic, evaluate_rows
 
 ENUMERATION_BUDGET = 1 << 24
@@ -80,14 +81,6 @@ def _check_budget(model: DistributionModel) -> None:
             or state_space_size(model) > ENUMERATION_BUDGET):
         raise ResourceLimitError(
             f"latent space has {text} outcomes, budget is {ENUMERATION_BUDGET}")
-
-
-def _endpoints(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays u and v with u < v, the endpoints of each colex edge index."""
-    tri = np.arange(n + 1, dtype=np.int64)
-    tri = tri * (tri - 1) // 2
-    v = np.searchsorted(tri, edges, side="right") - 1
-    return edges - tri[v], v
 
 
 def _next_combination(x: int) -> int:

@@ -43,7 +43,7 @@ def test_packer_matches_from_edge_indices(case):
     assert packed.rows == Graph.from_edge_indices(n, edges).rows
 
 
-@pytest.mark.parametrize("n", WORD_BOUNDARY_NS)
+@pytest.mark.parametrize("n", WORD_BOUNDARY_NS + (2000,))
 def test_packer_complete_and_empty(n):
     everything = np.arange(num_edges(n), dtype=np.int64)
     assert _graph_from_edges(n, everything).rows == Graph.complete(n).rows
