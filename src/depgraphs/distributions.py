@@ -571,20 +571,24 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     Row v of graph t is an unsigned word of graphs.batch_dtype(n), n <= 64,
     with bit w set when v and w are adjacent.  Each trial draws as sample
     does, from this thread's generator reset to its seed, into one row of a
-    block's array: coins compare one raw draw with a threshold formed once
-    per call; uniform subsets draw their keys, and one _picks call picks
+    block's array.  Coins: each trial's raw draw fills a row of a uint64
+    word buffer sized to graphs.BATCH_BYTES, and one np.less_equal per
+    buffer compares its words with a threshold formed once per call.
+    Uniform subsets: each trial draws its keys, and one _picks call picks
     from the whole block.  A block's rows then come from one gather of the
     latent values through an (n, W) table of the column behind each row
     bit, and one packbits; the bits without an edge are cleared.  Blocks
     are sized so that their widest array fits graphs.BATCH_BYTES.
     """
     layout = model.layout
+    latents = layout.latents
     n = model.n
     dtype = batch_dtype(n)
     seeds = list(map(int, seeds))
     rows = np.zeros((len(seeds), n), dtype=dtype)
     if not seeds or not num_edges(n):
         return rows
+    seeded = rngmod.seeded
     width = 8 * dtype.itemsize
     # the column behind bit w of row v; column 0 where there is no edge
     v = np.arange(n)[:, None]
@@ -602,18 +606,24 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
         values = _latent_rows(model, len(seeds), n * width)
         block = len(values)
         threshold = _coin_threshold(model.p)
+        # at most 2016 latents at n <= 64, so one raw draw per trial, as in
+        # _coins, into a row of a word buffer of one budget
+        words = np.empty((min(block, batch_size(8 * latents)), latents),
+                         dtype=np.uint64)
     for start in range(0, len(seeds), block):
         count = min(block, len(seeds) - start)
         if layout.uniform:
             for t, seed in enumerate(seeds[start:start + count]):
-                rngmod.seeded(seed).random(out=keys[t])
+                seeded(seed).random(out=keys[t])
             drawn = _present(model, _picks(keys[:count], layout.a))
         elif threshold is not None:
             drawn = values[:count]
-            # at most 2016 latents at n <= 64, so one raw draw, as in _coins
-            for t, seed in enumerate(seeds[start:start + count]):
-                raw = rngmod.seeded(seed).bit_generator.random_raw(layout.latents)
-                np.less_equal(raw, threshold, out=drawn[t])
+            for first in range(0, count, len(words)):
+                chunk = seeds[start + first:start + min(count, first + len(words))]
+                for t, seed in enumerate(chunk):
+                    words[t] = seeded(seed).bit_generator.random_raw(latents)
+                np.less_equal(words[:len(chunk)], threshold,
+                              out=drawn[first:first + len(chunk)])
         else:
             drawn = values[:count]
             drawn[...] = False    # p = 0

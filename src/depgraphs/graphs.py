@@ -234,26 +234,34 @@ def clique_number(g: Graph) -> int:
             if size > best:
                 best = size
             return
-        # color classes of the candidate set; a clique meets each class once
-        order: list[int] = []
-        bound: list[int] = []
+        # color classes of the candidate set; a clique meets each class
+        # once, so a vertex colored below best - size + 1 cannot lead past
+        # best: its class is neither recorded nor branched on, and it stays
+        # in cand (Tomita et al., WALCOM 2010)
+        least = best - size + 1
+        classes: list[int] = []
         uncolored = cand
         color = 0
         while uncolored:
             color += 1
             avail = uncolored
+            members = 0
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~(rows[v] | (1 << v))
-                uncolored &= ~(1 << v)
-                order.append(v)
-                bound.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bound[i] <= best:
-                return
-            v = order[i]
-            expand(size + 1, cand & rows[v])
-            cand &= ~(1 << v)
+                low = avail & -avail
+                members |= low
+                avail &= ~(rows[low.bit_length() - 1] | low)
+            uncolored ^= members
+            if color >= least:
+                classes.append(members)
+        for members in reversed(classes):
+            while members:
+                if size + color <= best:
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                expand(size + 1, cand & rows[v])
+                cand &= ~(1 << v)
+            color -= 1
 
     expand(0, (1 << g.n) - 1)
     return best
@@ -544,13 +552,15 @@ def _columns(rows: np.ndarray) -> np.ndarray:
 
 
 def _union_of_rows(cols: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Per graph t, the OR of its rows v over the vertices v in masks[t];
-    only vertices in some graph's mask are visited."""
-    dtype = cols.dtype.type
-    union = np.zeros_like(masks)
-    for v in iter_bits(int(np.bitwise_or.reduce(masks))):
-        union |= cols[v] * ((masks >> dtype(v)) & dtype(1))
-    return union
+    """Per graph t, the OR of its rows v over the vertices v in masks[t],
+    as one masked reduction over the vertices from the lowest to the
+    highest that some graph's mask holds."""
+    live = int(np.bitwise_or.reduce(masks))
+    lo, hi = max(0, (live & -live).bit_length() - 1), live.bit_length()
+    picked = masks >> np.arange(lo, hi, dtype=cols.dtype)[:, None]
+    picked &= cols.dtype.type(1)
+    picked *= cols[lo:hi]
+    return np.bitwise_or.reduce(picked, axis=0)
 
 
 def batch_connected(rows: np.ndarray) -> np.ndarray:

@@ -227,6 +227,9 @@ def test_clique_number_matches_networkx_find_cliques():
     cases = [Graph.empty(1), Graph.empty(40), Graph.complete(1), Graph.complete(40)]
     cases += [random_graph(rng, rng.randint(1, 40), rng.choice([0.05, 0.2, 0.5, 0.8]))
               for _ in range(40)]
+    # dense graphs, where coloring skips the most classes below the bound
+    cases += [random_graph(rng, rng.randint(20, 45), rng.choice([0.9, 0.95]))
+              for _ in range(12)]
     for g in cases:
         h = nx.Graph()
         h.add_nodes_from(range(g.n))

@@ -1,5 +1,6 @@
 """Predicate and statistic parsing plus their graph semantics."""
 
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depgraphs.distributions import correlated_star, sample_rows
 from depgraphs.graphs import Graph, SubgraphPattern, batch_dtype, named_pattern
 from depgraphs.predicates import (connected, contains_pattern, degree_in_range,
                                   edge_count_equals, edge_count_statistic,
@@ -14,6 +16,7 @@ from depgraphs.predicates import (connected, contains_pattern, degree_in_range,
                                   edges_between_statistic, has_isolated_vertex,
                                   isolated_count_statistic, lacks_pattern,
                                   negate, parse_predicate, resolve_pattern)
+from depgraphs.rng import derive_seeds
 
 KERNEL_PREDICATES = ["true", "connected", "not-connected", "isolated-vertex",
                      "contains:edge", "contains:k2", "contains:k3", "lacks:k3",
@@ -138,6 +141,26 @@ def test_kernels_match_fn(n, seed, densities):
         got = stat.batch(rows)
         assert got.dtype == np.int64
         assert got.tolist() == [stat(g) for g in gs], stat.name
+
+
+@pytest.mark.parametrize("n", [33, 48, 64])
+def test_kernels_match_fn_on_sampled_blocks(n):
+    # one block of 300 sampled graphs, so each kernel's vectorized union
+    # runs over many graphs' different masks at once; at this p about 70%
+    # of the graphs are connected and about a third hold a k4
+    model = correlated_star(n, 1.3 * math.log(n) / n, 3)
+    rows = sample_rows(model, derive_seeds(11, n, 0, 300))
+    gs = [Graph(n, [int(r) for r in row]) for row in rows]
+    preds = [parse_predicate(text) for text in KERNEL_PREDICATES]
+    preds += [edge_deviation_exceeds(range(n // 2), range(n // 3, n), 0.3, 1.5)]
+    for pred in preds:
+        want = [pred(g) for g in gs]
+        assert pred.batch(rows).tolist() == want, pred.name
+        if pred.name in ("connected", "isolated-vertex", "contains:k4"):
+            assert 0 < sum(want) < len(want), pred.name
+    for stat in (edge_count_statistic(), isolated_count_statistic(),
+                 edges_between_statistic(range(n // 2), range(n // 3, n))):
+        assert stat.batch(rows).tolist() == [stat(g) for g in gs], stat.name
 
 
 def test_kernels_only_for_small_cliques():

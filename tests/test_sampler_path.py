@@ -116,6 +116,58 @@ def test_seeded_reproduces_generator_after_dirty_use():
         _check_reset(seed)
 
 
+def _draws(gen):
+    return gen.bit_generator.random_raw(3).tolist() + gen.random(2).tolist()
+
+
+def test_seeded_interleaved_across_threads_matches_generator():
+    # thread a halts before every bytecode of its seeded() calls, the first
+    # (which makes its generator) and a later one, while thread b resets and
+    # draws in full; a key list or generator shared across threads would
+    # hand b's seed or words to a
+    a_seeds, b_seeds = (11, 2 ** 64 - 3), iter(range(10 ** 6, 2 ** 62))
+    go, done = threading.Semaphore(0), threading.Semaphore(0)
+    got_a, got_b = [], []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not rng.seeded.__code__:
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            go.release()
+            done.acquire()
+        return tracer
+
+    def thread_a():
+        for s in a_seeds:
+            sys.settrace(tracer)
+            try:
+                gen = rng.seeded(s)
+            finally:
+                sys.settrace(None)
+            got_a.append((s, _draws(gen)))
+        go.release()        # wakes b to see that a is done
+
+    def thread_b():
+        while True:
+            go.acquire()
+            if len(got_a) == len(a_seeds):
+                return
+            s = next(b_seeds)
+            got_b.append((s, _draws(rng.seeded(s))))
+            done.release()
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (thread_a, thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got_b) > 20
+    for s, draws in got_a + got_b:
+        assert draws == _draws(rng.generator(s)), s
+
+
 MODELS = (
     erdos_renyi(30, 0.2),
     erdos_renyi(70, Fraction(1, 10)),
