@@ -11,7 +11,6 @@ budget exceeded, 3 audit flag raised.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 import time
@@ -27,7 +26,6 @@ from .errors import ResourceLimitError
 from .graphs import to_edge_list
 from .harness import _cell
 from .oracle import exact_event_probability, state_space_size
-from .predicates import _ints
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,48 +140,22 @@ def _json_value(v):
     return v
 
 
-def _split_probs(text: str) -> tuple:
-    return tuple(parse_probability(tok) for tok in text.split(",") if tok.strip())
-
-
 def _experiment_config(args, forced_task: str | None) -> harness.ExperimentConfig:
+    """The config file's settings, or a default grid, with the flags laid
+    over them; the environment's seed only where neither gives one."""
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        config = harness.ExperimentConfig.from_ini(text)
-        ini = configparser.ConfigParser()
-        ini.read_string(text)
-        file_has_seed = ini.has_option("experiment", "seed")
+        settings = harness.ini_settings(Path(args.config).read_text(encoding="utf-8"))
     else:
-        config = harness.ExperimentConfig(
-            task=forced_task or "probability",
-            ns=(10,), ps=(0.5,))
-        file_has_seed = False
-    overrides: dict = {}
+        settings = {"n": "10", "p": "0.5"}
+    for key in harness.SETTINGS:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
     if forced_task:
-        overrides["task"] = forced_task
-    elif args.task:
-        overrides["task"] = args.task
-    for key in ("kind", "predicate", "pattern", "blocks"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.n:
-        overrides["ns"] = _ints(args.n)
-    if args.p:
-        overrides["ps"] = _split_probs(args.p)
-    if args.d:
-        overrides["ds"] = _ints(args.d)
-    for key in ("trials", "workers", "a", "m"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    elif not file_has_seed:
-        overrides["seed"] = rng.default_seed()
-    return config.with_overrides(**overrides)
+        settings["task"] = forced_task
+    if "seed" not in settings:
+        settings["seed"] = str(rng.default_seed())
+    return harness.ExperimentConfig.from_settings(settings)
 
 
 def _run_experiment(args, forced_task: str | None = None) -> int:
@@ -322,22 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=("threshold sweep over a p grid" if forced
                                        else "run an experiment grid"))
         p.add_argument("--config", metavar="FILE",
-                       help="INI config; flags override its values")
-        if not forced:
-            p.add_argument("--task", choices=harness.TASKS)
-        p.add_argument("--kind", "--dist", dest="kind")
-        p.add_argument("--n", help="comma-separated n grid")
-        p.add_argument("--p", help="comma-separated p grid")
-        p.add_argument("--d", help="comma-separated d grid")
-        p.add_argument("--a", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--blocks")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--predicate")
-        p.add_argument("--pattern")
-        p.add_argument("--eps", type=float)
+                       help="INI config whose [experiment] keys are the flag "
+                            "names; flags override its values, and n, p and "
+                            "d take comma-separated grids")
+        for key in harness.SETTINGS:
+            if key != "task":
+                p.add_argument(f"--{key}", *(("--dist",) if key == "kind" else ()))
+            elif not forced:
+                p.add_argument("--task", choices=harness.TASKS)
         _add_output_flags(p)
         p.set_defaults(func=fn)
 

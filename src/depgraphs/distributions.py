@@ -530,11 +530,16 @@ def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
 
 def _present(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     """Presence bitmap over edge indices for latent values in declared order;
-    uniform subsets with a leading trial axis give one bitmap per trial."""
+    uniform subsets with a leading trial axis give one bitmap per trial,
+    whose bits are set through one flat index, t * L + edge."""
     lead = values.shape[:-2] if model.layout.uniform else ()
-    present = np.zeros(lead + (num_edges(model.n),), dtype=bool)
-    np.put_along_axis(present, _edges(model, values).reshape(lead + (-1,)),
-                      True, axis=-1)
+    size = num_edges(model.n)
+    present = np.zeros(lead + (size,), dtype=bool)
+    edges = _edges(model, values)
+    if lead:
+        edges = edges.reshape(prod(lead), -1)
+        edges += np.arange(0, present.size, size)[:, None]
+    present.reshape(-1)[edges] = True
     return present
 
 

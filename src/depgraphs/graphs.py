@@ -200,25 +200,6 @@ def is_connected(g: Graph) -> bool:
     return visited == (1 << g.n) - 1
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Vertex bitmasks of the connected components."""
-    remaining = (1 << g.n) - 1
-    comps = []
-    while remaining:
-        start = remaining & -remaining
-        visited = start
-        frontier = start
-        while frontier:
-            reach = 0
-            for v in iter_bits(frontier):
-                reach |= g.rows[v]
-            frontier = reach & ~visited
-            visited |= frontier
-        comps.append(visited)
-        remaining &= ~visited
-    return comps
-
-
 def clique_number(g: Graph) -> int:
     """Exact maximum clique size.
 

@@ -1,7 +1,8 @@
 """Seeded, parallel, reproducible experiment grids.
 
 A config names a model family, a grid over (n, p, d), a task, a trial
-count, and a master seed.  Each task is one row of the TASKS table, which
+count, and a master seed; the SETTINGS table reads each of its settings
+from INI or flag text and echoes it into the provenance.  Each task is one row of the TASKS table, which
 gives per grid point the function each trial evaluates, the theory
 columns of the point's row, and whether the values merge as an event or
 as a statistic; run_experiment runs every task the same way.
@@ -27,7 +28,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, NamedTuple
@@ -53,6 +54,24 @@ CSV_COLUMNS = ("index", "task", "kind", "n", "p", "d", "a", "m", "pattern",
                "trials", "successes", "estimate", "ci_low", "ci_high",
                "hypothesis", "theory_low", "theory_high", "theory_value",
                "stat_min", "stat_mean", "stat_max", "error")
+
+
+def _probabilities(text: str) -> tuple:
+    return tuple(parse_probability(tok) for tok in text.split(",") if tok.strip())
+
+
+# Each experiment setting, in the order the config echoes it: its INI key
+# and CLI flag name, the ExperimentConfig field it sets, and the reader of
+# its text.  Grids are comma-separated; empty items are skipped.
+SETTINGS = {
+    "task": ("task", str), "kind": ("kind", str),
+    "n": ("ns", predicates._ints), "p": ("ps", _probabilities),
+    "d": ("ds", predicates._ints),
+    "trials": ("trials", int), "seed": ("seed", int),
+    "predicate": ("predicate", str), "pattern": ("pattern", str),
+    "eps": ("eps", float), "a": ("a", int), "m": ("m", int),
+    "blocks": ("blocks", str), "workers": ("workers", int),
+}
 
 
 @dataclass(frozen=True)
@@ -85,6 +104,9 @@ class ExperimentConfig:
         object.__setattr__(self, "ps", tuple(self.ps))
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; known: {', '.join(TASKS)}")
+        if self.pattern is not None and self.task != "containment":
+            raise ValueError(f"task {self.task} takes no pattern; "
+                             "only containment looks for one")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -106,50 +128,44 @@ class ExperimentConfig:
                 for n, p, d in product(self.ns, self.ps, self.ds)]
 
     def echo(self, include_workers: bool = True) -> dict:
-        """JSON-safe config image for provenance output."""
-        out = {
-            "task": self.task, "kind": self.kind,
-            "n": list(self.ns),
-            "p": [format_probability(p) for p in self.ps],
-            "d": list(self.ds),
-            "trials": self.trials, "seed": self.seed,
-            "predicate": self.predicate, "pattern": self.pattern,
-            "eps": self.eps, "a": self.a, "m": self.m, "blocks": self.blocks,
-        }
-        if include_workers:
-            out["workers"] = self.workers
+        """JSON-safe config image for provenance output, keyed as SETTINGS."""
+        out = {}
+        for key, (name, _) in SETTINGS.items():
+            value = getattr(self, name)
+            if key == "p":
+                value = [format_probability(p) for p in value]
+            out[key] = list(value) if isinstance(value, tuple) else value
+        if not include_workers:
+            del out["workers"]
         return out
 
     @classmethod
-    def from_ini(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        try:
-            cp.read_string(text)
-        except configparser.Error as exc:
-            raise ValueError(f"bad experiment config: {exc}") from None
-        if "experiment" not in cp:
-            raise ValueError("experiment config needs an [experiment] section")
-        sec = cp["experiment"]
-        kwargs: dict = {}
-        for key in ("task", "kind", "predicate", "pattern", "blocks"):
-            if key in sec:
-                kwargs[key] = sec[key]
-        for key, dest in (("n", "ns"), ("d", "ds")):
-            if key in sec:
-                kwargs[dest] = tuple(int(tok) for tok in sec[key].split(","))
-        if "p" in sec:
-            kwargs["ps"] = tuple(parse_probability(tok)
-                                 for tok in sec["p"].split(","))
-        for key in ("trials", "seed", "workers", "a", "m"):
-            if key in sec:
-                kwargs[key] = int(sec[key])
-        if "eps" in sec:
-            kwargs["eps"] = float(sec["eps"])
+    def from_settings(cls, settings: dict[str, str]) -> "ExperimentConfig":
+        """The config that setting texts keyed as SETTINGS describe, as an
+        INI section (ini_settings) or the CLI flags give them."""
+        kwargs = {}
+        for key, text in settings.items():
+            if key not in SETTINGS:
+                raise ValueError(f"unknown experiment setting {key!r}; "
+                                 f"known: {', '.join(SETTINGS)}")
+            name, read = SETTINGS[key]
+            try:
+                kwargs[name] = read(text)
+            except ValueError as exc:
+                raise ValueError(f"bad {key} {text!r}: {exc}") from None
         return cls(**kwargs)
 
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        live = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **live) if live else self
+
+def ini_settings(text: str) -> dict[str, str]:
+    """The setting texts of an INI config's [experiment] section."""
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"bad experiment config: {exc}") from None
+    if "experiment" not in cp:
+        raise ValueError("experiment config needs an [experiment] section")
+    return dict(cp["experiment"])
 
 
 @dataclass
@@ -193,18 +209,9 @@ class ExperimentResult:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for pt in self.points:
-            writer.writerow([
-                pt.index, self.task,
-                pt.params.get("kind"), pt.params.get("n"),
-                _cell_p(pt.params.get("p")), pt.params.get("d"),
-                _cell(pt.params.get("a")), _cell(pt.params.get("m")),
-                _cell(pt.params.get("pattern")),
-                pt.trials, _cell(pt.successes), _cell(pt.estimate),
-                _cell(pt.ci_low), _cell(pt.ci_high), _cell(pt.hypothesis),
-                _cell(pt.theory_low), _cell(pt.theory_high),
-                _cell(pt.theory_value), _cell(pt.stat_min),
-                _cell(pt.stat_mean), _cell(pt.stat_max), _cell(pt.error),
-            ])
+            row = {**vars(pt), **pt.params, "task": self.task}
+            row["p"] = format_probability(row["p"])
+            writer.writerow([_cell(row.get(name)) for name in CSV_COLUMNS])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -245,10 +252,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _cell_p(p) -> str:
-    return "" if p is None else format_probability(p)
 
 
 def _run_trials(config: ExperimentConfig, point_index: int, model,

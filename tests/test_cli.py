@@ -3,6 +3,7 @@
 import json
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -174,11 +175,56 @@ def test_experiment_config_file_with_override(capsys, tmp_path):
     assert "# seed: 3" in out
 
 
+def test_ini_file_and_flags_build_equal_configs(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\ntask = containment\nkind = star\n"
+                   "n = 10, 20,\np = 1/4 , 0.5,\nd = 1,2\ntrials = 25\n"
+                   "seed = 3\nworkers = 2\npattern = k3\neps = 0.2\n")
+    flags = ("--task", "containment", "--dist", "star", "--n", "10, 20,",
+             "--p", "1/4 , 0.5,", "--d", "1,2", "--trials", "25", "--seed", "3",
+             "--workers", "2", "--pattern", "k3", "--eps", "0.2")
+    parser = cli.build_parser()
+    from_file = cli._experiment_config(
+        parser.parse_args(["experiment", "--config", str(ini)]), None)
+    from_flags = cli._experiment_config(
+        parser.parse_args(["experiment", *flags]), None)
+    assert from_file == from_flags
+    assert from_file.ns == (10, 20) and from_file.ds == (1, 2)
+    assert from_file.ps == (Fraction(1, 4), 0.5)
+
+
+def test_settings_are_the_experiment_and_sweep_flags():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, skip in (("experiment", ()), ("sweep", ("task",))):
+        flags = {a.dest: a.option_strings for a in sub.choices[name]._actions}
+        for key in harness.SETTINGS:
+            if key not in skip:
+                assert f"--{key}" in flags[key], (name, key)
+        assert flags["kind"] == ["--kind", "--dist"]
+
+
+def test_seed_env_read_only_without_a_given_seed(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("DEPGRAPHS_SEED", "not-a-seed")
+    base = ("experiment", "--kind", "er", "--n", "6", "--p", "0.4",
+            "--trials", "5")
+    code, out, _ = run(capsys, *base, "--seed", "5")
+    assert code == 0 and "# seed: 5\n" in out
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nseed = 4\n")
+    code, out, _ = run(capsys, *base, "--config", str(ini))
+    assert code == 0 and "# seed: 4\n" in out
+    code, _, err = run(capsys, *base)
+    assert code == 1 and "DEPGRAPHS_SEED" in err
+
+
 def test_experiment_bad_trials_exit_1(capsys):
     code, _, _ = run(capsys, "experiment", "--task", "probability",
                      "--kind", "er", "--n", "8", "--p", "0.4",
                      "--trials", "0")
     assert code == 1
+    code, _, err = run(capsys, "experiment", "--kind", "er", "--n", "8",
+                       "--p", "0.4", "--trials", "x")
+    assert code == 1 and "bad trials 'x'" in err
 
 
 def test_experiment_all_points_fail_exit_1(capsys):

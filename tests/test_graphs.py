@@ -15,12 +15,11 @@ from scipy.sparse import csgraph, csr_matrix
 
 from depgraphs import graphs as G
 from depgraphs.graphs import (Graph, SubgraphPattern, clique_number,
-                              connected_components, contains_subgraph,
-                              count_edges_between, degree_sequence,
-                              edge_cover_number, edge_endpoints, edge_index,
-                              from_edge_list, is_connected,
-                              max_subgraph_density, named_pattern, num_edges,
-                              to_edge_list)
+                              contains_subgraph, count_edges_between,
+                              degree_sequence, edge_cover_number,
+                              edge_endpoints, edge_index, from_edge_list,
+                              is_connected, max_subgraph_density,
+                              named_pattern, num_edges, to_edge_list)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -158,9 +157,7 @@ def brute_components(g: Graph) -> int:
 @given(st.integers(0, 2**32), st.integers(1, 12), st.floats(0.0, 1.0))
 def test_connectivity_matches_union_find(seed, n, p):
     g = random_graph(random.Random(seed), n, p)
-    comps = brute_components(g)
-    assert len(connected_components(g)) == comps
-    assert is_connected(g) == (comps == 1)
+    assert is_connected(g) == (brute_components(g) == 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,29 +175,13 @@ def test_connectivity_matches_scipy(seed, n, c):
     rows = [u for u, _ in edges]
     cols = [v for _, v in edges]
     adj = csr_matrix(([1] * len(edges), (rows, cols)), shape=(n, n))
-    count, labels = csgraph.connected_components(adj, directed=False)
-    want = [0] * count
-    for v, label in enumerate(labels.tolist()):
-        want[label] |= 1 << v
-    comps = connected_components(g)
-    # components come in order of their lowest vertex
-    assert comps == sorted(want, key=lambda m: m & -m)
+    count, _ = csgraph.connected_components(adj, directed=False)
     assert is_connected(g) == (count == 1)
 
 
 def test_single_vertex_connected():
     assert is_connected(Graph.empty(1))
     assert not is_connected(Graph.empty(2))
-
-
-def test_component_masks_partition():
-    g = Graph.from_edges(6, [(0, 1), (2, 3)])
-    masks = connected_components(g)
-    assert sum(m.bit_count() for m in masks) == 6
-    acc = 0
-    for m in masks:
-        assert acc & m == 0
-        acc |= m
 
 
 # -- cliques -----------------------------------------------------------

@@ -62,19 +62,23 @@ def test_grid_points_edge_block():
     assert pts[0]["p"] == Fraction(1, 3) and pts[0]["d"] == 2
 
 
+def from_ini(text):
+    return ExperimentConfig.from_settings(harness.ini_settings(text))
+
+
 def test_from_ini_roundtrip():
     text = """
 [experiment]
 task = sweep
 kind = er
-n = 20, 30
+n = 20, 30,
 p = 0.05, 0.1, 1/5
 trials = 40
 seed = 9
 workers = 2
 predicate = connected
 """
-    c = ExperimentConfig.from_ini(text)
+    c = from_ini(text)
     assert c.task == "sweep" and c.ns == (20, 30)
     assert c.ps == (0.05, 0.1, Fraction(1, 5))
     assert c.trials == 40 and c.seed == 9 and c.workers == 2
@@ -82,16 +86,25 @@ predicate = connected
 
 def test_from_ini_errors():
     with pytest.raises(ValueError, match="section"):
-        ExperimentConfig.from_ini("[other]\nn = 5\n")
+        from_ini("[other]\nn = 5\n")
     with pytest.raises(ValueError):
-        ExperimentConfig.from_ini("not an ini [")
+        from_ini("not an ini [")
+    with pytest.raises(ValueError, match="bad trials 'x'"):
+        from_ini("[experiment]\nn = 5\np = 0.5\ntrials = x\n")
 
 
-def test_with_overrides_skips_none():
-    c = cfg(trials=50)
-    assert c.with_overrides(trials=None).trials == 50
-    assert c.with_overrides(trials=75).trials == 75
-    assert c.with_overrides() is c
+def test_unknown_setting_names_the_key_and_the_table():
+    with pytest.raises(ValueError) as info:
+        from_ini("[experiment]\nn = 5\np = 0.5\ntrails = 1000\n")
+    assert "'trails'" in str(info.value)
+    assert ", ".join(harness.SETTINGS) in str(info.value)
+
+
+def test_echo_keys_are_the_settings_in_order():
+    c = cfg(workers=3)
+    assert list(c.echo()) == list(harness.SETTINGS)
+    assert list(c.echo(include_workers=False)) == [
+        key for key in harness.SETTINGS if key != "workers"]
 
 
 # -- execution ---------------------------------------------------------
@@ -297,14 +310,14 @@ def test_run_level_errors_raise_before_any_point(monkeypatch, config, match):
 @pytest.mark.parametrize("task", ["probability", "sweep", "degree-violation",
                                   "witness", "clique"])
 def test_pattern_is_ignored_outside_containment(monkeypatch, task):
+    # a pattern the task would never look for is refused when the config
+    # is built, so no provenance names it
     def no_resolve(spec):
         raise AssertionError(f"pattern {spec!r} resolved")
     monkeypatch.setattr(harness.predicates, "resolve_pattern", no_resolve)
-    c = cfg(task=task, kind="star", ns=(10,), ps=(0.3,), ds=(1,), trials=10,
+    with pytest.raises(ValueError, match=f"task {task} takes no pattern"):
+        cfg(task=task, kind="star", ns=(10,), ps=(0.3,), ds=(1,), trials=10,
             pattern="no-such-pattern")
-    (pt,) = run_experiment(c).points
-    assert pt.error is None
-    assert "pattern" not in pt.params
 
 
 # -- determinism -------------------------------------------------------
