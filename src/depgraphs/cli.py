@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import bounds as boundsmod
 from . import harness, predicates, rng
-from .distributions import (audit_model, blocks_from_text, build,
-                            format_probability, from_descriptor,
-                            parse_probability, sample)
+from .distributions import (EDGE_BLOCK_EXACT, _canonical_kind, audit_model,
+                            blocks_from_text, build, format_probability,
+                            from_descriptor, parse_probability, sample)
 from .errors import ResourceLimitError
 from .graphs import to_edge_list
 from .harness import _cell
@@ -108,13 +108,15 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+# the bounds subcommand's typed flags, each passed to bounds.evaluate by name
+BOUND_FLAGS = {"n": int, "d": int, "a": int, "b": int, "s": int, "mu": float,
+               "t": float, "C": float, "eps": float, "fval": float,
+               "c1": float, "c2": float, "slack": float}
+
+
 def cmd_bounds(args) -> int:
-    params = {}
-    for key in ("n", "d", "a", "b", "s", "mu", "t", "C", "eps", "fval",
-                "c1", "c2", "slack"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in BOUND_FLAGS
+              if getattr(args, key) is not None}
     if args.p is not None:
         params["p"] = float(parse_probability(args.p))
     pattern = predicates.resolve_pattern(args.pattern) if args.pattern else None
@@ -142,11 +144,14 @@ def _json_value(v):
 
 def _experiment_config(args, forced_task: str | None) -> harness.ExperimentConfig:
     """The config file's settings, or a default grid, with the flags laid
-    over them; the environment's seed only where neither gives one."""
+    over them; the environment's seed only where neither gives one.  The
+    default grid has no p for edge-block models, whose p is a/m."""
     if args.config:
         settings = harness.ini_settings(Path(args.config).read_text(encoding="utf-8"))
     else:
-        settings = {"n": "10", "p": "0.5"}
+        settings = {"n": "10"}
+        if args.kind is None or _canonical_kind(args.kind) != EDGE_BLOCK_EXACT:
+            settings["p"] = "0.5"
     for key in harness.SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
@@ -269,22 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", metavar="PATH")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("bounds", help="evaluate a named theory bound")
+    p = sub.add_parser("bounds", help="evaluate a named theory bound",
+                       description="--a, --b and --s are the set sizes |A| and "
+                                   "|B| (jumbledness deviation) and |S| "
+                                   "(witness floor)")
     p.add_argument("bound", help=f"one of: {', '.join(boundsmod.BOUND_NAMES)}")
-    p.add_argument("--n", type=int)
     p.add_argument("--p")
-    p.add_argument("--d", type=int)
-    p.add_argument("--a", type=int, help="|A| (jumbledness deviation)")
-    p.add_argument("--b", type=int, help="|B|")
-    p.add_argument("--s", type=int, help="|S| (witness floor)")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--fval", type=float)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--slack", type=float)
+    for key, kind in BOUND_FLAGS.items():
+        p.add_argument(f"--{key}", type=kind)
     p.add_argument("--pattern", help="k3, c5, path2, ... or an edge-list file")
     _add_output_flags(p)
     p.set_defaults(func=cmd_bounds)

@@ -427,9 +427,6 @@ def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
             for i in range(0, n * stride, stride)])
 
 
-_RAW_CHUNK = 1 << 15     # raw words per random_raw call: 256 KiB
-
-
 def _coin_threshold(p) -> np.uint64 | None:
     """The largest raw Philox word that makes a coin of probability p come
     up, or None when p = 0 and no word does.
@@ -447,19 +444,20 @@ def _coins(gen: np.random.Generator, count: int, p, out: np.ndarray | None = Non
     """count Bernoulli(p) coins, equal bit for bit to gen.random(count) < float(p).
 
     Comparing raw words with _coin_threshold(p) skips the conversion to
-    doubles, and drawing them in cache-sized chunks keeps the words out of
-    main memory.  The coins go to out, a flat bool array of count entries,
-    when given.
+    doubles, and drawing them in chunks of graphs.BATCH_BYTES keeps the
+    words out of main memory.  The coins go to out, a flat bool array of
+    count entries, when given.
     """
     threshold = _coin_threshold(p)
     bits = gen.bit_generator
     coins = np.empty(count, dtype=bool) if out is None else out
-    for i in range(0, count, _RAW_CHUNK):
-        raw = bits.random_raw(min(_RAW_CHUNK, count - i))
+    chunk = batch_size(8)
+    for i in range(0, count, chunk):
+        raw = bits.random_raw(min(chunk, count - i))
         if threshold is None:
-            coins[i:i + _RAW_CHUNK] = False
+            coins[i:i + chunk] = False
         else:
-            np.less_equal(raw, threshold, out=coins[i:i + _RAW_CHUNK])
+            np.less_equal(raw, threshold, out=coins[i:i + chunk])
     return coins
 
 

@@ -80,7 +80,7 @@ class ExperimentConfig:
 
     The grid is the cross product ns x ps x ds in that nesting order; for
     edge-block models the grid ranges over ns only, with p = a/m and
-    d = m - 1 implied.
+    d = m - 1 implied, and a p grid is refused.
     """
     task: str = "probability"
     kind: str = ERDOS_RENYI
@@ -116,6 +116,8 @@ class ExperimentConfig:
         if self.kind == EDGE_BLOCK_EXACT:
             if self.a is None or self.m is None:
                 raise ValueError("edge-block grids need a and m")
+            if self.ps:
+                raise ValueError("edge-block grids take no p; p is a/m")
         elif not self.ps:
             raise ValueError("grid needs at least one p")
 

@@ -1,35 +1,34 @@
 """Exact backends that validate the stochastic components.
 
-Events, edge marginals and statistic moments come from one enumeration of
-the full joint latent space.  It reads the latents from the model's
-LatentLayout and gives each latent value a table of the adjacency-row bits
-its edges set, sharing only the layout with the sampler, none of its
-presence code, so an exact value and a Monte Carlo estimate of it are
-computed independently.
+Every exact query is the expectation of a per-outcome vector over one
+enumeration of the joint latent space (`_expectation`): an event's
+indicator, the edges' presence bits, a statistic's value and its square.
+The enumeration reads the latents from the model's LatentLayout and gives
+each latent value a table of the adjacency-row bits its edges set, sharing
+only the layout with the sampler, none of its presence code, so an exact
+value and a Monte Carlo estimate of it are computed independently.
 
-For n <= 64 the enumeration is batched (`_walk_batches`): it yields blocks
-of outcomes as (T, n) unsigned arrays, one bitset row per vertex.  A low
-table holds every joint value of the first latents, built by doubling; the
-next latent's values (a uniform block's subsets unranked in colex order)
-are read in slices that fill a block with it, and each block is XORed with
-every joint value of the latents above.  A block is evaluated with the
-predicate's or statistic's batch kernel, or with `fn` on each outcome's
-Graph when it has none, and its size follows from one byte budget
-(graphs.BATCH_BYTES) on the widest array formed per outcome.  Beyond 64
-vertices a row no longer fits a machine word, and the scalar walk
-(`_walk`) visits the outcomes one at a time in Gray order, each step
+One block source (`_blocks`) yields the outcomes as (T, n) rows, one bitset
+row per vertex, in blocks sized by one byte budget (graphs.BATCH_BYTES).
+For n <= 64 the rows are unsigned words from `_walk_batches`: a low table
+holds every joint value of the first latents, built by doubling; the next
+latent's values (a uniform block's subsets unranked in colex order) are
+read in slices that fill a block with it, and each block is XORed with
+every joint value of the latents above.  Beyond 64 vertices the scalar
+walk (`_walk`) gives the outcomes one at a time in Gray order, each step
 toggling one latent's edges in Python-int rows: coins in reflected binary
 Gray order with a running count of coins set, uniform subsets in reflected
-mixed-radix Gray order over each block's choices.  Each outcome is then
-evaluated on its own Graph.  The scalar walk is also the tests' reference
-for the batched one.
+mixed-radix Gray order over each block's choices.  They are gathered into
+object rows, which reach `fn` on each outcome's Graph, never a batch
+kernel.  The scalar walk is also the tests' reference for the batched one.
 
-Outcome weights are integer counts per number of coins set, accumulated in
-int64 and collapsed to a probability from Python ints at the end, so the
-result does not depend on the order of the walk.  Binomial tails come by
-direct summation.  The jumbledness check finds the pair a scan of all 4^n
-subset pairs would, from sorted prefix sums of each set's neighbour weights
-(O(2^n n log n)).  Budgets are enforced, never silently degraded.
+One tally sums the values per number of coins set, and each sum collapses
+to a probability or moment at the end, from Python ints where the values
+are integral, so the result does not depend on the order of the walk.
+Binomial tails come by direct summation.  The jumbledness check finds the
+pair a scan of all 4^n subset pairs would, from sorted prefix sums of each
+set's neighbour weights (O(2^n n log n)).  Budgets are enforced, never
+silently degraded.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, lgamma, log
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .distributions import DistributionModel, _draw_latents, _edges, _graph_from
 from .errors import ResourceLimitError
 from .graphs import (BATCH_MAX_N, Graph, _endpoints, batch_dtype, batch_size,
                      num_edges)
-from .predicates import Predicate, Statistic, evaluate_rows
+from .predicates import Predicate, evaluate_rows
 
 ENUMERATION_BUDGET = 1 << 24
 
@@ -287,6 +287,51 @@ def _batch_cap(n: int, columns: int) -> int:
     return batch_size(columns * batch_dtype(n).itemsize)
 
 
+def _blocks(model: DistributionModel, columns: int):
+    """Yield (k, rows) blocks of every joint latent outcome, once each, as
+    many per block as keep `columns` row-sized cells per outcome within
+    graphs.BATCH_BYTES.  rows is (T, n): _walk_batches' unsigned words up to
+    BATCH_MAX_N vertices, else the scalar walk's outcomes as object rows."""
+    n = model.n
+    if n <= BATCH_MAX_N:
+        yield from _walk_batches(model, _batch_cap(n, columns))
+        return
+    cap = batch_size(columns * np.dtype(object).itemsize)
+    outcomes = ((k, tuple(rows)) for k, rows in _walk(model))
+    while block := list(islice(outcomes, cap)):
+        ks, rows = zip(*block)
+        yield np.array(ks, dtype=np.int64), np.array(rows, dtype=object)
+
+
+def _expectation(model: DistributionModel, values_of, columns: int) -> list:
+    """Per column, the expectation of values_of(rows), a block's (T, columns)
+    values, over every joint latent outcome; raises ResourceLimitError past
+    the 2^24-outcome budget.
+
+    Each block's values are summed per column and number of coins set k,
+    object values as Python objects, others by one float64 bincount that
+    adds each cell in outcome order.  Integral values come back as ints:
+    each float sum is exact below 2^53, as it takes at most 2^24 outcomes,
+    and no kernel here gives more than 2016^2 (edges at 64 vertices, squared).
+    """
+    _check_budget(model)
+    size = model.layout.coins + 1
+    sums = 0
+    for k, rows in _blocks(model, max(model.n, columns)):
+        values = values_of(rows)
+        at = k if columns == 1 else (np.arange(columns)[:, None] * size + k).ravel()
+        if values.dtype == object:
+            part = np.zeros(columns * size, dtype=object)
+            np.add.at(part, at, values.ravel(order="F"))
+        else:
+            part = np.bincount(at, weights=values.ravel(order="F"), minlength=columns * size)
+        sums = sums + part
+    if values.dtype.kind in "biu":
+        sums = sums.astype(np.int64)
+    collapse = _collapser(model)
+    return [collapse(c) for c in sums.reshape(columns, size).tolist()]
+
+
 def _exact_p_arithmetic(p):
     if isinstance(p, Fraction) and p.denominator <= RATIONAL_DENOMINATOR_LIMIT:
         return p, Fraction(1) - p, Fraction(0)
@@ -334,48 +379,17 @@ def exact_event_probability(model: DistributionModel, predicate: Predicate):
     Raises ResourceLimitError when the joint latent space exceeds the
     2^24-outcome budget.
     """
-    _check_budget(model)
-    n = model.n
-    size = model.layout.coins + 1
-    if n > BATCH_MAX_N:
-        counts = [0] * size
-        for k, rows in _walk(model):
-            if predicate(Graph._from_rows_unchecked(n, rows)):
-                counts[k] += 1
-        return _collapser(model)(counts)
-    acc = np.zeros(size, dtype=np.int64)
-    for k, rows in _walk_batches(model, _batch_cap(n, n)):
-        acc += np.bincount(k[np.asarray(evaluate_rows(predicate, rows), dtype=bool)],
-                           minlength=size)
-    return _collapser(model)(acc.tolist())
+    [probability] = _expectation(
+        model, lambda rows: np.asarray(evaluate_rows(predicate, rows), dtype=bool), 1)
+    return probability
 
 
 def exact_edge_marginals(model: DistributionModel) -> list:
     """Per-edge presence probability by full latent enumeration."""
-    _check_budget(model)
-    n = model.n
-    L = num_edges(n)
-    size = model.layout.coins + 1
-    u, v = _endpoints(n, np.arange(L, dtype=np.int64))
-    collapse = _collapser(model)
-    if n > BATCH_MAX_N:
-        probes = [(e, x, 1 << y) for e, (x, y) in enumerate(zip(u.tolist(), v.tolist()))]
-        counts = [[0] * L for _ in range(size)]
-        for k, rows in _walk(model):
-            tally = counts[k]
-            for e, x, bit in probes:
-                if rows[x] & bit:
-                    tally[e] += 1
-        return [collapse([c[e] for c in counts]) for e in range(L)]
-    acc = np.zeros((size, L), dtype=np.int64)
-    for k, rows in _walk_batches(model, _batch_cap(n, max(n, L))):
-        # outcomes sorted by k, so each k's run sums at once; present[t, e]
-        # is 1 when edge e is in outcome t
-        order = np.argsort(k, kind="stable")
-        ks, starts = np.unique(k[order], return_index=True)
-        present = (rows[order][:, u] >> v.astype(rows.dtype)) & 1
-        acc[ks] += np.add.reduceat(present, starts, axis=0, dtype=np.int64)
-    return [collapse(counts) for counts in acc.T.tolist()]
+    u, v = _endpoints(model.n, np.arange(num_edges(model.n), dtype=np.int64))
+    # per outcome, 1 for each edge (u, v) it holds
+    return _expectation(model, lambda rows: (rows[:, u] >> v.astype(rows.dtype)) & 1,
+                        len(u))
 
 
 def er_connectivity_probability(n: int, p):
@@ -512,14 +526,7 @@ def _exact(value):
     return int(value) if float(value).is_integer() else value
 
 
-def _add_by_k(sums: list, k: np.ndarray, values: np.ndarray) -> list:
-    """sums plus, per number of coins set, the values of the outcomes with it."""
-    part = np.zeros(len(sums), dtype=values.dtype)
-    np.add.at(part, k, values)
-    return list(map(add, sums, part.tolist()))
-
-
-def mean_variance_check(model: DistributionModel, statistic: Statistic,
+def mean_variance_check(model: DistributionModel, statistic: Predicate,
                         trials: int, seed: int) -> MeanVarianceReport:
     """Compare sampled moments of a statistic with exact enumerated moments."""
     if trials < 2:
@@ -535,31 +542,19 @@ def mean_variance_check(model: DistributionModel, statistic: Statistic,
     mean_se = math.sqrt(emp_var / trials)
     var_se = emp_var * math.sqrt(2.0 / (trials - 1))
 
+    def moments(rows):
+        x = evaluate_rows(statistic, rows)
+        if not isinstance(x, np.ndarray):
+            x = np.array([_exact(v) for v in x], dtype=object)
+        return np.stack([x, x * x], axis=1)
+
     exact_mean = exact_var = None
     mean_flag = var_flag = False
     try:
-        _check_budget(model)
+        exact_mean, second = _expectation(model, moments, 2)
     except ResourceLimitError:
         pass
     else:
-        size = model.layout.coins + 1
-        s1 = [0] * size
-        s2 = [0] * size
-        if n > BATCH_MAX_N:
-            for k, rows in _walk(model):
-                v = _exact(statistic(Graph._from_rows_unchecked(n, rows)))
-                s1[k] += v
-                s2[k] += v * v
-        else:
-            for k, rows in _walk_batches(model, _batch_cap(n, n)):
-                values = evaluate_rows(statistic, rows)
-                if not isinstance(values, np.ndarray):
-                    values = np.array([_exact(v) for v in values], dtype=object)
-                s1 = _add_by_k(s1, k, values)
-                s2 = _add_by_k(s2, k, values * values)
-        collapse = _collapser(model)
-        exact_mean = collapse(s1)
-        second = collapse(s2)
         exact_var = second - exact_mean * exact_mean
         mean_flag = abs(emp_mean - float(exact_mean)) > 4.0 * mean_se
         var_flag = abs(emp_var - float(exact_var)) > 4.0 * var_se

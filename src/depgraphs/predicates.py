@@ -2,10 +2,12 @@
 
 Keeping these in one place guarantees that the exact enumeration and the
 Monte Carlo estimate of the "same" event really evaluate the same
-indicator function.  A functional may also carry `batch`, the same
-function over a block of graphs given as (T, n) bitset rows (see the
-kernels in `graphs`); the oracle and the harness use it when present, and
-`fn` per graph otherwise (`evaluate_rows`).
+indicator function.  Events and statistics are one type, a named
+functional (`Predicate`, also bound as `Statistic`).  A functional may
+also carry `batch`, the same function over a block of graphs given as
+(T, n) bitset rows (see the kernels in `graphs`); the oracle and the
+harness use it when present, and `fn` per graph otherwise
+(`evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -25,31 +27,26 @@ BATCH_CLIQUE_MAX = 4
 
 @dataclass(frozen=True)
 class Predicate:
-    """A named boolean graph event."""
+    """A named graph functional: a boolean event or a numeric statistic."""
     name: str
-    fn: Callable[[Graph], bool] = field(compare=False)
+    fn: Callable[[Graph], object] = field(compare=False)
     batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
-    def __call__(self, g: Graph) -> bool:
-        return bool(self.fn(g))
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """A named numeric graph functional."""
-    name: str
-    fn: Callable[[Graph], float] = field(compare=False)
-    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-
-    def __call__(self, g: Graph) -> float:
+    def __call__(self, g: Graph):
         return self.fn(g)
+
+
+# a statistic is the same functional with numeric values
+Statistic = Predicate
 
 
 def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
     """functional on each graph of a block of (T, n) bitset rows: its batch
-    kernel when it has one, else the functional on each row's Graph."""
+    kernel when it has one and the rows are machine words, else the
+    functional on each row's Graph (object rows of Python ints, beyond 64
+    vertices, reach no kernel)."""
     batch = getattr(functional, "batch", None)
-    if batch is not None:
+    if batch is not None and rows.dtype != object:
         return batch(rows)
     n = rows.shape[1]
     return [functional(Graph._from_rows_unchecked(n, row)) for row in rows.tolist()]

@@ -125,6 +125,30 @@ def test_bounds_json_format(capsys):
     assert doc[0]["vacuous"] is False
 
 
+# every bounds flag, with a value off its default, under a bound that echoes it
+BOUND_FLAG_RUNS = [
+    ("janson-bernstein", {"mu": "90.5", "t": "40.25", "d": "2"}),
+    ("jumbledness-deviation", {"a": "3", "b": "4", "n": "20", "d": "1", "C": "12.5"}),
+    ("witness-floor", {"s": "5", "b": "6", "n": "30", "d": "2"}),
+    ("connectivity-threshold", {"n": "50", "d": "3", "fval": "0.75"}),
+    ("example-threshold", {"n": "60", "d": "1", "eps": "0.2"}),
+    ("clique-bounds", {"n": "40", "d": "2", "c1": "1.5", "c2": "2.5", "slack": "8.0"}),
+]
+
+
+def test_bounds_flags_reach_the_evaluated_inputs(capsys):
+    assert set().union(*(flags for _, flags in BOUND_FLAG_RUNS)) == set(cli.BOUND_FLAGS)
+    for name, flags in BOUND_FLAG_RUNS:
+        argv = [f"--{key}={text}" for key, text in flags.items()]
+        code, out, err = run(capsys, "bounds", name, "--p", "1/4", *argv,
+                             "--format", "json")
+        assert code == 0, (name, err)
+        inputs = json.loads(out)[0]["inputs"]
+        for key, text in flags.items():
+            value = cli.BOUND_FLAGS[key](text)
+            assert inputs[key] == value and type(inputs[key]) is type(value), (name, key)
+
+
 def test_bounds_resource_limit_exit_2(capsys):
     code, _, err = run(capsys, "bounds", "phi", "--pattern", "k8",
                        "--n", "100", "--p", "0.5", "--d", "0")
@@ -215,6 +239,21 @@ def test_seed_env_read_only_without_a_given_seed(capsys, monkeypatch, tmp_path):
     assert code == 0 and "# seed: 4\n" in out
     code, _, err = run(capsys, *base)
     assert code == 1 and "DEPGRAPHS_SEED" in err
+
+
+def test_experiment_edge_block_echoes_no_default_p(capsys):
+    # p = a/m on an edge-block grid, so the default grid's p would be a
+    # setting the run never used
+    code, out, _ = run(capsys, "experiment", "--dist", "edge-block", "--a", "1",
+                       "--m", "3", "--n", "9", "--trials", "5", "--seed", "1")
+    assert code == 0
+    config = json.loads(out.splitlines()[2].removeprefix("# config: "))
+    assert config["p"] == []
+    rows = out.splitlines()[4:]
+    assert rows and all(row.split(",")[4] == "1/3" for row in rows)
+    code, _, err = run(capsys, "experiment", "--dist", "edge-block", "--a", "1",
+                       "--m", "3", "--n", "9", "--p", "0.5")
+    assert code == 1 and "a/m" in err
 
 
 def test_experiment_bad_trials_exit_1(capsys):

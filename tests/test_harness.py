@@ -44,6 +44,13 @@ def test_config_validation():
         ExperimentConfig(task="probability", kind="edge-block", ns=(4,))
 
 
+def test_edge_block_grid_refuses_a_p_grid():
+    # p = a/m is implied, so a given p would be echoed but never used
+    with pytest.raises(ValueError, match="a/m"):
+        ExperimentConfig(task="probability", kind="edge-block", ns=(9,),
+                         ps=(0.5,), a=1, m=3)
+
+
 def test_grid_points_cross_product():
     c = cfg(ns=(5, 10), ps=(0.1, 0.2), ds=(0, 1))
     pts = c.grid_points()

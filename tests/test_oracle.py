@@ -26,14 +26,15 @@ from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
                                      edge_block_exact, erdos_renyi, realize,
                                      sample)
 from depgraphs.errors import ResourceLimitError
-from depgraphs.graphs import Graph, count_edges_between
+from depgraphs.graphs import Graph, count_edges_between, num_edges
 from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
                               exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check,
                               mean_variance_check, state_space_size, _collapser,
                               _walk, _walk_batches)
-from depgraphs.predicates import (Statistic, connected, edge_count_statistic,
+from depgraphs.predicates import (Predicate, Statistic, connected,
+                                  edge_count_statistic,
                                   edges_between_statistic,
                                   edge_deviation_exceeds,
                                   isolated_count_statistic, parse_predicate)
@@ -306,6 +307,46 @@ def test_exact_beyond_64_vertices_walks_scalar():
     assert state_space_size(model) == 256
     assert exact_edge_marginals(model) == [p] * L
     assert _peak_bytes(exact_edge_marginals, model) < 4 << 20
+
+
+def test_exact_beyond_64_vertices_on_uniform_subsets():
+    # one uniform block of all 2145 slots at n = 66 keeping one: every
+    # outcome is a single edge, so no outcome is connected, every marginal
+    # is 1/2145, and the edge count is 1 with variance 0
+    n = 66
+    model = edge_block_exact(n, 1, 2145)
+    assert num_edges(n) == 2145 and state_space_size(model) == 2145
+    assert exact_event_probability(model, connected()) == 0
+    assert exact_edge_marginals(model) == [Fraction(1, 2145)] * 2145
+    rep = mean_variance_check(model, edge_count_statistic(), trials=2, seed=0)
+    assert rep.exact_mean == 1 and rep.exact_variance == 0
+
+
+def test_blocks_beyond_64_vertices_keep_the_cap_and_reach_no_kernel():
+    # beyond 64 vertices the blocks are the scalar walk's outcomes as object
+    # rows of Python ints, as many as keep `columns` pointers per outcome
+    # within the byte budget
+    n = 66
+    model = edge_block_exact(n, 1, 2145)
+    walked = Counter((k, tuple(rows)) for k, rows in _walk(model))
+    for columns in (n, 2145):
+        blocks = list(oracle._blocks(model, columns))
+        assert len(blocks) > 1
+        batched = Counter()
+        for k, rows in blocks:
+            assert rows.dtype == object and rows.shape == (len(k), n)
+            assert len(k) * columns * np.dtype(object).itemsize <= graphs.BATCH_BYTES
+            batched.update(zip(k.tolist(), map(tuple, rows.tolist())))
+        assert batched == walked
+
+    def refuse(rows):
+        raise AssertionError("object rows reached a batch kernel")
+
+    isolated = Predicate("isolated-vertex", lambda g: 0 in g.rows, refuse)
+    assert exact_event_probability(model, isolated) == 1
+    edges = Statistic("edge-count", lambda g: g.edge_count(), refuse)
+    rep = mean_variance_check(model, edges, trials=2, seed=0)
+    assert rep.exact_mean == 1 and rep.exact_variance == 0
 
 
 def _peak_bytes(fn, *args):
