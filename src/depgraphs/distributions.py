@@ -13,8 +13,9 @@ the flat arrays of its LatentLayout, and everything that maps latents to
 edges goes through it: the sampler draws every latent value in one
 generator call in declared order (which pins down sample(model, seed) bit
 for bit), maps the values to the present edge indices and packs those
-straight into adjacency rows; sample_rows draws many seeds' graphs the
-same way, as bitset rows; latent capture returns the drawn values;
+into row words (_row_words), then into adjacency rows; sample_rows draws
+many seeds' graphs the same way, as bitset rows; latent capture returns
+the drawn values;
 realize maps a given state the same way; the audit reads block ownership
 from it; the oracle sizes its state space by it.
 
@@ -40,7 +41,8 @@ import numpy as np
 
 from . import rng as rngmod
 from . import stats
-from .graphs import Graph, _endpoints, batch_dtype, batch_size, num_edges
+from .graphs import (BATCH_MAX_N, Graph, _endpoints, batch_dtype, batch_size,
+                     num_edges, row_ints, row_words)
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -406,25 +408,24 @@ def _require(value, name):
 
 # -- sampling ----------------------------------------------------------
 
-def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
-    """Graph with exactly the given (distinct) edge indices present.
+def _row_words(n: int, edges: np.ndarray) -> np.ndarray:
+    """The (n, W) uint64 row words, W = ceil(n / 64), of the graph with
+    exactly the given (distinct) edge indices present.
 
-    Both endpoints' bits are set in one bool matrix whose rows are padded
-    to whole 64-bit words, and a single packbits call turns it into rows.
+    Both endpoints' bits are set in one flat bool array, a row of whole
+    64-bit words per vertex, and a single packbits call packs it.
     """
     eu, ev = _endpoints(n, edges)
-    width = -(-n // 64) * 64
-    adj = np.zeros((n, width), dtype=bool)
-    adj[eu, ev] = True
-    adj[ev, eu] = True
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    if width == 64:
-        return Graph._from_rows_unchecked(n, packed.view("<u8").ravel().tolist())
-    buf = memoryview(packed.tobytes())
-    stride = width // 8
-    return Graph._from_rows_unchecked(
-        n, [int.from_bytes(buf[i:i + stride], "little")
-            for i in range(0, n * stride, stride)])
+    width = 64 * row_words(n)
+    bits = np.zeros(n * width, dtype=bool)
+    bits[eu * width + ev] = True
+    bits[ev * width + eu] = True
+    return np.packbits(bits, bitorder="little").view("<u8").reshape(n, -1)
+
+
+def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
+    """Graph with exactly the given (distinct) edge indices present."""
+    return Graph._from_rows_unchecked(n, row_ints(_row_words(n, edges)))
 
 
 def _coin_threshold(p) -> np.uint64 | None:
@@ -523,7 +524,7 @@ def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     if not layout.block_count:
         return np.flatnonzero(values)    # the singles are all edges, in order
     return np.concatenate((layout.flat[values[layout.bid]],
-                           layout.singles[values[layout.block_count:]]))
+                           layout.singles[np.flatnonzero(values[layout.block_count:])]))
 
 
 def _present(model: DistributionModel, values: np.ndarray) -> np.ndarray:
@@ -569,29 +570,41 @@ def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
 
 
 def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
-    """sample(model, seed).graph for each seed, as (T, n) bitset rows.
+    """sample(model, seed).graph for each seed, as (T, n) bitset rows, or
+    wide (T, n, W) rows beyond graphs.BATCH_MAX_N vertices.
 
-    Row v of graph t is an unsigned word of graphs.batch_dtype(n), n <= 64,
-    with bit w set when v and w are adjacent.  Each trial draws as sample
-    does, from this thread's generator reset to its seed, into one row of a
-    block's array.  Coins: each trial's raw draw fills a row of a uint64
-    word buffer sized to graphs.BATCH_BYTES, and one np.less_equal per
-    buffer compares its words with a threshold formed once per call.
-    Uniform subsets: each trial draws its keys, and one _picks call picks
-    from the whole block.  A block's rows then come from one gather of the
-    latent values through an (n, W) table of the column behind each row
-    bit, and one packbits; the bits without an edge are cleared.  Blocks
-    are sized so that their widest array fits graphs.BATCH_BYTES.
+    Each trial draws as sample does, from this thread's generator reset to
+    its seed.  Beyond 64 vertices row v of graph t is W = ceil(n / 64)
+    uint64 words, with bit w of the row in bit w % 64 of word w // 64; each
+    trial packs its present edges into them as sample does (_row_words),
+    and no Graph is built.
+
+    Up to 64 vertices row v of graph t is an unsigned word of
+    graphs.batch_dtype(n) with bit w set when v and w are adjacent, and
+    each trial draws into one row of a block's array.  Coins: each trial's
+    raw draw fills a row of a uint64 word buffer sized to
+    graphs.BATCH_BYTES, and one np.less_equal per buffer compares its words
+    with a threshold formed once per call.  Uniform subsets: each trial
+    draws its keys, and one _picks call picks from the whole block.  A
+    block's rows then come from one gather of the latent values through an
+    (n, bits) table of the column behind each row bit, and one packbits;
+    the bits without an edge are cleared.  Blocks are sized so that their
+    widest array fits graphs.BATCH_BYTES.
     """
     layout = model.layout
     latents = layout.latents
     n = model.n
-    dtype = batch_dtype(n)
+    seeded = rngmod.seeded
     seeds = list(map(int, seeds))
+    if n > BATCH_MAX_N:
+        rows = np.empty((len(seeds), n, row_words(n)), dtype=np.uint64)
+        for t, seed in enumerate(seeds):
+            rows[t] = _row_words(n, _edges(model, _draw_latents(model, seeded(seed))))
+        return rows
+    dtype = batch_dtype(n)
     rows = np.zeros((len(seeds), n), dtype=dtype)
     if not seeds or not num_edges(n):
         return rows
-    seeded = rngmod.seeded
     width = 8 * dtype.itemsize
     # the column behind bit w of row v; column 0 where there is no edge
     v = np.arange(n)[:, None]

@@ -8,11 +8,15 @@ a pair never depends on n.
 
 The batch kernels at the end take many graphs at once: a (T, n) unsigned
 array, n <= 64, whose row t holds graph t's adjacency rows as bitsets.
+Beyond 64 vertices a block is wide: a (T, n, W) uint64 array, W =
+ceil(n / 64), whose word i of a row holds its bits 64i .. 64i + 63.  The
+degree, connectivity, isolated-vertex and edge-count kernels take both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
@@ -48,10 +52,18 @@ def edge_endpoints(index: int, n: int) -> tuple[int, int]:
     return index - v * (v - 1) // 2, v
 
 
-def _endpoints(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays u and v with u < v, the endpoints of each colex edge index."""
+@lru_cache(maxsize=64)
+def _triangular(n: int) -> np.ndarray:
+    """The n + 1 numbers v(v-1)/2, v = 0..n, where row v's edges start."""
     tri = np.arange(n + 1, dtype=np.int64)
     tri = tri * (tri - 1) // 2
+    tri.flags.writeable = False
+    return tri
+
+
+def _endpoints(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays u and v with u < v, the endpoints of each colex edge index."""
+    tri = _triangular(n)
     v = np.searchsorted(tri, edges, side="right") - 1
     return edges - tri[v], v
 
@@ -505,7 +517,7 @@ def from_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# -- batch kernels over (T, n) bitset rows --------------------------------
+# -- batch kernels over (T, n) and wide (T, n, W) bitset rows ------------
 
 BATCH_MAX_N = 64
 
@@ -525,6 +537,47 @@ def batch_dtype(n: int) -> np.dtype:
         if n <= 8 * np.dtype(dtype).itemsize:
             return np.dtype(dtype)
     raise ValueError(f"batched rows need n <= {BATCH_MAX_N}, got n={n}")
+
+
+def row_words(n: int) -> int:
+    """Words per row of a wide block, ceil(n / 64)."""
+    return -(-n // 64)
+
+
+def row_bytes(n: int) -> int:
+    """Bytes one graph's rows take in a block: n words of batch_dtype(n) up
+    to BATCH_MAX_N vertices, else n rows of row_words(n) uint64 words."""
+    if n <= BATCH_MAX_N:
+        return n * batch_dtype(n).itemsize
+    return 8 * n * row_words(n)
+
+
+def row_ints(words: np.ndarray) -> list[int]:
+    """One graph's (n, W) uint64 row words as n Python ints."""
+    if words.shape[1] == 1:
+        return words.ravel().tolist()
+    stride = 8 * words.shape[1]
+    buf = memoryview(words.astype("<u8", copy=False).tobytes())
+    return [int.from_bytes(buf[i:i + stride], "little")
+            for i in range(0, len(buf), stride)]
+
+
+def row_graphs(rows: np.ndarray) -> list[Graph]:
+    """The Graph of each graph of a block: (T, n) rows, of words or of
+    Python ints, or wide (T, n, W) rows."""
+    n = rows.shape[1]
+    if rows.ndim == 3:
+        return [Graph._from_rows_unchecked(n, row_ints(words)) for words in rows]
+    return [Graph._from_rows_unchecked(n, row) for row in rows.tolist()]
+
+
+def mask_words(mask: int, rows: np.ndarray) -> np.ndarray:
+    """A vertex bitmask as one row's words in the layout of rows: a (1,)
+    array of rows' dtype for (T, n) rows, (W,) uint64 for wide rows."""
+    width = rows.shape[2] if rows.ndim == 3 else 1
+    bits = 8 * rows.dtype.itemsize
+    full = (1 << bits) - 1
+    return np.array([mask >> (bits * i) & full for i in range(width)], dtype=rows.dtype)
 
 
 def _columns(rows: np.ndarray) -> np.ndarray:
@@ -547,6 +600,8 @@ def _union_of_rows(cols: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def batch_connected(rows: np.ndarray) -> np.ndarray:
     """is_connected of every graph: the vertices reached from vertex 0 grow
     by their neighbourhoods, at most n - 1 rounds, until no graph gains one."""
+    if rows.ndim == 3:
+        return _wide_connected(rows)
     count, n = rows.shape
     cols = _columns(rows)
     reached = np.ones(count, dtype=rows.dtype)
@@ -556,6 +611,27 @@ def batch_connected(rows: np.ndarray) -> np.ndarray:
             break
         reached = grown
     return reached == rows.dtype.type((1 << n) - 1)
+
+
+def _wide_connected(rows: np.ndarray) -> np.ndarray:
+    # each round ORs the rows of the vertices first reached in the round
+    # before, gathered graph by graph, so every row is read at most once
+    count, n, _ = rows.shape
+    reached = np.zeros((count, n), dtype=bool)
+    reached[:, 0] = True
+    frontier = reached.copy()
+    while True:
+        graph, vertex = np.nonzero(frontier)
+        if not graph.size:
+            return reached.all(axis=1)
+        heads = np.flatnonzero(np.diff(graph, prepend=-1))
+        union = np.bitwise_or.reduceat(rows[graph, vertex], heads, axis=0)
+        bits = np.unpackbits(union.astype("<u8", copy=False).view(np.uint8),
+                             axis=1, count=n, bitorder="little").view(bool)
+        grown = graph[heads]
+        frontier[...] = False
+        frontier[grown] = bits & ~reached[grown]
+        reached |= frontier
 
 
 def batch_has_clique(rows: np.ndarray, k: int) -> np.ndarray:
@@ -589,15 +665,31 @@ def _clique_among(cols: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
     return found
 
 
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    # per graph, the set bits of all its words, as int64
+    return np.bitwise_count(rows).reshape(len(rows), -1).sum(axis=1, dtype=np.int64)
+
+
+def batch_degrees(rows: np.ndarray) -> np.ndarray:
+    """The degree of every vertex of every graph, as a (T, n) array: the
+    popcount of its row, summed over the words of a wide row."""
+    counts = np.bitwise_count(rows)
+    return counts if rows.ndim == 2 else counts.sum(axis=2, dtype=np.int64)
+
+
+def batch_isolated(rows: np.ndarray) -> np.ndarray:
+    """Whether each vertex of each graph has no neighbour, as (T, n) bools."""
+    return rows == 0 if rows.ndim == 2 else ~rows.any(axis=2)
+
+
 def batch_edge_counts(rows: np.ndarray) -> np.ndarray:
     """edge_count of every graph, as int64."""
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64) // 2
+    return _popcounts(rows) // 2
 
 
 def batch_edges_between(rows: np.ndarray, a: Iterable[int],
                         b: Iterable[int]) -> np.ndarray:
     """count_edges_between(g, a, b) of every graph, as int64."""
     n = rows.shape[1]
-    bm = rows.dtype.type(vertex_mask(b, n))
     picked = rows[:, list(iter_bits(vertex_mask(a, n)))]
-    return np.bitwise_count(picked & bm).sum(axis=1, dtype=np.int64)
+    return _popcounts(picked & mask_words(vertex_mask(b, n), rows))

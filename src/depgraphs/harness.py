@@ -9,11 +9,11 @@ as a statistic; run_experiment runs every task the same way.
 
 Trial t of grid point i always runs on seed derive_seed(master, i, t), and
 the per-trial values merge in trial order, so the output is byte-identical
-for 1 and N workers.  Up to 64 vertices the trials run in blocks of bitset
-rows (sample_rows), evaluated by the trial function's batch kernel when it
-has one, in the calling thread; workers parallelize only the per-trial
-path beyond 64 vertices, whose Philox draws and numpy calls release the
-GIL.
+for 1 and N workers.  At every n the trials run in blocks of bitset rows
+(sample_rows; wide rows of uint64 words beyond 64 vertices), evaluated by
+the trial function's batch kernel when it has one.  Up to 64 vertices the
+blocks run in the calling thread; beyond that each worker thread runs one
+span of blocks, whose Philox draws and numpy calls release the GIL.
 
 The CSV view deliberately omits anything scheduling-dependent (wall-clock
 times, worker count); those live only in the JSON provenance document.
@@ -36,14 +36,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, predicates, stats
+# sample stays importable as harness.sample, a public alias that
+# perfbench's span wrappers rebind
 from .distributions import (CORRELATED_STAR, CUSTOM_BLOCKS, EDGE_BLOCK_EXACT,
                             ERDOS_RENYI, _canonical_kind, blocks_from_text,
                             build, format_probability, parse_probability, sample,
                             sample_rows)
 from .errors import ResourceLimitError
-from .graphs import BATCH_MAX_N, Graph, batch_dtype, batch_size, clique_number
-from .predicates import evaluate_rows
-from .rng import derive_seed, derive_seeds
+from .graphs import (BATCH_MAX_N, Graph, batch_size, clique_number, mask_words,
+                     row_bytes)
+from .predicates import Predicate, evaluate_rows
+from .rng import derive_seeds
 
 CLIQUE_MAX_N = 60
 
@@ -261,31 +264,27 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     """This point's per-trial values, in trial order, as bools for an
     event and floats for a statistic.
 
-    Up to BATCH_MAX_N vertices the trials run in blocks in the calling
-    thread, whatever the worker count: sample_rows draws a block's graphs
-    as bitset rows, and trial_fn's batch kernel, or trial_fn on each row's
-    Graph, evaluates them.  That work holds the GIL, so threads would only
-    contend for it and halve the blocks.  Beyond that each trial samples its
-    own Graph, and each worker thread runs one contiguous span of trials;
-    Philox and numpy release the GIL there.  Every trial keeps its seed and
-    its value, so the values, and all that is merged from them, do not
-    depend on the worker count.
+    The trials run in blocks: sample_rows draws a block's graphs as bitset
+    rows, wide rows of uint64 words beyond BATCH_MAX_N vertices, and
+    trial_fn's batch kernel, or trial_fn on each graph's Graph, evaluates
+    them.  Up to BATCH_MAX_N vertices one span of blocks runs in the calling
+    thread, whatever the worker count: that work holds the GIL, so threads
+    would only contend for it.  Beyond that each worker thread runs one
+    contiguous span of blocks, whose Philox draws and numpy calls release
+    the GIL.  Every trial keeps its seed and its value, so the values, and
+    all that is merged from them, do not depend on the worker count.
     """
     trials = config.trials
-    n = model.n
-    dtype = float if statistic else bool
-    if n <= BATCH_MAX_N:
-        block = batch_size(n * batch_dtype(n).itemsize)
-        values = []
-        for lo in range(0, trials, block):
-            seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, trials))
-            values.extend(evaluate_rows(trial_fn, sample_rows(model, seeds)))
-        return np.array(values, dtype=dtype)
-    span = -(-trials // config.workers)
+    block = batch_size(row_bytes(model.n))
+    span = trials if model.n <= BATCH_MAX_N else -(-trials // config.workers)
 
     def work(start):
-        return [trial_fn(sample(model, derive_seed(config.seed, point_index, t)).graph)
-                for t in range(start, min(start + span, trials))]
+        stop = min(start + span, trials)
+        values = []
+        for lo in range(start, stop, block):
+            seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, stop))
+            values.extend(evaluate_rows(trial_fn, sample_rows(model, seeds)))
+        return values
 
     starts = range(0, trials, span)
     if len(starts) == 1:
@@ -293,7 +292,7 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(work, starts))
-    return np.array(list(chain.from_iterable(parts)), dtype=dtype)
+    return np.array(list(chain.from_iterable(parts)), dtype=float if statistic else bool)
 
 
 def _default_model(pt: dict, blocks_text: str | None = None):
@@ -392,7 +391,19 @@ def _witness(pt, config, pattern):
         deviation = crossing - p * s * bsize
         floor = bounds.jumbledness_witness_floor(s, bsize, n, p, d)
         return deviation > WITNESS_SLACK * floor
-    return witness_beats_floor
+
+    def batch(rows):
+        # B is the AND of S's rows minus S; e(S,B) the popcounts of S's
+        # rows masked by B; one floor per distinct |B|
+        hubs = rows[:, :s] if rows.ndim == 3 else rows[:, :s, None]
+        common = np.bitwise_and.reduce(hubs, axis=1) & ~mask_words(smask, rows)
+        bsize = np.bitwise_count(common).sum(axis=1, dtype=np.int64)
+        crossing = np.bitwise_count(hubs & common[:, None]).sum(axis=(1, 2), dtype=np.int64)
+        floors = {b: bounds.jumbledness_witness_floor(s, b, n, p, d)
+                  for b in set(bsize.tolist())}
+        floor = np.array([floors[b] for b in bsize.tolist()], dtype=float)
+        return crossing - p * s * bsize > WITNESS_SLACK * floor
+    return Predicate("witness", witness_beats_floor, batch)
 
 
 def _clique_theory(pt, config, pattern):

@@ -309,16 +309,21 @@ def _expectation(model: DistributionModel, values_of, columns: int) -> list:
     the 2^24-outcome budget.
 
     Each block's values are summed per column and number of coins set k,
-    object values as Python objects, others by one float64 bincount that
-    adds each cell in outcome order.  Integral values come back as ints:
-    each float sum is exact below 2^53, as it takes at most 2^24 outcomes,
-    and no kernel here gives more than 2016^2 (edges at 64 vertices, squared).
+    object values as Python objects.  A coinless model has one k, so its
+    integral values sum by one integer sum per column.  Others sum by one
+    float64 bincount that adds each cell in outcome order.  Integral values
+    come back as ints: each float sum is exact below 2^53, as it takes at
+    most 2^24 outcomes, and no kernel here gives more than 2016^2 (edges at
+    64 vertices, squared).
     """
     _check_budget(model)
     size = model.layout.coins + 1
     sums = 0
     for k, rows in _blocks(model, max(model.n, columns)):
         values = values_of(rows)
+        if size == 1 and values.dtype.kind in "biu":
+            sums = sums + values.reshape(len(values), -1).sum(axis=0, dtype=np.int64)
+            continue
         at = k if columns == 1 else (np.arange(columns)[:, None] * size + k).ravel()
         if values.dtype == object:
             part = np.zeros(columns * size, dtype=object)

@@ -5,9 +5,9 @@ Monte Carlo estimate of the "same" event really evaluate the same
 indicator function.  Events and statistics are one type, a named
 functional (`Predicate`, also bound as `Statistic`).  A functional may
 also carry `batch`, the same function over a block of graphs given as
-(T, n) bitset rows (see the kernels in `graphs`); the oracle and the
-harness use it when present, and `fn` per graph otherwise
-(`evaluate_rows`).
+(T, n) bitset rows, or as wide (T, n, W) rows beyond 64 vertices unless
+`wide` is False (see the kernels in `graphs`); the oracle and the harness
+use it when present, and `fn` per graph otherwise (`evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ class Predicate:
     name: str
     fn: Callable[[Graph], object] = field(compare=False)
     batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    # whether batch also takes wide (T, n, W) rows
+    wide: bool = field(default=True, compare=False)
 
     def __call__(self, g: Graph):
         return self.fn(g)
@@ -41,15 +43,14 @@ Statistic = Predicate
 
 
 def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
-    """functional on each graph of a block of (T, n) bitset rows: its batch
-    kernel when it has one and the rows are machine words, else the
-    functional on each row's Graph (object rows of Python ints, beyond 64
-    vertices, reach no kernel)."""
+    """functional on each graph of a block of (T, n) or wide (T, n, W)
+    bitset rows: its batch kernel when it has one that takes the rows, else
+    the functional on each graph's Graph (object rows of Python ints reach
+    no kernel)."""
     batch = getattr(functional, "batch", None)
-    if batch is not None and rows.dtype != object:
+    if batch is not None and rows.dtype != object and (rows.ndim == 2 or functional.wide):
         return batch(rows)
-    n = rows.shape[1]
-    return [functional(Graph._from_rows_unchecked(n, row)) for row in rows.tolist()]
+    return [functional(g) for g in graphs.row_graphs(rows)]
 
 
 def _complement(batch):
@@ -72,12 +73,12 @@ def not_connected() -> Predicate:
 
 def has_isolated_vertex() -> Predicate:
     return Predicate("isolated-vertex", lambda g: any(r == 0 for r in g.rows),
-                     lambda rows: (rows == 0).any(axis=1))
+                     lambda rows: graphs.batch_isolated(rows).any(axis=1))
 
 
 def _contains_kernel(pattern: SubgraphPattern):
     """A batch kernel for containing the pattern, or None: cliques of 2 to
-    BATCH_CLIQUE_MAX vertices (the edge is k2) have one."""
+    BATCH_CLIQUE_MAX vertices (the edge is k2) have one, up to 64 vertices."""
     h = pattern.graph
     if 2 <= h.n <= BATCH_CLIQUE_MAX and h == Graph.complete(h.n):
         return lambda rows: graphs.batch_has_clique(rows, h.n)
@@ -88,14 +89,14 @@ def contains_pattern(pattern: SubgraphPattern) -> Predicate:
     label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
     return Predicate(f"contains:{label}",
                      lambda g: graphs.contains_subgraph(g, pattern),
-                     _contains_kernel(pattern))
+                     _contains_kernel(pattern), wide=False)
 
 
 def lacks_pattern(pattern: SubgraphPattern) -> Predicate:
     label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
     return Predicate(f"lacks:{label}",
                      lambda g: not graphs.contains_subgraph(g, pattern),
-                     _complement(_contains_kernel(pattern)))
+                     _complement(_contains_kernel(pattern)), wide=False)
 
 
 def edge_count_equals(k: int) -> Predicate:
@@ -109,7 +110,7 @@ def degree_in_range(low: float, high: float) -> Predicate:
         return all(low <= r.bit_count() <= high for r in g.rows)
 
     def batch(rows: np.ndarray) -> np.ndarray:
-        degrees = np.bitwise_count(rows)
+        degrees = graphs.batch_degrees(rows)
         return ((low <= degrees) & (degrees <= high)).all(axis=1)
     return Predicate(f"degree-in:{low}:{high}", fn, batch)
 
@@ -131,7 +132,7 @@ def edge_deviation_exceeds(a: tuple[int, ...], b: tuple[int, ...], p,
 
 def negate(pred: Predicate) -> Predicate:
     return Predicate(f"not({pred.name})", lambda g: not pred.fn(g),
-                     _complement(pred.batch))
+                     _complement(pred.batch), pred.wide)
 
 
 def resolve_pattern(spec: str) -> SubgraphPattern:
@@ -204,4 +205,5 @@ def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Statistic
 def isolated_count_statistic() -> Statistic:
     return Statistic("isolated-count",
                      lambda g: sum(1 for r in g.rows if r == 0),
-                     lambda rows: np.count_nonzero(rows == 0, axis=1).astype(np.int64))
+                     lambda rows: np.count_nonzero(graphs.batch_isolated(rows),
+                                                   axis=1).astype(np.int64))

@@ -240,7 +240,7 @@ def test_run_trials_values_are_the_per_trial_values(workers):
 
 def test_batched_points_run_in_the_calling_thread():
     # threads would contend for the GIL on the interpreter-bound draw, so
-    # only the per-trial path beyond 64 vertices spreads over workers
+    # only blocks beyond 64 vertices spread over workers
     config = ExperimentConfig(ns=(64,), ps=(0.2,), trials=90, seed=9, workers=3)
     for model, in_caller in ((erdos_renyi(64, 0.1), True), (erdos_renyi(66, 0.1), False)):
         seen = set()

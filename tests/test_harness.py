@@ -145,38 +145,31 @@ def test_error_rows_do_not_kill_run():
     assert not result.all_failed()
 
 
-# grids run by blocks of rows (harness.sample_rows), and by one sample
-# per trial (harness.sample)
+# grids on both sides of BATCH_MAX_N, each drawn by blocks of rows
+# (harness.sample_rows), wide rows above it
 PATH_NS = ((8, 10), (65, 66))
 
 
 def _failing_trial(monkeypatch, exc, c, point, trial):
-    # the sampler of each path raises exc on one trial of one grid point;
-    # returns the number of calls each sampler gets
+    # sample_rows raises exc on the block that holds one trial of one grid
+    # point; returns the ranks of the row arrays it gives back
     bad_seed = derive_seed(c.seed, point, trial)
-    real_sample, real_rows = harness.sample, harness.sample_rows
-    calls = {"sample": 0, "sample_rows": 0}
-
-    def sample(model, seed, *args, **kwargs):
-        calls["sample"] += 1
-        if seed == bad_seed:
-            raise exc
-        return real_sample(model, seed, *args, **kwargs)
+    real_rows = harness.sample_rows
+    calls = {"ndim": set()}
 
     def sample_rows(model, seeds):
-        calls["sample_rows"] += 1
         if bad_seed in seeds.tolist():
             raise exc
-        return real_rows(model, seeds)
-    monkeypatch.setattr(harness, "sample", sample)
+        rows = real_rows(model, seeds)
+        calls["ndim"].add(rows.ndim)
+        return rows
     monkeypatch.setattr(harness, "sample_rows", sample_rows)
     return calls
 
 
 def _path_calls(ns, calls):
-    # only the sampler of the grid's path ran
-    batched = max(ns) <= BATCH_MAX_N
-    return bool(calls["sample_rows"]) == batched and bool(calls["sample"]) != batched
+    # the blocks' rows were wide exactly above BATCH_MAX_N
+    return calls["ndim"] == {3 if max(ns) > BATCH_MAX_N else 2}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,0 +1,167 @@
+"""Monte Carlo trials beyond 64 vertices, as wide rows of uint64 words.
+
+Beyond 64 vertices sample_rows gives a block's graphs as (T, n, W) words,
+W = ceil(n / 64), and the batch kernels evaluate them with no Graph built.
+Each piece is compared here with the per-graph form it stands for: the
+rows of sample(model, seed).graph, a functional's fn on each graph's
+Graph, and the harness's per-trial values.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from depgraphs import harness
+from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
+                                     correlated_star, custom_blocks,
+                                     edge_block_exact, erdos_renyi, sample,
+                                     sample_rows)
+from depgraphs.graphs import (Graph, clique_number, num_edges, row_graphs,
+                              row_ints, row_words)
+from depgraphs.harness import ExperimentConfig
+from depgraphs.predicates import (connected, degree_in_range,
+                                  edge_count_statistic, edge_deviation_exceeds,
+                                  edges_between_statistic, evaluate_rows,
+                                  isolated_count_statistic, negate,
+                                  parse_predicate)
+from depgraphs.rng import derive_seed, derive_seeds
+
+WIDE_NS = (65, 127, 128, 129, 200)
+SEEDS = (0, 7, 2 ** 64 - 1)
+
+
+def _wide(graphs):
+    """Graphs as wide rows, split into words by Python int arithmetic."""
+    n = graphs[0].n
+    width = row_words(n)
+    return np.array([[[row >> (64 * i) & (2 ** 64 - 1) for i in range(width)]
+                      for row in g.rows] for g in graphs], dtype=np.uint64)
+
+
+def _models(n, p):
+    """One model of every kind at n: the coin kinds at p, an edge-block
+    model at the a/m its edge count allows."""
+    yield erdos_renyi(n, p)
+    yield custom_blocks(n, p, blocks_from_text(n, "0 1 2 3; 5 9; 64 65 66"))
+    yield correlated_star(n, p, 4)
+    yield connectivity_gadget(n, p, 8)
+    m = next(m for m in (3, 4, 5) if num_edges(n) % m == 0)
+    yield edge_block_exact(n, 1 if p == 0 else m if p == 1 else 2, m)
+
+
+@pytest.mark.parametrize("p", [0, 0.05, 1])
+@pytest.mark.parametrize("n", WIDE_NS)
+def test_sample_rows_are_the_words_of_sample(n, p):
+    for model in _models(n, p):
+        rows = sample_rows(model, SEEDS)
+        assert rows.dtype == np.uint64
+        assert rows.shape == (len(SEEDS), n, row_words(n))
+        want = [sample(model, seed).graph.rows for seed in SEEDS]
+        assert [tuple(row_ints(words)) for words in rows] == want, model
+        assert [g.rows for g in row_graphs(rows)] == want, model
+
+
+def _graphs(n):
+    """Empty and complete graphs, sampled ones, and graphs whose only
+    isolated vertex sits on either side of a word boundary."""
+    full = (1 << n) - 1
+    gs = [Graph.empty(n), Graph.complete(n)]
+    gs += [sample(erdos_renyi(n, p), seed).graph
+           for p in (2 * math.log(n) / n, 0.3) for seed in (1, 2)]
+    for v in (0, 63, 64, n - 1):
+        gs.append(Graph(n, [0 if u == v else full ^ (1 << u) ^ (1 << v)
+                            for u in range(n)]))
+    return gs
+
+
+WIDE_PREDICATES = ("connected", "not-connected", "isolated-vertex",
+                   "degree-in:3:200", "true")
+
+
+@pytest.mark.parametrize("n", WIDE_NS)
+def test_wide_kernels_match_fn(n):
+    gs = _graphs(n)
+    rows = _wide(gs)
+    a, b = (0, 5, 63, 64, n - 1), tuple(range(60, n, 3))
+    preds = [parse_predicate(text) for text in WIDE_PREDICATES]
+    preds += [negate(degree_in_range(3, 200)), edge_deviation_exceeds(a, b, 0.3, 1.5),
+              parse_predicate(f"edge-count:{gs[2].edge_count()}")]
+    for pred in preds:
+        assert pred.wide
+        got = pred.batch(rows)
+        assert got.dtype == bool and got.shape == (len(gs),)
+        assert got.tolist() == [pred(g) for g in gs], pred.name
+    for stat in (edge_count_statistic(), isolated_count_statistic(),
+                 edges_between_statistic(a, b)):
+        got = stat.batch(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == [stat(g) for g in gs], stat.name
+
+
+def test_wide_connected_on_sampled_blocks():
+    # near the threshold some graphs of a block connect and some do not,
+    # and a long path needs a round per vertex
+    n = 150
+    model = correlated_star(n, 1.2 * math.log(n) / n, 3)
+    rows = sample_rows(model, derive_seeds(4, 0, 0, 40))
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    rows = np.concatenate([rows, _wide([path])])
+    want = [connected()(g) for g in row_graphs(rows)]
+    assert 0 < sum(want) < len(want) and want[-1]
+    assert connected().batch(rows).tolist() == want
+
+
+def test_functionals_without_a_wide_kernel_take_each_graph():
+    n = 70
+    gs = _graphs(n)
+    rows = _wide(gs)
+    for text in ("contains:k3", "lacks:k3", "contains:c4"):
+        pred = parse_predicate(text)
+        assert not pred.wide or pred.batch is None
+        assert list(evaluate_rows(pred, rows)) == [pred(g) for g in gs], text
+    assert evaluate_rows(clique_number, rows[:3]) == [clique_number(g) for g in gs[:3]]
+
+
+@pytest.mark.parametrize("n,d", [(30, 3), (100, 3), (129, 8), (200, 70)])
+def test_witness_kernel_matches_witness_beats_floor(n, d):
+    # hub sets inside one word and, at d = 70, across two
+    trial = harness._witness({"n": n, "p": 0.2, "d": d}, None, None)
+    model = correlated_star(n, 0.2, d)
+    seeds = derive_seeds(6, n, 0, 30)
+    rows = sample_rows(model, seeds)
+    gs = [sample(model, seed).graph for seed in seeds.tolist()]
+    empty = Graph.empty(n)
+    gs.append(empty)
+    rows = np.concatenate([rows, _wide([empty]) if n > 64 else [empty.rows]])
+    want = [trial.fn(g) for g in gs]
+    assert trial.batch(rows).tolist() == want
+
+
+def test_witness_kernel_decides_both_ways():
+    # p near the floor gives witnesses that beat it and ones that do not
+    for n, d in ((40, 3), (100, 3)):
+        trial = harness._witness({"n": n, "p": 0.3, "d": d}, None, None)
+        rows = sample_rows(correlated_star(n, 0.3, d), derive_seeds(2, n, 0, 60))
+        want = [trial.fn(g) for g in row_graphs(rows)]
+        assert 0 < sum(want) < len(want), (n, sum(want))
+        assert trial.batch(rows).tolist() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_trials_beyond_64_vertices_are_the_per_trial_values(workers):
+    config = ExperimentConfig(ns=(100,), ps=(0.1,), trials=9, seed=5, workers=workers)
+    witness = harness._witness({"n": 100, "p": 0.1, "d": 3}, config, None)
+    cases = [
+        (erdos_renyi(65, 0.05), parse_predicate("connected"), False),
+        (connectivity_gadget(129, 0.05, 8), parse_predicate("not-connected"), False),
+        (correlated_star(100, 0.1, 3), witness, False),
+        (edge_block_exact(128, 1, 4), parse_predicate("isolated-vertex"), False),
+        (erdos_renyi(70, Fraction(1, 4)), parse_predicate("lacks:k4"), False),
+        (erdos_renyi(66, 0.2), edge_count_statistic(), True),
+    ]
+    for point, (model, fn, statistic) in enumerate(cases):
+        got = harness._run_trials(config, point, model, fn, statistic)
+        want = [fn(sample(model, derive_seed(5, point, t)).graph) for t in range(9)]
+        assert got.tolist() == [float(v) if statistic else bool(v) for v in want]
