@@ -12,12 +12,14 @@ private coins ascending by edge index.  A model holds that order once, as
 the flat arrays of its LatentLayout, and everything that maps latents to
 edges goes through it: the sampler draws every latent value in one
 generator call in declared order (which pins down sample(model, seed) bit
-for bit), maps the values to the present edge indices and packs those
-into row words (_row_words), then into adjacency rows; sample_rows draws
-many seeds' graphs the same way, as bitset rows; latent capture returns
-the drawn values;
-realize maps a given state the same way; the audit reads block ownership
-from it; the oracle sizes its state space by it.
+for bit) and packs the graph's row words from them (_graph).  Up to 64
+vertices the packer scatters the present edge indices (_row_words).
+Beyond, it reads the rows from the packed colex presence bitmap
+(_presence_words, graphs.presence_rows), and no edge index is formed.
+sample_rows draws many seeds' graphs the same way, as bitset rows; latent
+capture returns the drawn values; realize maps a given state the same
+way; the audit reads block ownership from it; the oracle sizes its state
+space by it.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block.
@@ -33,6 +35,7 @@ import io
 import marshal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import ceil, isqrt, log, prod
 from typing import Iterable, NamedTuple, Sequence
@@ -41,8 +44,9 @@ import numpy as np
 
 from . import rng as rngmod
 from . import stats
-from .graphs import (BATCH_MAX_N, Graph, _endpoints, batch_dtype, batch_size,
-                     num_edges, row_ints, row_words)
+from .graphs import (BATCH_MAX_N, Graph, Windows, _endpoints, batch_dtype,
+                     batch_size, num_edges, packed_words, presence_rows,
+                     read_windows, row_ints, row_words, windows)
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -120,6 +124,59 @@ class LatentLayout:
         """Number of Bernoulli latents."""
         return 0 if self.uniform else self.latents
 
+    @cached_property
+    def spread(self) -> "Spread":
+        """Where the private coins go in the presence bitmap (_spread),
+        formed on first use and held as long as the layout is."""
+        return _spread(int(self.flat.size + self.singles.size), self.flat)
+
+
+class Spread(NamedTuple):
+    """The private coins' place in the packed presence bitmap, as pieces.
+
+    The singles fall in runs of consecutive edge indices between the block
+    edges.  A piece is the part of a run inside one 64-bit word of the
+    bitmap: word words[k] is the OR of pieces heads[k] .. heads[k+1] - 1,
+    and piece j is the window at[j] of the singles' packed coins, masked
+    by masks[j].  Words without a single are absent.
+    """
+    words: np.ndarray
+    heads: np.ndarray
+    at: Windows
+    masks: np.ndarray
+
+
+# _LOW_BITS[k] has bits 0 .. k - 1 set, k = 0 .. 64
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+
+def _spread(size: int, flat: np.ndarray) -> Spread:
+    """The Spread of the private coins of a layout with size edges whose
+    block edges are flat; every array is sized by the blocks and words,
+    not by the singles."""
+    # the block edges ascending between two sentinels: a run of singles
+    # spans bounds[k] + 1 .. bounds[k + 1] - 1 when that is not empty, and
+    # k block edges lie before it
+    bounds = np.concatenate(([-1], np.sort(flat), [size]))
+    k = np.flatnonzero(np.diff(bounds) > 1)
+    lo, hi = bounds[k] + 1, bounds[k + 1]
+    rank = lo - k
+    first = lo >> 6
+    count = ((hi - 1) >> 6) - first + 1
+    run = np.repeat(np.arange(lo.size), count)
+    word = np.arange(run.size) - np.repeat(np.cumsum(count) - count - first, count)
+    base = 64 * word
+    lo, hi = lo[run] - base, hi[run] - base
+    # the window starts at the single behind bit 0 of the word, which is
+    # > -64: a run's first word starts at most 63 bits before it
+    at = windows(rank[run] - lo)
+    masks = _LOW_BITS[np.minimum(hi, 64)] & ~_LOW_BITS[np.maximum(lo, 0)]
+    heads = np.flatnonzero(np.diff(word, prepend=-1))
+    spread = Spread(word[heads], heads, at, masks)
+    for arr in (spread.words, heads, masks, *at):
+        arr.flags.writeable = False
+    return spread
+
 
 def _block_edges(n: int, blocks: Sequence[Sequence[int]]
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +206,16 @@ def _block_edges(n: int, blocks: Sequence[Sequence[int]]
     raise AssertionError("unreachable: the checks above found a bad entry")
 
 
-def _build_layout(n: int, blocks: tuple[tuple[int, ...], ...],
+def _build_layout(n: int, blocks: tuple[tuple[int, ...], ...], flat: np.ndarray,
                   a: int | None = None, m: int | None = None) -> LatentLayout:
+    # flat is _block_edges(n, blocks)[0], formed when the model was checked
     if blocks:
-        flat, covered = _block_edges(n, blocks)
         bid = np.repeat(np.arange(len(blocks), dtype=np.int64),
                         np.fromiter(map(len, blocks), dtype=np.int64))
+        covered = np.zeros(num_edges(n), dtype=bool)
+        covered[flat] = True
         singles = np.flatnonzero(~covered)
     else:
-        flat = np.empty(0, dtype=np.int64)
         bid = np.empty(0, dtype=np.int64)
         singles = np.arange(num_edges(n), dtype=np.int64)
     for arr in (flat, bid, singles):
@@ -175,10 +233,13 @@ class DistributionModel:
     partition into consecutive index ranges of size m.
     """
 
-    __slots__ = ("kind", "n", "p", "d", "params", "blocks", "_layout")
+    __slots__ = ("kind", "n", "p", "d", "params", "blocks", "_flat", "_layout")
 
     def __init__(self, kind: str, n: int, p, d: int, params: dict,
-                 blocks: tuple[tuple[int, ...], ...]):
+                 blocks: tuple[tuple[int, ...], ...], *,
+                 _flat: np.ndarray | None = None):
+        # _flat: the blocks' edges concatenated, from a caller that has
+        # already checked the blocks with _block_edges
         if kind not in KINDS:
             raise ValueError(f"unknown distribution kind {kind!r}")
         if n < 1:
@@ -193,8 +254,10 @@ class DistributionModel:
         self.params = dict(params)
         self.blocks = tuple(tuple(b) for b in blocks)
         self._layout = None
-        if self.blocks:
-            _block_edges(n, self.blocks)
+        if _flat is None:
+            _flat = (_block_edges(n, self.blocks)[0] if self.blocks
+                     else np.empty(0, dtype=np.int64))
+        self._flat = _flat
 
     # -- latent layout -------------------------------------------------
 
@@ -203,10 +266,10 @@ class DistributionModel:
         """The latent layout, built on first use (it is O(n^2) in size)."""
         if self._layout is None:
             if self.kind == EDGE_BLOCK_EXACT:
-                self._layout = _build_layout(self.n, self.blocks,
+                self._layout = _build_layout(self.n, self.blocks, self._flat,
                                              self.params["a"], self.params["m"])
             else:
-                self._layout = _build_layout(self.n, self.blocks)
+                self._layout = _build_layout(self.n, self.blocks, self._flat)
         return self._layout
 
     def latent_count(self) -> int:
@@ -353,9 +416,11 @@ def custom_blocks(n: int, p, blocks: Iterable[Iterable[int]]) -> DistributionMod
     if flat.size != L:
         missing = int(np.flatnonzero(~covered)[0])
         raise ValueError(f"blocks do not cover edge index {missing}")
-    d = max((len(b) for b in normalized), default=1) - 1
+    sizes = np.fromiter(map(len, normalized), dtype=np.int64, count=len(normalized))
+    d = int(sizes.max(initial=1)) - 1
     kept = tuple(b for b in normalized if len(b) >= 2)
-    return DistributionModel(CUSTOM_BLOCKS, n, p, d, {}, kept)
+    return DistributionModel(CUSTOM_BLOCKS, n, p, d, {}, kept,
+                             _flat=flat[np.repeat(sizes >= 2, sizes)])
 
 
 def blocks_from_text(n: int, text: str) -> list[tuple[int, ...]]:
@@ -426,6 +491,45 @@ def _row_words(n: int, edges: np.ndarray) -> np.ndarray:
 def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
     """Graph with exactly the given (distinct) edge indices present."""
     return Graph._from_rows_unchecked(n, row_ints(_row_words(n, edges)))
+
+
+def _presence_words(model: DistributionModel, values: np.ndarray) -> np.ndarray:
+    """The colex presence bitmap for latent values in declared order, as
+    graphs.packed_words.
+
+    Without blocks the coins are the bitmap.  With blocks the private
+    coins are packed and spread to their words (LatentLayout.spread), and
+    the edges of the blocks whose coin is on are set in them.  Uniform
+    subsets pack their _present bitmap.
+    """
+    layout = model.layout
+    if layout.uniform:
+        return packed_words(_present(model, values))
+    if not layout.block_count:
+        return packed_words(values)
+    words = np.zeros(row_words(num_edges(model.n)) + 1, dtype="<u8")
+    spread = layout.spread
+    if spread.words.size:
+        pieces = read_windows(packed_words(values[layout.block_count:]), spread.at)
+        pieces &= spread.masks
+        words[spread.words] = np.bitwise_or.reduceat(pieces, spread.heads)
+    on = layout.flat[values[layout.bid]]
+    np.bitwise_or.at(words, on >> 6, np.uint64(1) << (on & 63).astype(np.uint64))
+    return words
+
+
+def _graph(model: DistributionModel, values: np.ndarray) -> Graph:
+    """The Graph of latent values in declared order.
+
+    Up to graphs.BATCH_MAX_N vertices its rows are packed from the present
+    edge indices (_row_words), which costs less per call there; beyond,
+    from the presence bitmap (graphs.presence_rows).
+    """
+    n = model.n
+    if n <= BATCH_MAX_N:
+        return _graph_from_edges(n, _edges(model, values))
+    return Graph._from_rows_unchecked(
+        n, row_ints(presence_rows(n, _presence_words(model, values))))
 
 
 def _coin_threshold(p) -> np.uint64 | None:
@@ -576,8 +680,9 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     Each trial draws as sample does, from this thread's generator reset to
     its seed.  Beyond 64 vertices row v of graph t is W = ceil(n / 64)
     uint64 words, with bit w of the row in bit w % 64 of word w // 64; each
-    trial packs its present edges into them as sample does (_row_words),
-    and no Graph is built.
+    trial draws into one buffer of latent values and packs its presence
+    bitmap into them as sample does (graphs.presence_rows), and no Graph is
+    built.
 
     Up to 64 vertices row v of graph t is an unsigned word of
     graphs.batch_dtype(n) with bit w set when v and w are adjacent, and
@@ -598,8 +703,10 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     seeds = list(map(int, seeds))
     if n > BATCH_MAX_N:
         rows = np.empty((len(seeds), n, row_words(n)), dtype=np.uint64)
+        values = _latent_rows(model, 1, 0)[0]
         for t, seed in enumerate(seeds):
-            rows[t] = _row_words(n, _edges(model, _draw_latents(model, seeded(seed))))
+            drawn = _draw_latents(model, seeded(seed), values)
+            rows[t] = presence_rows(n, _presence_words(model, drawn))
         return rows
     dtype = batch_dtype(n)
     rows = np.zeros((len(seeds), n), dtype=dtype)
@@ -738,10 +845,12 @@ def sample(model: DistributionModel, seed: int,
     With keep_latents the outcome also carries the latent state that
     realize() maps back to the same graph.  Capture reuses the arrays of
     the draw, so it costs about what a plain sample does.  The draw comes
-    from this thread's generator reset to rng.generator(seed)'s state.
+    from this thread's generator reset to rng.generator(seed)'s state.  The
+    rows are packed as _graph says: from the present edge indices up to 64
+    vertices, from the presence bitmap beyond.
     """
     values = _draw_latents(model, rngmod.seeded(seed))
-    graph = _graph_from_edges(model.n, _edges(model, values))
+    graph = _graph(model, values)
     state = _latent_state(model.layout, values) if keep_latents else None
     return SampleOutcome(graph, state)
 
@@ -754,7 +863,7 @@ def realize(model: DistributionModel, state: Sequence) -> Graph:
     range(m).
     """
     values = _state_values(model.layout, state)
-    return _graph_from_edges(model.n, _edges(model, values))
+    return _graph(model, values)
 
 
 # -- marginal and independence audit -----------------------------------

@@ -11,6 +11,9 @@ array, n <= 64, whose row t holds graph t's adjacency rows as bitsets.
 Beyond 64 vertices a block is wide: a (T, n, W) uint64 array, W =
 ceil(n / 64), whose word i of a row holds its bits 64i .. 64i + 63.  The
 degree, connectivity, isolated-vertex and edge-count kernels take both.
+presence_rows forms one graph's wide rows from its packed colex presence
+bitmap, with no edge index: the bitmap's bits tri(v) .. tri(v) + v - 1 are
+row v's bits below v.
 """
 
 from __future__ import annotations
@@ -578,6 +581,130 @@ def mask_words(mask: int, rows: np.ndarray) -> np.ndarray:
     bits = 8 * rows.dtype.itemsize
     full = (1 << bits) - 1
     return np.array([mask >> (bits * i) & full for i in range(width)], dtype=rows.dtype)
+
+
+# -- wide rows from a packed colex presence bitmap -----------------------
+
+def packed_words(bits: np.ndarray) -> np.ndarray:
+    """A flat bool array as little-endian uint64 words, bit i in bit i % 64
+    of word i // 64, and one zero word after them, which index -1 reads."""
+    words = np.zeros(row_words(bits.size) + 1, dtype="<u8")
+    packed = np.packbits(bits, bitorder="little")
+    words.view(np.uint8)[:packed.size] = packed
+    return words
+
+
+class Windows(NamedTuple):
+    """Where to read 64-bit windows of a packed bit stream (packed_words):
+    window j is bits start_j .. start_j + 63 of the stream, that is
+    words[low_j] >> right_j | words[high_j] << left_j (read_windows)."""
+    low: np.ndarray
+    high: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+
+
+def windows(starts: np.ndarray) -> Windows:
+    """The Windows at the given int64 bit offsets, each >= -64.
+
+    Bits before the stream read as zeros: a start s < 0 reads word -1, the
+    zero word, in place of the word before word 0, so start -64 reads a
+    zero window.  A word-aligned window reads its high part from the zero
+    word too, so shifting it left by 64 shifts a zero.
+    """
+    right = starts & 63
+    low = starts >> 6
+    high = np.where(right == 0, -1, low + 1)
+    return Windows(low, high, right.astype(np.uint64), (64 - right).astype(np.uint64))
+
+
+def read_windows(words: np.ndarray, at: Windows) -> np.ndarray:
+    """The 64-bit windows of a packed stream at the offsets of at, as a
+    uint64 array of their shape."""
+    out = words[at.low]
+    out >>= at.right
+    high = words[at.high]
+    high <<= at.left
+    out |= high
+    return out
+
+
+# (j, shift, mask) per step of the 64x64 transpose: a step swaps, in every
+# pair of j-word runs, the high j bits of each 2j-bit group of the first
+# run with the low j bits of the same group of the second
+_TRANSPOSE_STEPS = tuple((j, np.uint64(j), np.uint64(mask)) for j, mask in (
+    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555)))
+
+
+def transpose_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The transpose of every 64x64 bit block of a (64, K) uint64 array.
+
+    Column k is block k: word i of the column is the block's row i, and
+    bit j of it the block's column j.  The result holds in bit j of word i
+    of block k what the input held in bit i of word j.  Six steps, each
+    swapping two j x j sub-blocks of every 2j x 2j sub-block at once
+    (Warren, Hacker's Delight, 7-3), over whole runs of words, so every
+    step is a few array operations over all K blocks.
+    """
+    out = blocks.copy()
+    count = out.shape[1]
+    swap = np.empty((32, count), dtype=np.uint64)
+    for j, shift, mask in _TRANSPOSE_STEPS:
+        pairs = out.reshape(32 // j, 2, j, count)
+        low, high = pairs[:, 0], pairs[:, 1]
+        t = swap.reshape(32 // j, j, count)
+        np.right_shift(low, shift, out=t)
+        t ^= high
+        t &= mask
+        high ^= t
+        t <<= shift
+        low ^= t
+    return out
+
+
+# row i of a diagonal block keeps its bits below i
+_BELOW_DIAGONAL = ((np.uint64(1) << np.arange(64, dtype=np.uint64))
+                   - np.uint64(1))[:, None]
+
+
+@lru_cache(maxsize=4)
+def _lower_blocks(n: int) -> tuple[np.ndarray, np.ndarray, Windows]:
+    """The 64x64 blocks (I, J), J <= I, of n-vertex rows, off-diagonal
+    ones first, and where each block's words lie in the packed colex
+    presence bitmap: row v = 64I + i, word J holds edges tri(v) + 64J ..
+    + 63, so it is the window at that offset; rows past n read zeros."""
+    width = row_words(n)
+    big, small = np.tril_indices(width)
+    order = np.argsort(big == small, kind="stable")
+    big, small = big[order], small[order]
+    v = 64 * big + np.arange(64)[:, None]
+    at = windows(np.where(v < n, v * (v - 1) // 2 + 64 * small, -64))
+    for arr in (big, small, *at):
+        arr.flags.writeable = False
+    return big, small, at
+
+
+def presence_rows(n: int, words: np.ndarray) -> np.ndarray:
+    """The (n, W) uint64 row words, W = ceil(n / 64), of the graph whose
+    colex presence bitmap is packed in words (packed_words).
+
+    Row v's bits below v are the bitmap's bits tri(v) .. tri(v) + v - 1,
+    so the lower triangle's 64x64 blocks are windows of the bitmap; the
+    upper triangle is their transpose (transpose_blocks).  No edge index
+    is formed.
+    """
+    big, small, at = _lower_blocks(n)
+    width = row_words(n)
+    off = big.size - width
+    lower = read_windows(words, at)
+    lower[:, off:] &= _BELOW_DIAGONAL
+    upper = transpose_blocks(lower)
+    upper[:, off:] |= lower[:, off:]
+    rows = np.empty((width, 64, width), dtype=np.uint64)
+    rows[big[:off], :, small[:off]] = lower[:, :off].T
+    rows[small, :, big] = upper.T
+    return rows.reshape(64 * width, width)[:n]
 
 
 def _columns(rows: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from operator import mul
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import DistributionModel, _draw_latents, _edges, _graph_from_edges
+from .distributions import DistributionModel, _draw_latents, _graph
 from .errors import ResourceLimitError
 from .graphs import (BATCH_MAX_N, Graph, _endpoints, batch_dtype, batch_size,
                      num_edges)
@@ -537,10 +537,9 @@ def mean_variance_check(model: DistributionModel, statistic: Predicate,
     if trials < 2:
         raise ValueError("need trials >= 2 for a sample variance")
     gen = rngmod.generator(seed)
-    n = model.n
     values = np.empty(trials, dtype=np.float64)
     for i in range(trials):
-        g = _graph_from_edges(n, _edges(model, _draw_latents(model, gen)))
+        g = _graph(model, _draw_latents(model, gen))
         values[i] = statistic(g)
     emp_mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
