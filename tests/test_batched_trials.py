@@ -134,10 +134,11 @@ def test_single_picks_take_the_first_of_equal_keys(n, m):
     assert np.array_equal(_draw_latents(model, stub, out), want)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
 def test_single_picks_are_the_first_minimum(m):
     # integer-valued keys tie often; every pick is argmin's, the first of
-    # the equal minima, with and without leading axes
+    # the equal minima, with and without leading axes, also on the longer
+    # rows where argpartition(keys, 0) may keep a later one
     gen = np.random.default_rng(m)
     for shape in ((m,), (200, m), (7, 40, m), (3, 5, 9, m)):
         keys = gen.integers(0, 3, shape).astype(float)

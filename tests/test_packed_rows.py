@@ -162,12 +162,12 @@ def test_windows_read_zeros_before_the_stream():
 
 def _count_block_checks(monkeypatch):
     calls = []
-    check = distributions._block_edges
+    check = distributions._check_blocks
 
-    def counted(n, blocks):
+    def counted(n, flat):
         calls.append(n)
-        return check(n, blocks)
-    monkeypatch.setattr(distributions, "_block_edges", counted)
+        return check(n, flat)
+    monkeypatch.setattr(distributions, "_check_blocks", counted)
     return calls
 
 
