@@ -14,7 +14,6 @@ from math import ceil, isqrt, log
 import numpy as np
 import pytest
 
-from depgraphs import distributions
 from depgraphs.distributions import (build, connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact, erdos_renyi,
                                      sample, sample_rows)
@@ -100,7 +99,6 @@ def test_edge_blocks_match_the_tuple_reference(n, a, m):
 def test_two_builds_are_equal_and_hash_alike(make):
     first, second = make(), make()
     assert first == second and hash(first) == hash(second)
-    assert first.flat is not second.flat
 
 
 def test_one_changed_custom_edge_changes_equality_and_hash():
@@ -160,6 +158,6 @@ def test_draws_beyond_64_vertices_form_no_index_of_the_private_coins(make):
 
 
 def test_the_layout_counts_latents_without_the_private_coins_index():
-    model = distributions.custom_blocks(4, 0.5, [(2, 4), (0,), (1,), (3,), (5,)])
+    model = custom_blocks(4, 0.5, [(2, 4), (0,), (1,), (3,), (5,)])
     assert model.latent_count() == 5
     assert "singles" not in vars(model.layout)
