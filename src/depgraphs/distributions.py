@@ -46,9 +46,9 @@ import numpy as np
 
 from . import rng as rngmod
 from . import stats
-from .graphs import (BATCH_MAX_N, Graph, Windows, _endpoints, batch_dtype,
-                     batch_size, num_edges, packed_words, presence_rows,
-                     read_windows, row_ints, row_words, windows)
+from .graphs import (BATCH_MAX_N, Graph, Windows, _endpoints, batch_size,
+                     num_edges, packed_words, presence_rows, read_windows,
+                     row_ints, row_words, windows, zero_rows)
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -685,22 +685,19 @@ def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
 
 
 def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
-    """sample(model, seed).graph for each seed, as (T, n) bitset rows, or
-    wide (T, n, W) rows beyond graphs.BATCH_MAX_N vertices.
+    """sample(model, seed).graph for each seed, as one block of bitset rows
+    in the layout of graphs.zero_rows: (T, n) words up to
+    graphs.BATCH_MAX_N vertices, wide (T, n, W) uint64 rows beyond.
 
     Each trial draws as sample does, from this thread's generator reset to
-    its seed.  Beyond 64 vertices row v of graph t is W = ceil(n / 64)
-    uint64 words, with bit w of the row in bit w % 64 of word w // 64; each
-    trial draws into one buffer of latent values and packs its presence
-    bitmap into them as sample does (graphs.presence_rows), and no Graph is
-    built.
+    its seed.  Beyond 64 vertices each trial draws into one buffer of
+    latent values and packs its presence bitmap into them as sample does
+    (graphs.presence_rows), and no Graph is built.
 
-    Up to 64 vertices row v of graph t is an unsigned word of
-    graphs.batch_dtype(n) with bit w set when v and w are adjacent, and
-    each trial draws into one row of a block's array.  Coins: each trial's
-    raw draw fills a row of a uint64 word buffer sized to
-    graphs.BATCH_BYTES, and one np.less_equal per buffer compares its words
-    with a threshold formed once per call.  Uniform subsets: each trial
+    Up to 64 vertices each trial draws into one row of a block's array.
+    Coins: each trial's raw draw fills a row of a uint64 word buffer sized
+    to graphs.BATCH_BYTES, and one np.less_equal per buffer compares its
+    words with a threshold formed once per call.  Uniform subsets: each trial
     draws its keys, and one _picks call picks from the whole block.  A
     block's rows then come from one gather of the latent values through an
     (n, bits) table of the column behind each row bit, and one packbits;
@@ -712,15 +709,14 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     n = model.n
     seeded = rngmod.seeded
     seeds = list(map(int, seeds))
+    rows = zero_rows(len(seeds), n)
     if n > BATCH_MAX_N:
-        rows = np.empty((len(seeds), n, row_words(n)), dtype=np.uint64)
         values = _latent_rows(model, 1, 0)[0]
         for t, seed in enumerate(seeds):
             drawn = _draw_latents(model, seeded(seed), values)
             rows[t] = presence_rows(n, _presence_words(model, drawn))
         return rows
-    dtype = batch_dtype(n)
-    rows = np.zeros((len(seeds), n), dtype=dtype)
+    dtype = rows.dtype
     if not seeds or not num_edges(n):
         return rows
     width = 8 * dtype.itemsize

@@ -555,6 +555,16 @@ def row_bytes(n: int) -> int:
     return 8 * n * row_words(n)
 
 
+def zero_rows(count: int, n: int) -> np.ndarray:
+    """A block of count n-vertex graphs with no edges: (count, n) words of
+    batch_dtype(n) up to BATCH_MAX_N vertices, bit w of row v set when v and
+    w are adjacent, else wide (count, n, W) uint64 rows of row_words(n)
+    words, bit w of the row in bit w % 64 of word w // 64."""
+    if n <= BATCH_MAX_N:
+        return np.zeros((count, n), dtype=batch_dtype(n))
+    return np.zeros((count, n, row_words(n)), dtype=np.uint64)
+
+
 def row_ints(words: np.ndarray) -> list[int]:
     """One graph's (n, W) uint64 row words as n Python ints."""
     if words.shape[1] == 1:
@@ -566,8 +576,7 @@ def row_ints(words: np.ndarray) -> list[int]:
 
 
 def row_graphs(rows: np.ndarray) -> list[Graph]:
-    """The Graph of each graph of a block: (T, n) rows, of words or of
-    Python ints, or wide (T, n, W) rows."""
+    """The Graph of each graph of a block of (T, n) or wide (T, n, W) rows."""
     n = rows.shape[1]
     if rows.ndim == 3:
         return [Graph._from_rows_unchecked(n, row_ints(words)) for words in rows]
@@ -581,6 +590,15 @@ def mask_words(mask: int, rows: np.ndarray) -> np.ndarray:
     bits = 8 * rows.dtype.itemsize
     full = (1 << bits) - 1
     return np.array([mask >> (bits * i) & full for i in range(width)], dtype=rows.dtype)
+
+
+def row_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where bit v of row u lies in one graph's rows of the layout of rows,
+    flattened: the index of its word, and that word with only the bit set,
+    of rows' dtype."""
+    width = rows.shape[2] if rows.ndim == 3 else 1
+    bits = 8 * rows.dtype.itemsize
+    return u * width + v // bits, rows.dtype.type(1) << (v % bits).astype(rows.dtype)
 
 
 # -- wide rows from a packed colex presence bitmap -----------------------

@@ -8,23 +8,22 @@ each latent value a table of the adjacency-row bits its edges set, sharing
 only the layout with the sampler, none of its presence code, so an exact
 value and a Monte Carlo estimate of it are computed independently.
 
-One block source (`_blocks`) yields the outcomes as (T, n) rows, one bitset
-row per vertex, in blocks sized by one byte budget (graphs.BATCH_BYTES).
-For n <= 64 the rows are unsigned words from `_walk_batches`: a low table
-holds every joint value of the first latents, built by doubling; the next
-latent's values (a uniform block's subsets unranked in colex order) are
-read in slices that fill a block with it, and each block is XORed with
-every joint value of the latents above.  Beyond 64 vertices the scalar
-walk (`_walk`) gives the outcomes one at a time in Gray order, each step
-toggling one latent's edges in Python-int rows: coins in reflected binary
-Gray order with a running count of coins set, uniform subsets in reflected
-mixed-radix Gray order over each block's choices.  They are gathered into
-object rows, which reach `fn` on each outcome's Graph, never a batch
-kernel.  The scalar walk is also the tests' reference for the batched one.
+One block source (`_walk_batches`) yields the outcomes at every
+n as blocks of bitset rows in the layout of graphs.zero_rows: (T, n)
+unsigned words up to 64 vertices, wide (T, n, W) uint64 rows beyond, the
+rows the sampler gives and the batch kernels read.  Blocks are sized by
+one byte budget (graphs.BATCH_BYTES).  Each edge slot's two row bits are
+located once (graphs.row_bits); a low table holds every joint value of the
+first latents, built by doubling; the next latent's values (a coin's
+toggle, or a uniform block's subsets unranked in colex order) are read in
+slices that fill a block with it, and each block is XORed with every joint
+value of the latents above.  The tests keep a scalar Gray walk over
+Python-int rows as the independent reference for this one.
 
 One tally sums the values per number of coins set, and each sum collapses
 to a probability or moment at the end, from Python ints where the values
-are integral, so the result does not depend on the order of the walk.
+are integral, so the result does not depend on the order of the walk nor
+on the values' magnitude.
 Binomial tails come by direct summation.  The jumbledness check finds the
 pair a scan of all 4^n subset pairs would, from sorted prefix sums of each
 set's neighbour weights (O(2^n n log n)).  Budgets are enforced, never
@@ -36,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb, lgamma, log
 from operator import mul
 
@@ -45,8 +43,8 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import DistributionModel, _draw_latents, _graph
 from .errors import ResourceLimitError
-from .graphs import (BATCH_MAX_N, Graph, _endpoints, batch_dtype, batch_size,
-                     num_edges)
+from .graphs import (Graph, _endpoints, batch_size, num_edges, row_bits,
+                     row_bytes, zero_rows)
 from .predicates import Predicate, evaluate_rows
 
 ENUMERATION_BUDGET = 1 << 24
@@ -83,127 +81,27 @@ def _check_budget(model: DistributionModel) -> None:
             f"latent space has {text} outcomes, budget is {ENUMERATION_BUDGET}")
 
 
-def _next_combination(x: int) -> int:
-    """The next larger int with as many bits set (Gosper's hack)."""
-    low = x & -x
-    r = x + low
-    return (((r ^ x) >> 2) // low) | r
-
-
-def _walk(model: DistributionModel):
-    """Yield (k, rows) once for every joint latent outcome, in Gray order.
-
-    k is the number of coins set and rows the outcome's adjacency, one int
-    per vertex.  rows is one list updated in place between outcomes, so a
-    consumer that keeps it must copy it.  Each step moves one latent, and
-    only that latent's edges are toggled in rows.
-    """
-    layout = model.layout
-    n = model.n
-    rows = [0] * n
-    u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
-    pairs = list(zip(u.tolist(), v.tolist()))
-    if layout.uniform:
-        yield from _walk_subsets(layout, rows, pairs)
-        return
-    # per latent, the XOR toggle of its edges: (vertex, row mask) pairs
-    owner = layout.bid.tolist() + list(range(layout.block_count, layout.latents))
-    masks = [{} for _ in range(layout.latents)]
-    for j, (u, v) in zip(owner, pairs):
-        masks[j][u] = masks[j].get(u, 0) | (1 << v)
-        masks[j][v] = masks[j].get(v, 0) | (1 << u)
-    toggles = [tuple(t.items()) for t in masks]
-    # reflected binary Gray order: step i flips latent ctz(i)
-    on = 0
-    k = 0
-    yield k, rows
-    for i in range(1, 1 << layout.latents):
-        j = (i & -i).bit_length() - 1
-        for v, mask in toggles[j]:
-            rows[v] ^= mask
-        on ^= 1 << j
-        k += 1 if (on >> j) & 1 else -1
-        yield k, rows
-
-
-def _walk_subsets(layout, rows: list[int], pairs: list[tuple[int, int]]):
-    """_walk for uniform-subset models: every block keeps a of its m slots.
-
-    A block's choice is an m-bit mask with a bits set, and its choices run
-    in increasing order of that mask.  The blocks move in reflected
-    mixed-radix Gray order (TAOCP 7.2.1.1, Algorithm H), so each step
-    moves one block to its next or previous choice.
-    """
-    a, m, blocks = layout.a, layout.m, layout.block_count
-    full = (1 << m) - 1
-
-    def toggle(j: int, diff: int) -> None:
-        base = j * m
-        while diff:
-            u, v = pairs[base + (diff & -diff).bit_length() - 1]
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-            diff &= diff - 1
-
-    choice = [(1 << a) - 1] * blocks
-    for j in range(blocks):
-        toggle(j, choice[j])
-    radix = comb(m, a)
-    if radix == 1:
-        yield 0, rows
-        return
-    digit = [0] * blocks
-    step = [1] * blocks
-    focus = list(range(blocks + 1))
-    while True:
-        yield 0, rows
-        j = focus[0]
-        focus[0] = 0
-        if j == blocks:
-            return
-        old = choice[j]
-        if step[j] > 0:
-            choice[j] = _next_combination(old)
-        else:
-            choice[j] = full ^ _next_combination(full ^ old)
-        toggle(j, old ^ choice[j])
-        digit[j] += step[j]
-        if digit[j] == 0 or digit[j] == radix - 1:
-            step[j] = -step[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-
-
-def _slot_rows(model: DistributionModel, dtype: np.dtype) -> np.ndarray:
-    """Per latent edge slot (the layout's flat edges, then its singles), the
-    adjacency-row bits of its edge: one (n,) row of the given dtype each."""
-    layout = model.layout
-    n = model.n
-    edges = np.concatenate([layout.flat, layout.singles])
-    u, v = _endpoints(n, edges)
-    at = np.arange(edges.size)
-    one = dtype.type(1)
-    slots = np.zeros((edges.size, n), dtype=dtype)
-    slots[at, u] = one << v.astype(dtype)
-    slots[at, v] = one << u.astype(dtype)
-    return slots
-
-
-def _subset_rows(slots: np.ndarray, ladders: list[np.ndarray], start: int,
-                 stop: int) -> np.ndarray:
-    """The XOR of the slot rows of each a-subset of the m slots, for the
-    subsets of colex rank start .. stop - 1 (increasing bitmask order).
+def _subset_rows(at: np.ndarray, bits: np.ndarray, ladders: list[np.ndarray],
+                 start: int, stop: int, n: int) -> np.ndarray:
+    """The rows of each a-subset of a block's m edge slots, for the subsets
+    of colex rank start .. stop - 1 (increasing bitmask order); at and
+    bits locate each slot's two row bits, one row per endpoint
+    (graphs.row_bits).
 
     A subset c_1 < ... < c_a has rank sum comb(c_i, i), so its i-th slot is
     the largest x with comb(x, i) <= what is left of the rank; ladders[i-1]
-    holds comb(x, i) for x < m.
+    holds comb(x, i) for x < m.  Each level toggles one slot per subset,
+    so the words it XORs through one endpoint are distinct.
     """
     rank = np.arange(start, stop, dtype=np.int64)
-    rows = np.zeros((stop - start, slots.shape[1]), dtype=slots.dtype)
+    rows = zero_rows(stop - start, n)
+    flat = rows.reshape(-1)
+    base = np.arange(0, rows.size, rows[0].size, dtype=np.int64)
     for ladder in reversed(ladders):
         top = np.searchsorted(ladder, rank, side="right") - 1
         rank -= ladder[top]
-        rows ^= slots[top]
+        for side_at, side_bits in zip(at, bits):
+            flat[side_at[top] + base] ^= side_bits[top]
     return rows
 
 
@@ -225,34 +123,41 @@ def _walk_batches(model: DistributionModel, cap: int):
     """Yield (k, rows) for blocks of at most cap joint latent outcomes, each
     outcome once.
 
-    rows is a (T, n) unsigned array, one bitset row per vertex (n <= 64),
-    and k the int64 number of coins set in each outcome.  A latent's value
+    rows is one block of bitset rows in the layout of graphs.zero_rows:
+    (T, n) words up to 64 vertices, wide (T, n, W) uint64 rows beyond; k
+    is the int64 number of coins set in each outcome.  A latent's value
     sets the rows of the edges it turns on and some number of coins: a coin
     is off or on, a uniform block keeps one of its a-subsets.  The first
     latents, as many as fit a block, form a low table of all their joint
     values by doubling.  The next latent's values are read in slices that
     fit a block with the low table, and each such block is XORed with every
     joint value of the latents above.  No table holds more than cap values,
-    and only the latent layout is shared with the sampler.
+    no array a row per edge slot, and only the latent layout is shared with
+    the sampler.
     """
     layout = model.layout
     n = model.n
-    slots = _slot_rows(model, batch_dtype(n))
+    zero = zero_rows(1, n)
+    # per latent edge slot (the flat edges, then the singles), where its
+    # edge's bit lies in row u and in row v of one graph's flattened rows
+    u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    at, bits = row_bits(zero, np.array([u, v]), np.array([v, u]))
     if layout.uniform:
         m, a = layout.m, layout.a
         radix = comb(m, a)
-        blocks = slots.reshape(layout.block_count, m, n)
         ladders = [np.array([comb(x, i) for x in range(m)], dtype=np.int64)
                    for i in range(1, a + 1)]
 
         def values(j, start, stop):
+            block = slice(j * m, (j + 1) * m)
             return (np.zeros(stop - start, dtype=np.int64),
-                    _subset_rows(blocks[j], ladders, start, stop))
+                    _subset_rows(at[:, block], bits[:, block], ladders, start, stop, n))
     else:
         radix = 2
         owner = np.concatenate([layout.bid, np.arange(layout.block_count, layout.latents)])
-        toggles = np.zeros((layout.latents, n), dtype=slots.dtype)
-        np.bitwise_xor.at(toggles, owner, slots)
+        toggles = zero_rows(layout.latents, n)
+        np.bitwise_xor.at(toggles.reshape(layout.latents, zero.size),
+                          (np.concatenate([owner, owner]), at.ravel()), bits.ravel())
         table = np.stack([np.zeros_like(toggles), toggles], axis=1)
 
         def values(j, start, stop):
@@ -261,10 +166,10 @@ def _walk_batches(model: DistributionModel, cap: int):
     def spread(k, rows, low_k, low):
         # every value times every low entry, the low entry varying fastest
         return ((k[:, None] + low_k[None, :]).reshape(-1),
-                (rows[:, None, :] ^ low[None, :, :]).reshape(-1, n))
+                (rows[:, None] ^ low[None, :]).reshape(-1, *zero.shape[1:]))
 
     low_k = np.zeros(1, dtype=np.int64)
-    low = np.zeros((1, n), dtype=slots.dtype)
+    low = zero
     split = 0
     while split < layout.latents and len(low) * radix <= cap:
         low_k, low = spread(*values(split, 0, radix), low_k, low)
@@ -276,31 +181,24 @@ def _walk_batches(model: DistributionModel, cap: int):
     high = range(split + 1, layout.latents)
     for start in range(0, radix, step):
         mid_k, mid = spread(*values(split, start, min(radix, start + step)), low_k, low)
-        for k, row in _joint_values(values, radix, cap, high, 0, np.zeros(n, low.dtype)):
+        for k, row in _joint_values(values, radix, cap, high, 0, zero[0]):
             yield mid_k + k, mid ^ row
 
 
 def _batch_cap(n: int, columns: int) -> int:
     """Outcomes per block of _walk_batches: as many as keep an array of
     `columns` row-sized cells per outcome, the widest a consumer forms,
-    within graphs.BATCH_BYTES."""
-    return batch_size(columns * batch_dtype(n).itemsize)
+    within graphs.BATCH_BYTES; a cell is a row's share of one graph's
+    rows, graphs.row_bytes(n) / n."""
+    return batch_size(columns * row_bytes(n) // n)
 
 
-def _blocks(model: DistributionModel, columns: int):
-    """Yield (k, rows) blocks of every joint latent outcome, once each, as
-    many per block as keep `columns` row-sized cells per outcome within
-    graphs.BATCH_BYTES.  rows is (T, n): _walk_batches' unsigned words up to
-    BATCH_MAX_N vertices, else the scalar walk's outcomes as object rows."""
-    n = model.n
-    if n <= BATCH_MAX_N:
-        yield from _walk_batches(model, _batch_cap(n, columns))
-        return
-    cap = batch_size(columns * np.dtype(object).itemsize)
-    outcomes = ((k, tuple(rows)) for k, rows in _walk(model))
-    while block := list(islice(outcomes, cap)):
-        ks, rows = zip(*block)
-        yield np.array(ks, dtype=np.int64), np.array(rows, dtype=object)
+def _exact_in_float(values: np.ndarray) -> bool:
+    """Whether integers sum exactly in float64 in any order: their sum of
+    |values| is below 2^53, so every partial sum is an integer that float64
+    holds.  That sum is taken in float64 here, within far less than a
+    factor of 2 of the true one, so it is compared with 2^52."""
+    return np.abs(values, dtype=np.float64).sum() < 2.0 ** 52
 
 
 def _expectation(model: DistributionModel, values_of, columns: int) -> list:
@@ -309,30 +207,33 @@ def _expectation(model: DistributionModel, values_of, columns: int) -> list:
     the 2^24-outcome budget.
 
     Each block's values are summed per column and number of coins set k,
-    object values as Python objects.  A coinless model has one k, so its
-    integral values sum by one integer sum per column.  Others sum by one
-    float64 bincount that adds each cell in outcome order.  Integral values
-    come back as ints: each float sum is exact below 2^53, as it takes at
-    most 2^24 outcomes, and no kernel here gives more than 2016^2 (edges at
-    64 vertices, squared).
+    and the blocks' sums are added up in Python ints where the values are
+    integral, so they come back as ints at any magnitude.  A block of
+    integral values sums in float64 (by one bincount, or by column where
+    there is one k) only when its sum of |values| is below 2^53, which
+    keeps every partial sum exact; otherwise, and for values of no fixed
+    dtype, it sums as Python objects.  Float values sum in float64.
     """
     _check_budget(model)
     size = model.layout.coins + 1
     sums = 0
-    for k, rows in _blocks(model, max(model.n, columns)):
+    for k, rows in _walk_batches(model, _batch_cap(model.n, max(model.n, columns))):
         values = values_of(rows)
-        if size == 1 and values.dtype.kind in "biu":
-            sums = sums + values.reshape(len(values), -1).sum(axis=0, dtype=np.int64)
-            continue
-        at = k if columns == 1 else (np.arange(columns)[:, None] * size + k).ravel()
-        if values.dtype == object:
-            part = np.zeros(columns * size, dtype=object)
-            np.add.at(part, at, values.ravel(order="F"))
+        kind = values.dtype.kind
+        exact = kind == "b" or (kind in "iu" and _exact_in_float(values))
+        if size == 1 and exact:
+            part = values.reshape(len(values), -1).sum(axis=0)
         else:
-            part = np.bincount(at, weights=values.ravel(order="F"), minlength=columns * size)
+            at = k if columns == 1 else (np.arange(columns)[:, None] * size + k).ravel()
+            cells = values.ravel(order="F")
+            if exact or kind == "f":
+                part = np.bincount(at, weights=cells, minlength=columns * size)
+            else:
+                part = np.zeros(columns * size, dtype=object)
+                np.add.at(part, at, cells.astype(object))
+        if exact:
+            part = part.astype(np.int64).astype(object)
         sums = sums + part
-    if values.dtype.kind in "biu":
-        sums = sums.astype(np.int64)
     collapse = _collapser(model)
     return [collapse(c) for c in sums.reshape(columns, size).tolist()]
 
@@ -391,9 +292,11 @@ def exact_event_probability(model: DistributionModel, predicate: Predicate):
 
 def exact_edge_marginals(model: DistributionModel) -> list:
     """Per-edge presence probability by full latent enumeration."""
-    u, v = _endpoints(model.n, np.arange(num_edges(model.n), dtype=np.int64))
-    # per outcome, 1 for each edge (u, v) it holds
-    return _expectation(model, lambda rows: (rows[:, u] >> v.astype(rows.dtype)) & 1,
+    n = model.n
+    u, v = _endpoints(n, np.arange(num_edges(n), dtype=np.int64))
+    at, bits = row_bits(zero_rows(0, n), u, v)
+    # per outcome, whether it holds each edge (u, v): bit v of row u
+    return _expectation(model, lambda rows: (rows.reshape(len(rows), -1)[:, at] & bits) != 0,
                         len(u))
 
 
@@ -526,6 +429,10 @@ class MeanVarianceReport:
     variance_flag: bool
 
 
+# the largest |x| whose square int64 holds
+_SQUARE_MAX = math.isqrt((1 << 63) - 1)
+
+
 def _exact(value):
     """An integral statistic value as a Python int, so its sums are exact."""
     return int(value) if float(value).is_integer() else value
@@ -550,6 +457,8 @@ def mean_variance_check(model: DistributionModel, statistic: Predicate,
         x = evaluate_rows(statistic, rows)
         if not isinstance(x, np.ndarray):
             x = np.array([_exact(v) for v in x], dtype=object)
+        elif x.dtype.kind in "iu" and x.size and max(-int(x.min()), int(x.max())) > _SQUARE_MAX:
+            x = x.astype(object)    # Python ints square without wrapping
         return np.stack([x, x * x], axis=1)
 
     exact_mean = exact_var = None

@@ -5,9 +5,12 @@ Monte Carlo estimate of the "same" event really evaluate the same
 indicator function.  Events and statistics are one type, a named
 functional (`Predicate`, also bound as `Statistic`).  A functional may
 also carry `batch`, the same function over a block of graphs given as
-(T, n) bitset rows, or as wide (T, n, W) rows beyond 64 vertices unless
-`wide` is False (see the kernels in `graphs`); the oracle and the harness
-use it when present, and `fn` per graph otherwise (`evaluate_rows`).
+bitset rows in the layout of `graphs.zero_rows`: (T, n) words up to 64
+vertices, wide (T, n, W) rows beyond, which a kernel takes unless `wide`
+is False (see the kernels in `graphs`).  The oracle's enumeration and the
+harness's trials both reach a functional as such blocks at every n; they
+use its kernel when it takes the rows, and `fn` on each graph's Graph
+otherwise (`evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ Statistic = Predicate
 
 def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
     """functional on each graph of a block of (T, n) or wide (T, n, W)
-    bitset rows: its batch kernel when it has one that takes the rows, else
-    the functional on each graph's Graph (object rows of Python ints reach
-    no kernel)."""
+    bitset rows (graphs.zero_rows): its batch kernel when it has one that
+    takes the rows, else the functional on each graph's Graph."""
     batch = getattr(functional, "batch", None)
-    if batch is not None and rows.dtype != object and (rows.ndim == 2 or functional.wide):
+    if batch is not None and (rows.ndim == 2 or functional.wide):
         return batch(rows)
     return [functional(g) for g in graphs.row_graphs(rows)]
 

@@ -21,23 +21,116 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from depgraphs import graphs, oracle
-from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
-                                     correlated_star, custom_blocks,
-                                     edge_block_exact, erdos_renyi, realize,
-                                     sample)
+from depgraphs.distributions import (DistributionModel, blocks_from_text,
+                                     connectivity_gadget, correlated_star,
+                                     custom_blocks, edge_block_exact,
+                                     erdos_renyi, realize, sample)
 from depgraphs.errors import ResourceLimitError
-from depgraphs.graphs import Graph, count_edges_between, num_edges
+from depgraphs.graphs import Graph, _endpoints, count_edges_between, num_edges
 from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
                               exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check,
                               mean_variance_check, state_space_size, _collapser,
-                              _walk, _walk_batches)
+                              _walk_batches)
 from depgraphs.predicates import (Predicate, Statistic, connected,
                                   edge_count_statistic,
                                   edges_between_statistic,
                                   edge_deviation_exceeds,
                                   isolated_count_statistic, parse_predicate)
+
+
+# -- the scalar Gray walk: the reference for the oracle's batched one ------
+
+def _next_combination(x: int) -> int:
+    """The next larger int with as many bits set (Gosper's hack)."""
+    low = x & -x
+    r = x + low
+    return (((r ^ x) >> 2) // low) | r
+
+
+def _walk(model: DistributionModel):
+    """Yield (k, rows) once for every joint latent outcome, in Gray order.
+
+    k is the number of coins set and rows the outcome's adjacency, one int
+    per vertex.  rows is one list updated in place between outcomes, so a
+    consumer that keeps it must copy it.  Each step moves one latent, and
+    only that latent's edges are toggled in rows.
+    """
+    layout = model.layout
+    n = model.n
+    rows = [0] * n
+    u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    pairs = list(zip(u.tolist(), v.tolist()))
+    if layout.uniform:
+        yield from _walk_subsets(layout, rows, pairs)
+        return
+    # per latent, the XOR toggle of its edges: (vertex, row mask) pairs
+    owner = layout.bid.tolist() + list(range(layout.block_count, layout.latents))
+    masks = [{} for _ in range(layout.latents)]
+    for j, (u, v) in zip(owner, pairs):
+        masks[j][u] = masks[j].get(u, 0) | (1 << v)
+        masks[j][v] = masks[j].get(v, 0) | (1 << u)
+    toggles = [tuple(t.items()) for t in masks]
+    # reflected binary Gray order: step i flips latent ctz(i)
+    on = 0
+    k = 0
+    yield k, rows
+    for i in range(1, 1 << layout.latents):
+        j = (i & -i).bit_length() - 1
+        for v, mask in toggles[j]:
+            rows[v] ^= mask
+        on ^= 1 << j
+        k += 1 if (on >> j) & 1 else -1
+        yield k, rows
+
+
+def _walk_subsets(layout, rows: list[int], pairs: list[tuple[int, int]]):
+    """_walk for uniform-subset models: every block keeps a of its m slots.
+
+    A block's choice is an m-bit mask with a bits set, and its choices run
+    in increasing order of that mask.  The blocks move in reflected
+    mixed-radix Gray order (TAOCP 7.2.1.1, Algorithm H), so each step
+    moves one block to its next or previous choice.
+    """
+    a, m, blocks = layout.a, layout.m, layout.block_count
+    full = (1 << m) - 1
+
+    def toggle(j: int, diff: int) -> None:
+        base = j * m
+        while diff:
+            u, v = pairs[base + (diff & -diff).bit_length() - 1]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            diff &= diff - 1
+
+    choice = [(1 << a) - 1] * blocks
+    for j in range(blocks):
+        toggle(j, choice[j])
+    radix = comb(m, a)
+    if radix == 1:
+        yield 0, rows
+        return
+    digit = [0] * blocks
+    step = [1] * blocks
+    focus = list(range(blocks + 1))
+    while True:
+        yield 0, rows
+        j = focus[0]
+        focus[0] = 0
+        if j == blocks:
+            return
+        old = choice[j]
+        if step[j] > 0:
+            choice[j] = _next_combination(old)
+        else:
+            choice[j] = full ^ _next_combination(full ^ old)
+        toggle(j, old ^ choice[j])
+        digit[j] += step[j]
+        if digit[j] == 0 or digit[j] == radix - 1:
+            step[j] = -step[j]
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
 
 
 # -- event probabilities against the independent recursion --------------
@@ -322,31 +415,143 @@ def test_exact_beyond_64_vertices_on_uniform_subsets():
     assert rep.exact_mean == 1 and rep.exact_variance == 0
 
 
-def test_blocks_beyond_64_vertices_keep_the_cap_and_reach_no_kernel():
-    # beyond 64 vertices the blocks are the scalar walk's outcomes as object
-    # rows of Python ints, as many as keep `columns` pointers per outcome
-    # within the byte budget
+def test_blocks_beyond_64_vertices_are_wide_rows_within_the_cap():
+    # beyond 64 vertices the blocks are wide (T, n, W) uint64 rows, as many
+    # as keep `columns` row-sized cells per outcome within the byte budget
     n = 66
     model = edge_block_exact(n, 1, 2145)
     walked = Counter((k, tuple(rows)) for k, rows in _walk(model))
     for columns in (n, 2145):
-        blocks = list(oracle._blocks(model, columns))
+        blocks = list(_walk_batches(model, oracle._batch_cap(n, columns)))
         assert len(blocks) > 1
         batched = Counter()
         for k, rows in blocks:
-            assert rows.dtype == object and rows.shape == (len(k), n)
-            assert len(k) * columns * np.dtype(object).itemsize <= graphs.BATCH_BYTES
-            batched.update(zip(k.tolist(), map(tuple, rows.tolist())))
+            assert rows.dtype == np.uint64 and rows.shape == (len(k), n, 2)
+            assert len(k) * columns * graphs.row_bytes(n) // n <= graphs.BATCH_BYTES
+            batched.update(zip(k.tolist(), (tuple(graphs.row_ints(w)) for w in rows)))
         assert batched == walked
 
-    def refuse(rows):
-        raise AssertionError("object rows reached a batch kernel")
+    # only the kernels see the outcomes: no Graph is formed for them
+    def refuse(g):
+        raise AssertionError("an outcome reached fn")
 
-    isolated = Predicate("isolated-vertex", lambda g: 0 in g.rows, refuse)
+    isolated = Predicate("isolated-vertex", refuse,
+                         lambda rows: graphs.batch_isolated(rows).any(axis=1))
     assert exact_event_probability(model, isolated) == 1
-    edges = Statistic("edge-count", lambda g: g.edge_count(), refuse)
+    sampled = []
+    edges = Statistic("edge-count", lambda g: sampled.append(g) or g.edge_count(),
+                      graphs.batch_edge_counts)
     rep = mean_variance_check(model, edges, trials=2, seed=0)
     assert rep.exact_mean == 1 and rep.exact_variance == 0
+    assert len(sampled) == 2
+
+
+def _reference_models(n):
+    """Models at n > 64 whose outcomes the scalar walk visits quickly: a
+    custom one of six coins (the stars of vertices 0 and n - 1, the rest
+    round robin in four), and one uniform block of every slot keeping 1."""
+    L = num_edges(n)
+    first = {v * (v - 1) // 2 for v in range(1, n)}
+    last = {graphs.edge_index(u, n - 1, n) for u in range(1, n - 1)}
+    rest = sorted(set(range(L)) - first - last)
+    blocks = [sorted(first), sorted(last)] + [rest[j::4] for j in range(4)]
+    return [custom_blocks(n, Fraction(1, 3), blocks), edge_block_exact(n, 1, L)]
+
+
+@pytest.mark.parametrize("n", [65, 66, 130])
+def test_wide_walk_batches_match_scalar_walk(n):
+    # past one word the blocks hold every outcome once, as wide rows, and
+    # every kernel that takes them tallies per k what its fn tallies over
+    # the scalar walk; a cap of 7 leaves latents above the low table and
+    # reads a latent in slices
+    rnd = random.Random(n)
+    a = tuple(rnd.sample(range(n), 9))
+    b = tuple(rnd.sample(range(n), 7))
+    for model in _reference_models(n):
+        functionals = [parse_predicate(text) for text in WALK_PREDICATES]
+        functionals += [edge_deviation_exceeds(a, b, model.p, 0.5),
+                        edge_count_statistic(), isolated_count_statistic(),
+                        edges_between_statistic(a, b)]
+        functionals = [f for f in functionals if f.batch is not None and f.wide]
+        want = [Counter() for _ in functionals]
+        scalar = Counter()
+        for k, rows in _walk(model):
+            scalar[k, tuple(rows)] += 1
+            g = Graph._from_rows_unchecked(n, rows)
+            for f, tally in zip(functionals, want):
+                tally[k] += f.fn(g)
+        blocks = list(_walk_batches(model, 7))
+        batched = Counter()
+        for k, rows in blocks:
+            assert len(k) <= 7 and rows.dtype == np.uint64
+            assert rows.shape == (len(k), n, graphs.row_words(n))
+            batched.update(zip(k.tolist(), (tuple(graphs.row_ints(w)) for w in rows)))
+        assert batched == scalar
+        for f, tally in zip(functionals, want):
+            got = Counter()
+            for k, rows in blocks:
+                for kk, value in zip(k.tolist(), f.batch(rows).tolist()):
+                    got[kk] += value
+            assert got == tally, (model, f.name)
+
+
+def test_exact_edge_marginals_at_130_vertices():
+    model = _reference_models(130)[0]
+    assert exact_edge_marginals(model) == [model.p] * num_edges(130)
+
+
+def test_exact_at_1000_vertices_reads_wide_blocks():
+    # the two-block model of 4 outcomes at n = 1000, each query through the
+    # kernels on wide rows (contains:k3 on each outcome's Graph)
+    start = time.perf_counter()
+    n = 1000
+    star = [v * (v - 1) // 2 for v in range(1, n)]
+    rest = sorted(set(range(num_edges(n))) - set(star))
+    p = Fraction(1, 3)
+    q = 1 - p
+    model = custom_blocks(n, p, [star, rest])
+    for text, want in [("connected", p), ("isolated-vertex", q), ("contains:k3", p)]:
+        assert exact_event_probability(model, parse_predicate(text)) == want, text
+    rep = mean_variance_check(model, edge_count_statistic(), trials=2, seed=0)
+    assert rep.exact_mean == p * len(star) + p * len(rest)
+    assert rep.exact_variance == p * q * (len(star) ** 2 + len(rest) ** 2)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_exact_uniform_block_at_300_vertices_forms_no_slot_table():
+    # one block of all 44850 slots keeping one: every outcome has a single
+    # edge; a (slots, n, W) table of the slots' rows would take 538 MB
+    model = edge_block_exact(300, 1, 44850)
+    pred = parse_predicate("isolated-vertex")
+    assert _peak_bytes(exact_event_probability, model, pred) < 32 << 20
+    assert exact_event_probability(model, pred) == 1
+
+
+def test_exact_moments_of_large_integral_values(monkeypatch):
+    # float64 sums of these values round past 2^53, and int64 squares of
+    # the second wrap; the exact moments need neither
+    model = erdos_renyi(6, Fraction(1, 3))
+    stat = Statistic("scaled", lambda g: g.edge_count() * 2 ** 20 + 1,
+                     lambda rows: graphs.batch_edge_counts(rows) * 2 ** 20 + 1)
+    rep = mean_variance_check(model, stat, trials=2, seed=0)
+    assert rep.exact_mean == 5 * 2 ** 20 + 1
+    assert rep.exact_variance == Fraction(10, 3) * 2 ** 40
+    model = erdos_renyi(3, Fraction(1, 2))
+    stat = Statistic("shifted", lambda g: g.edge_count() << 32,
+                     lambda rows: graphs.batch_edge_counts(rows) << 32)
+    rep = mean_variance_check(model, stat, trials=2, seed=0)
+    assert rep.exact_mean == 3 * 2 ** 31
+    assert rep.exact_variance == Fraction(3, 4) * 2 ** 64
+    # one outcome per block: each block's sums are exact in float64, and
+    # their total per number of coins set is not
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 5)
+    assert oracle._batch_cap(5, 5) == 1
+    model = erdos_renyi(5, Fraction(1, 3))
+    stat = Statistic("scaled", lambda g: g.edge_count() * 2 ** 22 + 1,
+                     lambda rows: graphs.batch_edge_counts(rows) * 2 ** 22 + 1)
+    rep = mean_variance_check(model, stat, trials=2, seed=0)
+    assert rep.exact_mean == Fraction(10, 3) * 2 ** 22 + 1
+    assert rep.exact_variance == Fraction(20, 9) * 2 ** 44
 
 
 def _peak_bytes(fn, *args):
