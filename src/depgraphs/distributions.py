@@ -14,14 +14,14 @@ and its LatentLayout indexes them; the private coins' edges are formed only
 when read (LatentLayout.singles).  Everything that maps latents to edges
 goes through the layout: the sampler draws every latent value in one
 generator call in declared order (which pins down sample(model, seed) bit
-for bit) and packs the graph's row words from them (_graph).  Up to 64
-vertices the packer scatters the present edge indices (_row_words).
-Beyond, it reads the rows from the packed colex presence bitmap
-(_presence_words, graphs.presence_rows), and no edge index is formed.
-sample_rows draws many seeds' graphs the same way, as bitset rows; latent
-capture returns the drawn values; realize maps a given state the same
-way; the audit reads block ownership from it; the oracle sizes its state
-space by it.
+for bit), and one packer (_rows) turns the values of a block of trials
+into bitset rows.  Up to 64 vertices it gathers each row bit from the
+value behind it through a table each layout forms once; beyond, it reads
+the rows from the packed colex presence bitmap (_presence_words,
+graphs.presence_rows), and no edge index is formed.  sample, realize,
+sample_rows and oracle.mean_variance_check all pack through it; latent
+capture returns the drawn values; the audit reads block ownership from
+the layout; the oracle sizes its state space by it.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block.
@@ -46,9 +46,9 @@ import numpy as np
 
 from . import rng as rngmod
 from . import stats
-from .graphs import (BATCH_MAX_N, Graph, Windows, _endpoints, batch_size,
+from .graphs import (BATCH_MAX_N, Graph, Windows, batch_dtype, batch_size,
                      num_edges, packed_words, presence_rows, read_windows,
-                     row_ints, row_words, windows, zero_rows)
+                     row_bytes, row_graphs, row_words, windows, zero_rows)
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -110,7 +110,7 @@ class LatentLayout:
     """
     flat: np.ndarray      # explicit block edges, blocks concatenated
     bid: np.ndarray       # block id of each entry of flat
-    slots: int            # edge slots, num_edges(n)
+    n: int
     block_count: int
     a: int | None = None
     m: int | None = None
@@ -118,6 +118,10 @@ class LatentLayout:
     @property
     def uniform(self) -> bool:
         return self.a is not None
+
+    @property
+    def slots(self) -> int:
+        return num_edges(self.n)
 
     @property
     def latents(self) -> int:
@@ -142,6 +146,23 @@ class LatentLayout:
         """Where the private coins go in the presence bitmap (_spread),
         formed on first use and held as long as the layout is."""
         return _spread(self.slots, self.flat)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Up to graphs.BATCH_MAX_N vertices, the column (_edge_slots) behind
+        bit w of row v at v * width + w, 0 where v and w are not adjacent,
+        and the mask of the adjacent bits (_rows); held as spread is."""
+        n = self.n
+        dtype = batch_dtype(n)
+        v = np.arange(n)[:, None]
+        w = np.arange(8 * dtype.itemsize)
+        lo, hi = np.minimum(v, w), np.maximum(v, w)
+        edge = np.where((w < n) & (w != v), hi * (hi - 1) // 2 + lo, 0)
+        table = _edge_slots(self)[edge].ravel()
+        adjacent = dtype.type((1 << n) - 1) ^ (dtype.type(1) << np.arange(n, dtype=dtype))
+        for arr in (table, adjacent):
+            arr.flags.writeable = False
+        return table, adjacent
 
 
 class Spread(NamedTuple):
@@ -285,8 +306,8 @@ class DistributionModel:
             bid.flags.writeable = False
             uniform = ((self.params["a"], self.params["m"])
                        if self.kind == EDGE_BLOCK_EXACT else ())
-            self._layout = LatentLayout(self.flat, bid, num_edges(self.n),
-                                        self.sizes.size, *uniform)
+            self._layout = LatentLayout(self.flat, bid, self.n, self.sizes.size,
+                                        *uniform)
         return self._layout
 
     def latent_count(self) -> int:
@@ -489,26 +510,6 @@ def _require(value, name):
 
 # -- sampling ----------------------------------------------------------
 
-def _row_words(n: int, edges: np.ndarray) -> np.ndarray:
-    """The (n, W) uint64 row words, W = ceil(n / 64), of the graph with
-    exactly the given (distinct) edge indices present.
-
-    Both endpoints' bits are set in one flat bool array, a row of whole
-    64-bit words per vertex, and a single packbits call packs it.
-    """
-    eu, ev = _endpoints(n, edges)
-    width = 64 * row_words(n)
-    bits = np.zeros(n * width, dtype=bool)
-    bits[eu * width + ev] = True
-    bits[ev * width + eu] = True
-    return np.packbits(bits, bitorder="little").view("<u8").reshape(n, -1)
-
-
-def _graph_from_edges(n: int, edges: np.ndarray) -> Graph:
-    """Graph with exactly the given (distinct) edge indices present."""
-    return Graph._from_rows_unchecked(n, row_ints(_row_words(n, edges)))
-
-
 def _presence_words(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     """The colex presence bitmap for latent values in declared order, as
     graphs.packed_words.
@@ -532,20 +533,6 @@ def _presence_words(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     on = layout.flat[values[layout.bid]]
     np.bitwise_or.at(words, on >> 6, np.uint64(1) << (on & 63).astype(np.uint64))
     return words
-
-
-def _graph(model: DistributionModel, values: np.ndarray) -> Graph:
-    """The Graph of latent values in declared order.
-
-    Up to graphs.BATCH_MAX_N vertices its rows are packed from the present
-    edge indices (_row_words), which costs less per call there; beyond,
-    from the presence bitmap (graphs.presence_rows).
-    """
-    n = model.n
-    if n <= BATCH_MAX_N:
-        return _graph_from_edges(n, _edges(model, values))
-    return Graph._from_rows_unchecked(
-        n, row_ints(presence_rows(n, _presence_words(model, values))))
 
 
 def _coin_threshold(p) -> np.uint64 | None:
@@ -657,14 +644,13 @@ def _present(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     return present
 
 
-def _edge_slots(model: DistributionModel) -> np.ndarray:
+def _edge_slots(layout: LatentLayout) -> np.ndarray:
     """Per edge index, the column that records whether the edge is present:
     its latent's for coins, where an edge is present iff its latent is on,
     and its own for uniform subsets, which are recorded per edge."""
-    layout = model.layout
     if layout.uniform:
-        return np.arange(num_edges(model.n))
-    slot = np.empty(num_edges(model.n), dtype=np.int64)
+        return np.arange(layout.slots)
+    slot = np.empty(layout.slots, dtype=np.int64)
     slot[layout.flat] = layout.bid
     slot[layout.singles] = np.arange(layout.block_count, layout.latents)
     return slot
@@ -673,15 +659,44 @@ def _edge_slots(model: DistributionModel) -> np.ndarray:
 def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
                  ) -> np.ndarray:
     """An empty array for the latent values of T <= trials trials (see
-    _draw_latents), T as large as keeps the wider of one trial's values and
-    item_bytes per trial within graphs.BATCH_BYTES."""
+    _draw_latents), T as large as keeps the widest of one trial's values,
+    the float64 keys a uniform draw forms, and item_bytes per trial within
+    graphs.BATCH_BYTES."""
     layout = model.layout
     if layout.uniform:
         shape, dtype = (layout.block_count, layout.a), np.dtype(np.intp)
+        keys = 8 * layout.slots
     else:
-        shape, dtype = (layout.latents,), np.dtype(bool)
-    per_trial = max(item_bytes, prod(shape) * dtype.itemsize)
+        shape, dtype, keys = (layout.latents,), np.dtype(bool), 0
+    per_trial = max(item_bytes, keys, prod(shape) * dtype.itemsize)
     return np.empty((min(trials, batch_size(per_trial)),) + shape, dtype=dtype)
+
+
+def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
+    """T trials' latent values, with a leading trial axis as in
+    _draw_latents(model, gen, out), as one block in the layout of
+    graphs.zero_rows.  Up to graphs.BATCH_MAX_N vertices one gather reads
+    every row bit from the values' column behind it (LatentLayout.columns),
+    the presence bitmaps' for uniform subsets (_present), and one packbits
+    packs the block; beyond, each trial's rows are read from its presence
+    bitmap (_presence_words, graphs.presence_rows), with no edge index."""
+    n, count = model.n, len(values)
+    if n > BATCH_MAX_N:
+        rows = zero_rows(count, n)
+        for t in range(count):
+            rows[t] = presence_rows(n, _presence_words(model, values[t]))
+        return rows
+    layout = model.layout
+    if not layout.slots:
+        return zero_rows(count, n)
+    if layout.uniform:
+        values = _present(model, values)
+    table, adjacent = layout.columns
+    bits = values.take(table, axis=1).reshape(count, n, 8 * adjacent.itemsize)
+    packed = np.packbits(bits, axis=2, bitorder="little")
+    rows = packed.view(adjacent.dtype.newbyteorder("<"))[..., 0]
+    rows &= adjacent
+    return rows
 
 
 def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
@@ -690,78 +705,54 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     graphs.BATCH_MAX_N vertices, wide (T, n, W) uint64 rows beyond.
 
     Each trial draws as sample does, from this thread's generator reset to
-    its seed.  Beyond 64 vertices each trial draws into one buffer of
-    latent values and packs its presence bitmap into them as sample does
-    (graphs.presence_rows), and no Graph is built.
-
-    Up to 64 vertices each trial draws into one row of a block's array.
-    Coins: each trial's raw draw fills a row of a uint64 word buffer sized
-    to graphs.BATCH_BYTES, and one np.less_equal per buffer compares its
-    words with a threshold formed once per call.  Uniform subsets: each trial
-    draws its keys, and one _picks call picks from the whole block.  A
-    block's rows then come from one gather of the latent values through an
-    (n, bits) table of the column behind each row bit, and one packbits;
-    the bits without an edge are cleared.  Blocks are sized so that their
-    widest array fits graphs.BATCH_BYTES.
+    its seed, into one row of a block's array of latent values, and _rows
+    packs the block; no Graph is built.  Uniform subsets: each trial draws
+    its keys, and one _picks call picks from the whole block.  Coins beyond
+    64 vertices: each trial draws its values whole (_draw_latents).  Coins
+    up to 64: each trial's raw draw fills a row of a uint64 word buffer
+    sized to graphs.BATCH_BYTES, and one np.less_equal per buffer compares
+    its words with a threshold formed once per call.  Blocks are sized so
+    that their widest array fits graphs.BATCH_BYTES.
     """
     layout = model.layout
     latents = layout.latents
-    n = model.n
     seeded = rngmod.seeded
     seeds = list(map(int, seeds))
-    rows = zero_rows(len(seeds), n)
-    if n > BATCH_MAX_N:
-        values = _latent_rows(model, 1, 0)[0]
-        for t, seed in enumerate(seeds):
-            drawn = _draw_latents(model, seeded(seed), values)
-            rows[t] = presence_rows(n, _presence_words(model, drawn))
-        return rows
-    dtype = rows.dtype
-    if not seeds or not num_edges(n):
-        return rows
-    width = 8 * dtype.itemsize
-    # the column behind bit w of row v; column 0 where there is no edge
-    v = np.arange(n)[:, None]
-    w = np.arange(width)
-    lo, hi = np.minimum(v, w), np.maximum(v, w)
-    edge = np.where((w < n) & (w != v), hi * (hi - 1) // 2 + lo, 0)
-    table = _edge_slots(model)[edge].ravel()
-    edge_bits = dtype.type((1 << n) - 1) ^ (dtype.type(1) << np.arange(n, dtype=dtype))
+    if not seeds:
+        return zero_rows(0, model.n)
+    values = _latent_rows(model, len(seeds), 8 * row_bytes(model.n))
+    block = len(values)
+    wide = model.n > BATCH_MAX_N
     if layout.uniform:
-        # a float64 key per edge slot and trial, picked from a block at a time
-        keys = np.empty((min(len(seeds), batch_size(max(n * width, 8 * num_edges(n)))),
-                         layout.block_count, layout.m))
-        block = len(keys)
-    else:
-        values = _latent_rows(model, len(seeds), n * width)
-        block = len(values)
+        keys = np.empty((block, layout.block_count, layout.m))
+    elif not wide:
         threshold = _coin_threshold(model.p)
         # at most 2016 latents at n <= 64, so one raw draw per trial, as in
         # _coins, into a row of a word buffer of one budget
         words = np.empty((min(block, batch_size(8 * latents)), latents),
                          dtype=np.uint64)
+    blocks = []
     for start in range(0, len(seeds), block):
-        count = min(block, len(seeds) - start)
+        chunk = seeds[start:start + block]
+        drawn = values[:len(chunk)]
         if layout.uniform:
-            for t, seed in enumerate(seeds[start:start + count]):
+            for t, seed in enumerate(chunk):
                 seeded(seed).random(out=keys[t])
-            drawn = _present(model, _picks(keys[:count], layout.a))
-        elif threshold is not None:
-            drawn = values[:count]
-            for first in range(0, count, len(words)):
-                chunk = seeds[start + first:start + min(count, first + len(words))]
-                for t, seed in enumerate(chunk):
-                    words[t] = seeded(seed).bit_generator.random_raw(latents)
-                np.less_equal(words[:len(chunk)], threshold,
-                              out=drawn[first:first + len(chunk)])
-        else:
-            drawn = values[:count]
+            drawn[...] = _picks(keys[:len(chunk)], layout.a)
+        elif wide:
+            for t, seed in enumerate(chunk):
+                _draw_latents(model, seeded(seed), drawn[t])
+        elif threshold is None:
             drawn[...] = False    # p = 0
-        packed = np.packbits(drawn.take(table, axis=1).reshape(count, n, width),
-                             axis=2, bitorder="little")
-        rows[start:start + count] = packed.view(dtype.newbyteorder("<"))[..., 0]
-    rows &= edge_bits
-    return rows
+        else:
+            for first in range(0, len(chunk), len(words)):
+                part = chunk[first:first + len(words)]
+                for t, seed in enumerate(part):
+                    words[t] = seeded(seed).bit_generator.random_raw(latents)
+                np.less_equal(words[:len(part)], threshold,
+                              out=drawn[first:first + len(part)])
+        blocks.append(_rows(model, drawn))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 # A latent state's marshal image at format version 2, which has no
@@ -852,12 +843,11 @@ def sample(model: DistributionModel, seed: int,
     With keep_latents the outcome also carries the latent state that
     realize() maps back to the same graph.  Capture reuses the arrays of
     the draw, so it costs about what a plain sample does.  The draw comes
-    from this thread's generator reset to rng.generator(seed)'s state.  The
-    rows are packed as _graph says: from the present edge indices up to 64
-    vertices, from the presence bitmap beyond.
+    from this thread's generator reset to rng.generator(seed)'s state, and
+    _rows packs it as it packs a block of sample_rows.
     """
     values = _draw_latents(model, rngmod.seeded(seed))
-    graph = _graph(model, values)
+    graph = row_graphs(_rows(model, values[None]))[0]
     state = _latent_state(model.layout, values) if keep_latents else None
     return SampleOutcome(graph, state)
 
@@ -870,7 +860,7 @@ def realize(model: DistributionModel, state: Sequence) -> Graph:
     range(m).
     """
     values = _state_values(model.layout, state)
-    return _graph(model, values)
+    return row_graphs(_rows(model, values[None]))[0]
 
 
 # -- marginal and independence audit -----------------------------------
@@ -968,14 +958,13 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     # the picks: edge block * m + pick is present, and a pair's edges are
     # both present when each one's block picked it.  Trials are drawn a
     # batch at a time, in turn from gen, as a loop would draw them.
-    slot = _edge_slots(model)
+    slot = _edge_slots(layout)
     if layout.uniform:
         starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
         (b1, q1), (b2, q2) = divmod(e1s, layout.m), divmod(e2s, layout.m)
     else:
         s1, s2 = slot[e1s], slot[e2s]
-    # a uniform draw forms a float64 key per edge slot
-    values = _latent_rows(model, trials, 8 * L if layout.uniform else 0)
+    values = _latent_rows(model, trials, 0)
     batch = len(values)
     tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
     joint = np.zeros(len(pair_list), dtype=np.int64)

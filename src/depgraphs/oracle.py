@@ -41,7 +41,7 @@ from operator import mul
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import DistributionModel, _draw_latents, _graph
+from .distributions import DistributionModel, _draw_latents, _latent_rows, _rows
 from .errors import ResourceLimitError
 from .graphs import (Graph, _endpoints, batch_size, num_edges, row_bits,
                      row_bytes, zero_rows)
@@ -440,14 +440,19 @@ def _exact(value):
 
 def mean_variance_check(model: DistributionModel, statistic: Predicate,
                         trials: int, seed: int) -> MeanVarianceReport:
-    """Compare sampled moments of a statistic with exact enumerated moments."""
+    """Compare sampled moments of a statistic with exact enumerated moments.
+
+    The trials come from one generator a block at a time, packed by the
+    sampler's packer (_rows) and evaluated by evaluate_rows."""
     if trials < 2:
         raise ValueError("need trials >= 2 for a sample variance")
     gen = rngmod.generator(seed)
     values = np.empty(trials, dtype=np.float64)
-    for i in range(trials):
-        g = _graph(model, _draw_latents(model, gen))
-        values[i] = statistic(g)
+    # _rows gathers a bool per row bit up to 64 vertices
+    latents = _latent_rows(model, trials, 8 * row_bytes(model.n))
+    for start in range(0, trials, len(latents)):
+        drawn = _draw_latents(model, gen, latents[:min(len(latents), trials - start)])
+        values[start:start + len(drawn)] = evaluate_rows(statistic, _rows(model, drawn))
     emp_mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
     mean_se = math.sqrt(emp_var / trials)

@@ -20,18 +20,18 @@ from depgraphs import rng
 from depgraphs.bounds import (connectivity_example_threshold,
                               containment_failure_bound,
                               containment_hypothesis, jumbledness_hypothesis)
-from depgraphs.distributions import (_draw_latents, _graph_from_edges,
-                                     _present, blocks_from_text, connectivity_gadget,
+from depgraphs.distributions import (_draw_latents, _latent_rows, _present,
+                                     _rows, blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, sample)
 from depgraphs.graphs import (Graph, SubgraphPattern, clique_number,
                               edge_cover_number, max_subgraph_density,
-                              named_pattern)
+                              named_pattern, row_bytes, row_graphs)
 from depgraphs.harness import ExperimentConfig, run_experiment
 from depgraphs.oracle import (exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check)
-from depgraphs.predicates import parse_predicate
+from depgraphs.predicates import evaluate_rows, parse_predicate
 from depgraphs.stats import wilson_interval
 from depgraphs.bounds import janson_bernstein, janson_phi
 
@@ -201,11 +201,13 @@ def test_criterion_09_edge_block_exact_counts_and_frequencies():
     gen = rng.generator(1)
     counts = [0] * 45
     for t in range(trials):
-        present = _present(model, _draw_latents(model, gen))
+        values = _draw_latents(model, gen)
+        present = _present(model, values)
         assert int(present.sum()) == 15
         if t < 200:
             # spot check that the packed Graph agrees with the raw vector
-            assert _graph_from_edges(10, np.flatnonzero(present)).edge_count() == 15
+            (g,) = row_graphs(_rows(model, values[None]))
+            assert g.edge_count() == 15
         for e in present.nonzero()[0]:
             counts[e] += 1
     for e in range(45):
@@ -238,15 +240,17 @@ def test_criterion_10_monte_carlo_agrees_with_exact_oracle():
     assert exact_by_pair[1][2] == Fraction(19, 32)
     assert exact_by_pair[2][2] == Fraction(1, 4)
 
+    # each pair's trials are drawn in turn from its generator, a block at a
+    # time, and packed and evaluated a block at a time
     trials = 100_000
     inside = 0
     for j, (model, pred, exact) in enumerate(exact_by_pair):
         gen = rng.generator(rng.derive_seed(0, j))
+        values = _latent_rows(model, trials, 8 * row_bytes(model.n))
         hits = 0
-        for _ in range(trials):
-            present = _present(model, _draw_latents(model, gen))
-            g = _graph_from_edges(model.n, np.flatnonzero(present))
-            hits += bool(pred(g))
+        for start in range(0, trials, len(values)):
+            drawn = _draw_latents(model, gen, values[:min(len(values), trials - start)])
+            hits += int(np.count_nonzero(evaluate_rows(pred, _rows(model, drawn))))
         lo, hi = wilson_interval(hits, trials)
         inside += lo <= float(exact) <= hi
     assert inside >= 9, inside

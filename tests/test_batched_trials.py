@@ -2,10 +2,14 @@
 
 Up to 64 vertices the harness derives a block's seeds at once
 (rng.derive_seeds), draws the block's graphs as bitset rows
-(distributions.sample_rows) and evaluates them with a batch kernel.  Each
-piece is compared here with the per-trial form it stands for:
-derive_seed, the rows of sample(model, seed).graph, and the trial
-function on one Graph.
+(distributions.sample_rows) and evaluates them with a batch kernel.
+sample_rows and sample pack latent values with the same packer
+(distributions._rows, checked against Graph.from_edge_indices in
+test_sampler_path), so comparing sample_rows with the rows of
+sample(model, seed).graph checks the block draws: each trial's raw words
+compared with a threshold a buffer at a time, and its keys picked a block
+at a time.  The other pieces are compared with the per-trial forms they
+stand for: derive_seed, and the trial function on one Graph.
 """
 
 import itertools

@@ -20,11 +20,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from depgraphs import graphs, oracle
-from depgraphs.distributions import (DistributionModel, blocks_from_text,
-                                     connectivity_gadget, correlated_star,
-                                     custom_blocks, edge_block_exact,
-                                     erdos_renyi, realize, sample)
+from depgraphs import graphs, oracle, rng
+from depgraphs.distributions import (DistributionModel, _draw_latents, _edges,
+                                     blocks_from_text, connectivity_gadget,
+                                     correlated_star, custom_blocks,
+                                     edge_block_exact, erdos_renyi, realize,
+                                     sample)
 from depgraphs.errors import ResourceLimitError
 from depgraphs.graphs import Graph, _endpoints, count_edges_between, num_edges
 from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
@@ -431,19 +432,18 @@ def test_blocks_beyond_64_vertices_are_wide_rows_within_the_cap():
             batched.update(zip(k.tolist(), (tuple(graphs.row_ints(w)) for w in rows)))
         assert batched == walked
 
-    # only the kernels see the outcomes: no Graph is formed for them
+    # only the kernels see the outcomes and the sampled trials: no Graph is
+    # formed for them
     def refuse(g):
         raise AssertionError("an outcome reached fn")
 
     isolated = Predicate("isolated-vertex", refuse,
                          lambda rows: graphs.batch_isolated(rows).any(axis=1))
     assert exact_event_probability(model, isolated) == 1
-    sampled = []
-    edges = Statistic("edge-count", lambda g: sampled.append(g) or g.edge_count(),
-                      graphs.batch_edge_counts)
+    edges = Statistic("edge-count", refuse, graphs.batch_edge_counts)
     rep = mean_variance_check(model, edges, trials=2, seed=0)
     assert rep.exact_mean == 1 and rep.exact_variance == 0
-    assert len(sampled) == 2
+    assert rep.empirical_mean == 1 and rep.empirical_variance == 0
 
 
 def _reference_models(n):
@@ -851,6 +851,37 @@ def test_mean_variance_budget_leaves_exact_none():
     assert rep.exact_mean is None and rep.exact_variance is None
     assert not rep.mean_flag and not rep.variance_flag
     assert rep.empirical_mean == pytest.approx(390.0, rel=0.05)
+
+
+def _per_trial_moments(model, stat, trials, seed):
+    """The empirical mean and variance the plain way: a fresh generator,
+    one draw per trial, from_edge_indices and the statistic's fn."""
+    gen = rng.generator(seed)
+    values = np.empty(trials, dtype=np.float64)
+    for i in range(trials):
+        edges = _edges(model, _draw_latents(model, gen)).tolist()
+        g = Graph.from_edge_indices(model.n, edges)
+        values[i] = stat.fn(g)
+    return float(values.mean()), float(values.var(ddof=1))
+
+
+@pytest.mark.parametrize("model, stat", [
+    (erdos_renyi(5, Fraction(2, 5)), edge_count_statistic()),
+    (correlated_star(70, 0.1, 3), isolated_count_statistic()),
+    (edge_block_exact(8, 2, 4), edges_between_statistic((0, 1, 2), (5, 6, 7))),
+    (custom_blocks(6, 0.3, blocks_from_text(6, "0 1 2; 5 9")),
+     Statistic("max-degree", lambda g: max(graphs.degree_sequence(g)))),
+], ids=["er-5", "star-70", "edge-block-8", "no-kernel"])
+@pytest.mark.parametrize("budget", [None, 3000], ids=["default-budget", "small-budget"])
+def test_mean_variance_empirical_moments_equal_per_trial_draws(
+        monkeypatch, model, stat, budget):
+    # the check draws its trials a block at a time and packs and evaluates
+    # them a block at a time; a small budget splits them into many blocks
+    want = _per_trial_moments(model, stat, 300, 17)
+    if budget is not None:
+        monkeypatch.setattr(graphs, "BATCH_BYTES", budget)
+    rep = mean_variance_check(model, stat, trials=300, seed=17)
+    assert (rep.empirical_mean, rep.empirical_variance) == want
 
 
 def test_mean_variance_needs_two_trials():

@@ -1,6 +1,7 @@
 """Wide rows packed from the colex presence bitmap, with no edge list.
 
-Beyond 64 vertices sample, realize and sample_rows pack a trial's presence
+Beyond 64 vertices the packer that sample, realize, sample_rows and
+mean_variance_check share (distributions._rows) packs a trial's presence
 bitmap into row words: the lower triangle's words are windows of the
 packed bitmap, and the upper triangle is their 64x64 bit-block transpose.
 Each piece is compared here with a plainer form: the packer with
@@ -122,8 +123,9 @@ def _mc_large_models():
             connectivity_gadget(n, 0.01, 15)]
 
 
-# the same trial packed from its edge list (_row_words) peaks at 5.2-6.3
-# MiB, most of it a bool scatter target of n * 64 * ceil(n / 64) entries
+# the same trial packed from its edge list, by scattering both endpoints'
+# bits into a bool array of n * 64 * ceil(n / 64) entries and packing that,
+# peaks at 5.2-6.3 MiB, most of it the bool array
 WIDE_TRIAL_PEAK = 5 * 2 ** 20
 
 
@@ -140,15 +142,22 @@ def test_one_wide_trial_stays_within_the_edge_list_packers_peak(index):
     assert peak <= WIDE_TRIAL_PEAK, peak
 
 
-def test_per_layout_arrays_die_with_the_model():
-    model = correlated_star(300, 0.1, 3)
+def _layout_dies_with_the_model(n: int, table: str) -> None:
+    model = correlated_star(n, 0.1, 3)
     sample_rows(model, [1])
     layout = model.layout
-    assert "spread" in vars(layout)
+    assert table in vars(layout)
     gone = weakref.ref(layout)
     del model, layout
     gc.collect()
     assert gone() is None
+
+
+def test_per_layout_arrays_die_with_the_model():
+    # the spread of the private coins beyond 64 vertices, the column table
+    # of the packer up to 64
+    _layout_dies_with_the_model(300, "spread")
+    _layout_dies_with_the_model(40, "columns")
 
 
 def test_windows_read_zeros_before_the_stream():

@@ -1,10 +1,12 @@
 """The sampler's path from seed to rows, checked piece by piece.
 
 sample(model, seed) resets a per-thread generator instead of building one,
-draws coins by comparing raw Philox words with a threshold, maps latent
-values straight to edge indices and packs those into adjacency rows.  Each
-step is compared here with the plain form it replaces: rng.generator(seed),
-gen.random(L) < p, and Graph.from_edge_indices.
+draws coins by comparing raw Philox words with a threshold, and packs the
+latent values into adjacency rows with the one packer every sampling path
+shares (distributions._rows).  Each step is compared here with the plain
+form it replaces: rng.generator(seed), gen.random(L) < p, and
+Graph.from_edge_indices, which the packer meets on both sides of every
+word boundary of its rows.
 """
 
 import sys
@@ -17,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depgraphs import rng
-from depgraphs.distributions import (_coins, _graph_from_edges,
-                                     blocks_from_text, connectivity_gadget,
-                                     correlated_star, custom_blocks,
-                                     edge_block_exact, erdos_renyi, sample)
-from depgraphs.graphs import Graph, num_edges
+from depgraphs.distributions import (_coins, _rows, blocks_from_text,
+                                     connectivity_gadget, correlated_star,
+                                     custom_blocks, edge_block_exact,
+                                     erdos_renyi, sample)
+from depgraphs.graphs import Graph, num_edges, row_graphs
 
 WORD_BOUNDARY_NS = (1, 2, 63, 64, 65, 127, 128, 129)
 
@@ -35,19 +37,27 @@ def edge_sets(draw):
     return n, draw(st.lists(st.integers(0, L - 1), unique=True, max_size=300))
 
 
+def _packed(n: int, edges) -> Graph:
+    """The graph _rows packs from one draw of erdos_renyi(n, .) whose coins
+    are on at exactly the given edge indices."""
+    coins = np.zeros((1, num_edges(n)), dtype=bool)
+    coins[0, edges] = True
+    (g,) = row_graphs(_rows(erdos_renyi(n, 0.5), coins))
+    return g
+
+
 @settings(max_examples=150, deadline=None)
 @given(edge_sets())
 def test_packer_matches_from_edge_indices(case):
     n, edges = case
-    packed = _graph_from_edges(n, np.array(edges, dtype=np.int64))
-    assert packed.rows == Graph.from_edge_indices(n, edges).rows
+    assert _packed(n, edges).rows == Graph.from_edge_indices(n, edges).rows
 
 
 @pytest.mark.parametrize("n", WORD_BOUNDARY_NS + (2000,))
 def test_packer_complete_and_empty(n):
-    everything = np.arange(num_edges(n), dtype=np.int64)
-    assert _graph_from_edges(n, everything).rows == Graph.complete(n).rows
-    assert _graph_from_edges(n, everything[:0]).rows == Graph.empty(n).rows
+    everything = list(range(num_edges(n)))
+    assert _packed(n, everything).rows == Graph.complete(n).rows
+    assert _packed(n, []).rows == Graph.empty(n).rows
 
 
 COIN_PS = (0, 1, 2.0 ** -53, 1 - 2.0 ** -53, Fraction(1, 3), 12345 * 2.0 ** -53,
