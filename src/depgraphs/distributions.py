@@ -151,7 +151,8 @@ class LatentLayout:
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Up to graphs.BATCH_MAX_N vertices, the column (_edge_slots) behind
         bit w of row v at v * width + w, 0 where v and w are not adjacent,
-        and the mask of the adjacent bits (_rows); held as spread is."""
+        and the (n, 1) mask of each row's adjacent bits (_rows); held as
+        spread is."""
         n = self.n
         dtype = batch_dtype(n)
         v = np.arange(n)[:, None]
@@ -159,7 +160,7 @@ class LatentLayout:
         lo, hi = np.minimum(v, w), np.maximum(v, w)
         edge = np.where((w < n) & (w != v), hi * (hi - 1) // 2 + lo, 0)
         table = _edge_slots(self)[edge].ravel()
-        adjacent = dtype.type((1 << n) - 1) ^ (dtype.type(1) << np.arange(n, dtype=dtype))
+        adjacent = dtype.type((1 << n) - 1) ^ (dtype.type(1) << v.astype(dtype))
         for arr in (table, adjacent):
             arr.flags.writeable = False
         return table, adjacent
@@ -674,12 +675,13 @@ def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
 
 def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     """T trials' latent values, with a leading trial axis as in
-    _draw_latents(model, gen, out), as one block in the layout of
+    _draw_latents(model, gen, out), as one (T, n, W) block in the layout of
     graphs.zero_rows.  Up to graphs.BATCH_MAX_N vertices one gather reads
     every row bit from the values' column behind it (LatentLayout.columns),
     the presence bitmaps' for uniform subsets (_present), and one packbits
-    packs the block; beyond, each trial's rows are read from its presence
-    bitmap (_presence_words, graphs.presence_rows), with no edge index."""
+    packs each row into its one word; beyond, each trial's rows are read
+    from its presence bitmap (_presence_words, graphs.presence_rows), with
+    no edge index."""
     n, count = model.n, len(values)
     if n > BATCH_MAX_N:
         rows = zero_rows(count, n)
@@ -694,15 +696,14 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     table, adjacent = layout.columns
     bits = values.take(table, axis=1).reshape(count, n, 8 * adjacent.itemsize)
     packed = np.packbits(bits, axis=2, bitorder="little")
-    rows = packed.view(adjacent.dtype.newbyteorder("<"))[..., 0]
+    rows = packed.view(adjacent.dtype.newbyteorder("<"))
     rows &= adjacent
     return rows
 
 
 def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
-    """sample(model, seed).graph for each seed, as one block of bitset rows
-    in the layout of graphs.zero_rows: (T, n) words up to
-    graphs.BATCH_MAX_N vertices, wide (T, n, W) uint64 rows beyond.
+    """sample(model, seed).graph for each seed, as one block of (T, n, W)
+    row words in the layout of graphs.zero_rows.
 
     Each trial draws as sample does, from this thread's generator reset to
     its seed, into one row of a block's array of latent values, and _rows

@@ -6,18 +6,20 @@ colexicographic index: {u,v} with u < v maps to v*(v-1)//2 + u, so the
 pairs on the first k vertices occupy indices 0..C(k,2)-1 and the index of
 a pair never depends on n.
 
-The batch kernels at the end take many graphs at once: a (T, n) unsigned
-array, n <= 64, whose row t holds graph t's adjacency rows as bitsets.
-Beyond 64 vertices a block is wide: a (T, n, W) uint64 array, W =
-ceil(n / 64), whose word i of a row holds its bits 64i .. 64i + 63.  The
-degree, connectivity, isolated-vertex and edge-count kernels take both.
-presence_rows forms one graph's wide rows from its packed colex presence
-bitmap, with no edge index: the bitmap's bits tri(v) .. tri(v) + v - 1 are
-row v's bits below v.
+The batch kernels at the end take many graphs at once, as one block: a
+(T, n, W) array of row words, W = ceil(n / 64), whose word i of graph t's
+row v holds bits 64i .. 64i + 63 of that row.  Its words are of
+batch_dtype(n), the narrowest unsigned dtype that holds a row up to 64
+vertices (W = 1), and uint64 beyond.  Only the kernels read W: the
+connectivity and clique kernels run a loop over one word per row when
+W = 1.  presence_rows forms one graph's rows from its packed colex
+presence bitmap, with no edge index: the bitmap's bits tri(v) .. tri(v) +
+v - 1 are row v's bits below v.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -82,7 +84,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 def vertex_mask(vertices: Iterable[int], n: int) -> int:
     """Bitmask of a vertex subset, validating range."""
     m = 0
-    for v in vertices:
+    for v in map(operator.index, vertices):
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range for n={n}")
         m |= 1 << v
@@ -139,6 +141,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"bad edge ({u},{v}) for n={n}")
             rows[u] |= 1 << v
@@ -149,7 +152,7 @@ class Graph:
     def from_edge_indices(cls, n: int, indices: Iterable[int]) -> "Graph":
         rows = [0] * n
         for i in indices:
-            u, v = edge_endpoints(i, n)
+            u, v = edge_endpoints(operator.index(i), n)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls._from_rows_unchecked(n, rows)
@@ -520,8 +523,10 @@ def from_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# -- batch kernels over (T, n) and wide (T, n, W) bitset rows ------------
+# -- batch kernels over blocks of (T, n, W) row words --------------------
 
+# the most vertices whose rows take one word (W = 1); the sampler's packer
+# and coin draw and the harness's threads pick their algorithm by it
 BATCH_MAX_N = 64
 
 # the widest array a batched consumer forms per block, in bytes (batch_size)
@@ -535,40 +540,33 @@ def batch_size(item_bytes: int) -> int:
 
 
 def batch_dtype(n: int) -> np.dtype:
-    """The narrowest unsigned dtype whose bits hold an n-vertex row."""
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+    """The dtype of an n-vertex block's row words: the narrowest unsigned
+    dtype whose bits hold the row up to 64 vertices, uint64 beyond."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
         if n <= 8 * np.dtype(dtype).itemsize:
             return np.dtype(dtype)
-    raise ValueError(f"batched rows need n <= {BATCH_MAX_N}, got n={n}")
+    return np.dtype(np.uint64)
 
 
 def row_words(n: int) -> int:
-    """Words per row of a wide block, ceil(n / 64)."""
+    """Words per row of a block, W = ceil(n / 64)."""
     return -(-n // 64)
 
 
 def row_bytes(n: int) -> int:
-    """Bytes one graph's rows take in a block: n words of batch_dtype(n) up
-    to BATCH_MAX_N vertices, else n rows of row_words(n) uint64 words."""
-    if n <= BATCH_MAX_N:
-        return n * batch_dtype(n).itemsize
-    return 8 * n * row_words(n)
+    """Bytes one graph's rows take in a block, zero_rows(1, n).nbytes."""
+    return n * row_words(n) * batch_dtype(n).itemsize
 
 
 def zero_rows(count: int, n: int) -> np.ndarray:
-    """A block of count n-vertex graphs with no edges: (count, n) words of
-    batch_dtype(n) up to BATCH_MAX_N vertices, bit w of row v set when v and
-    w are adjacent, else wide (count, n, W) uint64 rows of row_words(n)
-    words, bit w of the row in bit w % 64 of word w // 64."""
-    if n <= BATCH_MAX_N:
-        return np.zeros((count, n), dtype=batch_dtype(n))
-    return np.zeros((count, n, row_words(n)), dtype=np.uint64)
+    """A block of count n-vertex graphs with no edges: (count, n, W) words
+    of batch_dtype(n), W = row_words(n), bit w of row v, in bit w % 64 of
+    word w // 64, set when v and w are adjacent."""
+    return np.zeros((count, n, row_words(n)), dtype=batch_dtype(n))
 
 
 def row_ints(words: np.ndarray) -> list[int]:
-    """One graph's (n, W) uint64 row words as n Python ints."""
-    if words.shape[1] == 1:
-        return words.ravel().tolist()
+    """One graph's (n, W) row words as n Python ints."""
     stride = 8 * words.shape[1]
     buf = memoryview(words.astype("<u8", copy=False).tobytes())
     return [int.from_bytes(buf[i:i + stride], "little")
@@ -576,17 +574,16 @@ def row_ints(words: np.ndarray) -> list[int]:
 
 
 def row_graphs(rows: np.ndarray) -> list[Graph]:
-    """The Graph of each graph of a block of (T, n) or wide (T, n, W) rows."""
+    """The Graph of each graph of a block."""
     n = rows.shape[1]
-    if rows.ndim == 3:
-        return [Graph._from_rows_unchecked(n, row_ints(words)) for words in rows]
-    return [Graph._from_rows_unchecked(n, row) for row in rows.tolist()]
+    if rows.shape[2] == 1:
+        return [Graph._from_rows_unchecked(n, row) for row in rows[..., 0].tolist()]
+    return [Graph._from_rows_unchecked(n, row_ints(words)) for words in rows]
 
 
 def mask_words(mask: int, rows: np.ndarray) -> np.ndarray:
-    """A vertex bitmask as one row's words in the layout of rows: a (1,)
-    array of rows' dtype for (T, n) rows, (W,) uint64 for wide rows."""
-    width = rows.shape[2] if rows.ndim == 3 else 1
+    """A vertex bitmask as one row's (W,) words in the layout of rows."""
+    width = rows.shape[2]
     bits = 8 * rows.dtype.itemsize
     full = (1 << bits) - 1
     return np.array([mask >> (bits * i) & full for i in range(width)], dtype=rows.dtype)
@@ -596,7 +593,7 @@ def row_bits(rows: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     """Where bit v of row u lies in one graph's rows of the layout of rows,
     flattened: the index of its word, and that word with only the bit set,
     of rows' dtype."""
-    width = rows.shape[2] if rows.ndim == 3 else 1
+    width = rows.shape[2]
     bits = 8 * rows.dtype.itemsize
     return u * width + v // bits, rows.dtype.type(1) << (v % bits).astype(rows.dtype)
 
@@ -745,9 +742,10 @@ def _union_of_rows(cols: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def batch_connected(rows: np.ndarray) -> np.ndarray:
     """is_connected of every graph: the vertices reached from vertex 0 grow
     by their neighbourhoods, at most n - 1 rounds, until no graph gains one."""
-    if rows.ndim == 3:
+    count, n, width = rows.shape
+    if width > 1:
         return _wide_connected(rows)
-    count, n = rows.shape
+    rows = rows[..., 0]
     cols = _columns(rows)
     reached = np.ones(count, dtype=rows.dtype)
     for _ in range(n - 1):
@@ -780,7 +778,13 @@ def _wide_connected(rows: np.ndarray) -> np.ndarray:
 
 
 def batch_has_clique(rows: np.ndarray, k: int) -> np.ndarray:
-    """Whether each graph has a k-clique, k >= 1."""
+    """Whether each graph has a k-clique, k >= 1; beyond 64 vertices by
+    contains_subgraph on each graph's Graph."""
+    if rows.shape[2] > 1:
+        pattern = SubgraphPattern.clique(k)
+        return np.array([contains_subgraph(g, pattern) for g in row_graphs(rows)],
+                        dtype=bool)
+    rows = rows[..., 0]
     full = np.full(len(rows), (1 << rows.shape[1]) - 1, dtype=rows.dtype)
     return _clique_among(_columns(rows), full, k)
 
@@ -816,15 +820,14 @@ def _popcounts(rows: np.ndarray) -> np.ndarray:
 
 
 def batch_degrees(rows: np.ndarray) -> np.ndarray:
-    """The degree of every vertex of every graph, as a (T, n) array: the
-    popcount of its row, summed over the words of a wide row."""
-    counts = np.bitwise_count(rows)
-    return counts if rows.ndim == 2 else counts.sum(axis=2, dtype=np.int64)
+    """The degree of every vertex of every graph, as a (T, n) int64 array:
+    the popcount of its row, summed over the row's words."""
+    return np.bitwise_count(rows).sum(axis=2, dtype=np.int64)
 
 
 def batch_isolated(rows: np.ndarray) -> np.ndarray:
     """Whether each vertex of each graph has no neighbour, as (T, n) bools."""
-    return rows == 0 if rows.ndim == 2 else ~rows.any(axis=2)
+    return ~rows.any(axis=2)
 
 
 def batch_edge_counts(rows: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ as a statistic; run_experiment runs every task the same way.
 
 Trial t of grid point i always runs on seed derive_seed(master, i, t), and
 the per-trial values merge in trial order, so the output is byte-identical
-for 1 and N workers.  At every n the trials run in blocks of bitset rows
-(sample_rows; wide rows of uint64 words beyond 64 vertices), evaluated by
-the trial function's batch kernel when it has one.  Up to 64 vertices the
+for 1 and N workers.  At every n the trials run in blocks of row words
+(sample_rows, in the layout of graphs.zero_rows), evaluated by the trial
+function's batch kernel when it has one.  Up to 64 vertices the
 blocks run in the calling thread; beyond that each worker thread runs one
 span of blocks, whose Philox draws and numpy calls release the GIL.
 
@@ -264,15 +264,15 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
     """This point's per-trial values, in trial order, as bools for an
     event and floats for a statistic.
 
-    The trials run in blocks: sample_rows draws a block's graphs as bitset
-    rows, wide rows of uint64 words beyond BATCH_MAX_N vertices, and
-    trial_fn's batch kernel, or trial_fn on each graph's Graph, evaluates
-    them.  Up to BATCH_MAX_N vertices one span of blocks runs in the calling
-    thread, whatever the worker count: that work holds the GIL, so threads
-    would only contend for it.  Beyond that each worker thread runs one
-    contiguous span of blocks, whose Philox draws and numpy calls release
-    the GIL.  Every trial keeps its seed and its value, so the values, and
-    all that is merged from them, do not depend on the worker count.
+    The trials run in blocks: sample_rows draws a block's graphs as row
+    words, and trial_fn's batch kernel, or trial_fn on each graph's Graph,
+    evaluates them.  Up to BATCH_MAX_N vertices one span of blocks runs in
+    the calling thread, whatever the worker count: that work holds the
+    GIL, so threads would only contend for it.  Beyond that each worker
+    thread runs one contiguous span of blocks, whose Philox draws and numpy
+    calls release the GIL.  Every trial keeps its seed and its value, so
+    the values, and all that is merged from them, do not depend on the
+    worker count.
     """
     trials = config.trials
     block = batch_size(row_bytes(model.n))
@@ -395,7 +395,7 @@ def _witness(pt, config, pattern):
     def batch(rows):
         # B is the AND of S's rows minus S; e(S,B) the popcounts of S's
         # rows masked by B; one floor per distinct |B|
-        hubs = rows[:, :s] if rows.ndim == 3 else rows[:, :s, None]
+        hubs = rows[:, :s]
         common = np.bitwise_and.reduce(hubs, axis=1) & ~mask_words(smask, rows)
         bsize = np.bitwise_count(common).sum(axis=1, dtype=np.int64)
         crossing = np.bitwise_count(hubs & common[:, None]).sum(axis=(1, 2), dtype=np.int64)

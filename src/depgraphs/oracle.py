@@ -9,8 +9,7 @@ only the layout with the sampler, none of its presence code, so an exact
 value and a Monte Carlo estimate of it are computed independently.
 
 One block source (`_walk_batches`) yields the outcomes at every
-n as blocks of bitset rows in the layout of graphs.zero_rows: (T, n)
-unsigned words up to 64 vertices, wide (T, n, W) uint64 rows beyond, the
+n as blocks of (T, n, W) row words in the layout of graphs.zero_rows, the
 rows the sampler gives and the batch kernels read.  Blocks are sized by
 one byte budget (graphs.BATCH_BYTES).  Each edge slot's two row bits are
 located once (graphs.row_bits); a low table holds every joint value of the
@@ -123,17 +122,16 @@ def _walk_batches(model: DistributionModel, cap: int):
     """Yield (k, rows) for blocks of at most cap joint latent outcomes, each
     outcome once.
 
-    rows is one block of bitset rows in the layout of graphs.zero_rows:
-    (T, n) words up to 64 vertices, wide (T, n, W) uint64 rows beyond; k
-    is the int64 number of coins set in each outcome.  A latent's value
-    sets the rows of the edges it turns on and some number of coins: a coin
-    is off or on, a uniform block keeps one of its a-subsets.  The first
-    latents, as many as fit a block, form a low table of all their joint
-    values by doubling.  The next latent's values are read in slices that
-    fit a block with the low table, and each such block is XORed with every
-    joint value of the latents above.  No table holds more than cap values,
-    no array a row per edge slot, and only the latent layout is shared with
-    the sampler.
+    rows is one block of (T, n, W) row words in the layout of
+    graphs.zero_rows; k is the int64 number of coins set in each outcome.
+    A latent's value sets the rows of the edges it turns on and some number
+    of coins: a coin is off or on, a uniform block keeps one of its
+    a-subsets.  The first latents, as many as fit a block, form a low table
+    of all their joint values by doubling.  The next latent's values are
+    read in slices that fit a block with the low table, and each such block
+    is XORed with every joint value of the latents above.  No table holds
+    more than cap values, no array a row per edge slot, and only the latent
+    layout is shared with the sampler.
     """
     layout = model.layout
     n = model.n

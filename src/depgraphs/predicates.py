@@ -5,12 +5,10 @@ Monte Carlo estimate of the "same" event really evaluate the same
 indicator function.  Events and statistics are one type, a named
 functional (`Predicate`, also bound as `Statistic`).  A functional may
 also carry `batch`, the same function over a block of graphs given as
-bitset rows in the layout of `graphs.zero_rows`: (T, n) words up to 64
-vertices, wide (T, n, W) rows beyond, which a kernel takes unless `wide`
-is False (see the kernels in `graphs`).  The oracle's enumeration and the
-harness's trials both reach a functional as such blocks at every n; they
-use its kernel when it takes the rows, and `fn` on each graph's Graph
-otherwise (`evaluate_rows`).
+(T, n, W) row words in the layout of `graphs.zero_rows` (see the kernels
+in `graphs`).  The oracle's enumeration and the harness's trials both
+reach a functional as such blocks at every n; they use its kernel when it
+has one, and `fn` on each graph's Graph otherwise (`evaluate_rows`).
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ class Predicate:
     name: str
     fn: Callable[[Graph], object] = field(compare=False)
     batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    # whether batch also takes wide (T, n, W) rows
-    wide: bool = field(default=True, compare=False)
 
     def __call__(self, g: Graph):
         return self.fn(g)
@@ -46,11 +42,11 @@ Statistic = Predicate
 
 
 def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
-    """functional on each graph of a block of (T, n) or wide (T, n, W)
-    bitset rows (graphs.zero_rows): its batch kernel when it has one that
-    takes the rows, else the functional on each graph's Graph."""
+    """functional on each graph of a block of rows (graphs.zero_rows): its
+    batch kernel when it has one, else the functional on each graph's
+    Graph."""
     batch = getattr(functional, "batch", None)
-    if batch is not None and (rows.ndim == 2 or functional.wide):
+    if batch is not None:
         return batch(rows)
     return [functional(g) for g in graphs.row_graphs(rows)]
 
@@ -80,7 +76,7 @@ def has_isolated_vertex() -> Predicate:
 
 def _contains_kernel(pattern: SubgraphPattern):
     """A batch kernel for containing the pattern, or None: cliques of 2 to
-    BATCH_CLIQUE_MAX vertices (the edge is k2) have one, up to 64 vertices."""
+    BATCH_CLIQUE_MAX vertices (the edge is k2) have one."""
     h = pattern.graph
     if 2 <= h.n <= BATCH_CLIQUE_MAX and h == Graph.complete(h.n):
         return lambda rows: graphs.batch_has_clique(rows, h.n)
@@ -91,14 +87,14 @@ def contains_pattern(pattern: SubgraphPattern) -> Predicate:
     label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
     return Predicate(f"contains:{label}",
                      lambda g: graphs.contains_subgraph(g, pattern),
-                     _contains_kernel(pattern), wide=False)
+                     _contains_kernel(pattern))
 
 
 def lacks_pattern(pattern: SubgraphPattern) -> Predicate:
     label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
     return Predicate(f"lacks:{label}",
                      lambda g: not graphs.contains_subgraph(g, pattern),
-                     _complement(_contains_kernel(pattern)), wide=False)
+                     _complement(_contains_kernel(pattern)))
 
 
 def edge_count_equals(k: int) -> Predicate:
@@ -134,7 +130,7 @@ def edge_deviation_exceeds(a: tuple[int, ...], b: tuple[int, ...], p,
 
 def negate(pred: Predicate) -> Predicate:
     return Predicate(f"not({pred.name})", lambda g: not pred.fn(g),
-                     _complement(pred.batch), pred.wide)
+                     _complement(pred.batch))
 
 
 def resolve_pattern(spec: str) -> SubgraphPattern:

@@ -29,7 +29,8 @@ from depgraphs.distributions import (_draw_latents, _independent_pairs,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
                                      erdos_renyi, sample, sample_rows)
-from depgraphs.graphs import Graph, batch_dtype, batch_size, clique_number, num_edges
+from depgraphs.graphs import (Graph, batch_dtype, batch_size, clique_number,
+                              num_edges, row_bytes, zero_rows)
 from depgraphs.harness import ExperimentConfig
 from depgraphs.predicates import (connected, degree_in_range, evaluate_rows,
                                   negate, parse_predicate)
@@ -57,6 +58,19 @@ def test_derive_seeds_of_an_empty_range():
 
 
 # -- sample_rows against sample --------------------------------------------
+
+@pytest.mark.parametrize("n,width,dtype", [
+    (1, 1, np.uint8), (8, 1, np.uint8), (9, 1, np.uint16), (16, 1, np.uint16),
+    (17, 1, np.uint32), (32, 1, np.uint32), (33, 1, np.uint64), (64, 1, np.uint64),
+    (65, 2, np.uint64), (128, 2, np.uint64), (129, 3, np.uint64)])
+def test_every_block_is_row_words_of_batch_dtype(n, width, dtype):
+    # one layout at every n: (T, n, ceil(n / 64)) words, of the narrowest
+    # unsigned dtype that holds a row up to 64 vertices, uint64 beyond
+    rows = zero_rows(3, n)
+    assert rows.shape == (3, n, width)
+    assert rows.dtype == batch_dtype(n) == np.dtype(dtype)
+    assert row_bytes(n) == zero_rows(1, n).nbytes
+
 
 ROW_NS = (1, 2, 7, 8, 9, 16, 17, 63, 64)
 ROW_PS = (0, 1, 2.0 ** -53)
@@ -91,8 +105,8 @@ def test_sample_rows_are_the_rows_of_sample(n, p):
     kinds = set()
     for model in _models(n, p):
         rows = sample_rows(model, ROW_SEEDS)
-        assert rows.dtype == batch_dtype(n) and rows.shape == (len(ROW_SEEDS), n)
-        assert rows.tolist() == _sampled_rows(model, ROW_SEEDS), model
+        assert rows.dtype == batch_dtype(n) and rows.shape == (len(ROW_SEEDS), n, 1)
+        assert rows[..., 0].tolist() == _sampled_rows(model, ROW_SEEDS), model
         kinds.add(model.kind)
     assert len(kinds) == (5 if n >= 7 else 2 + (n >= 2) + (n >= 3))
 
@@ -106,8 +120,8 @@ def test_sample_rows_across_blocks(monkeypatch):
     monkeypatch.setattr(graphs, "BATCH_BYTES", 5000)
     assert batch_size(20 * 32) < 23
     for model, rows in zip(models, want):
-        assert sample_rows(model, seeds).tolist() == rows
-    assert sample_rows(models[0], []).shape == (0, 20)
+        assert sample_rows(model, seeds)[..., 0].tolist() == rows
+    assert sample_rows(models[0], []).shape == (0, 20, 1)
 
 
 class _Keys:

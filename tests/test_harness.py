@@ -146,30 +146,30 @@ def test_error_rows_do_not_kill_run():
 
 
 # grids on both sides of BATCH_MAX_N, each drawn by blocks of rows
-# (harness.sample_rows), wide rows above it
+# (harness.sample_rows), of two words a row above it
 PATH_NS = ((8, 10), (65, 66))
 
 
 def _failing_trial(monkeypatch, exc, c, point, trial):
     # sample_rows raises exc on the block that holds one trial of one grid
-    # point; returns the ranks of the row arrays it gives back
+    # point; returns the words per row of the row arrays it gives back
     bad_seed = derive_seed(c.seed, point, trial)
     real_rows = harness.sample_rows
-    calls = {"ndim": set()}
+    calls = {"width": set()}
 
     def sample_rows(model, seeds):
         if bad_seed in seeds.tolist():
             raise exc
         rows = real_rows(model, seeds)
-        calls["ndim"].add(rows.ndim)
+        calls["width"].add(rows.shape[2])
         return rows
     monkeypatch.setattr(harness, "sample_rows", sample_rows)
     return calls
 
 
 def _path_calls(ns, calls):
-    # the blocks' rows were wide exactly above BATCH_MAX_N
-    return calls["ndim"] == {3 if max(ns) > BATCH_MAX_N else 2}
+    # the blocks' rows took more than one word exactly above BATCH_MAX_N
+    return calls["width"] == {2 if max(ns) > BATCH_MAX_N else 1}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -355,8 +355,8 @@ def test_walk_batches_match_scalar_walk(model, cap, rnd):
     assert all(len(k) <= cap for k, _ in blocks)
     batched = Counter()
     for k, rows in blocks:
-        assert k.dtype == np.int64 and rows.shape == (len(k), n)
-        batched.update(zip(k.tolist(), map(tuple, rows.tolist())))
+        assert k.dtype == np.int64 and rows.shape == (len(k), n, 1)
+        batched.update(zip(k.tolist(), map(tuple, rows[..., 0].tolist())))
     assert batched == scalar
     # every kernel tallies per k what its fn tallies over the scalar walk
     a = tuple(rnd.sample(range(n), rnd.randint(0, n)))
@@ -460,9 +460,9 @@ def _reference_models(n):
 
 @pytest.mark.parametrize("n", [65, 66, 130])
 def test_wide_walk_batches_match_scalar_walk(n):
-    # past one word the blocks hold every outcome once, as wide rows, and
-    # every kernel that takes them tallies per k what its fn tallies over
-    # the scalar walk; a cap of 7 leaves latents above the low table and
+    # past one word the blocks hold every outcome once, as rows of several
+    # words, and every kernel tallies per k what its fn tallies over the
+    # scalar walk; a cap of 7 leaves latents above the low table and
     # reads a latent in slices
     rnd = random.Random(n)
     a = tuple(rnd.sample(range(n), 9))
@@ -472,7 +472,7 @@ def test_wide_walk_batches_match_scalar_walk(n):
         functionals += [edge_deviation_exceeds(a, b, model.p, 0.5),
                         edge_count_statistic(), isolated_count_statistic(),
                         edges_between_statistic(a, b)]
-        functionals = [f for f in functionals if f.batch is not None and f.wide]
+        functionals = [f for f in functionals if f.batch is not None]
         want = [Counter() for _ in functionals]
         scalar = Counter()
         for k, rows in _walk(model):

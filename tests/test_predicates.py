@@ -126,7 +126,7 @@ def test_kernels_match_fn(n, seed, densities):
     # at widths on both sides of each unsigned dtype's bit count
     rnd = random.Random(seed)
     gs = [_random_graph(rnd, n, density) for density in densities]
-    rows = np.array([g.rows for g in gs], dtype=batch_dtype(n))
+    rows = np.array([g.rows for g in gs], dtype=batch_dtype(n))[..., None]
     a = tuple(rnd.sample(range(n), rnd.randint(0, n)))
     b = tuple(rnd.sample(range(n), rnd.randint(0, n)))
     preds = [parse_predicate(text) for text in KERNEL_PREDICATES]
@@ -150,7 +150,7 @@ def test_kernels_match_fn_on_sampled_blocks(n):
     # of the graphs are connected and about a third hold a k4
     model = correlated_star(n, 1.3 * math.log(n) / n, 3)
     rows = sample_rows(model, derive_seeds(11, n, 0, 300))
-    gs = [Graph(n, [int(r) for r in row]) for row in rows]
+    gs = [Graph(n, [int(r) for r in row]) for row in rows[..., 0]]
     preds = [parse_predicate(text) for text in KERNEL_PREDICATES]
     preds += [edge_deviation_exceeds(range(n // 2), range(n // 3, n), 0.3, 1.5)]
     for pred in preds:

@@ -1,7 +1,7 @@
-"""Monte Carlo trials beyond 64 vertices, as wide rows of uint64 words.
+"""Monte Carlo trials beyond 64 vertices, as rows of several uint64 words.
 
-Beyond 64 vertices sample_rows gives a block's graphs as (T, n, W) words,
-W = ceil(n / 64), and the batch kernels evaluate them with no Graph built.
+Beyond 64 vertices sample_rows gives a block's graphs as (T, n, W) uint64
+words, W = ceil(n / 64) > 1, and the batch kernels evaluate them.
 Each piece is compared here with the per-graph form it stands for: the
 rows of sample(model, seed).graph, a functional's fn on each graph's
 Graph, and the harness's per-trial values.
@@ -18,8 +18,9 @@ from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, sample,
                                      sample_rows)
-from depgraphs.graphs import (Graph, clique_number, num_edges, row_graphs,
-                              row_ints, row_words)
+from depgraphs.graphs import (Graph, batch_edges_between, clique_number,
+                              count_edges_between, num_edges, row_graphs,
+                              row_ints, row_words, vertex_mask, zero_rows)
 from depgraphs.harness import ExperimentConfig
 from depgraphs.predicates import (connected, degree_in_range,
                                   edge_count_statistic, edge_deviation_exceeds,
@@ -33,7 +34,8 @@ SEEDS = (0, 7, 2 ** 64 - 1)
 
 
 def _wide(graphs):
-    """Graphs as wide rows, split into words by Python int arithmetic."""
+    """Graphs as (T, n, W) uint64 rows, split into words by Python int
+    arithmetic."""
     n = graphs[0].n
     width = row_words(n)
     return np.array([[[row >> (64 * i) & (2 ** 64 - 1) for i in range(width)]
@@ -65,31 +67,33 @@ def test_sample_rows_are_the_words_of_sample(n, p):
 
 def _graphs(n):
     """Empty and complete graphs, sampled ones, and graphs whose only
-    isolated vertex sits on either side of a word boundary."""
+    isolated vertex sits on either side of a word boundary, where n has
+    one."""
     full = (1 << n) - 1
     gs = [Graph.empty(n), Graph.complete(n)]
     gs += [sample(erdos_renyi(n, p), seed).graph
            for p in (2 * math.log(n) / n, 0.3) for seed in (1, 2)]
-    for v in (0, 63, 64, n - 1):
+    for v in sorted({0, 63, 64, n - 1} - {n}):
         gs.append(Graph(n, [0 if u == v else full ^ (1 << u) ^ (1 << v)
                             for u in range(n)]))
     return gs
 
 
 WIDE_PREDICATES = ("connected", "not-connected", "isolated-vertex",
-                   "degree-in:3:200", "true")
+                   "degree-in:3:200", "true", "contains:k2", "contains:k3",
+                   "contains:k4", "lacks:k3", "lacks:k4")
 
 
-@pytest.mark.parametrize("n", WIDE_NS)
+@pytest.mark.parametrize("n", (64,) + WIDE_NS)
 def test_wide_kernels_match_fn(n):
+    # at one word per row and at several
     gs = _graphs(n)
     rows = _wide(gs)
-    a, b = (0, 5, 63, 64, n - 1), tuple(range(60, n, 3))
+    a, b = tuple(sorted({0, 5, 63, 64, n - 1} - {n})), tuple(range(60, n, 3))
     preds = [parse_predicate(text) for text in WIDE_PREDICATES]
     preds += [negate(degree_in_range(3, 200)), edge_deviation_exceeds(a, b, 0.3, 1.5),
               parse_predicate(f"edge-count:{gs[2].edge_count()}")]
     for pred in preds:
-        assert pred.wide
         got = pred.batch(rows)
         assert got.dtype == bool and got.shape == (len(gs),)
         assert got.tolist() == [pred(g) for g in gs], pred.name
@@ -113,15 +117,38 @@ def test_wide_connected_on_sampled_blocks():
     assert connected().batch(rows).tolist() == want
 
 
-def test_functionals_without_a_wide_kernel_take_each_graph():
+def test_functionals_without_a_kernel_take_each_graph():
     n = 70
     gs = _graphs(n)
     rows = _wide(gs)
-    for text in ("contains:k3", "lacks:k3", "contains:c4"):
+    for text in ("contains:c4", "contains:path2"):
         pred = parse_predicate(text)
-        assert not pred.wide or pred.batch is None
+        assert pred.batch is None
         assert list(evaluate_rows(pred, rows)) == [pred(g) for g in gs], text
     assert evaluate_rows(clique_number, rows[:3]) == [clique_number(g) for g in gs[:3]]
+
+
+def test_numpy_integer_vertices_keep_every_bit():
+    # numpy integers name vertices and edges as Python ints do, past bit
+    # 63 too; floats are still refused.  Edge 2414 is (68, 69).
+    n = 70
+    want = Graph.from_edges(n, [(0, 1), (68, 69)])
+    assert Graph.from_edge_indices(n, np.array([0, 2414])) == want
+    assert Graph.from_edges(n, [(np.int64(0), np.int64(1)),
+                                (np.int64(68), np.int64(69))]) == want
+    a, b = np.array([0, 68, 69]), np.array([1, 69])
+    assert vertex_mask(a, n) == 1 | 3 << 68
+    assert count_edges_between(want, a, b) == 2
+    rows = _wide([want, Graph.empty(n)])
+    assert batch_edges_between(rows, a, b).tolist() == [2, 0]
+    pred = edge_deviation_exceeds(a, b, 0.1, 1.0)
+    assert [pred(want), pred(Graph.empty(n))] == [True, False]
+    assert pred.batch(rows).tolist() == [True, False]
+    for bad in (lambda: Graph.from_edges(n, [(0.0, 1)]),
+                lambda: Graph.from_edge_indices(n, [2.0]),
+                lambda: vertex_mask([1.5], n)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @pytest.mark.parametrize("n,d", [(30, 3), (100, 3), (129, 8), (200, 70)])
@@ -134,7 +161,7 @@ def test_witness_kernel_matches_witness_beats_floor(n, d):
     gs = [sample(model, seed).graph for seed in seeds.tolist()]
     empty = Graph.empty(n)
     gs.append(empty)
-    rows = np.concatenate([rows, _wide([empty]) if n > 64 else [empty.rows]])
+    rows = np.concatenate([rows, zero_rows(1, n)])
     want = [trial.fn(g) for g in gs]
     assert trial.batch(rows).tolist() == want
 
