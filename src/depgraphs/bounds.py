@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ResourceLimitError
 from .graphs import Graph, SubgraphPattern
 
-# the subset sum has one term per edge subset; 2^18 terms is the cutoff
-PHI_MAX_EDGES = 18
+# the subset sum has one term per edge subset; 2^21 terms, a k7, is the cutoff
+PHI_MAX_EDGES = 21
 
 
 def phi(x: float) -> float:

@@ -24,15 +24,18 @@ to a probability or moment at the end, from Python ints where the values
 are integral, so the result does not depend on the order of the walk nor
 on the values' magnitude.
 Binomial tails come by direct summation.  The jumbledness check finds the
-pair a scan of all 4^n subset pairs would, from sorted prefix sums of each
-set's neighbour weights (O(2^n n log n)).  Budgets are enforced, never
-silently degraded.
+pair a scan of all 4^n subset pairs would, one chunk of subset masks at a
+time: each set's neighbour weights are sorted once, and k = 0..n is
+streamed with running sums of the k smallest and k largest weights that
+index one slack table (O(2^n n log^2 n) time, chunk-sized memory).
+Budgets are enforced, never silently degraded.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, lgamma, log
 from operator import mul
@@ -48,7 +51,10 @@ from .predicates import Predicate, evaluate_rows
 
 ENUMERATION_BUDGET = 1 << 24
 
-JUMBLEDNESS_MAX_N = 12
+JUMBLEDNESS_MAX_N = 22
+
+# subset masks A (and sets B) per step of the jumbledness scan; a power of two
+JUMBLEDNESS_CHUNK = 1 << 14
 
 # rational arithmetic is used up to this denominator, floats beyond
 RATIONAL_DENOMINATOR_LIMIT = 1 << 16
@@ -248,15 +254,17 @@ def _collapser(model: DistributionModel):
 
     counts[k] counts qualifying outcomes with exactly k coins on; each has
     weight p^k q^(coins-k) / combos, since every uniform combination carries
-    the same 1/combos factor.  The weights are formed once here, not once
-    per collapsed list.
+    the same 1/combos factor.  The weights are formed once, on the first
+    collapse that needs them, not once per collapsed list.
     """
     coins = model.layout.coins
     combos = state_space_size(model) >> coins
     pv, qv, zero = _exact_p_arithmetic(model.p)
-    powers = [(pv ** k, qv ** (coins - k)) for k in range(coins + 1)]
+    powers = []
 
     def collapse(counts):
+        if not powers:
+            powers.extend((pv ** k, qv ** (coins - k)) for k in range(coins + 1))
         total = zero
         for w, (pk, qk) in zip(counts, powers):
             if w:
@@ -350,6 +358,24 @@ class JumblednessViolation:
     slack: float          # deviation - allowance, > 0
 
 
+@lru_cache(maxsize=None)
+def _merge_exchange(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Batcher's merge exchange for n keys (Knuth, TAOCP 5.2.2, Algorithm M)
+    as passes of disjoint (lower, upper) key index pairs: comparing and
+    exchanging every pair of each pass in turn sorts any n keys."""
+    passes = []
+    t = max(n - 1, 1).bit_length()
+    p = 1 << (t - 1)
+    while p:
+        q, r, d = 1 << (t - 1), 0, p
+        while d:
+            lower = np.array([i for i in range(n - d) if i & p == r], dtype=np.intp)
+            passes.append((lower, lower + d))
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return passes
+
+
 def exhaustive_jumbledness_check(g: Graph, p, d: int,
                                  C: float = 10.0) -> JumblednessViolation | None:
     """Find the subset pair maximizing |e(A,B) - p|A||B|| - C sqrt(|A||B| n p d1).
@@ -359,50 +385,83 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
     is within its allowance.  For a fixed A, e(A,B) sums the weights
     w(x) = |N(x) & A| over x in B, so over |B| = k it runs from the sum of
     the k smallest weights to the sum of the k largest, and the deviation
-    is largest at one of those two ends.  Sorted prefix sums of the weights
-    give every (A, k)'s largest slack from the same float expressions as a
-    pair's, and only the first best A's 2^n sets B are scanned, so the work
-    is O(2^n n log n).  Feasible up to n = 12.
+    is largest at one of those two ends.
+
+    One table holds the slack of every (|B|, |A|, e(A,B)) a pair can have,
+    each from the same float expressions as a pair's; a NaN in it (p < 0 or
+    NaN, C NaN or infinite) gives None, as the full scan did.  The masks A
+    are taken JUMBLEDNESS_CHUNK at a time: their weights are sorted once by
+    a sorting network, and k = 0..n is streamed with running sums of the k
+    smallest and the k largest weights, which index the table, keeping each
+    A's largest slack.  The first best A's sets B are then scanned the same
+    number at a time, their counts formed by subset-sum doubling, so the
+    work is O(2^n n log^2 n) and the memory a few arrays of one chunk.
+    Feasible up to n = JUMBLEDNESS_MAX_N.
     """
     n = g.n
     if n > JUMBLEDNESS_MAX_N:
         raise ResourceLimitError(
             f"jumbledness scan covers 4^{n} pairs; limit is n <= {JUMBLEDNESS_MAX_N}")
     pf = float(p)
-    full = 1 << n
-    masks = np.arange(full, dtype=np.uint16)
-    pop = np.bitwise_count(masks).astype(np.int64)
-    adj = np.array(g.rows, dtype=np.uint16)
-    # weight[A, x] = |N(x) intersect A|; e(A,B) = sum over x in B
-    weight = np.bitwise_count(masks[:, None] & adj[None, :]).astype(np.int64)
-    ranked = np.sort(weight, axis=1)
-    zero = np.zeros((full, 1), dtype=np.int64)
-    lowest = np.hstack([zero, np.cumsum(ranked, axis=1)])
-    highest = np.hstack([zero, np.cumsum(ranked[:, ::-1], axis=1)])
     scale = n * pf * (d + 1)
-
-    def slack(counts, sizes):
-        deviation = np.abs(counts - pf * sizes)
-        allowance = C * np.sqrt(sizes * scale)
-        return deviation, allowance, deviation - allowance
-
-    # sizes[A, k] = |A| k; a NaN slack (p < 0 or NaN, C NaN or infinite)
-    # reaches the maximum and gives None, as it did in the full scan
-    sizes = pop[:, None] * np.arange(n + 1, dtype=np.int64)[None, :]
-    best = np.maximum(slack(lowest, sizes)[2], slack(highest, sizes)[2]).max(axis=1)
-    if not best.max() > 0:
+    span = n * n + 1            # e(A,B) <= |A||B|
+    stride = (n + 1) * span
+    sizes = np.arange(n + 1)[:, None, None] * np.arange(n + 1)[:, None]
+    # [|B|, |A|, e(A,B)], flat as |B| * stride + |A| * span + e(A,B)
+    deviation = np.abs(np.arange(span) - pf * sizes)
+    allowance = C * np.sqrt(sizes * scale)
+    slack = (deviation - allowance).reshape(n + 1, stride)
+    # whether a slack is NaN does not depend on e(A,B), and every
+    # (|B|, |A|) is some pair's
+    if np.isnan(slack).any():
         return None
-    a_mask = int(np.argmax(best))
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint16)[None, :]) & 1
-            ).astype(np.int64)
-    counts = bits @ weight[a_mask]
-    deviation, allowance, row = slack(counts, pop[a_mask] * pop)
-    b_mask = int(np.argmax(row))
+    adj = np.array(g.rows, dtype=np.uint32)
+    top, a_mask = 0.0, None
+    for start in range(0, 1 << n, JUMBLEDNESS_CHUNK):
+        masks = np.arange(start, min(1 << n, start + JUMBLEDNESS_CHUNK), dtype=np.uint32)
+        # ranked[j, A - start] = the j-th smallest weight |N(x) & A|
+        ranked = np.bitwise_count(adj[:, None] & masks)
+        for lower, upper in _merge_exchange(n):
+            low, high = ranked[lower], ranked[upper]
+            ranked[lower] = np.minimum(low, high)
+            ranked[upper] = np.maximum(low, high)
+        low = np.bitwise_count(masks).astype(np.intp) * span
+        high = low.copy()
+        best = slack[0].take(low)
+        for k in range(1, n + 1):
+            low += ranked[k - 1]
+            high += ranked[n - k]
+            np.maximum(best, slack[k].take(low), out=best)
+            np.maximum(best, slack[k].take(high), out=best)
+        i = int(np.argmax(best))
+        if best[i] > top:
+            top, a_mask = best[i], start + i
+    if a_mask is None:
+        return None
+    # the first B whose slack is top (the set of the k smallest or largest
+    # weights has it, and no B more), JUMBLEDNESS_CHUNK sets at a time: the
+    # low bits' table index by doubling, plus each chunk's high bits' part
+    weight = np.bitwise_count(adj & np.uint32(a_mask)).astype(np.intp)
+    bits = min(n, JUMBLEDNESS_CHUNK.bit_length() - 1)
+    at = np.zeros(1, dtype=np.intp)
+    for x in range(bits):
+        at = np.concatenate([at, at + weight[x]])
+    at += np.bitwise_count(np.arange(1 << bits)).astype(np.intp) * stride
+    at += a_mask.bit_count() * span
+    flat = slack.reshape(-1)
+    for start in range(0, 1 << n, 1 << bits):
+        above = [x for x in range(bits, n) if (start >> x) & 1]
+        row = flat.take(at + (len(above) * stride + int(weight[above].sum())))
+        i = int(np.argmax(row))
+        if row[i] == top:
+            break
+    b_mask = start + i
     a = tuple(v for v in range(n) if (a_mask >> v) & 1)
     b = tuple(v for v in range(n) if (b_mask >> v) & 1)
-    return JumblednessViolation(a, b, int(counts[b_mask]), pf * len(a) * len(b),
-                                float(deviation[b_mask]), float(allowance[b_mask]),
-                                float(row[b_mask]))
+    edges = int(weight[list(b)].sum())
+    return JumblednessViolation(a, b, edges, pf * len(a) * len(b),
+                                float(deviation[len(b), len(a), edges]),
+                                float(allowance[len(b), len(a), 0]), float(top))
 
 
 @dataclass(frozen=True)

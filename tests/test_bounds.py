@@ -271,6 +271,12 @@ def test_phi_k6_in_8_frozen_value():
     assert bounds.phi_functional(k6, 500, 0.2, 3) == 32399670632.018284
 
 
+def test_phi_k7_in_9_frozen_value():
+    # 21 edges, the largest pattern within PHI_MAX_EDGES
+    k7 = Graph.from_edges(9, itertools.combinations((0, 1, 3, 4, 6, 7, 8), 2))
+    assert bounds.phi_functional(k7, 500, 0.2, 3) == 4400624658224438.5
+
+
 def test_phi_monotone_in_d():
     pat = named_pattern("k3")
     v0 = bounds.phi_functional(pat, 100, 0.5, 0)

@@ -28,7 +28,8 @@ from depgraphs.distributions import (DistributionModel, _draw_latents, _edges,
                                      sample)
 from depgraphs.errors import ResourceLimitError
 from depgraphs.graphs import Graph, _endpoints, count_edges_between, num_edges
-from depgraphs.oracle import (ENUMERATION_BUDGET, er_connectivity_probability,
+from depgraphs.oracle import (ENUMERATION_BUDGET, JUMBLEDNESS_MAX_N,
+                              JumblednessViolation, er_connectivity_probability,
                               exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
                               exhaustive_jumbledness_check,
@@ -695,7 +696,127 @@ def test_jumbledness_empty_graph_clean():
 
 def test_jumbledness_budget():
     with pytest.raises(ResourceLimitError):
-        exhaustive_jumbledness_check(Graph.empty(13), 0.5, 0)
+        exhaustive_jumbledness_check(Graph.empty(JUMBLEDNESS_MAX_N + 1), 0.5, 0)
+
+
+@pytest.mark.parametrize("p, C", [(0.5, math.nan), (0.5, math.inf),
+                                  (math.nan, 1.0), (-0.1, 1.0)])
+def test_jumbledness_nan_slack_gives_none(p, C):
+    # a NaN slack (C NaN or infinite at |A||B| = 0, p NaN, sqrt of a
+    # negative scale) gives None, even where other pairs violate
+    with np.errstate(invalid="ignore"):
+        assert exhaustive_jumbledness_check(Graph.complete(5), p, 0, C=C) is None
+
+
+def _prefix_sum_jumbledness(g: Graph, p, d: int,
+                            C: float = 10.0) -> JumblednessViolation | None:
+    """The check over all 2^n masks at once, the reference up to n = 16 (uint16 masks).
+
+    For a fixed A, e(A,B) sums the weights w(x) = |N(x) & A| over x in B,
+    so over |B| = k it runs from the sum of the k smallest weights to the
+    sum of the k largest.  Sorted prefix sums of the weights give every
+    (A, k)'s largest slack from the same float expressions as a pair's, and
+    only the first best A's 2^n sets B are scanned, all at once.
+    """
+    n = g.n
+    if n > JUMBLEDNESS_MAX_N:
+        raise ResourceLimitError(
+            f"jumbledness scan covers 4^{n} pairs; limit is n <= {JUMBLEDNESS_MAX_N}")
+    pf = float(p)
+    full = 1 << n
+    masks = np.arange(full, dtype=np.uint16)
+    pop = np.bitwise_count(masks).astype(np.int64)
+    adj = np.array(g.rows, dtype=np.uint16)
+    # weight[A, x] = |N(x) intersect A|; e(A,B) = sum over x in B
+    weight = np.bitwise_count(masks[:, None] & adj[None, :]).astype(np.int64)
+    ranked = np.sort(weight, axis=1)
+    zero = np.zeros((full, 1), dtype=np.int64)
+    lowest = np.hstack([zero, np.cumsum(ranked, axis=1)])
+    highest = np.hstack([zero, np.cumsum(ranked[:, ::-1], axis=1)])
+    scale = n * pf * (d + 1)
+
+    def slack(counts, sizes):
+        deviation = np.abs(counts - pf * sizes)
+        allowance = C * np.sqrt(sizes * scale)
+        return deviation, allowance, deviation - allowance
+
+    # sizes[A, k] = |A| k; a NaN slack (p < 0 or NaN, C NaN or infinite)
+    # reaches the maximum and gives None, as it did in the full scan
+    sizes = pop[:, None] * np.arange(n + 1, dtype=np.int64)[None, :]
+    best = np.maximum(slack(lowest, sizes)[2], slack(highest, sizes)[2]).max(axis=1)
+    if not best.max() > 0:
+        return None
+    a_mask = int(np.argmax(best))
+    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint16)[None, :]) & 1
+            ).astype(np.int64)
+    counts = bits @ weight[a_mask]
+    deviation, allowance, row = slack(counts, pop[a_mask] * pop)
+    b_mask = int(np.argmax(row))
+    a = tuple(v for v in range(n) if (a_mask >> v) & 1)
+    b = tuple(v for v in range(n) if (b_mask >> v) & 1)
+    return JumblednessViolation(a, b, int(counts[b_mask]), pf * len(a) * len(b),
+                                float(deviation[b_mask]), float(allowance[b_mask]),
+                                float(row[b_mask]))
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+@pytest.mark.parametrize("density", [0.15, 0.6])
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+def test_jumbledness_matches_prefix_sum_reference(n, density, C):
+    # past 2^14 masks (n = 15, 16) both A and B run in several chunks
+    rnd = random.Random(n * 100 + int(density * 10))
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)
+                             if rnd.random() < density])
+    for p, d in ((density, n % 3), (density / 2, 0), (min(1.0, 2 * density), 1)):
+        assert (repr(exhaustive_jumbledness_check(g, p, d, C=C))
+                == repr(_prefix_sum_jumbledness(g, p, d, C=C)))
+
+
+@pytest.mark.parametrize("edges, n, p, C, chunk, want", [
+    # A = {0} (mask 1, chunk 0) and A = {1, 2, 3} (mask 14, chunk 1) tie
+    ([(0, 1), (0, 2), (0, 3)], 4, 0.2, 0.3, 8, ((0,), (1, 2, 3))),
+    # one mask a chunk: A = {0} and {1} tie, and so do B = {0} and {1}
+    ([(0, 1)], 2, 0.5, 0.1, 1, ((0,), (0,))),
+])
+def test_jumbledness_tie_across_chunks_keeps_first_pair(monkeypatch, edges, n, p,
+                                                        C, chunk, want):
+    g = Graph.from_edges(n, edges)
+    slack, arg = brute_jumbledness(g, p, 0, C=C)
+    assert arg == want
+    monkeypatch.setattr(oracle, "JUMBLEDNESS_CHUNK", chunk)
+    v = exhaustive_jumbledness_check(g, p, 0, C=C)
+    assert (v.a_vertices, v.b_vertices) == want and v.slack == slack
+
+
+def test_jumbledness_complete_graph_past_16_bit_masks():
+    # K_n at p = 0.01: A = B = V, e = n(n - 1), allowance 10 sqrt(n^2 n p);
+    # at n = 17 the masks pass 16 bits and A and B each take 8 chunks
+    n = 17
+    v = exhaustive_jumbledness_check(Graph.complete(n), 0.01, 0)
+    assert v.a_vertices == v.b_vertices == tuple(range(n))
+    assert v.edges == n * (n - 1)
+    assert v.deviation == pytest.approx(n * (n - 1) - 0.01 * n * n)
+    assert v.allowance == pytest.approx(10 * math.sqrt(n * n * n * 0.01))
+
+
+def test_merge_exchange_sorts_every_key_count():
+    # every 0-1 input up to n = 16, which proves the network sorts every
+    # input (the 0-1 principle); random bytes up to the limit
+    def run(n, w):
+        for lower, upper in oracle._merge_exchange(n):
+            low, high = w[lower], w[upper]
+            w[lower] = np.minimum(low, high)
+            w[upper] = np.maximum(low, high)
+        return w
+
+    gen = np.random.default_rng(7)
+    for n in range(1, JUMBLEDNESS_MAX_N + 1):
+        if n <= 16:
+            cols = np.arange(1 << n, dtype=np.uint32)
+            w = ((cols >> np.arange(n, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
+        else:
+            w = gen.integers(0, n + 1, size=(n, 4096), dtype=np.uint8)
+        assert (run(n, w.copy()) == np.sort(w, axis=0)).all(), n
 
 
 def brute_jumbledness(g, p, d, C=10.0):
