@@ -12,10 +12,13 @@ private coins ascending by edge index.  A model stores its blocks as two
 int64 arrays, their edges concatenated (flat) and their lengths (sizes),
 and its LatentLayout indexes them; the private coins' edges are formed only
 when read (LatentLayout.singles).  Everything that maps latents to edges
-goes through the layout: the sampler draws every latent value in one
-generator call in declared order (which pins down sample(model, seed) bit
-for bit), and one packer (_rows) turns the values of a block of trials
-into bitset rows.  Up to 64 vertices it gathers each row bit from the
+goes through the layout.  One drawer (_draw) writes the latent values of a
+block of trials in declared order, the trials drawn in turn from one
+generator or each from its seed's reset generator (which pins down
+sample(model, seed) bit for bit); sample, sample_rows, the audit and
+oracle.mean_variance_check all draw through it a block at a time
+(_latent_blocks).  One packer (_rows) turns the values of a block of
+trials into bitset rows.  Up to 64 vertices it gathers each row bit from the
 value behind it through a table each layout forms once; beyond, it reads
 the rows from the packed colex presence bitmap (_presence_words,
 graphs.presence_rows), and no edge index is formed.  sample, realize,
@@ -38,7 +41,7 @@ import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import ceil, isqrt, log, prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -548,28 +551,6 @@ def _coin_threshold(p) -> np.uint64 | None:
     return np.uint64((c << 11) - 1) if c else None
 
 
-def _coins(gen: np.random.Generator, count: int, p, out: np.ndarray | None = None
-           ) -> np.ndarray:
-    """count Bernoulli(p) coins, equal bit for bit to gen.random(count) < float(p).
-
-    Comparing raw words with _coin_threshold(p) skips the conversion to
-    doubles, and drawing them in chunks of graphs.BATCH_BYTES keeps the
-    words out of main memory.  The coins go to out, a flat bool array of
-    count entries, when given.
-    """
-    threshold = _coin_threshold(p)
-    bits = gen.bit_generator
-    coins = np.empty(count, dtype=bool) if out is None else out
-    chunk = batch_size(8)
-    for i in range(0, count, chunk):
-        raw = bits.random_raw(min(chunk, count - i))
-        if threshold is None:
-            coins[i:i + chunk] = False
-        else:
-            np.less_equal(raw, threshold, out=coins[i:i + chunk])
-    return coins
-
-
 def _first_min(keys: np.ndarray) -> np.ndarray:
     """keys.argmin(axis=-1, keepdims=True) for rows of 2 or 3 keys (none
     NaN), from elementwise compares, which cost less than argmin's loop over
@@ -590,32 +571,61 @@ def _picks(keys: np.ndarray, a: int) -> np.ndarray:
     return _first_min(keys) if 2 <= keys.shape[-1] <= 3 else keys.argmin(-1, keepdims=True)
 
 
-def _draw_latents(model: DistributionModel, gen: np.random.Generator,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Every latent value in declared order, from one generator call.
+def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, int]],
+          out: np.ndarray) -> None:
+    """Write the latent values of len(out) trials into out, a C-contiguous
+    array of (T, latents) bools for coins or (T, blocks, a) positions for
+    uniform subsets.  runs yields (gen, k) pairs, k trials drawn in turn
+    from gen, until they cover the T trials; each run's generator is used
+    before the next one is taken.
 
-    Coins come back as a bool array with one entry per latent; uniform
-    subsets as a (blocks, a) array of the positions kept in each block.
-    With out, a C-contiguous array of that shape or of (T,) + that shape,
-    the values of one trial or of T trials drawn in turn from gen (the
-    words T single draws consume) are written to it and it is returned.
+    Coins are gen.random() < float(p) bit for bit, from raw words compared
+    with _coin_threshold(p), with no conversion to doubles.  A run no longer
+    than a word buffer of graphs.BATCH_BYTES is copied into it, and the
+    buffer is compared once it is full; a longer run is compared chunk by
+    chunk as it is drawn.  Uniform subsets: every run draws its float64
+    keys into one array, and one _picks call picks from it; keeping all m
+    draws nothing.
     """
     layout = model.layout
-    if not layout.uniform:
-        if out is None:
-            return _coins(gen, layout.latents, model.p)
-        _coins(gen, out.size, model.p, out.reshape(-1))
-        return out
-    lead = () if out is None else out.shape[:-2]
-    shape = lead + (layout.block_count, layout.m)
-    if layout.a == layout.m:
-        values = np.broadcast_to(np.arange(layout.m), shape)
-    else:
-        values = _picks(gen.random(shape), layout.a)
-    if out is None:
-        return values
-    out[...] = values
-    return out
+    if layout.uniform:
+        if layout.a == layout.m:
+            out[...] = np.arange(layout.m)
+            return
+        keys = np.empty(out.shape[:-1] + (layout.m,))
+        t = 0
+        for gen, k in runs:
+            gen.random(out=keys[t:t + k])
+            t += k
+        out[...] = _picks(keys, layout.a)
+        return
+    threshold = _coin_threshold(model.p)
+    flat = out.reshape(-1)
+
+    def compare(words, at):
+        if threshold is None:
+            flat[at:at + len(words)] = False
+        else:
+            np.less_equal(words, threshold, out=flat[at:at + len(words)])
+
+    chunk, latents = batch_size(8), layout.latents
+    size = min(chunk, flat.size)
+    words = np.empty(size, dtype=np.uint64)
+    at = fill = 0       # words[:fill] go to flat[at:]
+    for gen, k in runs:
+        count = k * latents
+        bits = gen.bit_generator
+        if fill + count > size:
+            compare(words[:fill], at)
+            at, fill = at + fill, 0
+        if count <= size:
+            words[fill:fill + count] = bits.random_raw(count)
+            fill += count
+            continue
+        for i in range(0, count, chunk):
+            compare(bits.random_raw(min(chunk, count - i)), at + i)
+        at += count
+    compare(words[:fill], at)
 
 
 def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
@@ -659,10 +669,10 @@ def _edge_slots(layout: LatentLayout) -> np.ndarray:
 
 def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
                  ) -> np.ndarray:
-    """An empty array for the latent values of T <= trials trials (see
-    _draw_latents), T as large as keeps the widest of one trial's values,
-    the float64 keys a uniform draw forms, and item_bytes per trial within
-    graphs.BATCH_BYTES."""
+    """An empty array for the latent values of T <= trials trials, the
+    block _latent_blocks draws into (see _draw), T as large as keeps the
+    widest of one trial's values, the float64 keys a uniform draw forms,
+    and item_bytes per trial within graphs.BATCH_BYTES."""
     layout = model.layout
     if layout.uniform:
         shape, dtype = (layout.block_count, layout.a), np.dtype(np.intp)
@@ -673,15 +683,36 @@ def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
     return np.empty((min(trials, batch_size(per_trial)),) + shape, dtype=dtype)
 
 
+def _latent_blocks(model: DistributionModel,
+                   source: np.random.Generator | Sequence[int],
+                   trials: int, item_bytes: int) -> Iterable[np.ndarray]:
+    """The latent values of trials trials, as _draw writes them, in blocks
+    of _latent_rows(model, trials, item_bytes) trials; each block is one
+    array, written over by the next.
+
+    source is one generator, which draws every trial in turn, or a sequence
+    of trials seeds, each drawn from this thread's generator reset to it
+    (rng.seeded) as sample does.  The resets are made lazily, so each
+    generator is used before the next reset.
+    """
+    values = _latent_rows(model, trials, item_bytes)
+    one = isinstance(source, np.random.Generator)
+    for start in range(0, trials, max(1, len(values))):
+        drawn = values[:min(len(values), trials - start)]
+        runs = (((source, len(drawn)),) if one else
+                zip(map(rngmod.seeded, source[start:start + len(drawn)]), repeat(1)))
+        _draw(model, runs, drawn)
+        yield drawn
+
+
 def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
-    """T trials' latent values, with a leading trial axis as in
-    _draw_latents(model, gen, out), as one (T, n, W) block in the layout of
-    graphs.zero_rows.  Up to graphs.BATCH_MAX_N vertices one gather reads
-    every row bit from the values' column behind it (LatentLayout.columns),
-    the presence bitmaps' for uniform subsets (_present), and one packbits
-    packs each row into its one word; beyond, each trial's rows are read
-    from its presence bitmap (_presence_words, graphs.presence_rows), with
-    no edge index."""
+    """A block of T trials' latent values, as _latent_blocks yields them, as
+    one (T, n, W) block in the layout of graphs.zero_rows.  Up to
+    graphs.BATCH_MAX_N vertices one gather reads every row bit from the
+    values' column behind it (LatentLayout.columns), the presence bitmaps'
+    for uniform subsets (_present), and one packbits packs each row into
+    its one word; beyond, each trial's rows are read from its presence
+    bitmap (_presence_words, graphs.presence_rows), with no edge index."""
     n, count = model.n, len(values)
     if n > BATCH_MAX_N:
         rows = zero_rows(count, n)
@@ -706,54 +737,16 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
     row words in the layout of graphs.zero_rows.
 
     Each trial draws as sample does, from this thread's generator reset to
-    its seed, into one row of a block's array of latent values, and _rows
-    packs the block; no Graph is built.  Uniform subsets: each trial draws
-    its keys, and one _picks call picks from the whole block.  Coins beyond
-    64 vertices: each trial draws its values whole (_draw_latents).  Coins
-    up to 64: each trial's raw draw fills a row of a uint64 word buffer
-    sized to graphs.BATCH_BYTES, and one np.less_equal per buffer compares
-    its words with a threshold formed once per call.  Blocks are sized so
-    that their widest array fits graphs.BATCH_BYTES.
+    its seed, into one row of a block of latent values (_latent_blocks),
+    and _rows packs the block; no Graph is built.  Blocks are sized so that
+    their widest array fits graphs.BATCH_BYTES.
     """
-    layout = model.layout
-    latents = layout.latents
-    seeded = rngmod.seeded
     seeds = list(map(int, seeds))
-    if not seeds:
-        return zero_rows(0, model.n)
-    values = _latent_rows(model, len(seeds), 8 * row_bytes(model.n))
-    block = len(values)
-    wide = model.n > BATCH_MAX_N
-    if layout.uniform:
-        keys = np.empty((block, layout.block_count, layout.m))
-    elif not wide:
-        threshold = _coin_threshold(model.p)
-        # at most 2016 latents at n <= 64, so one raw draw per trial, as in
-        # _coins, into a row of a word buffer of one budget
-        words = np.empty((min(block, batch_size(8 * latents)), latents),
-                         dtype=np.uint64)
-    blocks = []
-    for start in range(0, len(seeds), block):
-        chunk = seeds[start:start + block]
-        drawn = values[:len(chunk)]
-        if layout.uniform:
-            for t, seed in enumerate(chunk):
-                seeded(seed).random(out=keys[t])
-            drawn[...] = _picks(keys[:len(chunk)], layout.a)
-        elif wide:
-            for t, seed in enumerate(chunk):
-                _draw_latents(model, seeded(seed), drawn[t])
-        elif threshold is None:
-            drawn[...] = False    # p = 0
-        else:
-            for first in range(0, len(chunk), len(words)):
-                part = chunk[first:first + len(words)]
-                for t, seed in enumerate(part):
-                    words[t] = seeded(seed).bit_generator.random_raw(latents)
-                np.less_equal(words[:len(part)], threshold,
-                              out=drawn[first:first + len(part)])
-        blocks.append(_rows(model, drawn))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    blocks = [_rows(model, drawn) for drawn in
+              _latent_blocks(model, seeds, len(seeds), 8 * row_bytes(model.n))]
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.concatenate(blocks) if blocks else zero_rows(0, model.n)
 
 
 # A latent state's marshal image at format version 2, which has no
@@ -847,9 +840,9 @@ def sample(model: DistributionModel, seed: int,
     from this thread's generator reset to rng.generator(seed)'s state, and
     _rows packs it as it packs a block of sample_rows.
     """
-    values = _draw_latents(model, rngmod.seeded(seed))
-    graph = row_graphs(_rows(model, values[None]))[0]
-    state = _latent_state(model.layout, values) if keep_latents else None
+    (values,) = _latent_blocks(model, (seed,), 1, 0)
+    graph = row_graphs(_rows(model, values))[0]
+    state = _latent_state(model.layout, values[0]) if keep_latents else None
     return SampleOutcome(graph, state)
 
 
@@ -948,6 +941,8 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     """Marginal frequencies, dependency degree, and pairwise independence checks."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
     L = num_edges(model.n)
     gen = rngmod.generator(seed)
     pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
@@ -965,12 +960,9 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
         (b1, q1), (b2, q2) = divmod(e1s, layout.m), divmod(e2s, layout.m)
     else:
         s1, s2 = slot[e1s], slot[e2s]
-    values = _latent_rows(model, trials, 0)
-    batch = len(values)
     tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
     joint = np.zeros(len(pair_list), dtype=np.int64)
-    for start in range(0, trials, batch):
-        drawn = _draw_latents(model, gen, values[:min(batch, trials - start)])
+    for drawn in _latent_blocks(model, gen, trials, 0):
         if layout.uniform:
             tally += np.bincount((drawn + starts).ravel(), minlength=L)
             on1 = (drawn[:, b1] == q1[:, None]).any(axis=-1)

@@ -43,7 +43,7 @@ from operator import mul
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import DistributionModel, _draw_latents, _latent_rows, _rows
+from .distributions import DistributionModel, _latent_blocks, _rows
 from .errors import ResourceLimitError
 from .graphs import (Graph, _endpoints, batch_size, num_edges, row_bits,
                      row_bytes, zero_rows)
@@ -388,12 +388,12 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
     is largest at one of those two ends.
 
     One table holds the slack of every (|B|, |A|, e(A,B)) a pair can have,
-    each from the same float expressions as a pair's; a NaN in it (p < 0 or
-    NaN, C NaN or infinite) gives None, as the full scan did.  The masks A
-    are taken JUMBLEDNESS_CHUNK at a time: their weights are sorted once by
-    a sorting network, and k = 0..n is streamed with running sums of the k
-    smallest and the k largest weights, which index the table, keeping each
-    A's largest slack.  The first best A's sets B are then scanned the same
+    each from the same float expressions as a pair's; inputs that make a
+    slack NaN (p < 0 or not finite, C not finite) give None, as the full
+    scan did.  The masks A are taken JUMBLEDNESS_CHUNK at a time: their
+    weights are sorted once by a sorting network, and k = 0..n is streamed
+    with running sums of the k smallest and the k largest weights, which
+    index the table, keeping each A's largest slack.  The first best A's sets B are then scanned the same
     number at a time, their counts formed by subset-sum doubling, so the
     work is O(2^n n log^2 n) and the memory a few arrays of one chunk.
     Feasible up to n = JUMBLEDNESS_MAX_N.
@@ -404,6 +404,9 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
             f"jumbledness scan covers 4^{n} pairs; limit is n <= {JUMBLEDNESS_MAX_N}")
     pf = float(p)
     scale = n * pf * (d + 1)
+    # a non-finite p or C, or a negative scale, makes some slack NaN
+    if not (math.isfinite(C) and 0 <= scale < math.inf):
+        return None
     span = n * n + 1            # e(A,B) <= |A||B|
     stride = (n + 1) * span
     sizes = np.arange(n + 1)[:, None, None] * np.arange(n + 1)[:, None]
@@ -411,8 +414,8 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
     deviation = np.abs(np.arange(span) - pf * sizes)
     allowance = C * np.sqrt(sizes * scale)
     slack = (deviation - allowance).reshape(n + 1, stride)
-    # whether a slack is NaN does not depend on e(A,B), and every
-    # (|B|, |A|) is some pair's
+    # a float overflow at an absurd p can still make a slack NaN; whether
+    # one is does not depend on e(A,B), and every (|B|, |A|) is some pair's
     if np.isnan(slack).any():
         return None
     adj = np.array(g.rows, dtype=np.uint32)
@@ -505,11 +508,11 @@ def mean_variance_check(model: DistributionModel, statistic: Predicate,
         raise ValueError("need trials >= 2 for a sample variance")
     gen = rngmod.generator(seed)
     values = np.empty(trials, dtype=np.float64)
+    start = 0
     # _rows gathers a bool per row bit up to 64 vertices
-    latents = _latent_rows(model, trials, 8 * row_bytes(model.n))
-    for start in range(0, trials, len(latents)):
-        drawn = _draw_latents(model, gen, latents[:min(len(latents), trials - start)])
+    for drawn in _latent_blocks(model, gen, trials, 8 * row_bytes(model.n)):
         values[start:start + len(drawn)] = evaluate_rows(statistic, _rows(model, drawn))
+        start += len(drawn)
     emp_mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
     mean_se = math.sqrt(emp_var / trials)

@@ -20,8 +20,8 @@ from depgraphs import rng
 from depgraphs.bounds import (connectivity_example_threshold,
                               containment_failure_bound,
                               containment_hypothesis, jumbledness_hypothesis)
-from depgraphs.distributions import (_draw_latents, _latent_rows, _present,
-                                     _rows, blocks_from_text, connectivity_gadget,
+from depgraphs.distributions import (_latent_blocks, _present, _rows,
+                                     blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, sample)
 from depgraphs.graphs import (Graph, SubgraphPattern, clique_number,
@@ -199,19 +199,21 @@ def test_criterion_09_edge_block_exact_counts_and_frequencies():
     model = edge_block_exact(10, 1, 3)
     trials = 100_000
     gen = rng.generator(1)
-    counts = [0] * 45
-    for t in range(trials):
-        values = _draw_latents(model, gen)
+    counts = np.zeros(45, dtype=np.int64)
+    spot = 200
+    # the trials are drawn in turn from gen, a block at a time
+    for values in _latent_blocks(model, gen, trials, 0):
         present = _present(model, values)
-        assert int(present.sum()) == 15
-        if t < 200:
-            # spot check that the packed Graph agrees with the raw vector
-            (g,) = row_graphs(_rows(model, values[None]))
-            assert g.edge_count() == 15
-        for e in present.nonzero()[0]:
-            counts[e] += 1
+        assert (present.sum(axis=1) == 15).all()
+        if spot:
+            # spot check that the packed Graphs of the first 200 trials
+            # agree with the raw vectors
+            for g in row_graphs(_rows(model, values[:spot])):
+                assert g.edge_count() == 15
+            spot -= min(spot, len(values))
+        counts += present.sum(axis=0)
     for e in range(45):
-        lo, hi = wilson_interval(counts[e], trials)
+        lo, hi = wilson_interval(int(counts[e]), trials)
         assert lo <= 1 / 3 <= hi, (e, counts[e])
     assert time.perf_counter() - t0 < 30.0
 
@@ -246,10 +248,8 @@ def test_criterion_10_monte_carlo_agrees_with_exact_oracle():
     inside = 0
     for j, (model, pred, exact) in enumerate(exact_by_pair):
         gen = rng.generator(rng.derive_seed(0, j))
-        values = _latent_rows(model, trials, 8 * row_bytes(model.n))
         hits = 0
-        for start in range(0, trials, len(values)):
-            drawn = _draw_latents(model, gen, values[:min(len(values), trials - start)])
+        for drawn in _latent_blocks(model, gen, trials, 8 * row_bytes(model.n)):
             hits += int(np.count_nonzero(evaluate_rows(pred, _rows(model, drawn))))
         lo, hi = wilson_interval(hits, trials)
         inside += lo <= float(exact) <= hi

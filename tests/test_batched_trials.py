@@ -23,14 +23,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depgraphs import graphs, harness, rng
-from depgraphs.distributions import (_draw_latents, _independent_pairs,
-                                     _latent_rows, _picks, _present,
-                                     audit_model, blocks_from_text,
+from depgraphs.distributions import (_draw, _independent_pairs,
+                                     _latent_blocks, _latent_rows, _picks,
+                                     _present, audit_model, blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
                                      erdos_renyi, sample, sample_rows)
 from depgraphs.graphs import (Graph, batch_dtype, batch_size, clique_number,
-                              num_edges, row_bytes, zero_rows)
+                              num_edges, row_bytes, row_graphs, zero_rows)
 from depgraphs.harness import ExperimentConfig
 from depgraphs.predicates import (connected, degree_in_range, evaluate_rows,
                                   negate, parse_predicate)
@@ -112,44 +112,83 @@ def test_sample_rows_are_the_rows_of_sample(n, p):
 
 
 def test_sample_rows_across_blocks(monkeypatch):
-    # a small budget splits one call into blocks of a few trials each
+    # a small budget splits one call into blocks of a few trials each, and
+    # shrinks the drawer's word buffer to 625 words: the 190 coins of
+    # erdos_renyi(20, .) fill it three trials at a time and leave 55 words
+    # unfilled, while one trial of the star at n = 70 is a run of 2281
+    # coins, drawn chunk by chunk past the buffer
     seeds = derive_seeds(3, 1, 0, 23)
-    models = [erdos_renyi(20, 0.3), correlated_star(33, Fraction(1, 3), 3),
-              edge_block_exact(9, 1, 3), edge_block_exact(16, 2, 5)]
+    models = [erdos_renyi(20, 0.3), erdos_renyi(20, 0), erdos_renyi(20, 1),
+              correlated_star(33, Fraction(1, 3), 3), correlated_star(33, 1, 3),
+              correlated_star(70, 0.3, 2), correlated_star(70, 0, 2),
+              edge_block_exact(9, 1, 3), edge_block_exact(16, 2, 5),
+              edge_block_exact(9, 3, 3)]
     want = [_sampled_rows(model, seeds.tolist()) for model in models]
     monkeypatch.setattr(graphs, "BATCH_BYTES", 5000)
     assert batch_size(20 * 32) < 23
+    assert batch_size(8) == 625 and 625 % 190 and models[5].latent_count() == 2281
     for model, rows in zip(models, want):
-        assert sample_rows(model, seeds)[..., 0].tolist() == rows
+        assert [list(g.rows) for g in row_graphs(sample_rows(model, seeds))] == rows, model
     assert sample_rows(models[0], []).shape == (0, 20, 1)
 
 
+@pytest.mark.parametrize("model", [
+    erdos_renyi(10, 0.3), correlated_star(12, Fraction(1, 3), 2),
+    edge_block_exact(10, 1, 3), edge_block_exact(9, 2, 4)],
+    ids=["er", "star", "edge-block-1-3", "edge-block-2-4"])
+def test_audit_is_the_same_at_every_budget(model, monkeypatch):
+    # the default budget draws the 400 trials as one block; the small one
+    # splits them into many, each a run of the audit's generator
+    want = audit_model(model, 400, 11, 20)
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 500)
+    assert len(_latent_rows(model, 400, 0)) <= 20
+    assert audit_model(model, 400, 11, 20) == want
+
+
 class _Keys:
-    """Stands in for a generator whose random() repeats the given keys."""
+    """Stands in for a generator whose random(out=) repeats the given keys."""
 
     def __init__(self, keys):
         self.keys = np.asarray(keys, dtype=float)
 
-    def random(self, shape):
-        return np.resize(self.keys, shape)
+    def random(self, *, out):
+        out[...] = np.resize(self.keys, out.shape)
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (3, 3)])
 def test_single_picks_take_the_first_of_equal_keys(n, m):
     # every key row over {0, 1/2, 3/4}, ties at the minimum included: the
-    # pick is the one argpartition(keys, 0) makes, on single draws and on
-    # a draw of several trials into one array
+    # pick is the one argpartition(keys, 0) makes, on single draws, on a
+    # draw of several trials into one array, and on one run per trial
     keys = list(itertools.product((0.0, 0.5, 0.75), repeat=m))
     model = edge_block_exact(n, 1, m)
     blocks = model.layout.block_count
-    for row in keys:
-        got = _draw_latents(model, _Keys([row]))
-        want = np.argpartition(np.resize(row, (blocks, m)), 0, axis=1)[:, :1]
-        assert np.array_equal(got, want), row
     out = np.empty((len(keys), blocks, 1), dtype=np.intp)
-    stub = _Keys(keys)
-    want = np.argpartition(stub.random(out.shape[:-1] + (m,)), 0, axis=-1)[..., :1]
-    assert np.array_equal(_draw_latents(model, stub, out), want)
+    for row in keys:
+        _draw(model, [(_Keys([row]), 1)], out[:1])
+        want = np.argpartition(np.resize(row, (blocks, m)), 0, axis=1)[:, :1]
+        assert np.array_equal(out[0], want), row
+    want = np.argpartition(np.resize(keys, out.shape[:-1] + (m,)), 0, axis=-1)[..., :1]
+    _draw(model, [(_Keys(keys), len(keys))], out)
+    assert np.array_equal(out, want)
+    want = np.argpartition(np.array([np.resize(row, (blocks, m)) for row in keys]),
+                           0, axis=-1)[..., :1]
+    _draw(model, [(_Keys([row]), 1) for row in keys], out)
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("a,m", [(1, 3), (2, 5), (3, 4)])
+def test_uniform_runs_equal_one_draw(a, m):
+    # trials drawn in runs of any length from one generator pick what one
+    # draw of all their keys does
+    model = edge_block_exact(9 if 36 % m == 0 else 16, a, m)
+    shape = (13, model.layout.block_count)
+    for runs in ([13], [1] * 13, [5, 1, 7]):
+        gen = rng.generator(len(runs))
+        want = _picks(rng.generator(len(runs)).random(shape + (m,)), a)
+        out = np.empty(shape + (a,), dtype=np.intp)
+        _draw(model, [(gen, k) for k in runs], out)
+        assert np.array_equal(out, want), runs
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
@@ -173,11 +212,9 @@ def _present_tallies(model, trials, seed, pairs):
     pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
-    values = _latent_rows(model, trials, 8 * L)
     counts = np.zeros(L, dtype=np.int64)
     joint = np.zeros(len(pair_list), dtype=np.int64)
-    for start in range(0, trials, len(values)):
-        drawn = _draw_latents(model, gen, values[:min(len(values), trials - start)])
+    for drawn in _latent_blocks(model, gen, trials, 8 * L):
         on = _present(model, drawn)
         counts += on.sum(axis=0)
         joint += (on[:, e1s] & on[:, e2s]).sum(axis=0)

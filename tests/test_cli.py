@@ -327,6 +327,13 @@ def test_audit_bad_partition_exit_1(capsys):
     assert "two blocks" in err
 
 
+def test_audit_negative_pairs_exit_1(capsys):
+    code, _, err = run(capsys, "audit", "--dist", "er", "--n", "5",
+                       "--p", "0.5", "--trials", "10", "--pairs", "-3")
+    assert code == 1
+    assert "pairs must be >= 0" in err
+
+
 def test_audit_flag_exit_3(capsys, monkeypatch):
     real = cli.audit_model
 

@@ -411,10 +411,11 @@ def test_empirical_marginals_near_p():
     L = num_edges(8)
     counts = np.zeros(L)
     gen = rng.generator(424242)
-    from depgraphs.distributions import _draw_latents, _present
+    from depgraphs.distributions import _latent_blocks, _present
     trials = 3000
     for _ in range(trials):
-        counts += _present(m, _draw_latents(m, gen))
+        (values,) = _latent_blocks(m, gen, 1, 0)
+        counts += _present(m, values[0])
     freq = counts / trials
     assert np.all(np.abs(freq - 0.25) < 0.05)
 
@@ -471,8 +472,9 @@ def test_audit_pair_selection_avoids_blocks():
 
 
 def test_audit_trials_validation():
-    with pytest.raises(ValueError):
-        audit_model(erdos_renyi(4, 0.5), 0, seed=0)
+    for trials, pairs in ((0, 50), (10, -3)):
+        with pytest.raises(ValueError):
+            audit_model(erdos_renyi(4, 0.5), trials, seed=0, pairs=pairs)
 
 
 def test_audit_single_edge_graph():

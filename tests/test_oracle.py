@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from depgraphs import graphs, oracle, rng
-from depgraphs.distributions import (DistributionModel, _draw_latents, _edges,
+from depgraphs.distributions import (DistributionModel, _edges, _latent_blocks,
                                      blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, realize,
@@ -700,12 +700,12 @@ def test_jumbledness_budget():
 
 
 @pytest.mark.parametrize("p, C", [(0.5, math.nan), (0.5, math.inf),
-                                  (math.nan, 1.0), (-0.1, 1.0)])
+                                  (math.nan, 1.0), (-0.1, 1.0),
+                                  (math.inf, 1.0), (0.5, -math.inf)])
 def test_jumbledness_nan_slack_gives_none(p, C):
-    # a NaN slack (C NaN or infinite at |A||B| = 0, p NaN, sqrt of a
-    # negative scale) gives None, even where other pairs violate
-    with np.errstate(invalid="ignore"):
-        assert exhaustive_jumbledness_check(Graph.complete(5), p, 0, C=C) is None
+    # a NaN slack (C NaN or infinite at |A||B| = 0, p NaN or infinite,
+    # sqrt of a negative scale) gives None, even where other pairs violate
+    assert exhaustive_jumbledness_check(Graph.complete(5), p, 0, C=C) is None
 
 
 def _prefix_sum_jumbledness(g: Graph, p, d: int,
@@ -980,7 +980,8 @@ def _per_trial_moments(model, stat, trials, seed):
     gen = rng.generator(seed)
     values = np.empty(trials, dtype=np.float64)
     for i in range(trials):
-        edges = _edges(model, _draw_latents(model, gen)).tolist()
+        (drawn,) = _latent_blocks(model, gen, 1, 0)
+        edges = _edges(model, drawn[0]).tolist()
         g = Graph.from_edge_indices(model.n, edges)
         values[i] = stat.fn(g)
     return float(values.mean()), float(values.var(ddof=1))

@@ -20,8 +20,8 @@ import weakref
 import numpy as np
 import pytest
 
-from depgraphs import distributions, graphs, rng
-from depgraphs.distributions import (DistributionModel, _draw_latents, _edges,
+from depgraphs import distributions, graphs
+from depgraphs.distributions import (DistributionModel, _edges, _latent_blocks,
                                      blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, realize,
@@ -63,8 +63,8 @@ def _reference_rows(n, edges):
 def test_packer_matches_from_edge_indices(n, p):
     for model in _models(n, p):
         for seed in (1, 2) if n < 2000 else (1,):
-            values = _draw_latents(model, rng.seeded(seed))
-            want = _reference_rows(n, np.sort(_edges(model, values)))
+            (values,) = _latent_blocks(model, [seed], 1, 0)
+            want = _reference_rows(n, np.sort(_edges(model, values[0])))
             assert sample(model, seed).graph.rows == want, model
             assert tuple(row_ints(sample_rows(model, [seed])[0])) == want, model
             state = sample(model, seed, keep_latents=True).latent_state
@@ -78,8 +78,8 @@ def test_packer_without_private_coins(n):
     model = custom_blocks(n, 0.5, [range(i, min(i + 7, size)) for i in range(0, size, 7)])
     assert model.layout.singles.size == 0
     for seed in (1, 2):
-        values = _draw_latents(model, rng.seeded(seed))
-        want = Graph.from_edge_indices(n, _edges(model, values).tolist()).rows
+        (values,) = _latent_blocks(model, [seed], 1, 0)
+        want = Graph.from_edge_indices(n, _edges(model, values[0]).tolist()).rows
         assert sample(model, seed).graph.rows == want
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depgraphs import rng
-from depgraphs.distributions import (_coins, _rows, blocks_from_text,
+from depgraphs.distributions import (_draw, _rows, blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
                                      erdos_renyi, sample)
@@ -64,16 +64,31 @@ COIN_PS = (0, 1, 2.0 ** -53, 1 - 2.0 ** -53, Fraction(1, 3), 12345 * 2.0 ** -53,
            Fraction(3, 8), 0.3)
 
 
+def _coins(gen, runs, p):
+    """The coins _draw gives for sum(runs) trials of a one-coin model,
+    drawn in runs of the given lengths in turn from gen."""
+    out = np.empty((sum(runs), 1), dtype=bool)
+    _draw(erdos_renyi(2, p), [(gen, k) for k in runs], out)
+    return out[:, 0]
+
+
+# the trials whole, and cut into runs that fit a word buffer of
+# graphs.BATCH_BYTES (32768 words) or not: runs of 7 leave part of it
+# unfilled, and the long run is drawn chunk by chunk before or after them
+RUN_SPLITS = {0: ([0],), 1: ([1],), 7: ([7], [1] * 7, [3, 4]),
+              70001: ([70001], [7] * 5000 + [35001], [35001] + [7] * 5000)}
+
+
 @pytest.mark.parametrize("p", COIN_PS)
 @pytest.mark.parametrize("count", (0, 1, 7, 70001))
 def test_coins_equal_uniform_comparison(p, count):
     for seed in (0, 9, 2 ** 64 - 1):
-        fast, plain = rng.generator(seed), rng.generator(seed)
-        coins = _coins(fast, count, p)
-        assert coins.dtype == bool
-        assert np.array_equal(coins, plain.random(count) < float(p))
-        # both forms consume the same words, so shared-generator streams agree
-        assert fast.bit_generator.random_raw() == plain.bit_generator.random_raw()
+        for runs in RUN_SPLITS[count]:
+            fast, plain = rng.generator(seed), rng.generator(seed)
+            coins = _coins(fast, runs, p)
+            assert np.array_equal(coins, plain.random(count) < float(p)), runs
+            # both forms consume the same words, so shared-generator streams agree
+            assert fast.bit_generator.random_raw() == plain.bit_generator.random_raw()
 
 
 class _Words:
@@ -99,7 +114,7 @@ def test_coin_threshold_at_its_boundary(p):
             probes |= {k << 11, (k << 11) + 2 ** 11 - 1, max((k << 11) - 1, 0)}
     words = np.array(sorted(probes), dtype=np.uint64)
     doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    assert np.array_equal(_coins(_Words(words), words.size, p), doubles < float(p))
+    assert np.array_equal(_coins(_Words(words), [words.size], p), doubles < float(p))
 
 
 def _check_reset(seed):
