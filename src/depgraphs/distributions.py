@@ -17,8 +17,12 @@ block of trials in declared order, the trials drawn in turn from one
 generator or each from its seed's reset generator (which pins down
 sample(model, seed) bit for bit); sample, sample_rows, the audit and
 oracle.mean_variance_check all draw through it a block at a time
-(_latent_blocks).  One packer (_rows) turns the values of a block of
-trials into bitset rows.  Up to 64 vertices it gathers each row bit from the
+(_latent_blocks).  The audit and mean_variance_check draw their trials in
+turn from one generator, split into spans of whole blocks, one per CPU
+(_spans): each span starts from a generator forwarded to its first
+trial's words (rng.forward) and runs in a thread of its own, so their
+results do not depend on the CPU count.  One packer (_rows) turns the
+values of a block of trials into bitset rows.  Up to 64 vertices it gathers each row bit from the
 value behind it through a table each layout forms once; beyond, it reads
 the rows from the packed colex presence bitmap (_presence_words,
 graphs.presence_rows), and no edge index is formed.  sample, realize,
@@ -38,12 +42,14 @@ from __future__ import annotations
 import configparser
 import io
 import marshal
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
 from math import ceil, isqrt, log, prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,6 +135,14 @@ class LatentLayout:
     @property
     def latents(self) -> int:
         return self.block_count + self.slots - int(self.flat.size)
+
+    @property
+    def draw_words(self) -> int:
+        """The raw generator words one trial's draw takes (_draw): one per
+        coin, one per float64 key of a uniform subset, none when a = m."""
+        if not self.uniform:
+            return self.latents
+        return 0 if self.a == self.m else self.block_count * self.m
 
     @property
     def coins(self) -> int:
@@ -589,7 +603,7 @@ def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, in
     """
     layout = model.layout
     if layout.uniform:
-        if layout.a == layout.m:
+        if not layout.draw_words:
             out[...] = np.arange(layout.m)
             return
         keys = np.empty(out.shape[:-1] + (layout.m,))
@@ -608,12 +622,12 @@ def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, in
         else:
             np.less_equal(words, threshold, out=flat[at:at + len(words)])
 
-    chunk, latents = batch_size(8), layout.latents
+    chunk, per_trial = batch_size(8), layout.draw_words
     size = min(chunk, flat.size)
     words = np.empty(size, dtype=np.uint64)
     at = fill = 0       # words[:fill] go to flat[at:]
     for gen, k in runs:
-        count = k * latents
+        count = k * per_trial
         bits = gen.bit_generator
         if fill + count > size:
             compare(words[:fill], at)
@@ -703,6 +717,51 @@ def _latent_blocks(model: DistributionModel,
                 zip(map(rngmod.seeded, source[start:start + len(drawn)]), repeat(1)))
         _draw(model, runs, drawn)
         yield drawn
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_threads(work: Callable, args: Sequence) -> list:
+    """[work(x) for x in args]: in the calling thread when args holds one
+    item, else on one thread each, all of them ended when this returns."""
+    if len(args) == 1:
+        return [work(args[0])]
+    with ThreadPoolExecutor(max_workers=len(args)) as pool:
+        return list(pool.map(work, args))
+
+
+def _spans(model: DistributionModel, gen: np.random.Generator, trials: int,
+           item_bytes: int, work: Callable[[int, Iterable[np.ndarray]], object]
+           ) -> list:
+    """work(start, blocks) for each span of the trials trials drawn in turn
+    from gen, where blocks yields the latent values of the span's trials
+    from trial start on as _latent_blocks(model, gen, trials, item_bytes)
+    would; the results in span order.
+
+    The spans are contiguous runs of whole blocks, one per CPU (_cpus) and
+    at most one per block.  A span after the first draws from a generator
+    forwarded to its first trial's words (rng.forward), each span in a
+    thread of its own (_in_threads), so its values are those of one
+    generator drawn in turn, whatever the span count.
+    """
+    per_block = len(_latent_rows(model, trials, item_bytes))
+    blocks = -(-trials // per_block)
+    count = min(_cpus(), blocks)
+    starts = [i * blocks // count * per_block for i in range(count)]
+    stops = starts[1:] + [trials]
+    words = model.layout.draw_words
+    gens = [gen] + [rngmod.forward(gen, start * words) for start in starts[1:]]
+
+    def run(i):
+        blocks = _latent_blocks(model, gens[i], stops[i] - starts[i], item_bytes)
+        return work(starts[i], blocks)
+
+    return _in_threads(run, range(count))
 
 
 def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
@@ -953,25 +1012,32 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     # latent's tally; uniform subsets are tallied per edge, straight from
     # the picks: edge block * m + pick is present, and a pair's edges are
     # both present when each one's block picked it.  Trials are drawn a
-    # batch at a time, in turn from gen, as a loop would draw them.
+    # batch at a time, as a loop drawing in turn from gen would draw them,
+    # and each span of them (_spans) is tallied apart; the tallies are
+    # integers, so their sum does not depend on the span count.
     slot = _edge_slots(layout)
     if layout.uniform:
         starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
         (b1, q1), (b2, q2) = divmod(e1s, layout.m), divmod(e2s, layout.m)
     else:
         s1, s2 = slot[e1s], slot[e2s]
-    tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
-    joint = np.zeros(len(pair_list), dtype=np.int64)
-    for drawn in _latent_blocks(model, gen, trials, 0):
-        if layout.uniform:
-            tally += np.bincount((drawn + starts).ravel(), minlength=L)
-            on1 = (drawn[:, b1] == q1[:, None]).any(axis=-1)
-            on2 = (drawn[:, b2] == q2[:, None]).any(axis=-1)
-            joint += (on1 & on2).sum(axis=0)
-        else:
-            tally += drawn.sum(axis=0)
-            joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
-    counts = tally[slot]
+    def tallies(start, blocks):
+        tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
+        joint = np.zeros(len(pair_list), dtype=np.int64)
+        for drawn in blocks:
+            if layout.uniform:
+                tally += np.bincount((drawn + starts).ravel(), minlength=L)
+                on1 = (drawn[:, b1] == q1[:, None]).any(axis=-1)
+                on2 = (drawn[:, b2] == q2[:, None]).any(axis=-1)
+                joint += (on1 & on2).sum(axis=0)
+            else:
+                tally += drawn.sum(axis=0)
+                joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
+        return tally, joint
+
+    parts = _spans(model, gen, trials, 0, tallies)
+    counts = sum(tally for tally, _ in parts)[slot]
+    joint = sum(joint for _, joint in parts)
 
     pf = float(model.p)
     marginals = []

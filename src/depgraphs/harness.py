@@ -27,7 +27,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
@@ -39,9 +38,9 @@ from . import bounds, predicates, stats
 # sample stays importable as harness.sample, a public alias that
 # perfbench's span wrappers rebind
 from .distributions import (CORRELATED_STAR, CUSTOM_BLOCKS, EDGE_BLOCK_EXACT,
-                            ERDOS_RENYI, _canonical_kind, blocks_from_text,
-                            build, format_probability, parse_probability, sample,
-                            sample_rows)
+                            ERDOS_RENYI, _canonical_kind, _in_threads,
+                            blocks_from_text, build, format_probability,
+                            parse_probability, sample, sample_rows)
 from .errors import ResourceLimitError
 from .graphs import (BATCH_MAX_N, Graph, batch_size, clique_number, mask_words,
                      row_bytes)
@@ -283,16 +282,12 @@ def _run_trials(config: ExperimentConfig, point_index: int, model,
         values = []
         for lo in range(start, stop, block):
             seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, stop))
-            values.extend(evaluate_rows(trial_fn, sample_rows(model, seeds)))
+            values.append(evaluate_rows(trial_fn, sample_rows(model, seeds)))
         return values
 
-    starts = range(0, trials, span)
-    if len(starts) == 1:
-        parts = [work(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(work, starts))
-    return np.array(list(chain.from_iterable(parts)), dtype=float if statistic else bool)
+    parts = _in_threads(work, range(0, trials, span))
+    return np.concatenate(list(chain.from_iterable(parts)),
+                          dtype=float if statistic else bool, casting="unsafe")
 
 
 def _default_model(pt: dict, blocks_text: str | None = None):

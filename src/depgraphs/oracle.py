@@ -43,7 +43,7 @@ from operator import mul
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import DistributionModel, _latent_blocks, _rows
+from .distributions import DistributionModel, _rows, _spans
 from .errors import ResourceLimitError
 from .graphs import (Graph, _endpoints, batch_size, num_edges, row_bits,
                      row_bytes, zero_rows)
@@ -462,7 +462,7 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
     a = tuple(v for v in range(n) if (a_mask >> v) & 1)
     b = tuple(v for v in range(n) if (b_mask >> v) & 1)
     edges = int(weight[list(b)].sum())
-    return JumblednessViolation(a, b, edges, pf * len(a) * len(b),
+    return JumblednessViolation(a, b, edges, pf * (len(a) * len(b)),
                                 float(deviation[len(b), len(a), edges]),
                                 float(allowance[len(b), len(a), 0]), float(top))
 
@@ -503,16 +503,20 @@ def mean_variance_check(model: DistributionModel, statistic: Predicate,
     """Compare sampled moments of a statistic with exact enumerated moments.
 
     The trials come from one generator a block at a time, packed by the
-    sampler's packer (_rows) and evaluated by evaluate_rows."""
+    sampler's packer (_rows) and evaluated by evaluate_rows; each span of
+    them (distributions._spans) fills its own slice of the values, so they
+    do not depend on the span count."""
     if trials < 2:
         raise ValueError("need trials >= 2 for a sample variance")
-    gen = rngmod.generator(seed)
     values = np.empty(trials, dtype=np.float64)
-    start = 0
+
+    def evaluate(start, blocks):
+        for drawn in blocks:
+            values[start:start + len(drawn)] = evaluate_rows(statistic, _rows(model, drawn))
+            start += len(drawn)
+
     # _rows gathers a bool per row bit up to 64 vertices
-    for drawn in _latent_blocks(model, gen, trials, 8 * row_bytes(model.n)):
-        values[start:start + len(drawn)] = evaluate_rows(statistic, _rows(model, drawn))
-        start += len(drawn)
+    _spans(model, rngmod.generator(seed), trials, 8 * row_bytes(model.n), evaluate)
     emp_mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
     mean_se = math.sqrt(emp_var / trials)

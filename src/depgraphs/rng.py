@@ -4,7 +4,10 @@ Every sample is drawn from a counter-based generator (Philox) keyed by a
 64-bit seed, so a (model, seed) pair names one graph forever.  Trial seeds
 are derived from the master seed by a fixed splitmix64 chain over
 (grid index, trial index), which makes experiment output independent of
-worker count and scheduling.
+worker count and scheduling.  A Philox word is a pure function of (key,
+counter), so forward() places a copy of a generator any number of words
+ahead without drawing them: a span of trials drawn in turn from one
+generator can start anywhere.
 """
 
 from __future__ import annotations
@@ -94,6 +97,39 @@ def seeded(seed: int) -> np.random.Generator:
     key[0] = seed & MASK64
     gen.bit_generator.state = state
     return gen
+
+
+def forward(gen: np.random.Generator, words: int) -> np.random.Generator:
+    """A new generator whose raw words are gen's from its words-th on; gen
+    is left as it is.
+
+    Philox computes its words four at a time, one block per step of its
+    256-bit counter, and hands them out from a 4-word buffer.  So the words
+    left in gen's buffer come first, then the counter advances by the
+    whole blocks that remain, and the fewer than 4 words left over are
+    drawn and discarded.  Any bit generator other than Philox raises
+    TypeError.
+    """
+    bits = gen.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise TypeError(f"forward needs a Philox generator, not {type(bits).__name__}")
+    if words < 0:
+        raise ValueError("words must be >= 0")
+    state = bits.state
+    left = 4 - state["buffer_pos"]
+    if words <= left:
+        state["buffer_pos"] += words
+        blocks = rest = 0
+    else:
+        blocks, rest = divmod(words - left, 4)
+        state["buffer_pos"] = 4
+    counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
+    counter += blocks
+    state["state"]["counter"] = tuple(counter >> 64 * i & MASK64 for i in range(4))
+    out = np.random.Generator(np.random.Philox(key=0))
+    out.bit_generator.state = state
+    out.bit_generator.random_raw(rest)
+    return out
 
 
 def default_seed() -> int:
