@@ -15,20 +15,23 @@ when read (LatentLayout.singles).  Everything that maps latents to edges
 goes through the layout.  One drawer (_draw) writes the latent values of a
 block of trials in declared order, the trials drawn in turn from one
 generator or each from its seed's reset generator (which pins down
-sample(model, seed) bit for bit); sample, sample_rows, the audit and
-oracle.mean_variance_check all draw through it a block at a time
-(_latent_blocks).  The audit and mean_variance_check draw their trials in
-turn from one generator, split into spans of whole blocks, one per CPU
-(_spans): each span starts from a generator forwarded to its first
-trial's words (rng.forward) and runs in a thread of its own, so their
-results do not depend on the CPU count.  One packer (_rows) turns the
-values of a block of trials into bitset rows.  Up to 64 vertices it gathers each row bit from the
-value behind it through a table each layout forms once; beyond, it reads
-the rows from the packed colex presence bitmap (_presence_words,
-graphs.presence_rows), and no edge index is formed.  sample, realize,
-sample_rows and oracle.mean_variance_check all pack through it; latent
-capture returns the drawn values; the audit reads block ownership from
-the layout; the oracle sizes its state space by it.
+sample(model, seed) bit for bit).  One packer (_rows) turns a block's
+values into bitset rows: up to 64 vertices it gathers each row bit from
+the value behind it through a table each layout forms once; beyond, it
+reads the rows from the packed colex presence bitmap (_presence_words,
+graphs.presence_rows), and no edge index is formed.  Blocks are sized in
+one place (_latent_rows) and drawn one at a time (_latent_blocks).
+
+Every Monte Carlo consumer splits its trials into spans of whole blocks,
+at most one per CPU, each run in a thread of its own (_spans): a span
+drawn from a generator starts from one forwarded to its first trial's
+words (rng.forward), a span of seeds at its first trial's seed, so no
+result depends on the span count.  The harness and
+oracle.mean_variance_check draw, pack and evaluate through one runner
+(_trial_values); the audit tallies the drawn values and reads block
+ownership from the layout; sample, sample_rows and realize pack through
+_rows; latent capture returns the drawn values; the oracle sizes its
+state space by the layout.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block.
@@ -58,6 +61,7 @@ from . import stats
 from .graphs import (BATCH_MAX_N, Graph, Windows, batch_dtype, batch_size,
                      num_edges, packed_words, presence_rows, read_windows,
                      row_bytes, row_graphs, row_words, windows, zero_rows)
+from .predicates import evaluate_rows
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -681,40 +685,46 @@ def _edge_slots(layout: LatentLayout) -> np.ndarray:
     return slot
 
 
-def _latent_rows(model: DistributionModel, trials: int, item_bytes: int
-                 ) -> np.ndarray:
+def _latent_rows(model: DistributionModel, trials: int) -> np.ndarray:
     """An empty array for the latent values of T <= trials trials, the
-    block _latent_blocks draws into (see _draw), T as large as keeps the
-    widest of one trial's values, the float64 keys a uniform draw forms,
-    and item_bytes per trial within graphs.BATCH_BYTES."""
+    block that _latent_blocks draws into (see _draw), _rows packs and
+    _trial_values evaluates.  T is as large as keeps the widest per-trial
+    array of a block within graphs.BATCH_BYTES: one trial's values, the
+    float64 keys a uniform draw forms, or its rows (graphs.row_bytes)."""
     layout = model.layout
     if layout.uniform:
         shape, dtype = (layout.block_count, layout.a), np.dtype(np.intp)
         keys = 8 * layout.slots
     else:
         shape, dtype, keys = (layout.latents,), np.dtype(bool), 0
-    per_trial = max(item_bytes, keys, prod(shape) * dtype.itemsize)
+    per_trial = max(keys, prod(shape) * dtype.itemsize, row_bytes(model.n))
     return np.empty((min(trials, batch_size(per_trial)),) + shape, dtype=dtype)
 
 
 def _latent_blocks(model: DistributionModel,
-                   source: np.random.Generator | Sequence[int],
-                   trials: int, item_bytes: int) -> Iterable[np.ndarray]:
+                   source: np.random.Generator | Sequence[int] | np.ndarray,
+                   trials: int) -> Iterable[np.ndarray]:
     """The latent values of trials trials, as _draw writes them, in blocks
-    of _latent_rows(model, trials, item_bytes) trials; each block is one
-    array, written over by the next.
+    of _latent_rows(model, trials) trials; each block is one array,
+    written over by the next.
 
-    source is one generator, which draws every trial in turn, or a sequence
-    of trials seeds, each drawn from this thread's generator reset to it
-    (rng.seeded) as sample does.  The resets are made lazily, so each
-    generator is used before the next reset.
+    source is one generator, which draws every trial in turn, or the
+    trials' seeds, a sequence of ints or a uint64 array, each trial drawn
+    from this thread's generator reset to its seed (rng.seeded) as sample
+    does.  The resets are made lazily, so each generator is used before the
+    next reset, and an array's seeds become ints a block at a time.
     """
-    values = _latent_rows(model, trials, item_bytes)
+    values = _latent_rows(model, trials)
     one = isinstance(source, np.random.Generator)
     for start in range(0, trials, max(1, len(values))):
         drawn = values[:min(len(values), trials - start)]
-        runs = (((source, len(drawn)),) if one else
-                zip(map(rngmod.seeded, source[start:start + len(drawn)]), repeat(1)))
+        if one:
+            runs = ((source, len(drawn)),)
+        else:
+            seeds = source[start:start + len(drawn)]
+            if isinstance(seeds, np.ndarray):
+                seeds = seeds.tolist()
+            runs = zip(map(rngmod.seeded, seeds), repeat(1))
         _draw(model, runs, drawn)
         yield drawn
 
@@ -726,42 +736,63 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_threads(work: Callable, args: Sequence) -> list:
-    """[work(x) for x in args]: in the calling thread when args holds one
-    item, else on one thread each, all of them ended when this returns."""
-    if len(args) == 1:
-        return [work(args[0])]
-    with ThreadPoolExecutor(max_workers=len(args)) as pool:
-        return list(pool.map(work, args))
+def _spans(model: DistributionModel,
+           source: np.random.Generator | Sequence[int] | np.ndarray, trials: int,
+           work: Callable[[int, Iterable[np.ndarray]], object],
+           limit: int | None = None) -> list:
+    """work(start, blocks) for each span of the trials trials, where blocks
+    yields the latent values of the span's trials from trial start on as
+    _latent_blocks(model, source, trials) would; the results in span order.
 
-
-def _spans(model: DistributionModel, gen: np.random.Generator, trials: int,
-           item_bytes: int, work: Callable[[int, Iterable[np.ndarray]], object]
-           ) -> list:
-    """work(start, blocks) for each span of the trials trials drawn in turn
-    from gen, where blocks yields the latent values of the span's trials
-    from trial start on as _latent_blocks(model, gen, trials, item_bytes)
-    would; the results in span order.
-
-    The spans are contiguous runs of whole blocks, one per CPU (_cpus) and
-    at most one per block.  A span after the first draws from a generator
-    forwarded to its first trial's words (rng.forward), each span in a
-    thread of its own (_in_threads), so its values are those of one
-    generator drawn in turn, whatever the span count.
+    The spans are contiguous runs of whole blocks, min(limit, _cpus(),
+    blocks) of them, one in the calling thread, more in a thread each, all
+    ended on return.  A span drawn from a generator starts from one
+    forwarded to its first trial's words (rng.forward), a span of seeds at
+    its first trial's seed.  Up to graphs.BATCH_MAX_N vertices seeds run in
+    one span: their per-trial resets hold the GIL, so threads would only
+    contend for it.
     """
-    per_block = len(_latent_rows(model, trials, item_bytes))
+    per_block = len(_latent_rows(model, trials))
     blocks = -(-trials // per_block)
-    count = min(_cpus(), blocks)
+    one = isinstance(source, np.random.Generator)
+    count = min(limit or blocks, _cpus(), blocks)
+    if not one and model.n <= BATCH_MAX_N:
+        count = 1
     starts = [i * blocks // count * per_block for i in range(count)]
     stops = starts[1:] + [trials]
-    words = model.layout.draw_words
-    gens = [gen] + [rngmod.forward(gen, start * words) for start in starts[1:]]
+    if one:
+        words = model.layout.draw_words
+        sources = [source] + [rngmod.forward(source, start * words) for start in starts[1:]]
+    else:
+        sources = [source[start:stop] for start, stop in zip(starts, stops)]
 
     def run(i):
-        blocks = _latent_blocks(model, gens[i], stops[i] - starts[i], item_bytes)
-        return work(starts[i], blocks)
+        return work(starts[i], _latent_blocks(model, sources[i], stops[i] - starts[i]))
 
-    return _in_threads(run, range(count))
+    if count == 1:
+        return [run(0)]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        return list(pool.map(run, range(count)))
+
+
+def _trial_values(model: DistributionModel,
+                  source: np.random.Generator | np.ndarray, trials: int,
+                  functional: Callable[[Graph], object],
+                  limit: int | None = None) -> np.ndarray:
+    """functional's value on each of the trials trials' graphs, in trial
+    order, as float64.  The trials are drawn from source as _spans(model,
+    source, trials, ..., limit) draws them, and each block is packed
+    (_rows) and evaluated (predicates.evaluate_rows) into its slice of one
+    values array, so the values do not depend on the span count."""
+    values = np.empty(trials)
+
+    def evaluate(start, blocks):
+        for drawn in blocks:
+            values[start:start + len(drawn)] = evaluate_rows(functional, _rows(model, drawn))
+            start += len(drawn)
+
+    _spans(model, source, trials, evaluate, limit)
+    return values
 
 
 def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
@@ -770,24 +801,29 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     graphs.BATCH_MAX_N vertices one gather reads every row bit from the
     values' column behind it (LatentLayout.columns), the presence bitmaps'
     for uniform subsets (_present), and one packbits packs each row into
-    its one word; beyond, each trial's rows are read from its presence
-    bitmap (_presence_words, graphs.presence_rows), with no edge index."""
+    its one word; the gather takes a bool per row bit, so it runs on chunks
+    of as many trials as keep it within graphs.BATCH_BYTES.  Beyond, each
+    trial's rows are read from its presence bitmap (_presence_words,
+    graphs.presence_rows), with no edge index."""
     n, count = model.n, len(values)
+    rows = zero_rows(count, n)
     if n > BATCH_MAX_N:
-        rows = zero_rows(count, n)
         for t in range(count):
             rows[t] = presence_rows(n, _presence_words(model, values[t]))
         return rows
     layout = model.layout
     if not layout.slots:
-        return zero_rows(count, n)
-    if layout.uniform:
-        values = _present(model, values)
+        return rows
     table, adjacent = layout.columns
-    bits = values.take(table, axis=1).reshape(count, n, 8 * adjacent.itemsize)
-    packed = np.packbits(bits, axis=2, bitorder="little")
-    rows = packed.view(adjacent.dtype.newbyteorder("<"))
-    rows &= adjacent
+    step = batch_size(8 * row_bytes(n))
+    for lo in range(0, count, step):
+        chunk = values[lo:lo + step]
+        if layout.uniform:
+            chunk = _present(model, chunk)
+        bits = chunk.take(table, axis=1).reshape(len(chunk), n, 8 * adjacent.itemsize)
+        packed = np.packbits(bits, axis=2, bitorder="little")
+        np.bitwise_and(packed.view(adjacent.dtype.newbyteorder("<")), adjacent,
+                       out=rows[lo:lo + step])
     return rows
 
 
@@ -797,12 +833,10 @@ def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
 
     Each trial draws as sample does, from this thread's generator reset to
     its seed, into one row of a block of latent values (_latent_blocks),
-    and _rows packs the block; no Graph is built.  Blocks are sized so that
-    their widest array fits graphs.BATCH_BYTES.
+    and _rows packs each block; no Graph is built.
     """
     seeds = list(map(int, seeds))
-    blocks = [_rows(model, drawn) for drawn in
-              _latent_blocks(model, seeds, len(seeds), 8 * row_bytes(model.n))]
+    blocks = [_rows(model, drawn) for drawn in _latent_blocks(model, seeds, len(seeds))]
     if len(blocks) == 1:
         return blocks[0]
     return np.concatenate(blocks) if blocks else zero_rows(0, model.n)
@@ -899,7 +933,7 @@ def sample(model: DistributionModel, seed: int,
     from this thread's generator reset to rng.generator(seed)'s state, and
     _rows packs it as it packs a block of sample_rows.
     """
-    (values,) = _latent_blocks(model, (seed,), 1, 0)
+    (values,) = _latent_blocks(model, (seed,), 1)
     graph = row_graphs(_rows(model, values))[0]
     state = _latent_state(model.layout, values[0]) if keep_latents else None
     return SampleOutcome(graph, state)
@@ -1035,7 +1069,7 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
                 joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
         return tally, joint
 
-    parts = _spans(model, gen, trials, 0, tallies)
+    parts = _spans(model, gen, trials, tallies)
     counts = sum(tally for tally, _ in parts)[slot]
     joint = sum(joint for _, joint in parts)
 
@@ -1109,11 +1143,14 @@ def from_descriptor(text: str) -> DistributionModel:
     try:
         kind = _canonical_kind(sec["kind"])
         n = int(sec["n"])
+        if kind == EDGE_BLOCK_EXACT:
+            a, m = int(sec["a"]), int(sec["m"])
+        else:
+            p = parse_probability(sec["p"])
     except KeyError as exc:
         raise ValueError(f"model descriptor missing key {exc}") from None
     if kind == EDGE_BLOCK_EXACT:
-        return edge_block_exact(n, int(sec["a"]), int(sec["m"]))
-    p = parse_probability(sec["p"])
+        return edge_block_exact(n, a, m)
     if kind == CUSTOM_BLOCKS:
         return custom_blocks(n, p, blocks_from_text(n, sec.get("blocks", "")))
     d = int(sec.get("d", "0"))

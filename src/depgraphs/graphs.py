@@ -526,17 +526,17 @@ def from_edge_list(text: str) -> Graph:
 # -- batch kernels over blocks of (T, n, W) row words --------------------
 
 # the most vertices whose rows take one word (W = 1); the sampler's packer
-# and coin draw and the harness's threads pick their algorithm by it
+# and coin draw and the spans of per-trial seeds pick their algorithm by it
 BATCH_MAX_N = 64
 
 # the widest array a batched consumer forms per block, in bytes (batch_size)
 BATCH_BYTES = 1 << 18
 
 
-def batch_size(item_bytes: int) -> int:
-    """Items per block: as many as keep an array of item_bytes bytes per
+def batch_size(per_item: int) -> int:
+    """Items per block: as many as keep an array of per_item bytes per
     item within BATCH_BYTES, and at least one."""
-    return max(1, BATCH_BYTES // max(1, item_bytes))
+    return max(1, BATCH_BYTES // max(1, per_item))
 
 
 def batch_dtype(n: int) -> np.dtype:

@@ -9,11 +9,11 @@ as a statistic; run_experiment runs every task the same way.
 
 Trial t of grid point i always runs on seed derive_seed(master, i, t), and
 the per-trial values merge in trial order, so the output is byte-identical
-for 1 and N workers.  At every n the trials run in blocks of row words
-(sample_rows, in the layout of graphs.zero_rows), evaluated by the trial
-function's batch kernel when it has one.  Up to 64 vertices the
-blocks run in the calling thread; beyond that each worker thread runs one
-span of blocks, whose Philox draws and numpy calls release the GIL.
+for 1 and N workers.  A point's seeds are derived at once, as one uint64
+array (rng.derive_seeds), and distributions._trial_values draws, packs and
+evaluates its trials a block at a time.  workers is an upper bound on the
+threads: the blocks run in at most min(workers, CPUs) spans, and up to 64
+vertices in one span in the calling thread (distributions._spans).
 
 The CSV view deliberately omits anything scheduling-dependent (wall-clock
 times, worker count); those live only in the JSON provenance document.
@@ -29,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,13 +38,12 @@ from . import bounds, predicates, stats
 # sample stays importable as harness.sample, a public alias that
 # perfbench's span wrappers rebind
 from .distributions import (CORRELATED_STAR, CUSTOM_BLOCKS, EDGE_BLOCK_EXACT,
-                            ERDOS_RENYI, _canonical_kind, _in_threads,
+                            ERDOS_RENYI, _canonical_kind, _trial_values,
                             blocks_from_text, build, format_probability,
-                            parse_probability, sample, sample_rows)
+                            parse_probability, sample)
 from .errors import ResourceLimitError
-from .graphs import (BATCH_MAX_N, Graph, batch_size, clique_number, mask_words,
-                     row_bytes)
-from .predicates import Predicate, evaluate_rows
+from .graphs import Graph, clique_number, mask_words
+from .predicates import Predicate
 from .rng import derive_seeds
 
 CLIQUE_MAX_N = 60
@@ -258,38 +257,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _run_trials(config: ExperimentConfig, point_index: int, model,
-                trial_fn: Callable[[Graph], float], statistic: bool) -> np.ndarray:
-    """This point's per-trial values, in trial order, as bools for an
-    event and floats for a statistic.
-
-    The trials run in blocks: sample_rows draws a block's graphs as row
-    words, and trial_fn's batch kernel, or trial_fn on each graph's Graph,
-    evaluates them.  Up to BATCH_MAX_N vertices one span of blocks runs in
-    the calling thread, whatever the worker count: that work holds the
-    GIL, so threads would only contend for it.  Beyond that each worker
-    thread runs one contiguous span of blocks, whose Philox draws and numpy
-    calls release the GIL.  Every trial keeps its seed and its value, so
-    the values, and all that is merged from them, do not depend on the
-    worker count.
-    """
-    trials = config.trials
-    block = batch_size(row_bytes(model.n))
-    span = trials if model.n <= BATCH_MAX_N else -(-trials // config.workers)
-
-    def work(start):
-        stop = min(start + span, trials)
-        values = []
-        for lo in range(start, stop, block):
-            seeds = derive_seeds(config.seed, point_index, lo, min(lo + block, stop))
-            values.append(evaluate_rows(trial_fn, sample_rows(model, seeds)))
-        return values
-
-    parts = _in_threads(work, range(0, trials, span))
-    return np.concatenate(list(chain.from_iterable(parts)),
-                          dtype=float if statistic else bool, casting="unsafe")
-
-
 def _default_model(pt: dict, blocks_text: str | None = None):
     if pt["kind"] == CUSTOM_BLOCKS:
         if not blocks_text:
@@ -453,7 +420,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             model = _default_model(pt, config.blocks)
             extras = task.theory(pt, config, pattern)
             trial_fn = task.trial(pt, config, pattern)
-            values = _run_trials(config, index, model, trial_fn, task.statistic)
+            seeds = derive_seeds(config.seed, index, 0, config.trials)
+            values = _trial_values(model, seeds, config.trials, trial_fn,
+                                   config.workers)
         except (ValueError, ResourceLimitError) as exc:
             row.error = str(exc)
             row.duration = time.perf_counter() - started

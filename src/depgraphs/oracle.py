@@ -43,7 +43,7 @@ from operator import mul
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import DistributionModel, _rows, _spans
+from .distributions import DistributionModel, _trial_values
 from .errors import ResourceLimitError
 from .graphs import (Graph, _endpoints, batch_size, num_edges, row_bits,
                      row_bytes, zero_rows)
@@ -502,21 +502,12 @@ def mean_variance_check(model: DistributionModel, statistic: Predicate,
                         trials: int, seed: int) -> MeanVarianceReport:
     """Compare sampled moments of a statistic with exact enumerated moments.
 
-    The trials come from one generator a block at a time, packed by the
-    sampler's packer (_rows) and evaluated by evaluate_rows; each span of
-    them (distributions._spans) fills its own slice of the values, so they
-    do not depend on the span count."""
+    The trials are drawn in turn from one generator and evaluated by the
+    Monte Carlo runner the harness uses (distributions._trial_values), so
+    the sampled moments do not depend on the span count."""
     if trials < 2:
         raise ValueError("need trials >= 2 for a sample variance")
-    values = np.empty(trials, dtype=np.float64)
-
-    def evaluate(start, blocks):
-        for drawn in blocks:
-            values[start:start + len(drawn)] = evaluate_rows(statistic, _rows(model, drawn))
-            start += len(drawn)
-
-    # _rows gathers a bool per row bit up to 64 vertices
-    _spans(model, rngmod.generator(seed), trials, 8 * row_bytes(model.n), evaluate)
+    values = _trial_values(model, rngmod.generator(seed), trials, statistic)
     emp_mean = float(values.mean())
     emp_var = float(values.var(ddof=1))
     mean_se = math.sqrt(emp_var / trials)

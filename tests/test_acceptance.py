@@ -26,7 +26,7 @@ from depgraphs.distributions import (_latent_blocks, _present, _rows,
                                      edge_block_exact, erdos_renyi, sample)
 from depgraphs.graphs import (Graph, SubgraphPattern, clique_number,
                               edge_cover_number, max_subgraph_density,
-                              named_pattern, row_bytes, row_graphs)
+                              named_pattern, row_graphs)
 from depgraphs.harness import ExperimentConfig, run_experiment
 from depgraphs.oracle import (exact_binomial_two_sided_tail,
                               exact_edge_marginals, exact_event_probability,
@@ -202,7 +202,7 @@ def test_criterion_09_edge_block_exact_counts_and_frequencies():
     counts = np.zeros(45, dtype=np.int64)
     spot = 200
     # the trials are drawn in turn from gen, a block at a time
-    for values in _latent_blocks(model, gen, trials, 0):
+    for values in _latent_blocks(model, gen, trials):
         present = _present(model, values)
         assert (present.sum(axis=1) == 15).all()
         if spot:
@@ -249,7 +249,7 @@ def test_criterion_10_monte_carlo_agrees_with_exact_oracle():
     for j, (model, pred, exact) in enumerate(exact_by_pair):
         gen = rng.generator(rng.derive_seed(0, j))
         hits = 0
-        for drawn in _latent_blocks(model, gen, trials, 8 * row_bytes(model.n)):
+        for drawn in _latent_blocks(model, gen, trials):
             hits += int(np.count_nonzero(evaluate_rows(pred, _rows(model, drawn))))
         lo, hi = wilson_interval(hits, trials)
         inside += lo <= float(exact) <= hi

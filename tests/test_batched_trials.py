@@ -1,9 +1,9 @@
 """Batched Monte Carlo trials, checked against the per-trial path.
 
-Up to 64 vertices the harness derives a block's seeds at once
-(rng.derive_seeds), draws the block's graphs as bitset rows
-(distributions.sample_rows) and evaluates them with a batch kernel.
-sample_rows and sample pack latent values with the same packer
+The harness derives a grid point's seeds at once (rng.derive_seeds), and
+the trial runner (distributions._trial_values) draws each block of them,
+packs the block's graphs as bitset rows and evaluates them with a batch
+kernel.  The runner, sample_rows and sample pack latent values with the same packer
 (distributions._rows, checked against Graph.from_edge_indices in
 test_sampler_path), so comparing sample_rows with the rows of
 sample(model, seed).graph checks the block draws: each trial's raw words
@@ -22,16 +22,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from depgraphs import graphs, harness, rng
+from depgraphs import distributions, graphs, rng
 from depgraphs.distributions import (_draw, _independent_pairs,
                                      _latent_blocks, _latent_rows, _picks,
-                                     _present, audit_model, blocks_from_text,
+                                     _present, _trial_values, audit_model,
+                                     blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
                                      erdos_renyi, sample, sample_rows)
 from depgraphs.graphs import (Graph, batch_dtype, batch_size, clique_number,
                               num_edges, row_bytes, row_graphs, zero_rows)
-from depgraphs.harness import ExperimentConfig
 from depgraphs.predicates import (connected, degree_in_range, evaluate_rows,
                                   negate, parse_predicate)
 from depgraphs.rng import derive_seed, derive_seeds
@@ -141,7 +141,7 @@ def test_audit_is_the_same_at_every_budget(model, monkeypatch):
     # splits them into many, each a run of the audit's generator
     want = audit_model(model, 400, 11, 20)
     monkeypatch.setattr(graphs, "BATCH_BYTES", 500)
-    assert len(_latent_rows(model, 400, 0)) <= 20
+    assert len(_latent_rows(model, 400)) <= 20
     assert audit_model(model, 400, 11, 20) == want
 
 
@@ -214,7 +214,7 @@ def _present_tallies(model, trials, seed, pairs):
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
     counts = np.zeros(L, dtype=np.int64)
     joint = np.zeros(len(pair_list), dtype=np.int64)
-    for drawn in _latent_blocks(model, gen, trials, 8 * L):
+    for drawn in _latent_blocks(model, gen, trials):
         on = _present(model, drawn)
         counts += on.sum(axis=0)
         joint += (on[:, e1s] & on[:, e2s]).sum(axis=0)
@@ -235,23 +235,25 @@ def test_uniform_audit_tallies_equal_presence_tallies(a, m, n, trials, seed, pai
 
 
 def test_one_block_at_64_vertices_stays_within_a_few_budgets():
-    # the harness's block at n = 64 is 512 trials, whose rows take one
-    # budget; drawn whole, its coins would take 1 MiB more and the bits
-    # gathered for packing 2 MiB, where each chunk's arrays fit a budget
+    # the rows of 512 trials at n = 64 take one budget; drawn whole, their
+    # coins would take 1 MiB more and the bits gathered for packing 2 MiB,
+    # where each block's and each gather chunk's arrays fit a budget
     block = batch_size(64 * 8)
     assert block == 512
     seeds = derive_seeds(7, 0, 0, block)
     for model, pred in ((erdos_renyi(64, 0.1), connected()),
                         (edge_block_exact(64, 1, 3), parse_predicate("isolated-vertex"))):
         sample_rows(model, seeds[:1])
-        tracemalloc.start()
-        try:
-            values = evaluate_rows(pred, sample_rows(model, seeds))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(values) == block
-        assert peak < 6 * graphs.BATCH_BYTES, (model, peak)
+        for run in (lambda: evaluate_rows(pred, sample_rows(model, seeds)),
+                    lambda: _trial_values(model, seeds, block, pred)):
+            tracemalloc.start()
+            try:
+                values = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(values) == block
+            assert peak < 6 * graphs.BATCH_BYTES, (model, peak)
 
 
 # -- harness blocks against single trials ----------------------------------
@@ -280,29 +282,36 @@ def _witness(n, p, d):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_run_trials_values_are_the_per_trial_values(workers):
-    config = ExperimentConfig(ns=(30,), ps=(0.2,), trials=70, seed=9, workers=workers)
+def test_run_trials_values_are_the_per_trial_values(workers, monkeypatch):
+    # a small budget and three CPUs give the point beyond 64 vertices
+    # three spans of several blocks at 3 workers
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 20000)
+    monkeypatch.setattr(distributions, "_cpus", lambda: 3)
     cases = [
-        (erdos_renyi(30, 0.2), parse_predicate("connected"), "predicate"),
-        (correlated_star(24, 0.3, 2), _witness(24, 0.3, 2), "predicate"),
-        (edge_block_exact(12, 1, 3), clique_number, "statistic"),
-        (erdos_renyi(66, 0.1), parse_predicate("isolated-vertex"), "predicate"),
+        (erdos_renyi(30, 0.2), parse_predicate("connected")),
+        (correlated_star(24, 0.3, 2), _witness(24, 0.3, 2)),
+        (edge_block_exact(12, 1, 3), clique_number),
+        (erdos_renyi(66, 0.1), parse_predicate("isolated-vertex")),
     ]
-    for point, (model, fn, mode) in enumerate(cases):
-        got = harness._run_trials(config, point, model, fn, mode)
+    for point, (model, fn) in enumerate(cases):
+        got = _trial_values(model, derive_seeds(9, point, 0, 70), 70, fn, workers)
         want = [fn(sample(model, derive_seed(9, point, t)).graph) for t in range(70)]
-        assert got.tolist() == [bool(v) if mode == "predicate" else float(v) for v in want]
+        assert got.tolist() == [float(v) for v in want]
 
 
-def test_batched_points_run_in_the_calling_thread():
-    # threads would contend for the GIL on the interpreter-bound draw, so
-    # only blocks beyond 64 vertices spread over workers
-    config = ExperimentConfig(ns=(64,), ps=(0.2,), trials=90, seed=9, workers=3)
+def test_batched_points_run_in_the_calling_thread(monkeypatch):
+    # the per-trial resets hold the GIL, so threads would only contend for
+    # it: up to 64 vertices seeds run in one span, whatever the blocks,
+    # CPUs and workers; beyond, their blocks spread over threads
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 5000)
+    monkeypatch.setattr(distributions, "_cpus", lambda: 3)
+    seeds = derive_seeds(9, 0, 0, 90)
     for model, in_caller in ((erdos_renyi(64, 0.1), True), (erdos_renyi(66, 0.1), False)):
+        assert len(_latent_rows(model, 90)) <= 30
         seen = set()
 
         def fn(g):
             seen.add(threading.get_ident())
             return True
-        assert harness._run_trials(config, 0, model, fn, "predicate").all()
+        assert _trial_values(model, seeds, 90, fn, 3).all()
         assert (seen == {threading.get_ident()}) == in_caller

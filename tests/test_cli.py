@@ -88,6 +88,15 @@ def test_missing_model_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_descriptor_missing_a_key_exits_1(capsys, tmp_path):
+    path = tmp_path / "model.ini"
+    path.write_text("[model]\nkind = er\nn = 5\n")
+    code, out, err = run(capsys, "sample", "--model", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "missing key 'p'" in err
+    assert "Traceback" not in err
+
+
 # -- bounds ------------------------------------------------------------
 
 def test_bounds_phi_matches_library(capsys):

@@ -414,7 +414,7 @@ def test_empirical_marginals_near_p():
     from depgraphs.distributions import _latent_blocks, _present
     trials = 3000
     for _ in range(trials):
-        (values,) = _latent_blocks(m, gen, 1, 0)
+        (values,) = _latent_blocks(m, gen, 1)
         counts += _present(m, values[0])
     freq = counts / trials
     assert np.all(np.abs(freq - 0.25) < 0.05)
@@ -514,6 +514,19 @@ def test_descriptor_errors():
         from_descriptor("[model]\nkind = er\nn = 4\np = 0.5\nd = 2\n")
     with pytest.raises(ValueError):
         from_descriptor("not ini at [all")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[model]\nkind = er\nn = 5\n", "p"),
+    ("[model]\nkind = star\nn = 5\nd = 1\n", "p"),
+    ("[model]\nkind = custom\nn = 5\n", "p"),
+    ("[model]\nkind = edge-block\nn = 4\nm = 2\n", "a"),
+    ("[model]\nkind = edge-block\nn = 4\na = 1\n", "m"),
+    ("[model]\nn = 4\np = 0.5\n", "kind"),
+    ("[model]\nkind = er\np = 0.5\n", "n")])
+def test_descriptor_missing_key_is_a_value_error(text, key):
+    with pytest.raises(ValueError, match=f"model descriptor missing key '{key}'"):
+        from_descriptor(text)
 
 
 def test_descriptor_revalidates():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from depgraphs import harness
+from depgraphs import distributions, graphs, harness, rng
 from depgraphs.graphs import BATCH_MAX_N
 from depgraphs.harness import (CSV_COLUMNS, ExperimentConfig,
                                ExperimentResult, check_monotone_trend,
@@ -145,25 +145,33 @@ def test_error_rows_do_not_kill_run():
     assert not result.all_failed()
 
 
-# grids on both sides of BATCH_MAX_N, each drawn by blocks of rows
-# (harness.sample_rows), of two words a row above it
+# grids on both sides of BATCH_MAX_N, each packed into blocks of rows
+# (distributions._rows), of two words a row above it
 PATH_NS = ((8, 10), (65, 66))
 
 
 def _failing_trial(monkeypatch, exc, c, point, trial):
-    # sample_rows raises exc on the block that holds one trial of one grid
-    # point; returns the words per row of the row arrays it gives back
+    # the draw raises exc at the seed of one trial of one grid point
+    # (rng.seeded); returns the words per row of the blocks packed.  Two
+    # CPUs and a small budget split the points above BATCH_MAX_N into
+    # several blocks, drawn in two threads when workers is 2.
     bad_seed = derive_seed(c.seed, point, trial)
-    real_rows = harness.sample_rows
+    real_seeded, real_rows = rng.seeded, distributions._rows
     calls = {"width": set()}
 
-    def sample_rows(model, seeds):
-        if bad_seed in seeds.tolist():
+    def seeded(seed):
+        if seed == bad_seed:
             raise exc
-        rows = real_rows(model, seeds)
-        calls["width"].add(rows.shape[2])
-        return rows
-    monkeypatch.setattr(harness, "sample_rows", sample_rows)
+        return real_seeded(seed)
+
+    def rows(model, values):
+        out = real_rows(model, values)
+        calls["width"].add(out.shape[2])
+        return out
+    monkeypatch.setattr(rng, "seeded", seeded)
+    monkeypatch.setattr(distributions, "_rows", rows)
+    monkeypatch.setattr(distributions, "_cpus", lambda: 2)
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 20000)
     return calls
 
 

@@ -982,7 +982,7 @@ def _per_trial_moments(model, stat, trials, seed):
     gen = rng.generator(seed)
     values = np.empty(trials, dtype=np.float64)
     for i in range(trials):
-        (drawn,) = _latent_blocks(model, gen, 1, 0)
+        (drawn,) = _latent_blocks(model, gen, 1)
         edges = _edges(model, drawn[0]).tolist()
         g = Graph.from_edge_indices(model.n, edges)
         values[i] = stat.fn(g)

@@ -63,7 +63,7 @@ def _reference_rows(n, edges):
 def test_packer_matches_from_edge_indices(n, p):
     for model in _models(n, p):
         for seed in (1, 2) if n < 2000 else (1,):
-            (values,) = _latent_blocks(model, [seed], 1, 0)
+            (values,) = _latent_blocks(model, [seed], 1)
             want = _reference_rows(n, np.sort(_edges(model, values[0])))
             assert sample(model, seed).graph.rows == want, model
             assert tuple(row_ints(sample_rows(model, [seed])[0])) == want, model
@@ -78,7 +78,7 @@ def test_packer_without_private_coins(n):
     model = custom_blocks(n, 0.5, [range(i, min(i + 7, size)) for i in range(0, size, 7)])
     assert model.layout.singles.size == 0
     for seed in (1, 2):
-        (values,) = _latent_blocks(model, [seed], 1, 0)
+        (values,) = _latent_blocks(model, [seed], 1)
         want = Graph.from_edge_indices(n, _edges(model, values[0]).tolist()).rows
         assert sample(model, seed).graph.rows == want
 

@@ -1,12 +1,15 @@
-"""Trials drawn in counter-addressed spans.
+"""Trials drawn in spans.
 
 The audit and oracle.mean_variance_check draw their trials in turn from
-one Philox generator.  They split the trials into spans of whole blocks,
-one per CPU, and each span draws from a generator forwarded to its first
-trial's words (rng.forward).  So forward is checked against draining the
-same generator, and the reports against every span count.
+one Philox generator, the harness from per-trial seeds.  All of them split
+the trials into spans of whole blocks (distributions._spans), at most one
+per CPU; a span drawn from a generator starts from one forwarded to its
+first trial's words (rng.forward), a span of seeds at its first trial's
+seed.  So forward is checked against draining the same generator, and the
+reports and the harness's CSV against every span count.
 """
 
+import itertools
 import threading
 from fractions import Fraction
 
@@ -14,8 +17,10 @@ import numpy as np
 import pytest
 
 from depgraphs import distributions, graphs, rng
-from depgraphs.distributions import (audit_model, correlated_star,
-                                     edge_block_exact, erdos_renyi)
+from depgraphs.distributions import (_latent_blocks, _rows, audit_model,
+                                     correlated_star, edge_block_exact,
+                                     erdos_renyi)
+from depgraphs.harness import ExperimentConfig, run_experiment
 from depgraphs.oracle import mean_variance_check
 from depgraphs.predicates import edge_count_statistic, isolated_count_statistic
 
@@ -120,7 +125,7 @@ def test_audit_is_the_same_at_every_span_count(model, budget, monkeypatch):
     if budget:
         monkeypatch.setattr(graphs, "BATCH_BYTES", budget)
     trials = 400
-    blocks = -(-trials // len(distributions._latent_rows(model, trials, 0)))
+    blocks = -(-trials // len(distributions._latent_rows(model, trials)))
     for cpus, spans in _at_each_count(monkeypatch, lambda: audit_model(model, trials, 11, 20)):
         assert spans == min(cpus, blocks)
     assert budget is None or blocks >= 7
@@ -139,8 +144,7 @@ def test_mean_variance_is_the_same_at_every_span_count(model, budget, monkeypatc
     if budget:
         monkeypatch.setattr(graphs, "BATCH_BYTES", budget)
     stat = isolated_count_statistic() if model.n < 10 else edge_count_statistic()
-    item = 8 * graphs.row_bytes(model.n)
-    blocks = -(-300 // len(distributions._latent_rows(model, 300, item)))
+    blocks = -(-300 // len(distributions._latent_rows(model, 300)))
     for cpus, spans in _at_each_count(
             monkeypatch, lambda: mean_variance_check(model, stat, 300, 17)):
         assert spans == min(cpus, blocks)
@@ -153,6 +157,48 @@ def test_one_block_audit_starts_no_thread(monkeypatch):
     monkeypatch.setattr(distributions, "_cpus", lambda: 7)
     monkeypatch.setattr(threading.Thread, "start", start)
     model = correlated_star(12, Fraction(1, 3), 2)
-    assert len(distributions._latent_rows(model, 400, 0)) == 400
+    assert len(distributions._latent_rows(model, 400)) == 400
     audit_model(model, 400, 11, 20)
     mean_variance_check(model, edge_count_statistic(), 400, 3)
+
+
+def test_csv_is_the_same_at_every_worker_and_cpu_count(monkeypatch):
+    # a small budget gives several blocks on both sides of BATCH_MAX_N; up
+    # to 64 vertices the seeds run in one span, beyond it in
+    # min(workers, CPUs, blocks) spans, so 1000 workers start no more
+    # threads than there are CPUs
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 500)
+    trials = 12
+    assert len(distributions._latent_rows(erdos_renyi(10, 0.1), trials)) < trials
+    assert len(distributions._latent_rows(erdos_renyi(66, 0.1), trials)) == 1
+    spans = []          # per grid point, the spans drawn (one _latent_blocks each)
+    latent_blocks = distributions._latent_blocks
+    monkeypatch.setattr(distributions, "_latent_blocks",
+                        lambda *args: spans.append(args[2]) or latent_blocks(*args))
+    csvs = set()
+    for workers, cpus in itertools.product((1, 2, 3, 1000), (1, 2, 3)):
+        monkeypatch.setattr(distributions, "_cpus", lambda: cpus)
+        config = ExperimentConfig(kind="er", ns=(10, 66), ps=(0.1, 0.3),
+                                  trials=trials, seed=3, workers=workers)
+        spans.clear()
+        csvs.add(run_experiment(config).to_csv())
+        count = min(workers, cpus)      # 12 trials split evenly
+        assert spans == [trials] * 2 + [trials // count] * 2 * count, (workers, cpus)
+    assert len(csvs) == 1
+
+
+@pytest.mark.parametrize("model", [
+    erdos_renyi(7, 0.5), erdos_renyi(10, 0.3), correlated_star(40, 0.3, 3),
+    edge_block_exact(16, 2, 5), erdos_renyi(64, 0.5)],
+    ids=["er-7", "er-10", "star-40", "edge-block-16", "er-64"])
+def test_rows_of_a_block_are_its_gather_chunks_rows_stacked(model, monkeypatch):
+    # up to 64 vertices _rows gathers a bool per row bit, a chunk of trials
+    # at a time; at the default budget the 40 trials are one chunk
+    (values,) = _latent_blocks(model, rng.generator(3), 40)
+    want = _rows(model, values)
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 500)
+    step = graphs.batch_size(8 * graphs.row_bytes(model.n))
+    assert step < 40
+    chunks = [_rows(model, values[i:i + step]) for i in range(0, 40, step)]
+    assert np.array_equal(np.concatenate(chunks), want)
+    assert np.array_equal(_rows(model, values), want)

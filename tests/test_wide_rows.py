@@ -13,15 +13,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from depgraphs import harness
-from depgraphs.distributions import (blocks_from_text, connectivity_gadget,
+from depgraphs import distributions, graphs, harness
+from depgraphs.distributions import (_trial_values, blocks_from_text,
+                                     connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, sample,
                                      sample_rows)
 from depgraphs.graphs import (Graph, batch_edges_between, clique_number,
                               count_edges_between, num_edges, row_graphs,
                               row_ints, row_words, vertex_mask, zero_rows)
-from depgraphs.harness import ExperimentConfig
 from depgraphs.predicates import (connected, degree_in_range,
                                   edge_count_statistic, edge_deviation_exceeds,
                                   edges_between_statistic, evaluate_rows,
@@ -177,18 +177,20 @@ def test_witness_kernel_decides_both_ways():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_trials_beyond_64_vertices_are_the_per_trial_values(workers):
-    config = ExperimentConfig(ns=(100,), ps=(0.1,), trials=9, seed=5, workers=workers)
-    witness = harness._witness({"n": 100, "p": 0.1, "d": 3}, config, None)
+def test_run_trials_beyond_64_vertices_are_the_per_trial_values(workers, monkeypatch):
+    # a small budget and two CPUs give two spans of several blocks at 2 workers
+    monkeypatch.setattr(graphs, "BATCH_BYTES", 10000)
+    monkeypatch.setattr(distributions, "_cpus", lambda: 2)
+    witness = harness._witness({"n": 100, "p": 0.1, "d": 3}, None, None)
     cases = [
-        (erdos_renyi(65, 0.05), parse_predicate("connected"), False),
-        (connectivity_gadget(129, 0.05, 8), parse_predicate("not-connected"), False),
-        (correlated_star(100, 0.1, 3), witness, False),
-        (edge_block_exact(128, 1, 4), parse_predicate("isolated-vertex"), False),
-        (erdos_renyi(70, Fraction(1, 4)), parse_predicate("lacks:k4"), False),
-        (erdos_renyi(66, 0.2), edge_count_statistic(), True),
+        (erdos_renyi(65, 0.05), parse_predicate("connected")),
+        (connectivity_gadget(129, 0.05, 8), parse_predicate("not-connected")),
+        (correlated_star(100, 0.1, 3), witness),
+        (edge_block_exact(128, 1, 4), parse_predicate("isolated-vertex")),
+        (erdos_renyi(70, Fraction(1, 4)), parse_predicate("lacks:k4")),
+        (erdos_renyi(66, 0.2), edge_count_statistic()),
     ]
-    for point, (model, fn, statistic) in enumerate(cases):
-        got = harness._run_trials(config, point, model, fn, statistic)
+    for point, (model, fn) in enumerate(cases):
+        got = _trial_values(model, derive_seeds(5, point, 0, 9), 9, fn, workers)
         want = [fn(sample(model, derive_seed(5, point, t)).graph) for t in range(9)]
-        assert got.tolist() == [float(v) if statistic else bool(v) for v in want]
+        assert got.tolist() == [float(v) for v in want]
