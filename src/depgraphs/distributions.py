@@ -12,15 +12,19 @@ private coins ascending by edge index.  A model stores its blocks as two
 int64 arrays, their edges concatenated (flat) and their lengths (sizes),
 and its LatentLayout indexes them; the private coins' edges are formed only
 when read (LatentLayout.singles).  Everything that maps latents to edges
-goes through the layout.  One drawer (_draw) writes the latent values of a
-block of trials in declared order, the trials drawn in turn from one
-generator or each from its seed's reset generator (which pins down
-sample(model, seed) bit for bit).  One packer (_rows) turns a block's
-values into bitset rows: up to 64 vertices it gathers each row bit from
-the value behind it through a table each layout forms once; beyond, it
-reads the rows from the packed colex presence bitmap (_presence_words,
-graphs.presence_rows), and no edge index is formed.  Blocks are sized in
-one place (_latent_rows) and drawn one at a time (_latent_blocks).
+goes through the layout.  A trial's values are one bool per value column:
+a coin per column in declared order for the coin models, an edge's
+presence per column for uniform subsets, so _edge_slots is the one map
+from an edge to the value that records it.  One drawer (_draw) writes the
+values of a block of trials, the trials drawn in turn from one generator
+or each from its seed's reset generator (which pins down sample(model,
+seed) bit for bit), and settles the raw words it buffers per kind.  One
+packer (_rows) turns a block's values into bitset rows: up to 64 vertices
+it gathers each row bit from the value behind it through a table each
+layout forms once; beyond, it reads the rows from the packed colex
+presence bitmap (_presence_words, graphs.presence_rows), and no edge index
+is formed.  Blocks are sized in one place (_latent_rows) and drawn one at
+a time (_latent_blocks).
 
 Every Monte Carlo consumer splits its trials into spans of whole blocks,
 at most one per CPU, each run in a thread of its own (_spans): a span
@@ -30,8 +34,9 @@ result depends on the span count.  The harness and
 oracle.mean_variance_check draw, pack and evaluate through one runner
 (_trial_values); the audit tallies the drawn values and reads block
 ownership from the layout; sample, sample_rows and realize pack through
-_rows; latent capture returns the drawn values; the oracle sizes its
-state space by the layout.
+_rows; latent capture reads its state from the drawn values, and realize
+turns a state back into them; the oracle sizes its state space by the
+layout.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block.
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
-from math import ceil, isqrt, log, prod
+from math import ceil, isqrt, log
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -141,12 +146,16 @@ class LatentLayout:
         return self.block_count + self.slots - int(self.flat.size)
 
     @property
+    def width(self) -> int:
+        """One trial's value columns (_draw): a coin per column, or for
+        uniform subsets an edge per column."""
+        return self.slots if self.uniform else self.latents
+
+    @property
     def draw_words(self) -> int:
         """The raw generator words one trial's draw takes (_draw): one per
-        coin, one per float64 key of a uniform subset, none when a = m."""
-        if not self.uniform:
-            return self.latents
-        return 0 if self.a == self.m else self.block_count * self.m
+        value, none when a uniform subset keeps all m edges."""
+        return 0 if self.uniform and self.a == self.m else self.width
 
     @property
     def coins(self) -> int:
@@ -533,18 +542,16 @@ def _require(value, name):
 # -- sampling ----------------------------------------------------------
 
 def _presence_words(model: DistributionModel, values: np.ndarray) -> np.ndarray:
-    """The colex presence bitmap for latent values in declared order, as
+    """The colex presence bitmap for one trial's values (_draw), as
     graphs.packed_words.
 
-    Without blocks the coins are the bitmap.  With blocks the private
-    coins are packed and spread to their words (LatentLayout.spread), and
-    the edges of the blocks whose coin is on are set in them.  Uniform
-    subsets pack their _present bitmap.
+    A layout whose columns are its edges, uniform subsets or coins without
+    blocks, packs its values as they are.  With blocks the private coins are
+    packed and spread to their words (LatentLayout.spread), and the edges of
+    the blocks whose coin is on are set in them.
     """
     layout = model.layout
-    if layout.uniform:
-        return packed_words(_present(model, values))
-    if not layout.block_count:
+    if layout.width == layout.slots:
         return packed_words(values)
     words = np.zeros(row_words(num_edges(model.n)) + 1, dtype="<u8")
     spread = layout.spread
@@ -592,91 +599,71 @@ def _picks(keys: np.ndarray, a: int) -> np.ndarray:
 def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, int]],
           out: np.ndarray) -> None:
     """Write the latent values of len(out) trials into out, a C-contiguous
-    array of (T, latents) bools for coins or (T, blocks, a) positions for
-    uniform subsets.  runs yields (gen, k) pairs, k trials drawn in turn
-    from gen, until they cover the T trials; each run's generator is used
-    before the next one is taken.
+    (T, layout.width) array of bools: a coin per column for coin models, an
+    edge's presence per column for uniform subsets.  runs yields (gen, k)
+    pairs, k trials drawn in turn from gen, until they cover the T trials;
+    each run's generator is used before the next one is taken.
 
-    Coins are gen.random() < float(p) bit for bit, from raw words compared
-    with _coin_threshold(p), with no conversion to doubles.  A run no longer
-    than a word buffer of graphs.BATCH_BYTES is copied into it, and the
-    buffer is compared once it is full; a longer run is compared chunk by
-    chunk as it is drawn.  Uniform subsets: every run draws its float64
-    keys into one array, and one _picks call picks from it; keeping all m
-    draws nothing.
+    Each value is settled from the raw Philox word drawn for it.  A run no
+    longer than a word buffer of graphs.BATCH_BYTES is copied into it, and
+    the buffer is settled once it is full; a longer run is settled chunk by
+    chunk as it is drawn.  A coin is gen.random() < float(p) bit for bit,
+    its word compared with _coin_threshold(p), with no conversion to
+    doubles.  A uniform block's m words are its keys, the doubles
+    gen.random() would give as the integers raw >> 11 they scale, which
+    order and tie as the doubles do; the buffer and the chunks hold whole
+    blocks, and the a keys _picks picks mark their edges present.  Keeping
+    all m edges of each block draws nothing.
     """
     layout = model.layout
-    if layout.uniform:
-        if not layout.draw_words:
-            out[...] = np.arange(layout.m)
-            return
-        keys = np.empty(out.shape[:-1] + (layout.m,))
-        t = 0
-        for gen, k in runs:
-            gen.random(out=keys[t:t + k])
-            t += k
-        out[...] = _picks(keys, layout.a)
-        return
-    threshold = _coin_threshold(model.p)
     flat = out.reshape(-1)
-
-    def compare(words, at):
-        if threshold is None:
-            flat[at:at + len(words)] = False
-        else:
-            np.less_equal(words, threshold, out=flat[at:at + len(words)])
-
-    chunk, per_trial = batch_size(8), layout.draw_words
+    if not layout.draw_words:
+        flat[:] = True
+        return
+    group = layout.m if layout.uniform else 1
+    chunk, per_trial = batch_size(8 * group) * group, layout.draw_words
     size = min(chunk, flat.size)
+    if layout.uniform:
+        a, starts = layout.a, np.arange(0, size, group)[:, None]
+
+        def settle(words, at):
+            # words are the buffer's or a chunk's, which nothing reads again
+            np.right_shift(words, 11, out=words)
+            picks = _picks(words.reshape(-1, group), a)
+            present = flat[at:at + len(words)]
+            present[:] = False
+            present[starts[:len(picks)] + picks] = True
+    else:
+        threshold = _coin_threshold(model.p)
+
+        def settle(words, at):
+            if threshold is None:
+                flat[at:at + len(words)] = False
+            else:
+                np.less_equal(words, threshold, out=flat[at:at + len(words)])
+
     words = np.empty(size, dtype=np.uint64)
     at = fill = 0       # words[:fill] go to flat[at:]
     for gen, k in runs:
         count = k * per_trial
         bits = gen.bit_generator
         if fill + count > size:
-            compare(words[:fill], at)
+            settle(words[:fill], at)
             at, fill = at + fill, 0
         if count <= size:
             words[fill:fill + count] = bits.random_raw(count)
             fill += count
             continue
         for i in range(0, count, chunk):
-            compare(bits.random_raw(min(chunk, count - i)), at + i)
+            settle(bits.random_raw(min(chunk, count - i)), at + i)
         at += count
-    compare(words[:fill], at)
-
-
-def _edges(model: DistributionModel, values: np.ndarray) -> np.ndarray:
-    """Present edge indices for latent values in declared order."""
-    layout = model.layout
-    if layout.uniform:
-        starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
-        return (starts + values).ravel()
-    if not layout.block_count:
-        return np.flatnonzero(values)    # the singles are all edges, in order
-    return np.concatenate((layout.flat[values[layout.bid]],
-                           layout.singles[np.flatnonzero(values[layout.block_count:])]))
-
-
-def _present(model: DistributionModel, values: np.ndarray) -> np.ndarray:
-    """Presence bitmap over edge indices for latent values in declared order;
-    uniform subsets with a leading trial axis give one bitmap per trial,
-    whose bits are set through one flat index, t * L + edge."""
-    lead = values.shape[:-2] if model.layout.uniform else ()
-    size = num_edges(model.n)
-    present = np.zeros(lead + (size,), dtype=bool)
-    edges = _edges(model, values)
-    if lead:
-        edges = edges.reshape(prod(lead), -1)
-        edges += np.arange(0, present.size, size)[:, None]
-    present.reshape(-1)[edges] = True
-    return present
+    settle(words[:fill], at)
 
 
 def _edge_slots(layout: LatentLayout) -> np.ndarray:
-    """Per edge index, the column that records whether the edge is present:
-    its latent's for coins, where an edge is present iff its latent is on,
-    and its own for uniform subsets, which are recorded per edge."""
+    """Per edge index, the value column (_draw) that records whether the
+    edge is present: its latent's for coins, where an edge is present iff
+    its latent is on, and its own for uniform subsets."""
     if layout.uniform:
         return np.arange(layout.slots)
     slot = np.empty(layout.slots, dtype=np.int64)
@@ -688,17 +675,12 @@ def _edge_slots(layout: LatentLayout) -> np.ndarray:
 def _latent_rows(model: DistributionModel, trials: int) -> np.ndarray:
     """An empty array for the latent values of T <= trials trials, the
     block that _latent_blocks draws into (see _draw), _rows packs and
-    _trial_values evaluates.  T is as large as keeps the widest per-trial
-    array of a block within graphs.BATCH_BYTES: one trial's values, the
-    float64 keys a uniform draw forms, or its rows (graphs.row_bytes)."""
-    layout = model.layout
-    if layout.uniform:
-        shape, dtype = (layout.block_count, layout.a), np.dtype(np.intp)
-        keys = 8 * layout.slots
-    else:
-        shape, dtype, keys = (layout.latents,), np.dtype(bool), 0
-    per_trial = max(keys, prod(shape) * dtype.itemsize, row_bytes(model.n))
-    return np.empty((min(trials, batch_size(per_trial)),) + shape, dtype=dtype)
+    _trial_values evaluates.  T is as large as keeps the wider per-trial
+    array of a block within graphs.BATCH_BYTES: one trial's values or its
+    rows (graphs.row_bytes)."""
+    width = model.layout.width
+    per_trial = max(width, row_bytes(model.n))
+    return np.empty((min(trials, batch_size(per_trial)), width), dtype=bool)
 
 
 def _latent_blocks(model: DistributionModel,
@@ -799,12 +781,12 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     """A block of T trials' latent values, as _latent_blocks yields them, as
     one (T, n, W) block in the layout of graphs.zero_rows.  Up to
     graphs.BATCH_MAX_N vertices one gather reads every row bit from the
-    values' column behind it (LatentLayout.columns), the presence bitmaps'
-    for uniform subsets (_present), and one packbits packs each row into
-    its one word; the gather takes a bool per row bit, so it runs on chunks
-    of as many trials as keep it within graphs.BATCH_BYTES.  Beyond, each
-    trial's rows are read from its presence bitmap (_presence_words,
-    graphs.presence_rows), with no edge index."""
+    value column behind it (LatentLayout.columns), and one flat packbits
+    packs the rows, each a whole number of bytes, into their words; the
+    gather takes a bool per row bit, so it runs on chunks of as many trials
+    as keep it within graphs.BATCH_BYTES.  Beyond, each trial's rows are
+    read from its presence bitmap (_presence_words, graphs.presence_rows),
+    with no edge index."""
     n, count = model.n, len(values)
     rows = zero_rows(count, n)
     if n > BATCH_MAX_N:
@@ -818,12 +800,9 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     step = batch_size(8 * row_bytes(n))
     for lo in range(0, count, step):
         chunk = values[lo:lo + step]
-        if layout.uniform:
-            chunk = _present(model, chunk)
-        bits = chunk.take(table, axis=1).reshape(len(chunk), n, 8 * adjacent.itemsize)
-        packed = np.packbits(bits, axis=2, bitorder="little")
-        np.bitwise_and(packed.view(adjacent.dtype.newbyteorder("<")), adjacent,
-                       out=rows[lo:lo + step])
+        packed = np.packbits(chunk.take(table, axis=1), bitorder="little")
+        words = packed.view(adjacent.dtype.newbyteorder("<")).reshape(len(chunk), n, 1)
+        np.bitwise_and(words, adjacent, out=rows[lo:lo + step])
     return rows
 
 
@@ -852,12 +831,14 @@ _IMAGE_TRUE, _IMAGE_FALSE = np.uint8(ord("T")), np.uint8(ord("F"))
 
 
 def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
+    """The latent state (SampleOutcome) of one trial's values (_draw)."""
     if layout.uniform:
-        # zip over the columns forms the blocks' tuples without a call per row
-        columns = values if layout.a == 1 else np.sort(values, axis=1)
-        return tuple(zip(*columns.T.tolist()))
+        # each block's kept positions, ascending; zip over the columns forms
+        # the blocks' tuples without a call per row
+        picks = np.flatnonzero(values).reshape(-1, layout.a) % layout.m
+        return tuple(zip(*picks.T.tolist()))
     # the coins' image, read back as a tuple of bools in one pass
-    codes = np.where(values, _IMAGE_TRUE, _IMAGE_FALSE)
+    codes = values.view(np.uint8) * (_IMAGE_TRUE - _IMAGE_FALSE) + _IMAGE_FALSE
     return marshal.loads(b"(" + values.size.to_bytes(4, "little") + codes.tobytes())
 
 
@@ -899,7 +880,8 @@ def _state_array(layout: LatentLayout, state: Sequence) -> np.ndarray:
 
 
 def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
-    """Latent values for _edges from a latent state, rejecting bad entries."""
+    """One trial's values (_draw) from a latent state, rejecting bad
+    entries; a uniform subset's positions become its edges' presence."""
     if len(state) != layout.latents:
         raise ValueError(f"state has {len(state)} entries, "
                          f"model has {layout.latents} latents")
@@ -913,7 +895,9 @@ def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
                 and values.dtype.kind in "iu"
                 and values.min() >= 0 and values.max() < m
                 and (np.diff(np.sort(values, axis=1), axis=1) > 0).all()):
-            return values.astype(np.int64, copy=False)
+            present = np.zeros((layout.block_count, m), dtype=bool)
+            np.put_along_axis(present, values.astype(np.intp, copy=False), True, axis=1)
+            return present.reshape(-1)
         raise ValueError(f"bad latent state: each entry must be {a} distinct "
                          f"positions in range({m})")
     if values is not None and values.ndim == 1 and (
@@ -928,10 +912,12 @@ def sample(model: DistributionModel, seed: int,
     """Draw one graph; a pure function of (model, seed).
 
     With keep_latents the outcome also carries the latent state that
-    realize() maps back to the same graph.  Capture reuses the arrays of
-    the draw, so it costs about what a plain sample does.  The draw comes
-    from this thread's generator reset to rng.generator(seed)'s state, and
-    _rows packs it as it packs a block of sample_rows.
+    realize() maps back to the same graph.  Capture reads it from the
+    draw's values in one pass, but forms a Python object per latent, so at
+    n = 300-500 a captured sample takes about 2-2.5 times as long as a
+    plain one.  The draw comes from this thread's generator reset
+    to rng.generator(seed)'s state, and _rows packs it as it packs a block
+    of sample_rows.
     """
     (values,) = _latent_blocks(model, (seed,), 1)
     graph = row_graphs(_rows(model, values))[0]
@@ -1042,31 +1028,20 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
     layout = model.layout
-    # the drawn coins are tallied as they are and each edge reads its
-    # latent's tally; uniform subsets are tallied per edge, straight from
-    # the picks: edge block * m + pick is present, and a pair's edges are
-    # both present when each one's block picked it.  Trials are drawn a
-    # batch at a time, as a loop drawing in turn from gen would draw them,
-    # and each span of them (_spans) is tallied apart; the tallies are
-    # integers, so their sum does not depend on the span count.
+    # the drawn values are tallied as they are and each edge reads its
+    # column's tally (_edge_slots).  Trials are drawn a batch at a time, as
+    # a loop drawing in turn from gen would draw them, and each span of
+    # them (_spans) is tallied apart; the tallies are integers, so their
+    # sum does not depend on the span count.
     slot = _edge_slots(layout)
-    if layout.uniform:
-        starts = np.arange(layout.block_count, dtype=np.int64)[:, None] * layout.m
-        (b1, q1), (b2, q2) = divmod(e1s, layout.m), divmod(e2s, layout.m)
-    else:
-        s1, s2 = slot[e1s], slot[e2s]
+    s1, s2 = slot[e1s], slot[e2s]
+
     def tallies(start, blocks):
-        tally = np.zeros(L if layout.uniform else layout.latents, dtype=np.int64)
+        tally = np.zeros(layout.width, dtype=np.int64)
         joint = np.zeros(len(pair_list), dtype=np.int64)
         for drawn in blocks:
-            if layout.uniform:
-                tally += np.bincount((drawn + starts).ravel(), minlength=L)
-                on1 = (drawn[:, b1] == q1[:, None]).any(axis=-1)
-                on2 = (drawn[:, b2] == q2[:, None]).any(axis=-1)
-                joint += (on1 & on2).sum(axis=0)
-            else:
-                tally += drawn.sum(axis=0)
-                joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
+            tally += drawn.sum(axis=0)
+            joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
         return tally, joint
 
     parts = _spans(model, gen, trials, tallies)

@@ -389,11 +389,12 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
 
     One table holds the slack of every (|B|, |A|, e(A,B)) a pair can have,
     each from the same float expressions as a pair's; inputs that make a
-    slack NaN (p < 0 or not finite, C not finite) give None, as the full
-    scan did.  The masks A are taken JUMBLEDNESS_CHUNK at a time: their
-    weights are sorted once by a sorting network, and k = 0..n is streamed
-    with running sums of the k smallest and the k largest weights, which
-    index the table, keeping each A's largest slack.  The first best A's sets B are then scanned the same
+    slack NaN (p < 0 or not finite, C not finite) or an allowance infinite
+    give None, as the full scan did.  The masks A are taken
+    JUMBLEDNESS_CHUNK at a time: their weights are sorted once by a sorting
+    network, and k = 0..n is streamed with running sums of the k smallest
+    and the k largest weights, which index the table, keeping each A's
+    largest slack.  The first best A's sets B are then scanned the same
     number at a time, their counts formed by subset-sum doubling, so the
     work is O(2^n n log^2 n) and the memory a few arrays of one chunk.
     Feasible up to n = JUMBLEDNESS_MAX_N.
@@ -404,8 +405,11 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
             f"jumbledness scan covers 4^{n} pairs; limit is n <= {JUMBLEDNESS_MAX_N}")
     pf = float(p)
     scale = n * pf * (d + 1)
-    # a non-finite p or C, or a negative scale, makes some slack NaN
-    if not (math.isfinite(C) and 0 <= scale < math.inf):
+    # a non-finite p or C, or a negative scale, makes some slack NaN; an
+    # allowance that overflows (the largest is at |A||B| = n^2) leaves no
+    # slack above 0 or makes one NaN, so no table is formed for these
+    if not (math.isfinite(C) and 0 <= scale < math.inf
+            and math.isfinite(C * math.sqrt(n * n * scale))):
         return None
     span = n * n + 1            # e(A,B) <= |A||B|
     stride = (n + 1) * span

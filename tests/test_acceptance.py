@@ -20,7 +20,7 @@ from depgraphs import rng
 from depgraphs.bounds import (connectivity_example_threshold,
                               containment_failure_bound,
                               containment_hypothesis, jumbledness_hypothesis)
-from depgraphs.distributions import (_latent_blocks, _present, _rows,
+from depgraphs.distributions import (_latent_blocks, _rows,
                                      blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, sample)
@@ -201,16 +201,16 @@ def test_criterion_09_edge_block_exact_counts_and_frequencies():
     gen = rng.generator(1)
     counts = np.zeros(45, dtype=np.int64)
     spot = 200
-    # the trials are drawn in turn from gen, a block at a time
-    for values in _latent_blocks(model, gen, trials):
-        present = _present(model, values)
-        assert (present.sum(axis=1) == 15).all()
+    # the trials are drawn in turn from gen, a block at a time; a uniform
+    # subset's values are its edges' presence, one block of 3 after another
+    for present in _latent_blocks(model, gen, trials):
+        assert (present.reshape(len(present), 15, 3).sum(axis=2) == 1).all()
         if spot:
             # spot check that the packed Graphs of the first 200 trials
             # agree with the raw vectors
-            for g in row_graphs(_rows(model, values[:spot])):
+            for g in row_graphs(_rows(model, present[:spot])):
                 assert g.edge_count() == 15
-            spot -= min(spot, len(values))
+            spot -= min(spot, len(present))
         counts += present.sum(axis=0)
     for e in range(45):
         lo, hi = wilson_interval(int(counts[e]), trials)

@@ -7,7 +7,7 @@ kernel.  The runner, sample_rows and sample pack latent values with the same pac
 (distributions._rows, checked against Graph.from_edge_indices in
 test_sampler_path), so comparing sample_rows with the rows of
 sample(model, seed).graph checks the block draws: each trial's raw words
-compared with a threshold a buffer at a time, and its keys picked a block
+compared with a threshold a buffer at a time, and its keys picked a buffer
 at a time.  The other pieces are compared with the per-trial forms they
 stand for: derive_seed, and the trial function on one Graph.
 """
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from depgraphs import distributions, graphs, rng
 from depgraphs.distributions import (_draw, _independent_pairs,
                                      _latent_blocks, _latent_rows, _picks,
-                                     _present, _trial_values, audit_model,
+                                     _trial_values, audit_model,
                                      blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
@@ -146,13 +146,24 @@ def test_audit_is_the_same_at_every_budget(model, monkeypatch):
 
 
 class _Keys:
-    """Stands in for a generator whose random(out=) repeats the given keys."""
+    """Stands in for a generator whose raw words repeat the given keys, as
+    the words whose doubles, (raw >> 11) * 2**-53, they are."""
 
     def __init__(self, keys):
-        self.keys = np.asarray(keys, dtype=float)
+        self.words = (np.asarray(keys, dtype=float).ravel() * 2.0 ** 53).astype(np.uint64)
+        self.words <<= np.uint64(11)
+        self.bit_generator = self
 
-    def random(self, *, out):
-        out[...] = np.resize(self.keys, out.shape)
+    def random_raw(self, count):
+        return np.resize(self.words, count)
+
+
+def _kept(picks, m):
+    """Per trial (the first axis), the presence of each block's m edges
+    when the picks are kept, blocks in turn: the values _draw writes."""
+    present = np.zeros(picks.shape[:-1] + (m,), dtype=bool)
+    np.put_along_axis(present, picks, True, axis=-1)
+    return present.reshape(len(present), -1)
 
 
 @pytest.mark.parametrize("n,m", [(4, 2), (3, 3)])
@@ -163,18 +174,18 @@ def test_single_picks_take_the_first_of_equal_keys(n, m):
     keys = list(itertools.product((0.0, 0.5, 0.75), repeat=m))
     model = edge_block_exact(n, 1, m)
     blocks = model.layout.block_count
-    out = np.empty((len(keys), blocks, 1), dtype=np.intp)
+    out = np.empty((len(keys), num_edges(n)), dtype=bool)
     for row in keys:
         _draw(model, [(_Keys([row]), 1)], out[:1])
-        want = np.argpartition(np.resize(row, (blocks, m)), 0, axis=1)[:, :1]
-        assert np.array_equal(out[0], want), row
-    want = np.argpartition(np.resize(keys, out.shape[:-1] + (m,)), 0, axis=-1)[..., :1]
+        want = np.argpartition(np.resize(row, (1, blocks, m)), 0, axis=-1)[..., :1]
+        assert np.array_equal(out[:1], _kept(want, m)), row
+    want = np.argpartition(np.resize(keys, (len(keys), blocks, m)), 0, axis=-1)[..., :1]
     _draw(model, [(_Keys(keys), len(keys))], out)
-    assert np.array_equal(out, want)
+    assert np.array_equal(out, _kept(want, m))
     want = np.argpartition(np.array([np.resize(row, (blocks, m)) for row in keys]),
                            0, axis=-1)[..., :1]
     _draw(model, [(_Keys([row]), 1) for row in keys], out)
-    assert np.array_equal(out, want)
+    assert np.array_equal(out, _kept(want, m))
 
 
 @pytest.mark.parametrize("a,m", [(1, 3), (2, 5), (3, 4)])
@@ -185,10 +196,21 @@ def test_uniform_runs_equal_one_draw(a, m):
     shape = (13, model.layout.block_count)
     for runs in ([13], [1] * 13, [5, 1, 7]):
         gen = rng.generator(len(runs))
-        want = _picks(rng.generator(len(runs)).random(shape + (m,)), a)
-        out = np.empty(shape + (a,), dtype=np.intp)
+        want = _kept(_picks(rng.generator(len(runs)).random(shape + (m,)), a), m)
+        out = np.empty((13, model.layout.slots), dtype=bool)
         _draw(model, [(gen, k) for k in runs], out)
         assert np.array_equal(out, want), runs
+
+
+def test_a_trial_past_the_word_buffer_settles_whole_blocks():
+    # one trial's 44 850 keys pass the 32 768-word buffer, so it settles
+    # chunk by chunk as it is drawn; the chunks hold whole blocks of 3, and
+    # together they keep what one _picks call over all the keys keeps
+    model = edge_block_exact(300, 1, 3)
+    assert model.layout.slots == 44850 > batch_size(8) == 32768
+    out = np.empty((1, 44850), dtype=bool)
+    _draw(model, [(rng.generator(5), 1)], out)
+    assert np.array_equal(out, _kept(_picks(rng.generator(5).random((1, 14950, 3)), 1), 3))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
@@ -205,20 +227,20 @@ def test_single_picks_are_the_first_minimum(m):
 
 
 def _present_tallies(model, trials, seed, pairs):
-    """The audit's pairs, per-edge counts and pair joints, tallied from a
-    presence bitmap per batch of trials."""
+    """The audit's pairs, per-edge counts and pair joints, tallied from
+    presence formed the plain way: every trial's keys drawn in turn from the
+    audit's generator, and the a smallest of each block's m kept."""
+    layout = model.layout
     L = num_edges(model.n)
     gen = rng.generator(seed)
     pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
-    counts = np.zeros(L, dtype=np.int64)
-    joint = np.zeros(len(pair_list), dtype=np.int64)
-    for drawn in _latent_blocks(model, gen, trials):
-        on = _present(model, drawn)
-        counts += on.sum(axis=0)
-        joint += (on[:, e1s] & on[:, e2s]).sum(axis=0)
-    return pair_list, counts.tolist(), joint.tolist()
+    shape = (trials, layout.block_count, layout.m)
+    keys = gen.random(shape) if layout.a < layout.m else np.zeros(shape)
+    on = _kept(np.argsort(keys, axis=-1, kind="stable")[..., :layout.a], layout.m)
+    joint = (on[:, e1s] & on[:, e2s]).sum(axis=0)
+    return pair_list, on.sum(axis=0).tolist(), joint.tolist()
 
 
 @settings(max_examples=40, deadline=None)

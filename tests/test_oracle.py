@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from depgraphs import graphs, oracle, rng
-from depgraphs.distributions import (DistributionModel, _edges, _latent_blocks,
+from depgraphs.distributions import (DistributionModel, _latent_blocks,
                                      blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, realize,
@@ -701,10 +701,12 @@ def test_jumbledness_budget():
 
 @pytest.mark.parametrize("p, C", [(0.5, math.nan), (0.5, math.inf),
                                   (math.nan, 1.0), (-0.1, 1.0),
-                                  (math.inf, 1.0), (0.5, -math.inf)])
+                                  (math.inf, 1.0), (0.5, -math.inf),
+                                  (1e300, 1e300), (1e308, 1e300)])
 def test_jumbledness_nan_slack_gives_none(p, C):
     # a NaN slack (C NaN or infinite at |A||B| = 0, p NaN or infinite,
-    # sqrt of a negative scale) gives None, even where other pairs violate
+    # sqrt of a negative scale, an allowance that overflows) gives None,
+    # even where other pairs violate, and no overflow warning
     assert exhaustive_jumbledness_check(Graph.complete(5), p, 0, C=C) is None
 
 
@@ -974,6 +976,21 @@ def test_mean_variance_budget_leaves_exact_none():
     assert rep.exact_mean is None and rep.exact_variance is None
     assert not rep.mean_flag and not rep.variance_flag
     assert rep.empirical_mean == pytest.approx(390.0, rel=0.05)
+
+
+def _edges(model, values):
+    """The present edges of one trial's values (distributions._draw), read
+    from the blocks and private coins rather than the sampler's column map:
+    the edges of each coin block whose coin is on and each private coin's
+    edge that is on; for uniform subsets block j's kept positions q, as
+    edges j * m + q, a of them in every block."""
+    layout = model.layout
+    if layout.uniform:
+        block, pick = np.nonzero(values.reshape(layout.block_count, layout.m))
+        assert (np.bincount(block, minlength=layout.block_count) == layout.a).all()
+        return block * layout.m + pick
+    return np.concatenate((layout.flat[values[layout.bid]],
+                           layout.singles[np.flatnonzero(values[layout.block_count:])]))
 
 
 def _per_trial_moments(model, stat, trials, seed):

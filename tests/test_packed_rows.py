@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from depgraphs import distributions, graphs
-from depgraphs.distributions import (DistributionModel, _edges, _latent_blocks,
+from depgraphs.distributions import (DistributionModel, _latent_blocks,
                                      blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, realize,
@@ -44,6 +44,21 @@ def _models(n, p):
     yield connectivity_gadget(n, p, 8)
     m = next(m for m in (2, 3, 4, 5) if num_edges(n) % m == 0)
     yield edge_block_exact(n, min(m, max(1, round(p * m))), m)
+
+
+def _edges(model, values):
+    """The present edges of one trial's values (distributions._draw), read
+    from the blocks and private coins rather than the sampler's column map:
+    the edges of each coin block whose coin is on and each private coin's
+    edge that is on; for uniform subsets block j's kept positions q, as
+    edges j * m + q, a of them in every block."""
+    layout = model.layout
+    if layout.uniform:
+        block, pick = np.nonzero(values.reshape(layout.block_count, layout.m))
+        assert (np.bincount(block, minlength=layout.block_count) == layout.a).all()
+        return block * layout.m + pick
+    return np.concatenate((layout.flat[values[layout.bid]],
+                           layout.singles[np.flatnonzero(values[layout.block_count:])]))
 
 
 # Graph.from_edge_indices takes about 1.5 s a million edges, so each edge

@@ -19,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depgraphs import rng
-from depgraphs.distributions import (_draw, _rows, blocks_from_text,
+from depgraphs.distributions import (_draw, _edge_slots, _latent_blocks, _rows,
+                                     blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
                                      erdos_renyi, sample)
 from depgraphs.graphs import Graph, num_edges, row_graphs
+from test_stream_digests import CASES, SEEDS
 
 WORD_BOUNDARY_NS = (1, 2, 63, 64, 65, 127, 128, 129)
 
@@ -252,3 +254,16 @@ def test_concurrent_samples_equal_serial():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 4
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_edge_reads_its_value_column(name):
+    # coins, uniform subsets with a = 1, a >= 2 and a = m, p = 0 and p = 1:
+    # the value column _edge_slots gives each edge is that edge's presence
+    # in the sampled graph
+    model = CASES[name]()
+    slots = _edge_slots(model.layout)
+    for seed in SEEDS:
+        (values,) = _latent_blocks(model, [seed], 1)
+        present = np.flatnonzero(values[0][slots]).tolist()
+        assert present == list(sample(model, seed).graph.edge_indices()), seed

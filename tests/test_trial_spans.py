@@ -162,6 +162,14 @@ def test_one_block_audit_starts_no_thread(monkeypatch):
     mean_variance_check(model, edge_count_statistic(), 400, 3)
 
 
+def test_uniform_blocks_are_sized_by_their_values_and_rows():
+    # the 1128 values of one trial at n = 48, wider than its 384 bytes of
+    # rows, size the block; the keys the drawer settles take no part
+    model = edge_block_exact(48, 1, 3)
+    assert model.layout.width == 1128
+    assert len(distributions._latent_rows(model, 300)) == graphs.BATCH_BYTES // 1128 == 232
+
+
 def test_csv_is_the_same_at_every_worker_and_cpu_count(monkeypatch):
     # a small budget gives several blocks on both sides of BATCH_MAX_N; up
     # to 64 vertices the seeds run in one span, beyond it in
