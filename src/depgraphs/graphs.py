@@ -723,7 +723,8 @@ def presence_rows(n: int, words: np.ndarray) -> np.ndarray:
 
 
 def _columns(rows: np.ndarray) -> np.ndarray:
-    # vertex-major copy: one contiguous array of T row words per vertex
+    # vertex-major: one contiguous array of T row words per vertex; a copy
+    # of a sampled block, a view of the oracle's, which is vertex-major
     return np.ascontiguousarray(rows.T)
 
 

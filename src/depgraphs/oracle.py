@@ -9,15 +9,19 @@ only the layout with the sampler, none of its presence code, so an exact
 value and a Monte Carlo estimate of it are computed independently.
 
 One block source (`_walk_batches`) yields the outcomes at every
-n as blocks of (T, n, W) row words in the layout of graphs.zero_rows, the
-rows the sampler gives and the batch kernels read.  Blocks are sized by
-one byte budget (graphs.BATCH_BYTES).  Each edge slot's two row bits are
-located once (graphs.row_bits); a low table holds every joint value of the
-first latents, built by doubling; the next latent's values (a coin's
-toggle, or a uniform block's subsets unranked in colex order) are read in
-slices that fill a block with it, and each block is XORed with every joint
-value of the latents above.  The tests keep a scalar Gray walk over
-Python-int rows as the independent reference for this one.
+n as blocks of (T, n, W) row words, the shape of graphs.zero_rows that the
+sampler gives and the batch kernels read, each the view of a vertex-major
+(n W, T) table: a row word's T outcomes are contiguous, so the kernels'
+vertex-major columns and the marginals' (L, T) bits are read with no
+transpose.  Blocks are sized by one byte budget (graphs.BATCH_BYTES).
+Each edge slot's two row bits are located once (graphs.row_bits); a low
+table holds every joint value of the first latents, doubled in place by
+one contiguous XOR per value; the next latent's values (a coin's toggle,
+or a uniform block's subsets unranked in colex order, once per slice for
+every block) are read in slices that fill a block with it, and each block
+is XORed along T with every joint value of the latents above.  The tests
+keep a scalar Gray walk over Python-int rows as the independent reference
+for this one.
 
 One tally sums the values per number of coins set, and each sum collapses
 to a probability or moment at the end, from Python ints where the values
@@ -86,41 +90,47 @@ def _check_budget(model: DistributionModel) -> None:
             f"latent space has {text} outcomes, budget is {ENUMERATION_BUDGET}")
 
 
-def _subset_rows(at: np.ndarray, bits: np.ndarray, ladders: list[np.ndarray],
-                 start: int, stop: int, n: int) -> np.ndarray:
-    """The rows of each a-subset of a block's m edge slots, for the subsets
-    of colex rank start .. stop - 1 (increasing bitmask order); at and
-    bits locate each slot's two row bits, one row per endpoint
-    (graphs.row_bits).
+def _subsets(ladders: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """The a-subsets of colex rank start .. stop - 1 (increasing bitmask
+    order) of m slots, as a (stop - start, a) int64 array of slot indices.
 
     A subset c_1 < ... < c_a has rank sum comb(c_i, i), so its i-th slot is
     the largest x with comb(x, i) <= what is left of the rank; ladders[i-1]
-    holds comb(x, i) for x < m.  Each level toggles one slot per subset,
-    so the words it XORs through one endpoint are distinct.
+    holds comb(x, i) for x < m.
     """
     rank = np.arange(start, stop, dtype=np.int64)
-    rows = zero_rows(stop - start, n)
-    flat = rows.reshape(-1)
-    base = np.arange(0, rows.size, rows[0].size, dtype=np.int64)
-    for ladder in reversed(ladders):
-        top = np.searchsorted(ladder, rank, side="right") - 1
-        rank -= ladder[top]
-        for side_at, side_bits in zip(at, bits):
-            flat[side_at[top] + base] ^= side_bits[top]
-    return rows
+    slots = np.empty((len(rank), len(ladders)), dtype=np.int64)
+    for i in reversed(range(len(ladders))):
+        top = np.searchsorted(ladders[i], rank, side="right") - 1
+        rank -= ladders[i][top]
+        slots[:, i] = top
+    return slots
+
+
+def _join(op, values: np.ndarray, low: np.ndarray, out: np.ndarray) -> None:
+    """Write op(values[..., i], low[..., l]) to out[..., i*h + l] for every
+    value i and low entry l (h of them), the low entry varying fastest:
+    one contiguous op per value, or per low entry where there are fewer."""
+    r, h = values.shape[-1], low.shape[-1]
+    if r <= h:
+        for i in range(r):
+            op(low, values[..., i, None], out=out[..., i * h:(i + 1) * h])
+    else:
+        for l in range(h):
+            op(values, low[..., l, None], out=out[..., l::h])
 
 
 def _joint_values(values, radix: int, step: int, latents: range, k: int,
                   row: np.ndarray):
     """Yield (k + c, row ^ r) for each joint value of the latents, where c
-    counts the coins it sets and r is the XOR of its rows; each latent's
-    values are read step at a time."""
+    counts the coins it sets and r is the XOR of its (n W,) row words; each
+    latent's values are read step at a time."""
     if not latents:
         yield k, row
         return
     for start in range(0, radix, step):
-        ks, rows = values(latents[0], start, min(radix, start + step))
-        for vk, vrow in zip(ks.tolist(), rows):
+        ks, rows = values(latents[:1], start, min(radix, start + step))
+        for vk, vrow in zip(ks.tolist(), rows[0].T):
             yield from _joint_values(values, radix, step, latents[1:], k + vk, row ^ vrow)
 
 
@@ -128,20 +138,25 @@ def _walk_batches(model: DistributionModel, cap: int):
     """Yield (k, rows) for blocks of at most cap joint latent outcomes, each
     outcome once.
 
-    rows is one block of (T, n, W) row words in the layout of
-    graphs.zero_rows; k is the int64 number of coins set in each outcome.
-    A latent's value sets the rows of the edges it turns on and some number
-    of coins: a coin is off or on, a uniform block keeps one of its
-    a-subsets.  The first latents, as many as fit a block, form a low table
-    of all their joint values by doubling.  The next latent's values are
-    read in slices that fit a block with the low table, and each such block
-    is XORed with every joint value of the latents above.  No table holds
-    more than cap values, no array a row per edge slot, and only the latent
-    layout is shared with the sampler.
+    rows is one block of (T, n, W) row words of graphs.zero_rows' shape
+    and dtype, viewed as table.reshape(n, W, T).transpose(2, 0, 1) from a
+    vertex-major (n W, T) table: each row word's T values are contiguous,
+    so graphs._columns reads them with no copy.  k is the int64 number of
+    coins set in each outcome.  A latent's value sets the row words of the
+    edges it turns on and some number of coins: a coin is off or on, a
+    uniform block keeps one of its a-subsets.  The first latents, as many
+    as fit a block, form a low table of all their joint values, doubled in
+    place by one contiguous XOR per value (_join).  The next latent's
+    values are read in slices that fit a block with the low table, and
+    each such block is XORed along T with every joint value of the latents
+    above.  No table holds more than cap values, no array a row per edge
+    slot, and only the latent layout is shared with the sampler.
     """
     layout = model.layout
+    latents = layout.latents
     n = model.n
     zero = zero_rows(1, n)
+    words = zero.size
     # per latent edge slot (the flat edges, then the singles), where its
     # edge's bit lies in row u and in row v of one graph's flattened rows
     u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
@@ -151,42 +166,75 @@ def _walk_batches(model: DistributionModel, cap: int):
         radix = comb(m, a)
         ladders = [np.array([comb(x, i) for x in range(m)], dtype=np.int64)
                    for i in range(1, a + 1)]
+        # every block's values are the same subsets of its m slots, so a
+        # slice's subsets are unranked once for all blocks, and all of them
+        # once for the walk when they fit a block
+        every = _subsets(ladders, 0, radix) if radix <= cap else None
 
-        def values(j, start, stop):
-            block = slice(j * m, (j + 1) * m)
-            return (np.zeros(stop - start, dtype=np.int64),
-                    _subset_rows(at[:, block], bits[:, block], ladders, start, stop, n))
+        def values(js, start, stop):
+            s = stop - start
+            slots = every if s == radix else _subsets(ladders, start, stop)
+            slot = np.add.outer(np.arange(js.start, js.stop) * m, slots)
+            # [block, word, value]: each (block, value) toggles a distinct
+            # slot per column of slots, but two slots can share a word
+            at_word = (np.arange(len(js))[:, None, None] * words + at[:, slot]) * s
+            out = np.zeros((len(js), words, s), dtype=zero.dtype)
+            np.bitwise_xor.at(out.reshape(-1), at_word + np.arange(s)[:, None],
+                              bits[:, slot])
+            return np.zeros(s, dtype=np.int64), out
     else:
         radix = 2
-        owner = np.concatenate([layout.bid, np.arange(layout.block_count, layout.latents)])
-        toggles = zero_rows(layout.latents, n)
-        np.bitwise_xor.at(toggles.reshape(layout.latents, zero.size),
-                          (np.concatenate([owner, owner]), at.ravel()), bits.ravel())
-        table = np.stack([np.zeros_like(toggles), toggles], axis=1)
+        owner = np.concatenate([layout.bid, np.arange(layout.block_count, latents)])
+        # [latent, word, value]: value 0 leaves the coin off, value 1 toggles it
+        table = np.zeros((latents, words, 2), dtype=zero.dtype)
+        np.bitwise_xor.at(table[..., 1], (np.concatenate([owner, owner]), at.ravel()),
+                          bits.ravel())
 
-        def values(j, start, stop):
-            return np.arange(start, stop, dtype=np.int64), table[j, start:stop]
+        def values(js, start, stop):
+            return np.arange(start, stop, dtype=np.int64), table[js.start:js.stop, :, start:stop]
 
-    def spread(k, rows, low_k, low):
-        # every value times every low entry, the low entry varying fastest
-        return ((k[:, None] + low_k[None, :]).reshape(-1),
-                (rows[:, None] ^ low[None, :]).reshape(-1, *zero.shape[1:]))
+    def outcomes(words_by_t):
+        return words_by_t.reshape(*zero.shape[1:], words_by_t.shape[1]).transpose(2, 0, 1)
 
-    low_k = np.zeros(1, dtype=np.int64)
-    low = zero
-    split = 0
-    while split < layout.latents and len(low) * radix <= cap:
-        low_k, low = spread(*values(split, 0, radix), low_k, low)
-        split += 1
-    if split == layout.latents:
-        yield low_k, low
+    split, size = 0, 1
+    while split < latents and size * radix <= cap:
+        split, size = split + 1, size * radix
+    low = np.zeros((words, size), dtype=zero.dtype)
+    low_k = np.zeros(size, dtype=np.int64)
+    if split:
+        # a latent's value 0 sets no coins; its rows are XORed into every
+        # outcome, so each latent doubles the table by its other values
+        # relative to value 0, and their XOR is applied to it once
+        vk, rows = values(range(split), 0, radix)
+        relative = rows[..., 1:] ^ rows[..., :1]
+        h = 1
+        for j in range(split):
+            _join(np.bitwise_xor, relative[j], low[:, :h], low[:, h:h * radix])
+            if not layout.uniform:     # a uniform block sets no coins
+                _join(np.add, vk[1:], low_k[:h], low_k[h:h * radix])
+            h *= radix
+        base = np.bitwise_xor.reduce(rows[..., 0], axis=0)
+        if base.any():
+            low ^= base[:, None]
+    if split == latents:
+        yield low_k, outcomes(low)
         return
-    step = cap // len(low)
-    high = range(split + 1, layout.latents)
+    step = cap // size
+    high = range(split + 1, latents)
     for start in range(0, radix, step):
-        mid_k, mid = spread(*values(split, start, min(radix, start + step)), low_k, low)
-        for k, row in _joint_values(values, radix, cap, high, 0, zero[0]):
-            yield mid_k + k, mid ^ row
+        vk, rows = values(range(split, split + 1), start, min(radix, start + step))
+        if split:
+            mid_k = np.empty(len(vk) * size, dtype=np.int64)
+            mid = np.empty((words, len(vk) * size), dtype=zero.dtype)
+            _join(np.add, vk, low_k, mid_k)
+            _join(np.bitwise_xor, rows[0], low, mid)
+        else:       # the low table is the one outcome with no edge
+            mid_k, mid = vk, np.ascontiguousarray(rows[0])
+        if not high:
+            yield mid_k, outcomes(mid)
+            continue
+        for k, row in _joint_values(values, radix, cap, high, 0, zero.reshape(-1)):
+            yield mid_k + k, outcomes(mid ^ row[:, None])
 
 
 def _batch_cap(n: int, columns: int) -> int:
@@ -213,10 +261,12 @@ def _expectation(model: DistributionModel, values_of, columns: int) -> list:
     Each block's values are summed per column and number of coins set k,
     and the blocks' sums are added up in Python ints where the values are
     integral, so they come back as ints at any magnitude.  A block of
-    integral values sums in float64 (by one bincount, or by column where
-    there is one k) only when its sum of |values| is below 2^53, which
-    keeps every partial sum exact; otherwise, and for values of no fixed
-    dtype, it sums as Python objects.  Float values sum in float64.
+    bools, or of integers whose sum of |values| is below 2^53 (which keeps
+    every partial float64 sum exact), sums by column where there is one k;
+    else the bools are counted by one bincount of the (column, k) cells
+    that hold True, and the integers sum in float64 by one bincount.
+    Other integral values, and values of no fixed dtype, sum as Python
+    objects.  Float values sum in float64.
     """
     _check_budget(model)
     size = model.layout.coins + 1
@@ -230,7 +280,9 @@ def _expectation(model: DistributionModel, values_of, columns: int) -> list:
         else:
             at = k if columns == 1 else (np.arange(columns)[:, None] * size + k).ravel()
             cells = values.ravel(order="F")
-            if exact or kind == "f":
+            if kind == "b":
+                part = np.bincount(at[cells], minlength=columns * size)
+            elif exact or kind == "f":
                 part = np.bincount(at, weights=cells, minlength=columns * size)
             else:
                 part = np.zeros(columns * size, dtype=object)
@@ -301,9 +353,15 @@ def exact_edge_marginals(model: DistributionModel) -> list:
     n = model.n
     u, v = _endpoints(n, np.arange(num_edges(n), dtype=np.int64))
     at, bits = row_bits(zero_rows(0, n), u, v)
-    # per outcome, whether it holds each edge (u, v): bit v of row u
-    return _expectation(model, lambda rows: (rows.reshape(len(rows), -1)[:, at] & bits) != 0,
-                        len(u))
+
+    def held(rows):
+        # per outcome, whether it holds each edge (u, v): bit v of row u,
+        # read from the block's (n W, T) words as (L, T), whose transpose
+        # is the tally's column-major (T, L)
+        cells = rows.reshape(len(rows), -1).T[at]
+        cells &= bits[:, None]
+        return (cells != 0).T
+    return _expectation(model, held, len(u))
 
 
 def er_connectivity_probability(n: int, p):

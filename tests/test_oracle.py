@@ -346,6 +346,7 @@ def batch_models(draw):
 @settings(max_examples=60, deadline=None)
 @given(batch_models(), st.sampled_from([1, 3, 16, 1 << 16]),
        st.randoms(use_true_random=False))
+@example(erdos_renyi(1, Fraction(1, 2)), 1, random.Random(0))
 def test_walk_batches_match_scalar_walk(model, cap, rnd):
     n = model.n
     # the blocks hold every outcome once, with its number of coins set; a
@@ -375,6 +376,26 @@ def test_walk_batches_match_scalar_walk(model, cap, rnd):
             for kk, value in zip(k.tolist(), f.batch(rows).tolist()):
                 got[kk] += value
         assert got == want, f.name
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 65, 130])
+def test_walk_blocks_are_views_of_vertex_major_tables(n):
+    # every block is the (T, n, W) view of one (n W, T) table, so a
+    # kernel's vertex-major columns are the block's own words, not a copy;
+    # the caps leave the low table alone, read the next latent in slices,
+    # and XOR blocks with the latents above
+    L = num_edges(n)
+    models = [erdos_renyi(n, Fraction(1, 3))] if n <= 4 else []
+    models += [custom_blocks(n, Fraction(1, 3), [list(range(j, L, 5)) for j in range(min(5, L))])]
+    if L:
+        models.append(edge_block_exact(n, 1, L))
+    for model in models:
+        for cap in (1, 3, 16, 1 << 16):
+            for k, rows in _walk_batches(model, cap):
+                assert k.dtype == np.int64
+                assert rows.transpose(1, 2, 0).flags.c_contiguous
+                if rows.shape[2] == 1:
+                    assert np.shares_memory(graphs._columns(rows[..., 0]), rows)
 
 
 def test_exact_beyond_64_vertices_walks_scalar():
@@ -702,7 +723,8 @@ def test_jumbledness_budget():
 @pytest.mark.parametrize("p, C", [(0.5, math.nan), (0.5, math.inf),
                                   (math.nan, 1.0), (-0.1, 1.0),
                                   (math.inf, 1.0), (0.5, -math.inf),
-                                  (1e300, 1e300), (1e308, 1e300)])
+                                  (1e300, 1e300), (1e308, 1e300),
+                                  (5e307, 1e-300)])
 def test_jumbledness_nan_slack_gives_none(p, C):
     # a NaN slack (C NaN or infinite at |A||B| = 0, p NaN or infinite,
     # sqrt of a negative scale, an allowance that overflows) gives None,
