@@ -7,14 +7,20 @@ rather than a silently clamped number.
 
 Throughout, d is the dependence bound of the distribution (each edge
 independent of all but at most d others) and d1 = d + 1.
+
+Each named bound is one row of BOUNDS; its functions' signatures give its
+parameters, their defaults and their echo order, from which evaluate and
+the command line's flags read every bound alike.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -117,7 +123,7 @@ def connectivity_upper_threshold(n: int, d: int, fval: float = 0.0) -> float:
     return (d + 1) * (math.log(n) + fval) / n
 
 
-def connectivity_example_threshold(n: int, d: int, eps: float) -> float:
+def connectivity_example_threshold(n: int, d: int, eps: float = 0.1) -> float:
     """(1-eps)(d+1) ln(n/sqrt(d+1))/n; below this the gadget is a.s. disconnected."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -131,6 +137,11 @@ def connectivity_example_threshold(n: int, d: int, eps: float) -> float:
 def dependence_ratio(n: int, d: int) -> float:
     """d ln(n)/n, which must vanish for the disconnection example to apply."""
     return d * math.log(n) / n
+
+
+def example_hypothesis(n: int, d: int) -> bool:
+    """Whether d ln(n)/n < 0.1, the example's reporting cutoff for d ln(n)/n -> 0."""
+    return dependence_ratio(n, d) < 0.1
 
 
 @lru_cache(maxsize=64)
@@ -249,96 +260,81 @@ class BoundReport:
     hypothesis: bool | None = None
 
 
-def _prob_report(name: str, inputs: dict, value: float,
-                 hypothesis: bool | None = None) -> BoundReport:
-    return BoundReport(name, inputs, value, vacuous=value > 1.0, hypothesis=hypothesis)
+class Bound(NamedTuple):
+    """One row of BOUNDS: the bound's value, its side condition or None,
+    and its report's form: "probability" (vacuous above 1), "value",
+    "window" (value gives .low and .high), or "functional" (phi, whose
+    .failure-bound 10 phi is a probability)."""
+    value: Callable
+    hypothesis: Callable | None
+    form: str
+
+    @property
+    def parameters(self) -> dict:
+        """Each parameter's default, inspect.Parameter.empty if required."""
+        found = {}
+        for fn in filter(None, (self.value, self.hypothesis)):
+            for key, param in inspect.signature(fn).parameters.items():
+                found.setdefault(key, param.default)
+        return found
 
 
-BOUND_NAMES = (
-    "janson-bernstein",
-    "janson-phi",
-    "degree-interval",
-    "jumbledness-deviation",
-    "witness-floor",
-    "connectivity-threshold",
-    "example-threshold",
-    "phi",
-    "clique-bounds",
-)
+BOUNDS = {
+    "janson-bernstein": Bound(janson_bernstein, None, "probability"),
+    "janson-phi": Bound(janson_phi, None, "probability"),
+    "degree-interval": Bound(degree_interval, degree_hypothesis, "window"),
+    "jumbledness-deviation": Bound(jumbledness_deviation, None, "value"),
+    "witness-floor": Bound(jumbledness_witness_floor, None, "value"),
+    "connectivity-threshold": Bound(connectivity_upper_threshold, None, "value"),
+    "example-threshold": Bound(connectivity_example_threshold,
+                               example_hypothesis, "value"),
+    "phi": Bound(phi_functional, containment_hypothesis, "functional"),
+    "clique-bounds": Bound(clique_bounds, clique_hypothesis, "window"),
+}
+
+BOUND_NAMES = tuple(BOUNDS)
+
+# the parameters that count things; evaluate passes them to the bound as ints
+COUNTS = ("n", "d", "a", "b", "s")
 
 
 def evaluate(name: str, pattern: SubgraphPattern | None = None,
              **params) -> list[BoundReport]:
     """Evaluate a named bound; interval-valued bounds yield one report per endpoint.
 
-    Raises ValueError for unknown names (listing what is available) or for
-    missing/invalid parameters.
+    Parameters the bound does not take are ignored.  Raises ValueError for
+    unknown names (listing what is available) or for missing/invalid
+    parameters.
     """
-    def need(*keys):
-        missing = [k for k in keys if params.get(k) is None]
-        if missing:
-            raise ValueError(f"bound {name!r} needs parameters: {', '.join(missing)}")
-        return [params[k] for k in keys]
+    try:
+        bound = BOUNDS[name]
+    except KeyError:
+        raise ValueError(f"unknown bound {name!r}; "
+                         f"available: {', '.join(BOUND_NAMES)}") from None
+    wanted = bound.parameters
+    if "pattern" in wanted and pattern is None:
+        raise ValueError(f"bound {name!r} needs a pattern")
+    params["pattern"] = pattern
+    missing = [key for key, default in wanted.items()
+               if default is inspect.Parameter.empty and params.get(key) is None]
+    if missing:
+        raise ValueError(f"bound {name!r} needs parameters: {', '.join(missing)}")
+    inputs = {key: default if params.get(key) is None else params[key]
+              for key, default in wanted.items()}
+    args = {key: int(v) if key in COUNTS else v for key, v in inputs.items()}
+    if "pattern" in inputs:
+        inputs["pattern"] = pattern.name or "custom"
 
-    if name == "janson-bernstein":
-        mu, t, d = need("mu", "t", "d")
-        return [_prob_report(name, {"mu": mu, "t": t, "d": d},
-                             janson_bernstein(mu, t, int(d)))]
-    if name == "janson-phi":
-        mu, t, d = need("mu", "t", "d")
-        return [_prob_report(name, {"mu": mu, "t": t, "d": d},
-                             janson_phi(mu, t, int(d)))]
-    if name == "degree-interval":
-        n, p, d = need("n", "p", "d")
-        lo, hi = degree_interval(int(n), p, int(d))
-        hyp = degree_hypothesis(int(n), p, int(d))
-        inputs = {"n": n, "p": p, "d": d}
-        return [BoundReport(f"{name}.low", inputs, lo, hypothesis=hyp),
-                BoundReport(f"{name}.high", inputs, hi, hypothesis=hyp)]
-    if name == "jumbledness-deviation":
-        a, b, n, p, d = need("a", "b", "n", "p", "d")
-        C = params.get("C", 10.0)
-        inputs = {"a": a, "b": b, "n": n, "p": p, "d": d, "C": C}
-        return [BoundReport(name, inputs,
-                            jumbledness_deviation(int(a), int(b), int(n), p, int(d), C))]
-    if name == "witness-floor":
-        s, b, n, p, d = need("s", "b", "n", "p", "d")
-        inputs = {"s": s, "b": b, "n": n, "p": p, "d": d}
-        return [BoundReport(name, inputs,
-                            jumbledness_witness_floor(int(s), int(b), int(n), p, int(d)))]
-    if name == "connectivity-threshold":
-        n, d = need("n", "d")
-        fval = params.get("fval", 0.0)
-        inputs = {"n": n, "d": d, "fval": fval}
-        return [BoundReport(name, inputs,
-                            connectivity_upper_threshold(int(n), int(d), fval))]
-    if name == "example-threshold":
-        n, d = need("n", "d")
-        eps = params.get("eps", 0.1)
-        inputs = {"n": n, "d": d, "eps": eps}
-        # the example needs d ln(n)/n to vanish; 0.1 is the reporting cutoff
-        hyp = dependence_ratio(int(n), int(d)) < 0.1
-        return [BoundReport(name, inputs,
-                            connectivity_example_threshold(int(n), int(d), eps),
-                            hypothesis=hyp)]
-    if name == "phi":
-        if pattern is None:
-            raise ValueError("bound 'phi' needs a pattern")
-        n, p, d = need("n", "p", "d")
-        value = phi_functional(pattern, int(n), p, int(d))
-        hyp = containment_hypothesis(pattern, int(n), int(d))
-        inputs = {"pattern": pattern.name or "custom", "n": n, "p": p, "d": d}
-        return [BoundReport(name, inputs, value, hypothesis=hyp),
-                _prob_report(f"{name}.failure-bound", inputs, 10.0 * value,
-                             hypothesis=hyp)]
-    if name == "clique-bounds":
-        n, p, d = need("n", "p", "d")
-        c1 = params.get("c1", 1.0)
-        c2 = params.get("c2", 1.0)
-        slack = params.get("slack", 10.0)
-        lo, hi = clique_bounds(int(n), p, int(d), c1, c2)
-        hyp = clique_hypothesis(int(n), p, int(d), slack)
-        inputs = {"n": n, "p": p, "d": d, "c1": c1, "c2": c2, "slack": slack}
-        return [BoundReport(f"{name}.low", inputs, lo, hypothesis=hyp),
-                BoundReport(f"{name}.high", inputs, hi, hypothesis=hyp)]
-    raise ValueError(f"unknown bound {name!r}; available: {', '.join(BOUND_NAMES)}")
+    def call(fn):
+        return fn(**{key: args[key] for key in inspect.signature(fn).parameters})
+    value = call(bound.value)
+    hyp = call(bound.hypothesis) if bound.hypothesis else None
+    if bound.form == "window":
+        return [BoundReport(f"{name}.low", inputs, value[0], hypothesis=hyp),
+                BoundReport(f"{name}.high", inputs, value[1], hypothesis=hyp)]
+    reports = [BoundReport(name, inputs, value, hypothesis=hyp,
+                           vacuous=value > 1.0 if bound.form == "probability" else None)]
+    if bound.form == "functional":
+        reports.append(BoundReport(f"{name}.failure-bound", inputs, 10.0 * value,
+                                   vacuous=10.0 * value > 1.0, hypothesis=hyp))
+    return reports

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bounds as boundsmod
 from . import harness, predicates, rng
-from .distributions import (EDGE_BLOCK_EXACT, _canonical_kind, audit_model,
+from .distributions import (KINDS, _canonical_kind, audit_model,
                             blocks_from_text, build, format_probability,
                             from_descriptor, parse_probability, sample)
 from .errors import ResourceLimitError
@@ -46,7 +46,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", metavar="FILE",
                    help="model descriptor file (overrides the flags below)")
     p.add_argument("--dist", dest="kind", metavar="KIND",
-                   help="er | star | gadget | edge-block | custom")
+                   help=" | ".join(kind.alias for kind in KINDS.values()))
     p.add_argument("--n", type=int, help="vertex count")
     p.add_argument("--p", help="edge probability; a/b forms stay exact")
     p.add_argument("--d", type=int, default=0, help="dependence bound")
@@ -108,10 +108,11 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-# the bounds subcommand's typed flags, each passed to bounds.evaluate by name
-BOUND_FLAGS = {"n": int, "d": int, "a": int, "b": int, "s": int, "mu": float,
-               "t": float, "C": float, "eps": float, "fval": float,
-               "c1": float, "c2": float, "slack": float}
+# the bounds subcommand's typed flags, each passed to bounds.evaluate by
+# name: every parameter of a bound but p and pattern, ints for the counts
+BOUND_FLAGS = {key: int if key in boundsmod.COUNTS else float
+               for bound in boundsmod.BOUNDS.values() for key in bound.parameters
+               if key not in ("p", "pattern")}
 
 
 def cmd_bounds(args) -> int:
@@ -145,12 +146,12 @@ def _json_value(v):
 def _experiment_config(args, forced_task: str | None) -> harness.ExperimentConfig:
     """The config file's settings, or a default grid, with the flags laid
     over them; the environment's seed only where neither gives one.  The
-    default grid has no p for edge-block models, whose p is a/m."""
+    default grid has a p only for kinds that take one as a setting."""
     if args.config:
         settings = harness.ini_settings(Path(args.config).read_text(encoding="utf-8"))
     else:
         settings = {"n": "10"}
-        if args.kind is None or _canonical_kind(args.kind) != EDGE_BLOCK_EXACT:
+        if args.kind is None or "p" in KINDS[_canonical_kind(args.kind)].settings:
             settings["p"] = "0.5"
     for key in harness.SETTINGS:
         value = getattr(args, key, None)

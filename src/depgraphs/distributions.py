@@ -33,10 +33,16 @@ words (rng.forward), a span of seeds at its first trial's seed, so no
 result depends on the span count.  The harness and
 oracle.mean_variance_check draw, pack and evaluate through one runner
 (_trial_values); the audit tallies the drawn values and reads block
-ownership from the layout; sample, sample_rows and realize pack through
-_rows; latent capture reads its state from the drawn values, and realize
-turns a state back into them; the oracle sizes its state space by the
-layout.
+ownership from the layout; sample and realize pack through _rows; latent
+capture reads its state from the drawn values, and realize turns a state
+back into them; the oracle sizes its state space by the layout.
+
+Each kind is one row of KINDS: its short alias and its constructor, whose
+parameters after n are the kind's settings.  build calls the constructor
+with them, and refuses an erdos-renyi d other than 0 and an
+edge-block-exact p other than a/m, so the command line, descriptor files
+and harness grids follow one rule set; to_descriptor writes the settings
+and from_descriptor reads them back through build.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block.
@@ -48,6 +54,7 @@ against d.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import marshal
 import os
@@ -73,9 +80,6 @@ CORRELATED_STAR = "correlated-star"
 CONNECTIVITY_GADGET = "connectivity-gadget"
 EDGE_BLOCK_EXACT = "edge-block-exact"
 CUSTOM_BLOCKS = "custom-blocks"
-
-KINDS = (ERDOS_RENYI, CORRELATED_STAR, CONNECTIVITY_GADGET,
-         EDGE_BLOCK_EXACT, CUSTOM_BLOCKS)
 
 
 def parse_probability(text: str):
@@ -500,29 +504,48 @@ def blocks_from_text(n: int, text: str) -> list[tuple[int, ...]]:
     return listed + singles
 
 
+class Kind(NamedTuple):
+    """One row of KINDS; the constructor's parameters after n are the settings."""
+    alias: str
+    construct: Callable[..., DistributionModel]
+
+    @property
+    def settings(self) -> tuple[str, ...]:
+        return tuple(inspect.signature(self.construct).parameters)[1:]
+
+
+KINDS = {
+    ERDOS_RENYI: Kind("er", erdos_renyi),
+    CORRELATED_STAR: Kind("star", correlated_star),
+    CONNECTIVITY_GADGET: Kind("gadget", connectivity_gadget),
+    EDGE_BLOCK_EXACT: Kind("edge-block", edge_block_exact),
+    CUSTOM_BLOCKS: Kind("custom", custom_blocks),
+}
+
+_KIND_ALIASES = {name: canonical for canonical, kind in KINDS.items()
+                 for name in (kind.alias, canonical)}
+
+
 def build(kind: str, n: int, p=None, d: int = 0, a: int | None = None,
           m: int | None = None,
           blocks: Iterable[Iterable[int]] | None = None) -> DistributionModel:
-    """Uniform entry point used by config files and the command line."""
+    """Uniform entry point used by config files and the command line: the
+    kind's constructor, called with its settings.  An erdos-renyi d other
+    than 0 and an edge-block-exact p other than a/m are refused."""
     kind = _canonical_kind(kind)
-    if kind == ERDOS_RENYI:
-        return erdos_renyi(n, _require(p, "p"))
-    if kind == CORRELATED_STAR:
-        return correlated_star(n, _require(p, "p"), d)
-    if kind == CONNECTIVITY_GADGET:
-        return connectivity_gadget(n, _require(p, "p"), d)
-    if kind == EDGE_BLOCK_EXACT:
-        return edge_block_exact(n, _require(a, "a"), _require(m, "m"))
-    return custom_blocks(n, _require(p, "p"), _require(blocks, "blocks"))
-
-
-_KIND_ALIASES = {
-    "er": ERDOS_RENYI, "erdos-renyi": ERDOS_RENYI,
-    "star": CORRELATED_STAR, "correlated-star": CORRELATED_STAR,
-    "gadget": CONNECTIVITY_GADGET, "connectivity-gadget": CONNECTIVITY_GADGET,
-    "edge-block": EDGE_BLOCK_EXACT, "edge-block-exact": EDGE_BLOCK_EXACT,
-    "custom": CUSTOM_BLOCKS, "custom-blocks": CUSTOM_BLOCKS,
-}
+    given = {"p": p, "d": d, "a": a, "m": m, "blocks": blocks}
+    settings = KINDS[kind].settings
+    missing = [key for key in settings if given[key] is None]
+    if missing:
+        raise ValueError(f"missing required parameter {missing[0]!r}")
+    model = KINDS[kind].construct(n, *(given[key] for key in settings))
+    if kind == ERDOS_RENYI and d != 0:
+        raise ValueError(f"erdos-renyi models have d = 0, not d = {d}")
+    if kind == EDGE_BLOCK_EXACT and p is not None and p != model.p:
+        raise ValueError(f"edge-block-exact models have p = a/m = "
+                         f"{format_probability(model.p)}, not p = "
+                         f"{format_probability(p)}")
+    return model
 
 
 def _canonical_kind(kind: str) -> str:
@@ -530,13 +553,7 @@ def _canonical_kind(kind: str) -> str:
         return _KIND_ALIASES[kind.strip().lower()]
     except KeyError:
         raise ValueError(f"unknown distribution kind {kind!r}; "
-                         f"known: {', '.join(sorted(set(_KIND_ALIASES)))}") from None
-
-
-def _require(value, name):
-    if value is None:
-        raise ValueError(f"missing required parameter {name!r}")
-    return value
+                         f"known: {', '.join(sorted(_KIND_ALIASES))}") from None
 
 
 # -- sampling ----------------------------------------------------------
@@ -806,21 +823,6 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def sample_rows(model: DistributionModel, seeds: Sequence[int]) -> np.ndarray:
-    """sample(model, seed).graph for each seed, as one block of (T, n, W)
-    row words in the layout of graphs.zero_rows.
-
-    Each trial draws as sample does, from this thread's generator reset to
-    its seed, into one row of a block of latent values (_latent_blocks),
-    and _rows packs each block; no Graph is built.
-    """
-    seeds = list(map(int, seeds))
-    blocks = [_rows(model, drawn) for drawn in _latent_blocks(model, seeds, len(seeds))]
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.concatenate(blocks) if blocks else zero_rows(0, model.n)
-
-
 # A latent state's marshal image at format version 2, which has no
 # back-references: a tuple "(" or list "[" is its type code and a 4-byte
 # count, then its items; a bool is one type code, "T" or "F", and an int of
@@ -916,8 +918,8 @@ def sample(model: DistributionModel, seed: int,
     draw's values in one pass, but forms a Python object per latent, so at
     n = 300-500 a captured sample takes about 2-2.5 times as long as a
     plain one.  The draw comes from this thread's generator reset
-    to rng.generator(seed)'s state, and _rows packs it as it packs a block
-    of sample_rows.
+    to rng.generator(seed)'s state, and _rows packs it as it packs the
+    runner's blocks.
     """
     (values,) = _latent_blocks(model, (seed,), 1)
     graph = row_graphs(_rows(model, values))[0]
@@ -1086,28 +1088,40 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
 
 # -- descriptors -------------------------------------------------------
 
+def _setting_text(model: DistributionModel, key: str) -> str:
+    """The descriptor text of one of the model's settings."""
+    if key == "p":
+        return format_probability(model.p)
+    if key == "blocks":
+        return "; ".join(" ".join(str(e) for e in b) for b in model.blocks)
+    return str(model.params[key] if key in model.params else getattr(model, key))
+
+
+def _read_setting(n: int, key: str, text: str):
+    """Inverse of _setting_text, for a model on n vertices."""
+    if key == "p":
+        return parse_probability(text)
+    if key == "blocks":
+        return blocks_from_text(n, text)
+    return int(text)
+
+
 def to_descriptor(model: DistributionModel) -> str:
-    """Key-value text form of a model; round-trips through from_descriptor."""
+    """Key-value text form of a model: kind, n, p, d, then the kind's other
+    settings; round-trips through from_descriptor."""
     cp = configparser.ConfigParser()
-    cp["model"] = {}
-    sec = cp["model"]
-    sec["kind"] = model.kind
-    sec["n"] = str(model.n)
-    sec["p"] = format_probability(model.p)
-    sec["d"] = str(model.d)
-    if model.kind == EDGE_BLOCK_EXACT:
-        sec["a"] = str(model.params["a"])
-        sec["m"] = str(model.params["m"])
-    if model.kind == CUSTOM_BLOCKS:
-        sec["blocks"] = "; ".join(" ".join(str(e) for e in b) for b in model.blocks)
+    cp["model"] = {"kind": model.kind, "n": str(model.n)}
+    for key in dict.fromkeys(("p", "d", *KINDS[model.kind].settings)):
+        cp["model"][key] = _setting_text(model, key)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
 def from_descriptor(text: str) -> DistributionModel:
-    """Rebuild a model from its descriptor, re-validating every precondition."""
-    cp = configparser.ConfigParser()
+    """Rebuild a model from its descriptor through build, re-validating
+    every precondition; d defaults to 0 and custom blocks to singletons."""
+    cp = configparser.ConfigParser(defaults={"d": "0", "blocks": ""})
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -1118,21 +1132,10 @@ def from_descriptor(text: str) -> DistributionModel:
     try:
         kind = _canonical_kind(sec["kind"])
         n = int(sec["n"])
-        if kind == EDGE_BLOCK_EXACT:
-            a, m = int(sec["a"]), int(sec["m"])
-        else:
-            p = parse_probability(sec["p"])
+        wanted = KINDS[kind].settings
+        settings = {key: _read_setting(n, key, sec[key])
+                    for key in dict.fromkeys((*wanted, "p", "d"))
+                    if key in wanted or key in sec}
     except KeyError as exc:
         raise ValueError(f"model descriptor missing key {exc}") from None
-    if kind == EDGE_BLOCK_EXACT:
-        return edge_block_exact(n, a, m)
-    if kind == CUSTOM_BLOCKS:
-        return custom_blocks(n, p, blocks_from_text(n, sec.get("blocks", "")))
-    d = int(sec.get("d", "0"))
-    if kind == ERDOS_RENYI:
-        if d != 0:
-            raise ValueError("erdos-renyi descriptors must have d = 0")
-        return erdos_renyi(n, p)
-    if kind == CORRELATED_STAR:
-        return correlated_star(n, p, d)
-    return connectivity_gadget(n, p, d)
+    return build(kind, n, **settings)

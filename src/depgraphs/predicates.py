@@ -51,11 +51,6 @@ def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
     return [functional(g) for g in graphs.row_graphs(rows)]
 
 
-def _complement(batch):
-    """The batch kernel of the negated event, or None without a kernel."""
-    return None if batch is None else lambda rows: ~batch(rows)
-
-
 def always_true() -> Predicate:
     return Predicate("true", lambda g: True, lambda rows: np.ones(len(rows), dtype=bool))
 
@@ -65,8 +60,7 @@ def connected() -> Predicate:
 
 
 def not_connected() -> Predicate:
-    return Predicate("not-connected", lambda g: not graphs.is_connected(g),
-                     _complement(graphs.batch_connected))
+    return negate(connected(), "not-connected")
 
 
 def has_isolated_vertex() -> Predicate:
@@ -91,10 +85,8 @@ def contains_pattern(pattern: SubgraphPattern) -> Predicate:
 
 
 def lacks_pattern(pattern: SubgraphPattern) -> Predicate:
-    label = pattern.name or f"custom-{pattern.vertex_count}v{pattern.edge_count}e"
-    return Predicate(f"lacks:{label}",
-                     lambda g: not graphs.contains_subgraph(g, pattern),
-                     _complement(_contains_kernel(pattern)))
+    contains = contains_pattern(pattern)
+    return negate(contains, contains.name.replace("contains:", "lacks:", 1))
 
 
 def edge_count_equals(k: int) -> Predicate:
@@ -128,9 +120,12 @@ def edge_deviation_exceeds(a: tuple[int, ...], b: tuple[int, ...], p,
     return Predicate(f"deviation:{t}", fn, batch)
 
 
-def negate(pred: Predicate) -> Predicate:
-    return Predicate(f"not({pred.name})", lambda g: not pred.fn(g),
-                     _complement(pred.batch))
+def negate(pred: Predicate, name: str | None = None) -> Predicate:
+    """The complement event, with the complement of pred's kernel if it has
+    one; named name, or not(<pred's name>) by default."""
+    batch = pred.batch
+    return Predicate(name or f"not({pred.name})", lambda g: not pred.fn(g),
+                     None if batch is None else lambda rows: ~batch(rows))
 
 
 def resolve_pattern(spec: str) -> SubgraphPattern:

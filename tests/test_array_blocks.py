@@ -16,8 +16,10 @@ import pytest
 
 from depgraphs.distributions import (build, connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact, erdos_renyi,
-                                     sample, sample_rows)
+                                     sample)
 from depgraphs.graphs import num_edges
+
+from helpers import sample_rows
 
 
 def _tri(v):

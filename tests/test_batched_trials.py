@@ -3,9 +3,10 @@
 The harness derives a grid point's seeds at once (rng.derive_seeds), and
 the trial runner (distributions._trial_values) draws each block of them,
 packs the block's graphs as bitset rows and evaluates them with a batch
-kernel.  The runner, sample_rows and sample pack latent values with the same packer
-(distributions._rows, checked against Graph.from_edge_indices in
-test_sampler_path), so comparing sample_rows with the rows of
+kernel.  The runner, helpers.sample_rows and sample pack latent values with
+the same packer (distributions._rows, checked against
+Graph.from_edge_indices in test_sampler_path), so comparing
+helpers.sample_rows with the rows of
 sample(model, seed).graph checks the block draws: each trial's raw words
 compared with a threshold a buffer at a time, and its keys picked a buffer
 at a time.  The other pieces are compared with the per-trial forms they
@@ -29,12 +30,14 @@ from depgraphs.distributions import (_draw, _independent_pairs,
                                      blocks_from_text,
                                      connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact,
-                                     erdos_renyi, sample, sample_rows)
+                                     erdos_renyi, sample)
 from depgraphs.graphs import (Graph, batch_dtype, batch_size, clique_number,
                               num_edges, row_bytes, row_graphs, zero_rows)
 from depgraphs.predicates import (connected, degree_in_range, evaluate_rows,
                                   negate, parse_predicate)
 from depgraphs.rng import derive_seed, derive_seeds
+
+from helpers import sample_rows
 
 U64 = st.integers(0, 2 ** 64 - 1)
 WIDE = st.integers(-2 ** 66, 2 ** 66) | U64

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from depgraphs import bounds, cli, harness
-from depgraphs.distributions import (AuditReport, edge_block_exact,
+from depgraphs.distributions import (KINDS, AuditReport, edge_block_exact,
                                      to_descriptor)
 from depgraphs.graphs import from_edge_list, named_pattern
 
@@ -97,6 +97,33 @@ def test_descriptor_missing_a_key_exits_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_sample_refuses_a_setting_its_kind_fixes(capsys):
+    code, out, err = run(capsys, "sample", "--dist", "edge-block", "--n", "4",
+                         "--p", "0.9", "--a", "1", "--m", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: edge-block-exact models have p = a/m = 1/2, not p = 0.9\n"
+    code, out, err = run(capsys, "sample", "--dist", "er", "--n", "8",
+                         "--p", "0.5", "--d", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: erdos-renyi models have d = 0, not d = 3\n"
+    code, _, _ = run(capsys, "sample", "--dist", "edge-block", "--n", "4",
+                     "--p", "1/2", "--a", "1", "--m", "2", "--seed", "1")
+    assert code == 0
+
+
+# a value for each kind setting, each a --dist model flag of its own name
+KIND_SETTING_FLAGS = {"p": "1/2", "d": "3", "a": "1", "m": "3", "blocks": "0 1 2; 3 4"}
+
+
+def test_every_kind_alias_samples_through_the_command_line(capsys):
+    for canonical, kind in KINDS.items():
+        argv = [f"--{key}={KIND_SETTING_FLAGS[key]}" for key in kind.settings]
+        code, out, err = run(capsys, "sample", "--dist", kind.alias, "--n", "60",
+                             *argv, "--seed", "2")
+        assert code == 0, (kind.alias, err)
+        assert f"# model: kind={canonical} n=60 " in out
+
+
 # -- bounds ------------------------------------------------------------
 
 def test_bounds_phi_matches_library(capsys):
@@ -156,6 +183,23 @@ def test_bounds_flags_reach_the_evaluated_inputs(capsys):
         for key, text in flags.items():
             value = cli.BOUND_FLAGS[key](text)
             assert inputs[key] == value and type(inputs[key]) is type(value), (name, key)
+
+
+# a flag value for each parameter of the bounds
+BOUND_PARAMETER_FLAGS = {"mu": "100", "t": "50", "d": "2", "n": "500", "p": "1/5",
+                         "a": "5", "b": "7", "s": "3", "C": "12.5", "fval": "0.5",
+                         "eps": "0.2", "c1": "1.5", "c2": "2.5", "slack": "8",
+                         "pattern": "k3"}
+
+
+def test_every_bound_evaluates_through_the_command_line(capsys):
+    for name, bound in bounds.BOUNDS.items():
+        argv = [f"--{key}={BOUND_PARAMETER_FLAGS[key]}" for key in bound.parameters]
+        code, out, err = run(capsys, "bounds", name, *argv, "--format", "json")
+        assert code == 0, (name, err)
+        for report in json.loads(out):
+            assert list(report["inputs"]) == list(bound.parameters), name
+            assert report["inputs"].get("pattern", "k3") == "k3"
 
 
 def test_bounds_resource_limit_exit_2(capsys):

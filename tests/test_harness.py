@@ -145,6 +145,14 @@ def test_error_rows_do_not_kill_run():
     assert not result.all_failed()
 
 
+def test_an_er_point_with_d_fails_and_leaves_the_others_alone():
+    both = run_experiment(cfg(kind="er", ns=(8,), ps=(0.5,), ds=(0, 3), trials=40))
+    alone = run_experiment(cfg(kind="er", ns=(8,), ps=(0.5,), ds=(0,), trials=40))
+    assert both.points[1].error == "erdos-renyi models have d = 0, not d = 3"
+    assert both.to_csv().splitlines()[4] == alone.to_csv().splitlines()[4]
+    assert both.points[0].successes == alone.points[0].successes is not None
+
+
 # grids on both sides of BATCH_MAX_N, each packed into blocks of rows
 # (distributions._rows), of two words a row above it
 PATH_NS = ((8, 10), (65, 66))

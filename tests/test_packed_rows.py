@@ -1,7 +1,7 @@
 """Wide rows packed from the colex presence bitmap, with no edge list.
 
-Beyond 64 vertices the packer that sample, realize, sample_rows and
-mean_variance_check share (distributions._rows) packs a trial's presence
+Beyond 64 vertices the packer that sample, realize, the trial runner and
+helpers.sample_rows share (distributions._rows) packs a trial's presence
 bitmap into row words: the lower triangle's words are windows of the
 packed bitmap, and the upper triangle is their 64x64 bit-block transpose.
 Each piece is compared here with a plainer form: the packer with
@@ -25,9 +25,11 @@ from depgraphs.distributions import (DistributionModel, _latent_blocks,
                                      blocks_from_text, connectivity_gadget,
                                      correlated_star, custom_blocks,
                                      edge_block_exact, erdos_renyi, realize,
-                                     sample, sample_rows)
+                                     sample)
 from depgraphs.graphs import (Graph, num_edges, packed_words, presence_rows,
                               row_ints, transpose_blocks)
+
+from helpers import sample_rows
 
 PACKED_NS = (65, 127, 128, 129, 191, 192, 193, 200, 2000)
 PACKED_PS = (0, 2.0 ** -53, 0.03, 0.5, 1)

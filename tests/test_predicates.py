@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depgraphs.distributions import correlated_star, sample_rows
+from depgraphs.distributions import correlated_star
 from depgraphs.graphs import Graph, SubgraphPattern, batch_dtype, named_pattern
 from depgraphs.predicates import (connected, contains_pattern, degree_in_range,
                                   edge_count_equals, edge_count_statistic,
@@ -17,6 +17,8 @@ from depgraphs.predicates import (connected, contains_pattern, degree_in_range,
                                   isolated_count_statistic, lacks_pattern,
                                   negate, parse_predicate, resolve_pattern)
 from depgraphs.rng import derive_seeds
+
+from helpers import sample_rows
 
 KERNEL_PREDICATES = ["true", "connected", "not-connected", "isolated-vertex",
                      "contains:edge", "contains:k2", "contains:k3", "lacks:k3",

@@ -1,7 +1,8 @@
 """Monte Carlo trials beyond 64 vertices, as rows of several uint64 words.
 
-Beyond 64 vertices sample_rows gives a block's graphs as (T, n, W) uint64
-words, W = ceil(n / 64) > 1, and the batch kernels evaluate them.
+Beyond 64 vertices distributions._rows packs a block's graphs as (T, n, W)
+uint64 words, W = ceil(n / 64) > 1, and the batch kernels evaluate them;
+helpers.sample_rows draws and packs such a block for many seeds.
 Each piece is compared here with the per-graph form it stands for: the
 rows of sample(model, seed).graph, a functional's fn on each graph's
 Graph, and the harness's per-trial values.
@@ -17,8 +18,7 @@ from depgraphs import distributions, graphs, harness
 from depgraphs.distributions import (_trial_values, blocks_from_text,
                                      connectivity_gadget,
                                      correlated_star, custom_blocks,
-                                     edge_block_exact, erdos_renyi, sample,
-                                     sample_rows)
+                                     edge_block_exact, erdos_renyi, sample)
 from depgraphs.graphs import (Graph, batch_edges_between, clique_number,
                               count_edges_between, num_edges, row_graphs,
                               row_ints, row_words, vertex_mask, zero_rows)
@@ -28,6 +28,8 @@ from depgraphs.predicates import (connected, degree_in_range,
                                   isolated_count_statistic, negate,
                                   parse_predicate)
 from depgraphs.rng import derive_seed, derive_seeds
+
+from helpers import sample_rows
 
 WIDE_NS = (65, 127, 128, 129, 200)
 SEEDS = (0, 7, 2 ** 64 - 1)
