@@ -29,8 +29,7 @@ from .oracle import (JumblednessViolation, MeanVarianceReport,
                      er_connectivity_probability, exact_binomial_two_sided_tail,
                      exact_edge_marginals, exact_event_probability,
                      exhaustive_jumbledness_check, mean_variance_check)
-from .predicates import (Predicate, Statistic, parse_predicate,
-                         resolve_pattern)
+from .predicates import Predicate, parse_predicate, resolve_pattern
 from .rng import derive_seed, generator
 
 __version__ = "0.1.0"
@@ -39,7 +38,7 @@ __all__ = [
     "BOUND_NAMES", "BoundReport", "DensityResult", "DistributionModel",
     "ExperimentConfig", "ExperimentResult", "Graph",
     "JumblednessViolation", "MeanVarianceReport", "PointResult", "Predicate",
-    "ResourceLimitError", "SampleOutcome", "Statistic", "SubgraphPattern",
+    "ResourceLimitError", "SampleOutcome", "SubgraphPattern",
     "audit_model", "blocks_from_text", "build", "check_monotone_trend",
     "clique_bounds", "clique_hypothesis", "connectivity_example_threshold",
     "connectivity_gadget", "connectivity_upper_threshold",

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact event probability by enumeration")
     _add_model_flags(p)
     p.add_argument("--predicate", required=True,
-                   help="connected, contains:k3, degree-in:1:4, ...")
+                   help=" | ".join(map(predicates.form_syntax, predicates.FORMS)))
     _add_output_flags(p)
     p.set_defaults(func=cmd_oracle)
 

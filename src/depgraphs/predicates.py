@@ -3,16 +3,20 @@
 Keeping these in one place guarantees that the exact enumeration and the
 Monte Carlo estimate of the "same" event really evaluate the same
 indicator function.  Events and statistics are one type, a named
-functional (`Predicate`, also bound as `Statistic`).  A functional may
-also carry `batch`, the same function over a block of graphs given as
-(T, n, W) row words in the layout of `graphs.zero_rows` (see the kernels
-in `graphs`).  The oracle's enumeration and the harness's trials both
+functional (`Predicate`).  A functional may also carry `batch`, the same
+function over a block of graphs given as (T, n, W) row words in the layout
+of `graphs.zero_rows` (see the kernels in `graphs`).  The oracle's enumeration and the harness's trials both
 reach a functional as such blocks at every n; they use its kernel when it
 has one, and `fn` on each graph's Graph otherwise (`evaluate_rows`).
+
+The command line names an event by one row of FORMS: the form's name, then
+its constructor's parameters other than p, each after a colon
+(`form_syntax`), each read from its text by the READERS row of its name.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,10 +39,6 @@ class Predicate:
 
     def __call__(self, g: Graph):
         return self.fn(g)
-
-
-# a statistic is the same functional with numeric values
-Statistic = Predicate
 
 
 def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
@@ -105,8 +105,8 @@ def degree_in_range(low: float, high: float) -> Predicate:
     return Predicate(f"degree-in:{low}:{high}", fn, batch)
 
 
-def edge_deviation_exceeds(a: tuple[int, ...], b: tuple[int, ...], p,
-                           t: float) -> Predicate:
+def edge_deviation_exceeds(t: float, a: tuple[int, ...], b: tuple[int, ...],
+                           p) -> Predicate:
     """|e(A,B) - p|A||B|| > t for one fixed pair of vertex sets."""
     a = tuple(a)
     b = tuple(b)
@@ -144,59 +144,73 @@ def _ints(parts: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in parts.split(",") if tok.strip() != "")
 
 
+# Each command-line form: its name and the constructor of its functional.
+# The text after the name gives the constructor's parameters in signature
+# order, each after a colon, read by READERS; p is the caller's.
+FORMS = {
+    "true": always_true,
+    "connected": connected,
+    "not-connected": not_connected,
+    "isolated-vertex": has_isolated_vertex,
+    "contains": contains_pattern,
+    "lacks": lacks_pattern,
+    "edge-count": edge_count_equals,
+    "degree-in": degree_in_range,
+    "deviation": edge_deviation_exceeds,
+}
+
+READERS = {"pattern": resolve_pattern, "k": int, "low": float, "high": float,
+           "t": float, "a": _ints, "b": _ints}
+
+
+def _text_parameters(form: str) -> tuple[str, ...]:
+    return tuple(key for key in inspect.signature(FORMS[form]).parameters
+                 if key != "p")
+
+
+def form_syntax(form: str) -> str:
+    """A form's command-line syntax, such as degree-in:<low>:<high>."""
+    return "".join((form, *(f":<{key}>" for key in _text_parameters(form))))
+
+
 def parse_predicate(text: str, p=None) -> Predicate:
-    """Parse the command-line predicate syntax.
-
-    Forms: true, connected, not-connected, isolated-vertex,
-    contains:<pattern>, lacks:<pattern>, edge-count:<k>,
-    degree-in:<low>:<high>, deviation:<t>:<A-list>:<B-list> (comma-separated
-    vertex lists; needs the model's p, supplied by the caller).
-    """
+    """The functional a command-line text names: a FORMS row, given its
+    parameters as form_syntax shows them; p is the model's edge
+    probability, which the caller supplies."""
     text = text.strip()
-    plain = {
-        "true": always_true,
-        "connected": connected,
-        "not-connected": not_connected,
-        "isolated-vertex": has_isolated_vertex,
-    }
-    if text in plain:
-        return plain[text]()
-    head, _, rest = text.partition(":")
-    if head == "contains" and rest:
-        return contains_pattern(resolve_pattern(rest))
-    if head == "lacks" and rest:
-        return lacks_pattern(resolve_pattern(rest))
-    if head == "edge-count" and rest:
-        return edge_count_equals(int(rest))
-    if head == "degree-in" and rest:
-        lo, _, hi = rest.partition(":")
-        return degree_in_range(float(lo), float(hi))
-    if head == "deviation" and rest:
-        try:
-            t_part, a_part, b_part = rest.split(":")
-        except ValueError:
-            raise ValueError(
-                "deviation predicate form is deviation:<t>:<A-list>:<B-list>") from None
+    form, colon, rest = text.partition(":")
+    if form not in FORMS:
+        raise ValueError(f"unknown predicate {text!r}")
+    keys = _text_parameters(form)
+    parts = rest.split(":", len(keys) - 1) if colon else []
+    if len(parts) != len(keys):
+        raise ValueError(f"predicate form is {form_syntax(form)}")
+    values = {}
+    if "p" in inspect.signature(FORMS[form]).parameters:
         if p is None:
-            raise ValueError("deviation predicate needs the model's edge probability")
-        return edge_deviation_exceeds(_ints(a_part), _ints(b_part), p, float(t_part))
-    raise ValueError(f"unknown predicate {text!r}")
+            raise ValueError(f"{form} predicate needs the model's edge probability")
+        values["p"] = p
+    try:
+        values.update((key, READERS[key](part)) for key, part in zip(keys, parts))
+    except ValueError as exc:
+        raise ValueError(f"predicate form is {form_syntax(form)}; {exc}") from None
+    return FORMS[form](**values)
 
 
-def edge_count_statistic() -> Statistic:
-    return Statistic("edge-count", lambda g: g.edge_count(), graphs.batch_edge_counts)
+def edge_count_statistic() -> Predicate:
+    return Predicate("edge-count", lambda g: g.edge_count(), graphs.batch_edge_counts)
 
 
-def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Statistic:
+def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Predicate:
     a = tuple(a)
     b = tuple(b)
-    return Statistic("edges-between",
+    return Predicate("edges-between",
                      lambda g: graphs.count_edges_between(g, a, b),
                      lambda rows: graphs.batch_edges_between(rows, a, b))
 
 
-def isolated_count_statistic() -> Statistic:
-    return Statistic("isolated-count",
+def isolated_count_statistic() -> Predicate:
+    return Predicate("isolated-count",
                      lambda g: sum(1 for r in g.rows if r == 0),
                      lambda rows: np.count_nonzero(graphs.batch_isolated(rows),
                                                    axis=1).astype(np.int64))

@@ -35,7 +35,7 @@ from depgraphs.oracle import (ENUMERATION_BUDGET, JUMBLEDNESS_MAX_N,
                               exhaustive_jumbledness_check,
                               mean_variance_check, state_space_size, _collapser,
                               _walk_batches)
-from depgraphs.predicates import (Predicate, Statistic, connected,
+from depgraphs.predicates import (Predicate, connected,
                                   edge_count_statistic,
                                   edges_between_statistic,
                                   edge_deviation_exceeds,
@@ -364,7 +364,7 @@ def test_walk_batches_match_scalar_walk(model, cap, rnd):
     a = tuple(rnd.sample(range(n), rnd.randint(0, n)))
     b = tuple(rnd.sample(range(n), rnd.randint(0, n)))
     functionals = [parse_predicate(text) for text in WALK_PREDICATES]
-    functionals += [edge_deviation_exceeds(a, b, model.p, 0.5), edge_count_statistic(),
+    functionals += [edge_deviation_exceeds(0.5, a, b, model.p), edge_count_statistic(),
                     isolated_count_statistic(), edges_between_statistic(a, b)]
     for f in functionals:
         if f.batch is None:
@@ -462,7 +462,7 @@ def test_blocks_beyond_64_vertices_are_wide_rows_within_the_cap():
     isolated = Predicate("isolated-vertex", refuse,
                          lambda rows: graphs.batch_isolated(rows).any(axis=1))
     assert exact_event_probability(model, isolated) == 1
-    edges = Statistic("edge-count", refuse, graphs.batch_edge_counts)
+    edges = Predicate("edge-count", refuse, graphs.batch_edge_counts)
     rep = mean_variance_check(model, edges, trials=2, seed=0)
     assert rep.exact_mean == 1 and rep.exact_variance == 0
     assert rep.empirical_mean == 1 and rep.empirical_variance == 0
@@ -491,7 +491,7 @@ def test_wide_walk_batches_match_scalar_walk(n):
     b = tuple(rnd.sample(range(n), 7))
     for model in _reference_models(n):
         functionals = [parse_predicate(text) for text in WALK_PREDICATES]
-        functionals += [edge_deviation_exceeds(a, b, model.p, 0.5),
+        functionals += [edge_deviation_exceeds(0.5, a, b, model.p),
                         edge_count_statistic(), isolated_count_statistic(),
                         edges_between_statistic(a, b)]
         functionals = [f for f in functionals if f.batch is not None]
@@ -553,13 +553,13 @@ def test_exact_moments_of_large_integral_values(monkeypatch):
     # float64 sums of these values round past 2^53, and int64 squares of
     # the second wrap; the exact moments need neither
     model = erdos_renyi(6, Fraction(1, 3))
-    stat = Statistic("scaled", lambda g: g.edge_count() * 2 ** 20 + 1,
+    stat = Predicate("scaled", lambda g: g.edge_count() * 2 ** 20 + 1,
                      lambda rows: graphs.batch_edge_counts(rows) * 2 ** 20 + 1)
     rep = mean_variance_check(model, stat, trials=2, seed=0)
     assert rep.exact_mean == 5 * 2 ** 20 + 1
     assert rep.exact_variance == Fraction(10, 3) * 2 ** 40
     model = erdos_renyi(3, Fraction(1, 2))
-    stat = Statistic("shifted", lambda g: g.edge_count() << 32,
+    stat = Predicate("shifted", lambda g: g.edge_count() << 32,
                      lambda rows: graphs.batch_edge_counts(rows) << 32)
     rep = mean_variance_check(model, stat, trials=2, seed=0)
     assert rep.exact_mean == 3 * 2 ** 31
@@ -569,7 +569,7 @@ def test_exact_moments_of_large_integral_values(monkeypatch):
     monkeypatch.setattr(graphs, "BATCH_BYTES", 5)
     assert oracle._batch_cap(5, 5) == 1
     model = erdos_renyi(5, Fraction(1, 3))
-    stat = Statistic("scaled", lambda g: g.edge_count() * 2 ** 22 + 1,
+    stat = Predicate("scaled", lambda g: g.edge_count() * 2 ** 22 + 1,
                      lambda rows: graphs.batch_edge_counts(rows) * 2 ** 22 + 1)
     rep = mean_variance_check(model, stat, trials=2, seed=0)
     assert rep.exact_mean == Fraction(10, 3) * 2 ** 22 + 1
@@ -607,7 +607,7 @@ def test_walk_batches_read_a_large_latent_in_slices(monkeypatch):
 def test_mean_variance_statistic_without_kernel():
     # a statistic without a batch kernel is evaluated on each outcome's Graph
     model = correlated_star(5, Fraction(1, 3), 2)
-    stat = Statistic("max-degree", lambda g: max(r.bit_count() for r in g.rows))
+    stat = Predicate("max-degree", lambda g: max(r.bit_count() for r in g.rows))
     collapse = _collapser(model)
     s1 = [0] * (model.layout.coins + 1)
     s2 = [0] * (model.layout.coins + 1)
@@ -1033,7 +1033,7 @@ def _per_trial_moments(model, stat, trials, seed):
     (correlated_star(70, 0.1, 3), isolated_count_statistic()),
     (edge_block_exact(8, 2, 4), edges_between_statistic((0, 1, 2), (5, 6, 7))),
     (custom_blocks(6, 0.3, blocks_from_text(6, "0 1 2; 5 9")),
-     Statistic("max-degree", lambda g: max(graphs.degree_sequence(g)))),
+     Predicate("max-degree", lambda g: max(graphs.degree_sequence(g)))),
 ], ids=["er-5", "star-70", "edge-block-8", "no-kernel"])
 @pytest.mark.parametrize("budget", [None, 3000], ids=["default-budget", "small-budget"])
 def test_mean_variance_empirical_moments_equal_per_trial_draws(

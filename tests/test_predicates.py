@@ -59,8 +59,8 @@ def test_edge_count_equals():
 
 def test_edge_deviation_exceeds():
     # A=B=V on K3 with p=0.1: e=6, expected 0.9, deviation 5.1
-    assert edge_deviation_exceeds((0, 1, 2), (0, 1, 2), 0.1, 5.0)(K3)
-    assert not edge_deviation_exceeds((0, 1, 2), (0, 1, 2), 0.1, 5.2)(K3)
+    assert edge_deviation_exceeds(5.0, (0, 1, 2), (0, 1, 2), 0.1)(K3)
+    assert not edge_deviation_exceeds(5.2, (0, 1, 2), (0, 1, 2), 0.1)(K3)
 
 
 def test_negate():
@@ -132,7 +132,7 @@ def test_kernels_match_fn(n, seed, densities):
     a = tuple(rnd.sample(range(n), rnd.randint(0, n)))
     b = tuple(rnd.sample(range(n), rnd.randint(0, n)))
     preds = [parse_predicate(text) for text in KERNEL_PREDICATES]
-    preds += [negate(connected()), edge_deviation_exceeds(a, b, 0.3, 1.5),
+    preds += [negate(connected()), edge_deviation_exceeds(1.5, a, b, 0.3),
               edge_count_equals(gs[0].edge_count())]
     for pred in preds:
         got = pred.batch(rows)
@@ -154,7 +154,7 @@ def test_kernels_match_fn_on_sampled_blocks(n):
     rows = sample_rows(model, derive_seeds(11, n, 0, 300))
     gs = [Graph(n, [int(r) for r in row]) for row in rows[..., 0]]
     preds = [parse_predicate(text) for text in KERNEL_PREDICATES]
-    preds += [edge_deviation_exceeds(range(n // 2), range(n // 3, n), 0.3, 1.5)]
+    preds += [edge_deviation_exceeds(1.5, range(n // 2), range(n // 3, n), 0.3)]
     for pred in preds:
         want = [pred(g) for g in gs]
         assert pred.batch(rows).tolist() == want, pred.name

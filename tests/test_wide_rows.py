@@ -93,7 +93,7 @@ def test_wide_kernels_match_fn(n):
     rows = _wide(gs)
     a, b = tuple(sorted({0, 5, 63, 64, n - 1} - {n})), tuple(range(60, n, 3))
     preds = [parse_predicate(text) for text in WIDE_PREDICATES]
-    preds += [negate(degree_in_range(3, 200)), edge_deviation_exceeds(a, b, 0.3, 1.5),
+    preds += [negate(degree_in_range(3, 200)), edge_deviation_exceeds(1.5, a, b, 0.3),
               parse_predicate(f"edge-count:{gs[2].edge_count()}")]
     for pred in preds:
         got = pred.batch(rows)
@@ -143,7 +143,7 @@ def test_numpy_integer_vertices_keep_every_bit():
     assert count_edges_between(want, a, b) == 2
     rows = _wide([want, Graph.empty(n)])
     assert batch_edges_between(rows, a, b).tolist() == [2, 0]
-    pred = edge_deviation_exceeds(a, b, 0.1, 1.0)
+    pred = edge_deviation_exceeds(1.0, a, b, 0.1)
     assert [pred(want), pred(Graph.empty(n))] == [True, False]
     assert pred.batch(rows).tolist() == [True, False]
     for bad in (lambda: Graph.from_edges(n, [(0.0, 1)]),
