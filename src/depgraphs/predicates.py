@@ -5,13 +5,13 @@ Monte Carlo estimate of the "same" event really evaluate the same
 indicator function.  Events and statistics are one type, a named
 functional (`Predicate`).  A functional may also carry `batch`, the same
 function over a block of graphs given as (T, n, W) row words in the layout
-of `graphs.zero_rows` (see the kernels in `graphs`).  The oracle's enumeration and the harness's trials both
-reach a functional as such blocks at every n; they use its kernel when it
-has one, and `fn` on each graph's Graph otherwise (`evaluate_rows`).
+of `graphs.zero_rows` (see the kernels in `graphs`).  The oracle's
+enumeration and the harness's trials both reach a functional as such
+blocks at every n; they use its kernel when it has one, and `fn` on each
+graph's Graph otherwise (`evaluate_rows`).
 
-The command line names an event by one row of FORMS: the form's name, then
-its constructor's parameters other than p, each after a colon
-(`form_syntax`), each read from its text by the READERS row of its name.
+The command line names an event by a row of FORMS: the form's name, then
+its constructor's parameters but p, each after a colon (`form_syntax`).
 """
 
 from __future__ import annotations
@@ -107,9 +107,11 @@ def degree_in_range(low: float, high: float) -> Predicate:
 
 def edge_deviation_exceeds(t: float, a: tuple[int, ...], b: tuple[int, ...],
                            p) -> Predicate:
-    """|e(A,B) - p|A||B|| > t for one fixed pair of vertex sets."""
-    a = tuple(a)
-    b = tuple(b)
+    """|e(A,B) - p|A||B|| > t for one fixed pair of vertex sets, named
+    deviation:<t>:<A>:<B> with comma-separated vertex lists."""
+    a, b = tuple(a), tuple(b)
+    if len(set(a)) < len(a) or len(set(b)) < len(b):
+        raise ValueError(f"deviation sets repeat a vertex: A = {a}, B = {b}")
     expected = float(p) * len(a) * len(b)
 
     def fn(g: Graph) -> bool:
@@ -117,7 +119,8 @@ def edge_deviation_exceeds(t: float, a: tuple[int, ...], b: tuple[int, ...],
 
     def batch(rows: np.ndarray) -> np.ndarray:
         return np.abs(graphs.batch_edges_between(rows, a, b) - expected) > t
-    return Predicate(f"deviation:{t}", fn, batch)
+    sets = ":".join(",".join(map(str, vertices)) for vertices in (a, b))
+    return Predicate(f"deviation:{t}:{sets}", fn, batch)
 
 
 def negate(pred: Predicate, name: str | None = None) -> Predicate:
@@ -147,30 +150,23 @@ def _ints(parts: str) -> tuple[int, ...]:
 # Each command-line form: its name and the constructor of its functional.
 # The text after the name gives the constructor's parameters in signature
 # order, each after a colon, read by READERS; p is the caller's.
-FORMS = {
-    "true": always_true,
-    "connected": connected,
-    "not-connected": not_connected,
-    "isolated-vertex": has_isolated_vertex,
-    "contains": contains_pattern,
-    "lacks": lacks_pattern,
-    "edge-count": edge_count_equals,
-    "degree-in": degree_in_range,
-    "deviation": edge_deviation_exceeds,
-}
+FORMS = {"true": always_true, "connected": connected,
+         "not-connected": not_connected, "isolated-vertex": has_isolated_vertex,
+         "contains": contains_pattern, "lacks": lacks_pattern,
+         "edge-count": edge_count_equals, "degree-in": degree_in_range,
+         "deviation": edge_deviation_exceeds}
 
 READERS = {"pattern": resolve_pattern, "k": int, "low": float, "high": float,
            "t": float, "a": _ints, "b": _ints}
 
 
-def _text_parameters(form: str) -> tuple[str, ...]:
-    return tuple(key for key in inspect.signature(FORMS[form]).parameters
-                 if key != "p")
+def _fields(form: str) -> list[str]:
+    return [key for key in inspect.signature(FORMS[form]).parameters if key != "p"]
 
 
 def form_syntax(form: str) -> str:
     """A form's command-line syntax, such as degree-in:<low>:<high>."""
-    return "".join((form, *(f":<{key}>" for key in _text_parameters(form))))
+    return "".join((form, *(f":<{key}>" for key in _fields(form))))
 
 
 def parse_predicate(text: str, p=None) -> Predicate:
@@ -181,15 +177,13 @@ def parse_predicate(text: str, p=None) -> Predicate:
     form, colon, rest = text.partition(":")
     if form not in FORMS:
         raise ValueError(f"unknown predicate {text!r}")
-    keys = _text_parameters(form)
+    keys = _fields(form)
     parts = rest.split(":", len(keys) - 1) if colon else []
     if len(parts) != len(keys):
         raise ValueError(f"predicate form is {form_syntax(form)}")
-    values = {}
-    if "p" in inspect.signature(FORMS[form]).parameters:
-        if p is None:
-            raise ValueError(f"{form} predicate needs the model's edge probability")
-        values["p"] = p
+    values = {"p": p} if "p" in inspect.signature(FORMS[form]).parameters else {}
+    if None in values.values():
+        raise ValueError(f"{form} predicate needs the model's edge probability")
     try:
         values.update((key, READERS[key](part)) for key, part in zip(keys, parts))
     except ValueError as exc:
@@ -202,8 +196,7 @@ def edge_count_statistic() -> Predicate:
 
 
 def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Predicate:
-    a = tuple(a)
-    b = tuple(b)
+    a, b = tuple(a), tuple(b)
     return Predicate("edges-between",
                      lambda g: graphs.count_edges_between(g, a, b),
                      lambda rows: graphs.batch_edges_between(rows, a, b))

@@ -1,9 +1,22 @@
 """Helpers shared by several test modules."""
 
+import re
+
 import numpy as np
 
 from depgraphs.distributions import _latent_blocks, _rows
 from depgraphs.graphs import zero_rows
+from depgraphs.predicates import form_syntax
+
+# one text for each field a predicate form reads (predicates.READERS)
+FIELD_EXAMPLES = {"pattern": "k3", "k": "3", "low": "1", "high": "3",
+                  "t": "0.5", "a": "0,1", "b": "2,3"}
+
+
+def example_predicate(form: str) -> str:
+    """A text of one predicate form, with FIELD_EXAMPLES in its fields."""
+    return re.sub(r"<(\w+)>", lambda field: FIELD_EXAMPLES[field[1]],
+                  form_syntax(form))
 
 
 def sample_rows(model, seeds) -> np.ndarray:

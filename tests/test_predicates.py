@@ -2,23 +2,26 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depgraphs.distributions import correlated_star
+from depgraphs.distributions import correlated_star, erdos_renyi
 from depgraphs.graphs import Graph, SubgraphPattern, batch_dtype, named_pattern
-from depgraphs.predicates import (connected, contains_pattern, degree_in_range,
-                                  edge_count_equals, edge_count_statistic,
+from depgraphs.oracle import exact_event_probability
+from depgraphs.predicates import (FORMS, connected, contains_pattern,
+                                  degree_in_range, edge_count_equals,
+                                  edge_count_statistic,
                                   edge_deviation_exceeds,
                                   edges_between_statistic, has_isolated_vertex,
                                   isolated_count_statistic, lacks_pattern,
                                   negate, parse_predicate, resolve_pattern)
 from depgraphs.rng import derive_seeds
 
-from helpers import sample_rows
+from helpers import example_predicate, sample_rows
 
 KERNEL_PREDICATES = ["true", "connected", "not-connected", "isolated-vertex",
                      "contains:edge", "contains:k2", "contains:k3", "lacks:k3",
@@ -90,6 +93,31 @@ def test_parse_deviation_needs_p():
         parse_predicate("deviation:5.0:0,1,2:0,1,2")
     pred = parse_predicate("deviation:5.0:0,1,2:0,1,2", p=0.1)
     assert pred(K3)
+
+
+def test_every_form_round_trips_through_its_name():
+    for form in FORMS:
+        pred = parse_predicate(example_predicate(form), p=0.5)
+        assert parse_predicate(pred.name, p=0.5).name == pred.name, form
+
+
+def test_deviation_names_its_sets():
+    first = parse_predicate("deviation:1:0:1", p=0.5)
+    second = parse_predicate("deviation:1:2,3:0", p=0.5)
+    assert (first.name, second.name) == ("deviation:1.0:0:1", "deviation:1.0:2,3:0")
+    assert first != second
+
+
+def test_deviation_refuses_a_repeated_vertex():
+    # e(A, B) reads A and B as sets, p|A||B| would count the repeat twice
+    model = erdos_renyi(4, Fraction(1, 2))
+    assert exact_event_probability(model, parse_predicate("deviation:0.5:0:1",
+                                                          p=model.p)) == 0
+    for text in ("deviation:0.5:0,0:1", "deviation:0.5:1:2,0,2"):
+        with pytest.raises(ValueError, match="repeat a vertex"):
+            parse_predicate(text, p=model.p)
+    with pytest.raises(ValueError, match="repeat a vertex"):
+        edge_deviation_exceeds(0.5, (0, 0), (1,), 0.5)
 
 
 def test_resolve_pattern_names_and_files(tmp_path):
