@@ -49,7 +49,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help=" | ".join(kind.alias for kind in KINDS.values()))
     p.add_argument("--n", type=int, help="vertex count")
     p.add_argument("--p", help="edge probability; a/b forms stay exact")
-    p.add_argument("--d", type=int, default=0, help="dependence bound")
+    p.add_argument("--d", type=int, help="dependence bound")
     p.add_argument("--a", type=int, help="edges kept per block (edge-block)")
     p.add_argument("--m", type=int, help="block size (edge-block)")
     p.add_argument("--blocks", metavar="SPEC",
@@ -69,9 +69,7 @@ def _model_from_args(args) -> object:
     if args.n is None:
         raise ValueError("need --n")
     p = parse_probability(args.p) if args.p is not None else None
-    blocks = None
-    if args.blocks is not None:
-        blocks = blocks_from_text(args.n, args.blocks)
+    blocks = blocks_from_text(args.n, args.blocks) if args.blocks is not None else None
     return build(args.kind, args.n, p=p, d=args.d, a=args.a, m=args.m,
                  blocks=blocks)
 
@@ -92,9 +90,7 @@ def _emit(text: str, output: str | None) -> None:
 def _model_echo(model) -> str:
     parts = [f"kind={model.kind}", f"n={model.n}",
              f"p={format_probability(model.p)}", f"d={model.d}"]
-    for key in ("a", "m"):
-        if key in model.params:
-            parts.append(f"{key}={model.params[key]}")
+    parts += [f"{key}={model.params[key]}" for key in ("a", "m") if key in model.params]
     return " ".join(parts)
 
 

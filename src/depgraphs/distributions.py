@@ -39,10 +39,10 @@ back into them; the oracle sizes its state space by the layout.
 
 Each kind is one row of KINDS: its short alias and its constructor, whose
 parameters after n are the kind's settings.  build calls the constructor
-with them, and refuses an erdos-renyi d other than 0 and an
-edge-block-exact p other than a/m, so the command line, descriptor files
-and harness grids follow one rule set; to_descriptor writes the settings
-and from_descriptor reads them back through build.
+with them and refuses a given p or d other than the built model's, so the
+command line, descriptor files and harness grids follow one rule set;
+to_descriptor writes the settings and from_descriptor reads them back
+through build.
 
 Dependence bookkeeping: two edges are dependent iff they share a latent,
 so the dependency graph is a disjoint union of cliques, one per block.
@@ -526,25 +526,23 @@ _KIND_ALIASES = {name: canonical for canonical, kind in KINDS.items()
                  for name in (kind.alias, canonical)}
 
 
-def build(kind: str, n: int, p=None, d: int = 0, a: int | None = None,
+def build(kind: str, n: int, p=None, d: int | None = None, a: int | None = None,
           m: int | None = None,
           blocks: Iterable[Iterable[int]] | None = None) -> DistributionModel:
     """Uniform entry point used by config files and the command line: the
-    kind's constructor, called with its settings.  An erdos-renyi d other
-    than 0 and an edge-block-exact p other than a/m are refused."""
+    kind's constructor, called with its settings, d = 0 where none is
+    given.  A given p or d other than the built model's is refused."""
     kind = _canonical_kind(kind)
-    given = {"p": p, "d": d, "a": a, "m": m, "blocks": blocks}
+    given = {"p": p, "d": 0 if d is None else d, "a": a, "m": m, "blocks": blocks}
     settings = KINDS[kind].settings
     missing = [key for key in settings if given[key] is None]
     if missing:
         raise ValueError(f"missing required parameter {missing[0]!r}")
     model = KINDS[kind].construct(n, *(given[key] for key in settings))
-    if kind == ERDOS_RENYI and d != 0:
-        raise ValueError(f"erdos-renyi models have d = 0, not d = {d}")
-    if kind == EDGE_BLOCK_EXACT and p is not None and p != model.p:
-        raise ValueError(f"edge-block-exact models have p = a/m = "
-                         f"{format_probability(model.p)}, not p = "
-                         f"{format_probability(p)}")
+    for key, value, show in (("p", p, format_probability), ("d", d, str)):
+        if value is not None and value != getattr(model, key):
+            raise ValueError(f"{kind} models have {key} = {show(getattr(model, key))}, "
+                             f"not {key} = {show(value)}")
     return model
 
 
@@ -1120,8 +1118,8 @@ def to_descriptor(model: DistributionModel) -> str:
 
 def from_descriptor(text: str) -> DistributionModel:
     """Rebuild a model from its descriptor through build, re-validating
-    every precondition; d defaults to 0 and custom blocks to singletons."""
-    cp = configparser.ConfigParser(defaults={"d": "0", "blocks": ""})
+    every precondition; d defaults as in build, custom blocks to singletons."""
+    cp = configparser.ConfigParser(defaults={"blocks": ""})
     try:
         cp.read_string(text)
     except configparser.Error as exc:

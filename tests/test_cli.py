@@ -12,6 +12,9 @@ from depgraphs import bounds, cli, harness
 from depgraphs.distributions import (KINDS, AuditReport, edge_block_exact,
                                      to_descriptor)
 from depgraphs.graphs import from_edge_list, named_pattern
+from depgraphs.predicates import FORMS, form_syntax
+
+from helpers import example_predicate
 
 
 def run(capsys, *argv):
@@ -101,7 +104,7 @@ def test_sample_refuses_a_setting_its_kind_fixes(capsys):
     code, out, err = run(capsys, "sample", "--dist", "edge-block", "--n", "4",
                          "--p", "0.9", "--a", "1", "--m", "2")
     assert (code, out) == (1, "")
-    assert err == "error: edge-block-exact models have p = a/m = 1/2, not p = 0.9\n"
+    assert err == "error: edge-block-exact models have p = 1/2, not p = 0.9\n"
     code, out, err = run(capsys, "sample", "--dist", "er", "--n", "8",
                          "--p", "0.5", "--d", "3")
     assert (code, out) == (1, "")
@@ -122,6 +125,45 @@ def test_every_kind_alias_samples_through_the_command_line(capsys):
                              *argv, "--seed", "2")
         assert code == 0, (kind.alias, err)
         assert f"# model: kind={canonical} n=60 " in out
+
+
+def test_a_given_d_other_than_the_models_is_refused(capsys, tmp_path):
+    code, out, err = run(capsys, "sample", "--dist", "edge-block", "--n", "9",
+                         "--a", "1", "--m", "3", "--d", "5", "--seed", "1")
+    assert (code, out, err) == (1, "", "error: edge-block-exact models have "
+                                       "d = 2, not d = 5\n")
+    custom = ["--dist", "custom", "--n", "4", "--p", "0.5", "--blocks", "0 1 2"]
+    code, out, err = run(capsys, "oracle", *custom, "--d", "7",
+                         "--predicate", "connected")
+    assert (code, out, err) == (1, "", "error: custom-blocks models have "
+                                       "d = 2, not d = 7\n")
+    # the model's own d, or none, is accepted, from flags and descriptors
+    for argv in (["--d", "2"], []):
+        code, out, _ = run(capsys, "sample", *custom, *argv, "--seed", "1")
+        assert code == 0 and "# model: kind=custom-blocks n=4 p=0.5 d=2\n" in out
+    code, out, _ = run(capsys, "sample", "--dist", "star", "--n", "5", "--p", "0.5")
+    assert code == 0 and "# model: kind=correlated-star n=5 p=0.5 d=0\n" in out
+    path = tmp_path / "custom.ini"
+    path.write_text("[model]\nkind = custom\nn = 4\np = 1/2\nblocks = 0 1 2\n")
+    code, out, _ = run(capsys, "sample", "--model", str(path), "--seed", "1")
+    assert code == 0 and "d=2" in out
+
+
+def test_every_predicate_form_runs_through_the_command_line(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code, help_text, _ = run(capsys, "oracle", "--help")
+    assert code == 0
+    model = ["--dist", "star", "--n", "6", "--p", "1/2", "--d", "1"]
+    for form in FORMS:
+        assert f"`{form_syntax(form)}`" in readme, form
+        assert form_syntax(form) in help_text, form
+        text = example_predicate(form)
+        code, out, err = run(capsys, "oracle", *model, "--predicate", text)
+        assert code == 0 and "\n# predicate: " in out, (text, err)
+        code, out, err = run(capsys, "experiment", *model, "--trials", "5",
+                             "--seed", "1", "--predicate", text)
+        assert code == 0 and err == "", (text, err)
+        assert out.splitlines()[-1].split(",")[10:12] != ["", ""], text
 
 
 # -- bounds ------------------------------------------------------------

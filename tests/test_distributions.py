@@ -532,7 +532,7 @@ def test_descriptor_missing_key_is_a_value_error(text, key):
 def test_descriptor_refuses_an_edge_block_p_other_than_a_over_m():
     text = "[model]\nkind = edge-block\nn = 4\na = 1\nm = 2\n"
     assert from_descriptor(text + "p = 1/2\n") == edge_block_exact(4, 1, 2)
-    with pytest.raises(ValueError, match=r"p = a/m = 1/2, not p = 0.9"):
+    with pytest.raises(ValueError, match=r"have p = 1/2, not p = 0.9"):
         from_descriptor(text + "p = 0.9\n")
 
 
