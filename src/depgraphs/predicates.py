@@ -11,7 +11,8 @@ blocks at every n; they use its kernel when it has one, and `fn` on each
 graph's Graph otherwise (`evaluate_rows`).
 
 The command line names an event by a row of FORMS: the form's name, then
-its constructor's parameters but p, each after a colon (`form_syntax`).
+its constructor's parameters but p in signature order, each after a colon
+(`form_syntax`) and read from its text by the READERS entry of its name.
 """
 
 from __future__ import annotations
@@ -147,9 +148,6 @@ def _ints(parts: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in parts.split(",") if tok.strip() != "")
 
 
-# Each command-line form: its name and the constructor of its functional.
-# The text after the name gives the constructor's parameters in signature
-# order, each after a colon, read by READERS; p is the caller's.
 FORMS = {"true": always_true, "connected": connected,
          "not-connected": not_connected, "isolated-vertex": has_isolated_vertex,
          "contains": contains_pattern, "lacks": lacks_pattern,
@@ -196,7 +194,8 @@ def edge_count_statistic() -> Predicate:
 
 
 def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Predicate:
-    a, b = tuple(a), tuple(b)
+    a = tuple(a)
+    b = tuple(b)
     return Predicate("edges-between",
                      lambda g: graphs.count_edges_between(g, a, b),
                      lambda rows: graphs.batch_edges_between(rows, a, b))
