@@ -157,14 +157,14 @@ FORMS = {"true": always_true, "connected": connected,
 READERS = {"pattern": resolve_pattern, "k": int, "low": float, "high": float,
            "t": float, "a": _ints, "b": _ints}
 
-
-def _fields(form: str) -> list[str]:
-    return [key for key in inspect.signature(FORMS[form]).parameters if key != "p"]
+# each form's constructor parameters, read from its signature once
+PARAMETERS = {form: tuple(inspect.signature(construct).parameters)
+              for form, construct in FORMS.items()}
 
 
 def form_syntax(form: str) -> str:
     """A form's command-line syntax, such as degree-in:<low>:<high>."""
-    return "".join((form, *(f":<{key}>" for key in _fields(form))))
+    return "".join((form, *(f":<{key}>" for key in PARAMETERS[form] if key != "p")))
 
 
 def parse_predicate(text: str, p=None) -> Predicate:
@@ -175,11 +175,11 @@ def parse_predicate(text: str, p=None) -> Predicate:
     form, colon, rest = text.partition(":")
     if form not in FORMS:
         raise ValueError(f"unknown predicate {text!r}")
-    keys = _fields(form)
+    keys = [key for key in PARAMETERS[form] if key != "p"]
     parts = rest.split(":", len(keys) - 1) if colon else []
     if len(parts) != len(keys):
         raise ValueError(f"predicate form is {form_syntax(form)}")
-    values = {"p": p} if "p" in inspect.signature(FORMS[form]).parameters else {}
+    values = {"p": p} if "p" in PARAMETERS[form] else {}
     if None in values.values():
         raise ValueError(f"{form} predicate needs the model's edge probability")
     try:
