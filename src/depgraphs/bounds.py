@@ -274,7 +274,7 @@ class Bound(NamedTuple):
         """Each parameter's default, inspect.Parameter.empty if required."""
         found = {}
         for fn in filter(None, (self.value, self.hypothesis)):
-            for key, param in inspect.signature(fn).parameters.items():
+            for key, param in SIGNATURES[fn].items():
                 found.setdefault(key, param.default)
         return found
 
@@ -293,6 +293,10 @@ BOUNDS = {
 }
 
 BOUND_NAMES = tuple(BOUNDS)
+
+# each bound function's parameters, read from its signature once
+SIGNATURES = {fn: inspect.signature(fn).parameters for bound in BOUNDS.values()
+              for fn in (bound.value, bound.hypothesis) if fn}
 
 # the parameters that count things; evaluate passes them to the bound as ints
 COUNTS = ("n", "d", "a", "b", "s")
@@ -326,7 +330,7 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
         inputs["pattern"] = pattern.name or "custom"
 
     def call(fn):
-        return fn(**{key: args[key] for key in inspect.signature(fn).parameters})
+        return fn(**{key: args[key] for key in SIGNATURES[fn]})
     value = call(bound.value)
     hyp = call(bound.hypothesis) if bound.hypothesis else None
     if bound.form == "window":

@@ -85,7 +85,8 @@ CUSTOM_BLOCKS = "custom-blocks"
 def parse_probability(text: str):
     """Parse "a/b" to an exact Fraction, anything else to a float.
 
-    Rational inputs stay rational all the way into the enumeration oracle.
+    Rational inputs stay rational all the way into the enumeration oracle:
+    a Fraction p gives Fractions at every denominator, a float p floats.
     """
     text = text.strip()
     try:
@@ -192,7 +193,7 @@ class LatentLayout:
         v = np.arange(n)[:, None]
         w = np.arange(8 * dtype.itemsize)
         lo, hi = np.minimum(v, w), np.maximum(v, w)
-        edge = np.where((w < n) & (w != v), hi * (hi - 1) // 2 + lo, 0)
+        edge = np.where((w < n) & (w != v), num_edges(hi) + lo, 0)
         table = _edge_slots(self)[edge].ravel()
         adjacent = dtype.type((1 << n) - 1) ^ (dtype.type(1) << v.astype(dtype))
         for arr in (table, adjacent):
@@ -379,16 +380,11 @@ def erdos_renyi(n: int, p) -> DistributionModel:
     return DistributionModel(ERDOS_RENYI, n, p, 0, {})
 
 
-def _tri(v: np.ndarray) -> np.ndarray:
-    # edge_index(u, v, n) for u < v is _tri(v) + u
-    return v * (v - 1) // 2
-
-
 def _star_blocks(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     # block x - s holds the edges from outside vertex x to S, S ascending
     s = d + 1
     xs = np.arange(s, n, dtype=np.int64)[:, None]
-    return (_tri(xs) + np.arange(s)).ravel(), np.full(n - s, s, dtype=np.int64)
+    return (num_edges(xs) + np.arange(s)).ravel(), np.full(n - s, s, dtype=np.int64)
 
 
 def correlated_star(n: int, p, d: int) -> DistributionModel:
@@ -426,10 +422,10 @@ def _gadget_layout(n: int, d: int):
     u, v = np.triu_indices(a_size, 1)
     groups = -(-a_size // s)
     pair = u // s * groups + v // s
-    a_flat = (_tri(v) + u)[np.argsort(pair, kind="stable")]
+    a_flat = (num_edges(v) + u)[np.argsort(pair, kind="stable")]
     a_sizes = np.bincount(pair, minlength=groups * groups)
     # one coin per (A-vertex, B-run) pair: runs of d+1, the last maybe shorter
-    tri_b = _tri(np.arange(a_size, n, dtype=np.int64))
+    tri_b = num_edges(np.arange(a_size, n, dtype=np.int64))
     full, tail = divmod(tri_b.size, d1)
     b_sizes = np.tile(np.append(np.full(full, d1), tail), a_size)
     b_flat = (tri_b + np.arange(a_size)[:, None]).ravel()
@@ -505,21 +501,24 @@ def blocks_from_text(n: int, text: str) -> list[tuple[int, ...]]:
 
 
 class Kind(NamedTuple):
-    """One row of KINDS; the constructor's parameters after n are the settings."""
+    """One row of KINDS: the kind's alias, its constructor, and its
+    settings, the constructor's parameters after n (_kind)."""
     alias: str
     construct: Callable[..., DistributionModel]
+    settings: tuple[str, ...]
 
-    @property
-    def settings(self) -> tuple[str, ...]:
-        return tuple(inspect.signature(self.construct).parameters)[1:]
+
+def _kind(alias: str, construct: Callable[..., DistributionModel]) -> Kind:
+    # the settings are read from the constructor's signature once
+    return Kind(alias, construct, tuple(inspect.signature(construct).parameters)[1:])
 
 
 KINDS = {
-    ERDOS_RENYI: Kind("er", erdos_renyi),
-    CORRELATED_STAR: Kind("star", correlated_star),
-    CONNECTIVITY_GADGET: Kind("gadget", connectivity_gadget),
-    EDGE_BLOCK_EXACT: Kind("edge-block", edge_block_exact),
-    CUSTOM_BLOCKS: Kind("custom", custom_blocks),
+    ERDOS_RENYI: _kind("er", erdos_renyi),
+    CORRELATED_STAR: _kind("star", correlated_star),
+    CONNECTIVITY_GADGET: _kind("gadget", connectivity_gadget),
+    EDGE_BLOCK_EXACT: _kind("edge-block", edge_block_exact),
+    CUSTOM_BLOCKS: _kind("custom", custom_blocks),
 }
 
 _KIND_ALIASES = {name: canonical for canonical, kind in KINDS.items()

@@ -2,7 +2,7 @@
 
 Vertices are the integers 0..n-1.  Adjacency is one Python int per vertex,
 with bit v of row u set iff {u,v} is an edge.  Unordered pairs carry a
-colexicographic index: {u,v} with u < v maps to v*(v-1)//2 + u, so the
+colexicographic index: {u,v} with u < v maps to num_edges(v) + u, so the
 pairs on the first k vertices occupy indices 0..C(k,2)-1 and the index of
 a pair never depends on n.
 
@@ -19,6 +19,7 @@ v - 1 are row v's bits below v.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -28,8 +29,10 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 
-def num_edges(n: int) -> int:
-    """Number of potential edges on n vertices."""
+def num_edges(n):
+    """Number of potential edges on n vertices, which is also where row n
+    starts in colex order: the first pair {0, n}.  Works elementwise on an
+    int array of vertices."""
     return n * (n - 1) // 2
 
 
@@ -41,27 +44,22 @@ def edge_index(u: int, v: int, n: int) -> int:
         raise ValueError(f"vertices ({u},{v}) out of range for n={n}")
     if u > v:
         u, v = v, u
-    return v * (v - 1) // 2 + u
+    return num_edges(v) + u
 
 
 def edge_endpoints(index: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index: the pair (u, v) with u < v."""
+    """Inverse of edge_index: the pair (u, v) with u < v.  Row v is the
+    largest with num_edges(v) <= index, found in integers at any size."""
     if not (0 <= index < num_edges(n)):
         raise ValueError(f"edge index {index} out of range for n={n}")
-    v = int((1 + (1 + 8 * index) ** 0.5) / 2)
-    # guard against float rounding at the triangular-number boundaries
-    while v * (v - 1) // 2 > index:
-        v -= 1
-    while (v + 1) * v // 2 <= index:
-        v += 1
-    return index - v * (v - 1) // 2, v
+    v = (math.isqrt(8 * index + 1) + 1) // 2
+    return index - num_edges(v), v
 
 
 @lru_cache(maxsize=64)
 def _triangular(n: int) -> np.ndarray:
-    """The n + 1 numbers v(v-1)/2, v = 0..n, where row v's edges start."""
-    tri = np.arange(n + 1, dtype=np.int64)
-    tri = tri * (tri - 1) // 2
+    """The n + 1 numbers num_edges(v), v = 0..n, where row v's edges start."""
+    tri = num_edges(np.arange(n + 1, dtype=np.int64))
     tri.flags.writeable = False
     return tri
 
@@ -694,7 +692,7 @@ def _lower_blocks(n: int) -> tuple[np.ndarray, np.ndarray, Windows]:
     order = np.argsort(big == small, kind="stable")
     big, small = big[order], small[order]
     v = 64 * big + np.arange(64)[:, None]
-    at = windows(np.where(v < n, v * (v - 1) // 2 + 64 * small, -64))
+    at = windows(np.where(v < n, num_edges(v) + 64 * small, -64))
     for arr in (big, small, *at):
         arr.flags.writeable = False
     return big, small, at

@@ -60,9 +60,6 @@ JUMBLEDNESS_MAX_N = 22
 # subset masks A (and sets B) per step of the jumbledness scan; a power of two
 JUMBLEDNESS_CHUNK = 1 << 14
 
-# rational arithmetic is used up to this denominator, floats beyond
-RATIONAL_DENOMINATOR_LIMIT = 1 << 16
-
 
 def state_space_size(model: DistributionModel) -> int:
     """Number of joint latent assignments the enumeration must visit."""
@@ -290,15 +287,12 @@ def _expectation(model: DistributionModel, values_of, columns: int) -> list:
         if exact:
             part = part.astype(np.int64).astype(object)
         sums = sums + part
+    # equal count vectors, as every edge's is where all marginals are p,
+    # collapse once
     collapse = _collapser(model)
-    return [collapse(c) for c in sums.reshape(columns, size).tolist()]
-
-
-def _exact_p_arithmetic(p):
-    if isinstance(p, Fraction) and p.denominator <= RATIONAL_DENOMINATOR_LIMIT:
-        return p, Fraction(1) - p, Fraction(0)
-    pf = float(p)
-    return pf, 1.0 - pf, 0.0
+    vectors = list(map(tuple, sums.reshape(columns, size).tolist()))
+    collapsed = {counts: collapse(counts) for counts in dict.fromkeys(vectors)}
+    return [collapsed[counts] for counts in vectors]
 
 
 def _collapser(model: DistributionModel):
@@ -307,11 +301,15 @@ def _collapser(model: DistributionModel):
     counts[k] counts qualifying outcomes with exactly k coins on; each has
     weight p^k q^(coins-k) / combos, since every uniform combination carries
     the same 1/combos factor.  The weights are formed once, on the first
-    collapse that needs them, not once per collapsed list.
+    collapse that needs them, not once per collapsed list.  A Fraction p
+    gives exact Fractions from rational counts at every denominator, and a
+    float p gives floats.
     """
     coins = model.layout.coins
     combos = state_space_size(model) >> coins
-    pv, qv, zero = _exact_p_arithmetic(model.p)
+    exact = isinstance(model.p, Fraction)
+    pv, zero = (model.p, Fraction(0)) if exact else (float(model.p), 0.0)
+    qv = 1 - pv
     powers = []
 
     def collapse(counts):
@@ -323,7 +321,7 @@ def _collapser(model: DistributionModel):
                 total = total + w * pk * qk
         return total / combos
 
-    if not isinstance(pv, Fraction):
+    if not exact:
         return collapse
     # with p = a/b every weight is an integer over b^coins * combos, so
     # rational counts collapse to one Fraction; float counts keep the loop
@@ -332,8 +330,9 @@ def _collapser(model: DistributionModel):
     den = b ** coins * combos
 
     def collapse_exact(counts):
-        total = sum(map(mul, counts, nums))
-        return collapse(counts) if isinstance(total, float) else Fraction(total, den)
+        if all(isinstance(w, (int, Fraction)) for w in counts):
+            return Fraction(sum(map(mul, counts, nums)), den)
+        return collapse(counts)
     return collapse_exact
 
 

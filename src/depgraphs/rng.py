@@ -105,10 +105,11 @@ def forward(gen: np.random.Generator, words: int) -> np.random.Generator:
 
     Philox computes its words four at a time, one block per step of its
     256-bit counter, and hands them out from a 4-word buffer.  So the words
-    left in gen's buffer come first, then the counter advances by the
-    whole blocks that remain, and the fewer than 4 words left over are
-    drawn and discarded.  Any bit generator other than Philox raises
-    TypeError.
+    left in gen's buffer come first, then Philox.advance skips the whole
+    blocks that remain, and the fewer than 4 words left over are drawn and
+    discarded.  Only the raw words are promised: advancing drops a 32-bit
+    half that gen holds for its next 32-bit draw.  Any bit generator other
+    than Philox raises TypeError.
     """
     bits = gen.bit_generator
     if not isinstance(bits, np.random.Philox):
@@ -116,20 +117,14 @@ def forward(gen: np.random.Generator, words: int) -> np.random.Generator:
     if words < 0:
         raise ValueError("words must be >= 0")
     state = bits.state
+    out = np.random.Philox(key=0)
+    out.state = state
     left = 4 - state["buffer_pos"]
-    if words <= left:
-        state["buffer_pos"] += words
-        blocks = rest = 0
-    else:
-        blocks, rest = divmod(words - left, 4)
-        state["buffer_pos"] = 4
-    counter = sum(int(c) << 64 * i for i, c in enumerate(state["state"]["counter"]))
-    counter += blocks
-    state["state"]["counter"] = tuple(counter >> 64 * i & MASK64 for i in range(4))
-    out = np.random.Generator(np.random.Philox(key=0))
-    out.bit_generator.state = state
-    out.bit_generator.random_raw(rest)
-    return out
+    if words > left:
+        blocks, words = divmod(words - left, 4)
+        out.advance(blocks)
+    out.random_raw(words)
+    return np.random.Generator(out)
 
 
 def default_seed() -> int:

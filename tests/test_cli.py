@@ -463,6 +463,16 @@ def test_oracle_rational(capsys):
     assert "1/2,0.5" in out
 
 
+def test_oracle_rational_at_large_denominator(capsys):
+    code, out, _ = run(capsys, "oracle", "--dist", "er", "--n", "3",
+                       "--p", "1/65537", "--predicate", "connected")
+    assert code == 0
+    rational, decimal = out.strip().splitlines()[-1].split(",")
+    assert Fraction(rational) == 3 * Fraction(1, 65537) ** 2 * Fraction(65536, 65537) \
+        + Fraction(1, 65537) ** 3
+    assert float(decimal) == float(Fraction(rational))
+
+
 def test_oracle_trivial_predicate(capsys):
     code, out, _ = run(capsys, "oracle", "--dist", "star", "--n", "4",
                        "--p", "1/3", "--d", "1", "--predicate", "true")

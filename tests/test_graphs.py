@@ -8,6 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,27 @@ def test_edge_endpoints_large(i):
     u, v = edge_endpoints(i, 1000)
     assert 0 <= u < v < 1000
     assert edge_index(u, v, 1000) == i
+
+
+def test_edge_endpoints_first_and_last_of_each_row():
+    # integer decoding: exact at row boundaries, where a float square root
+    # of 8 index + 1 rounds across, up to n = 2^32
+    n = 1 << 32
+    rows = set(range(1, 300))
+    for k in range(9, 33):
+        rows.update(v for v in ((1 << k) - 1, 1 << k, (1 << k) + 1) if v < n)
+    rows.update(random.Random(5).sample(range(1, n), 200))
+    for v in rows:
+        for u in (0, v - 1):
+            assert edge_endpoints(edge_index(u, v, n), n) == (u, v)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 1000, 5000])
+def test_edge_endpoints_match_array_decoder(n):
+    rng = np.random.default_rng(n)
+    edges = np.concatenate([[0, num_edges(n) - 1], rng.integers(0, num_edges(n), 500)])
+    u, v = G._endpoints(n, edges)
+    assert [edge_endpoints(int(e), n) for e in edges] == list(zip(u.tolist(), v.tolist()))
 
 
 def test_edge_index_validation():

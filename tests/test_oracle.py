@@ -940,7 +940,7 @@ def test_jumbledness_sampled_graphs_clean_at_true_p():
 def test_collapser_equals_direct_sum(p, counts):
     # weights formed once per call give what the sum formed per term gave
     m = erdos_renyi(3, p)       # 3 coins: counts per k = 0..3
-    exact = isinstance(p, Fraction) and p.denominator <= 1 << 16
+    exact = isinstance(p, Fraction)
     pv, zero = (p, Fraction(0)) if exact else (float(p), 0.0)
     direct = zero
     for k, w in enumerate(counts[:4]):
@@ -1058,6 +1058,19 @@ def test_marginals_rational_exactness_large_denominator():
     m = erdos_renyi(3, Fraction(12345, 54321))
     for mg in exact_edge_marginals(m):
         assert mg == Fraction(12345, 54321)
+
+
+def test_rational_p_stays_rational_at_any_denominator():
+    # a Fraction p gives Fractions however large its denominator
+    p = Fraction(1, 65537)
+    for mg in exact_edge_marginals(erdos_renyi(3, p)):
+        assert mg == p and type(mg) is Fraction
+    for n in range(1, 5):
+        got = exact_event_probability(erdos_renyi(n, p), connected())
+        assert got == er_connectivity_probability(n, p) and type(got) is Fraction, n
+    rep = mean_variance_check(erdos_renyi(3, p), edge_count_statistic(), 10, 1)
+    assert rep.exact_mean == 3 * p and type(rep.exact_mean) is Fraction
+    assert rep.exact_variance == 3 * p * (1 - p) and type(rep.exact_variance) is Fraction
 
 
 def test_er_connectivity_monotone_in_p():
