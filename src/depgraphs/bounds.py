@@ -129,6 +129,8 @@ def connectivity_example_threshold(n: int, d: int, eps: float = 0.1) -> float:
         raise ValueError("need n >= 2")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
+    if d < 0:
+        raise ValueError("d must be nonnegative")
     if (d + 1) > n * n:
         raise ValueError("need d+1 <= n^2 so the log argument is positive")
     return (1.0 - eps) * (d + 1) * math.log(n / math.sqrt(d + 1)) / n
@@ -206,7 +208,7 @@ def phi_functional(pattern: SubgraphPattern, n: int, p: float, d: int) -> float:
     d1_pow = np.array([float(d1 ** k) for k in range(int(f.max()) + 1)])
     p_pow = np.array([pf ** k for k in range(ecount + 1)])
     if not p_pow.all():
-        raise ZeroDivisionError("float division by zero")
+        raise ValueError(f"p ** {ecount} underflows to 0 in float64")
     with np.errstate(all="ignore"):
         terms = base_pow[nv] * d1_pow[f] / p_pow[ne]
         # summed in mask order, one term after another, as a float loop would

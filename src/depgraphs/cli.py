@@ -90,7 +90,7 @@ def _emit(text: str, output: str | None) -> None:
 def _model_echo(model) -> str:
     parts = [f"kind={model.kind}", f"n={model.n}",
              f"p={format_probability(model.p)}", f"d={model.d}"]
-    parts += [f"{key}={model.params[key]}" for key in ("a", "m") if key in model.params]
+    parts += [f"{key}={getattr(model, key)}" for key in ("a", "m") if model.uniform]
     return " ".join(parts)
 
 

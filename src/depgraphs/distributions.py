@@ -8,23 +8,27 @@ uniform choice of a edges out of a block of m.  Edges not covered by any
 explicit block get one private coin each.
 
 The declared latent order is: explicit blocks in listed order, then the
-private coins ascending by edge index.  A model stores its blocks as two
-int64 arrays, their edges concatenated (flat) and their lengths (sizes),
-and its LatentLayout indexes them; the private coins' edges are formed only
-when read (LatentLayout.singles).  Everything that maps latents to edges
-goes through the layout.  A trial's values are one bool per value column:
-a coin per column in declared order for the coin models, an edge's
-presence per column for uniform subsets, so _edge_slots is the one map
-from an edge to the value that records it.  One drawer (_draw) writes the
-values of a block of trials, the trials drawn in turn from one generator
-or each from its seed's reset generator (which pins down sample(model,
-seed) bit for bit), and settles the raw words it buffers per kind.  One
-packer (_rows) turns a block's values into bitset rows: up to 64 vertices
-it gathers each row bit from the value behind it through a table each
-layout forms once; beyond, it reads the rows from the packed colex
-presence bitmap (_presence_words, graphs.presence_rows), and no edge index
-is formed.  Blocks are sized in one place (_latent_rows) and drawn one at
-a time (_latent_blocks).
+private coins ascending by edge index.  A model is its latents, in one
+object: it stores its blocks as two int64 arrays, their edges
+concatenated (flat) and their lengths (sizes), and for edge-block-exact
+the a kept of each block of m as the attributes a and m (None for the
+coin kinds; there is no params dict).  The views that index the latents
+(bid, singles, spread, columns) are formed on first read and held by the
+model; the private coins' edges are formed only when read
+(singles).  Everything that maps latents to edges reads the model.  A
+trial's values are one bool per value column: a coin per column in
+declared order for the coin models, an edge's presence per column for
+uniform subsets, so _edge_slots is the one map from an edge to the value
+that records it.  One drawer (_draw) writes the values of a block of
+trials, the trials drawn in turn from one generator or each from its
+seed's reset generator (which pins down sample(model, seed) bit for bit),
+and settles the raw words it buffers per kind.  One packer (_rows) turns a
+block's values into bitset rows: up to 64 vertices it gathers each row
+bit from the value behind it through a table each model forms once;
+beyond, it reads the rows from the packed colex presence bitmap
+(_presence_words, graphs.presence_rows), and no edge index is
+formed.  Blocks are sized in one place (_latent_rows) and drawn one at a
+time (_latent_blocks).
 
 Every Monte Carlo consumer splits its trials into spans of whole blocks,
 at most one per CPU, each run in a thread of its own (_spans): a span
@@ -33,9 +37,9 @@ words (rng.forward), a span of seeds at its first trial's seed, so no
 result depends on the span count.  The harness and
 oracle.mean_variance_check draw, pack and evaluate through one runner
 (_trial_values); the audit tallies the drawn values and reads block
-ownership from the layout; sample and realize pack through _rows; latent
+ownership from the model; sample and realize pack through _rows; latent
 capture reads its state from the drawn values, and realize turns a state
-back into them; the oracle sizes its state space by the layout.
+back into them; the oracle sizes its state space by the model's counts.
 
 Each kind is one row of KINDS: its short alias and its constructor, whose
 parameters after n are the kind's settings.  build calls the constructor
@@ -120,87 +124,6 @@ class SampleOutcome(NamedTuple):
     latent_state: tuple | None
 
 
-@dataclass(frozen=True, eq=False)
-class LatentLayout:
-    """A model's latents as read-only index arrays, in declared order.
-
-    Latent j < block_count drives the edges flat[bid == j]; latent
-    block_count + i is the private coin of edge singles[i], formed on first
-    read (by the oracle, the audit, or the paths up to 64 vertices) and so
-    never by the draws beyond 64 vertices.  a and m are
-    set only for uniform-subset models, whose latents are all blocks: block
-    j holds edges j*m .. j*m + m - 1 and keeps a of them.
-    """
-    flat: np.ndarray      # explicit block edges, blocks concatenated
-    bid: np.ndarray       # block id of each entry of flat
-    n: int
-    block_count: int
-    a: int | None = None
-    m: int | None = None
-
-    @property
-    def uniform(self) -> bool:
-        return self.a is not None
-
-    @property
-    def slots(self) -> int:
-        return num_edges(self.n)
-
-    @property
-    def latents(self) -> int:
-        return self.block_count + self.slots - int(self.flat.size)
-
-    @property
-    def width(self) -> int:
-        """One trial's value columns (_draw): a coin per column, or for
-        uniform subsets an edge per column."""
-        return self.slots if self.uniform else self.latents
-
-    @property
-    def draw_words(self) -> int:
-        """The raw generator words one trial's draw takes (_draw): one per
-        value, none when a uniform subset keeps all m edges."""
-        return 0 if self.uniform and self.a == self.m else self.width
-
-    @property
-    def coins(self) -> int:
-        """Number of Bernoulli latents."""
-        return 0 if self.uniform else self.latents
-
-    @cached_property
-    def singles(self) -> np.ndarray:
-        """The private-coin edges, ascending."""
-        covered = np.zeros(self.slots, dtype=bool)
-        covered[self.flat] = True
-        singles = np.flatnonzero(~covered)
-        singles.flags.writeable = False
-        return singles
-
-    @cached_property
-    def spread(self) -> "Spread":
-        """Where the private coins go in the presence bitmap (_spread),
-        formed on first use and held as long as the layout is."""
-        return _spread(self.slots, self.flat)
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Up to graphs.BATCH_MAX_N vertices, the column (_edge_slots) behind
-        bit w of row v at v * width + w, 0 where v and w are not adjacent,
-        and the (n, 1) mask of each row's adjacent bits (_rows); held as
-        spread is."""
-        n = self.n
-        dtype = batch_dtype(n)
-        v = np.arange(n)[:, None]
-        w = np.arange(8 * dtype.itemsize)
-        lo, hi = np.minimum(v, w), np.maximum(v, w)
-        edge = np.where((w < n) & (w != v), num_edges(hi) + lo, 0)
-        table = _edge_slots(self)[edge].ravel()
-        adjacent = dtype.type((1 << n) - 1) ^ (dtype.type(1) << v.astype(dtype))
-        for arr in (table, adjacent):
-            arr.flags.writeable = False
-        return table, adjacent
-
-
 class Spread(NamedTuple):
     """The private coins' place in the packed presence bitmap, as pieces.
 
@@ -221,7 +144,7 @@ _LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 
 
 def _spread(size: int, flat: np.ndarray) -> Spread:
-    """The Spread of the private coins of a layout with size edges whose
+    """The Spread of the private coins of a model with size edges whose
     block edges are flat; every array is sized by the blocks and words,
     not by the singles."""
     # the block edges ascending between two sentinels: a run of singles
@@ -281,26 +204,34 @@ def _check_blocks(n: int, flat: np.ndarray) -> None:
 
 
 class DistributionModel:
-    """Immutable description of one dependent edge distribution.
+    """Immutable description of one dependent edge distribution: its
+    latents, as read-only index arrays and views of them, in declared order.
 
     The explicit latent blocks are two read-only int64 arrays: flat, their
-    edges concatenated in declared order, and sizes, their lengths; blocks
-    is a tuple-of-tuples view formed on first read.  For the bernoulli kinds
-    only blocks with >= 2 edges are kept (a one-edge block is
-    indistinguishable in law from a private coin and is folded into the
+    edges concatenated in declared order, and sizes, their lengths.  For the
+    bernoulli kinds only blocks with >= 2 edges are kept (a one-edge block
+    is indistinguishable in law from a private coin and is folded into the
     singleton stream).  For edge-block-exact the blocks are the full
-    partition into consecutive index ranges of size m.
+    partition into consecutive index ranges of size m, each keeping a of
+    its edges; a and m are None for the coin kinds.
+
+    Latent j < block_count drives the edges flat[bid == j]; latent
+    block_count + i is the private coin of edge singles[i].  The views
+    (blocks, bid, singles, spread, columns) are formed on first read and
+    held as long as the model is; singles is read by the oracle, the audit
+    and the paths up to 64 vertices, and so never by the draws beyond 64
+    vertices.
     """
 
-    __slots__ = ("kind", "n", "p", "d", "params", "flat", "sizes", "_blocks",
-                 "_layout")
-
-    def __init__(self, kind: str, n: int, p, d: int, params: dict,
+    def __init__(self, kind: str, n: int, p, d: int,
                  blocks: Sequence[Sequence[int]] = (), *,
-                 arrays: tuple[np.ndarray, np.ndarray] | None = None):
+                 arrays: tuple[np.ndarray, np.ndarray] | None = None,
+                 a: int | None = None, m: int | None = None):
         # arrays: the blocks as (flat, sizes), in place of blocks
         if kind not in KINDS:
             raise ValueError(f"unknown distribution kind {kind!r}")
+        if (kind == EDGE_BLOCK_EXACT) != (a is not None and m is not None):
+            raise ValueError("a and m are set for edge-block-exact models only")
         if n < 1:
             raise ValueError("need at least one vertex")
         _check_probability(p)
@@ -318,36 +249,89 @@ class DistributionModel:
         self.n = n
         self.p = p
         self.d = d
-        self.params = dict(params)
         self.flat = flat
         self.sizes = sizes
-        self._blocks = None
-        self._layout = None
+        self.a = a
+        self.m = m
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The explicit blocks in declared order, formed on first read."""
-        if self._blocks is None:
-            edges = iter(self.flat.tolist())
-            self._blocks = tuple(tuple(islice(edges, k)) for k in self.sizes.tolist())
-        return self._blocks
+        """The explicit blocks in declared order."""
+        edges = iter(self.flat.tolist())
+        return tuple(tuple(islice(edges, k)) for k in self.sizes.tolist())
 
     # -- latent layout -------------------------------------------------
 
     @property
-    def layout(self) -> LatentLayout:
-        """The latent layout, built on first use."""
-        if self._layout is None:
-            bid = np.repeat(np.arange(self.sizes.size, dtype=np.int64), self.sizes)
-            bid.flags.writeable = False
-            uniform = ((self.params["a"], self.params["m"])
-                       if self.kind == EDGE_BLOCK_EXACT else ())
-            self._layout = LatentLayout(self.flat, bid, self.n, self.sizes.size,
-                                        *uniform)
-        return self._layout
+    def uniform(self) -> bool:
+        return self.a is not None
+
+    @property
+    def slots(self) -> int:
+        return num_edges(self.n)
+
+    @property
+    def block_count(self) -> int:
+        return self.sizes.size
 
     def latent_count(self) -> int:
-        return self.layout.latents
+        return self.block_count + self.slots - int(self.flat.size)
+
+    @property
+    def width(self) -> int:
+        """One trial's value columns (_draw): a coin per column, or for
+        uniform subsets an edge per column."""
+        return self.slots if self.uniform else self.latent_count()
+
+    @property
+    def draw_words(self) -> int:
+        """The raw generator words one trial's draw takes (_draw): one per
+        value, none when a uniform subset keeps all m edges."""
+        return 0 if self.uniform and self.a == self.m else self.width
+
+    @property
+    def coins(self) -> int:
+        """Number of Bernoulli latents."""
+        return 0 if self.uniform else self.latent_count()
+
+    @cached_property
+    def bid(self) -> np.ndarray:
+        """The block id of each entry of flat."""
+        bid = np.repeat(np.arange(self.block_count, dtype=np.int64), self.sizes)
+        bid.flags.writeable = False
+        return bid
+
+    @cached_property
+    def singles(self) -> np.ndarray:
+        """The private-coin edges, ascending."""
+        covered = np.zeros(self.slots, dtype=bool)
+        covered[self.flat] = True
+        singles = np.flatnonzero(~covered)
+        singles.flags.writeable = False
+        return singles
+
+    @cached_property
+    def spread(self) -> "Spread":
+        """Where the private coins go in the presence bitmap (_spread)."""
+        return _spread(self.slots, self.flat)
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Up to graphs.BATCH_MAX_N vertices, the column (_edge_slots) behind
+        bit w of row v at v * B + w, B the bits of a row word, 0 where v and
+        w are not adjacent, and the (n, 1) mask of each row's adjacent bits
+        (_rows)."""
+        n = self.n
+        dtype = batch_dtype(n)
+        v = np.arange(n)[:, None]
+        w = np.arange(8 * dtype.itemsize)
+        lo, hi = np.minimum(v, w), np.maximum(v, w)
+        edge = np.where((w < n) & (w != v), num_edges(hi) + lo, 0)
+        table = _edge_slots(self)[edge].ravel()
+        adjacent = dtype.type((1 << n) - 1) ^ (dtype.type(1) << v.astype(dtype))
+        for arr in (table, adjacent):
+            arr.flags.writeable = False
+        return table, adjacent
 
     def max_dependency_degree(self) -> int:
         """The dependency graph's max degree: the largest block size minus
@@ -357,10 +341,10 @@ class DistributionModel:
     # -- plumbing ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        # kind, p and sizes fix a and m
         return (isinstance(other, DistributionModel)
                 and self.kind == other.kind and self.n == other.n
                 and self.p == other.p and self.d == other.d
-                and self.params == other.params
                 and np.array_equal(self.sizes, other.sizes)
                 and np.array_equal(self.flat, other.flat))
 
@@ -377,7 +361,7 @@ class DistributionModel:
 
 def erdos_renyi(n: int, p) -> DistributionModel:
     """Every edge independent Bernoulli(p); the d = 0 baseline."""
-    return DistributionModel(ERDOS_RENYI, n, p, 0, {})
+    return DistributionModel(ERDOS_RENYI, n, p, 0)
 
 
 def _star_blocks(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +383,7 @@ def correlated_star(n: int, p, d: int) -> DistributionModel:
     if d + 1 > n - 1:
         raise ValueError(f"need d+1 <= n-1 so S is proper (got d={d}, n={n})")
     _check_probability(p)
-    return DistributionModel(CORRELATED_STAR, n, p, d, {},
+    return DistributionModel(CORRELATED_STAR, n, p, d,
                              arrays=_star_blocks(n, d) if d >= 1 else None)
 
 
@@ -429,8 +413,8 @@ def _gadget_layout(n: int, d: int):
     full, tail = divmod(tri_b.size, d1)
     b_sizes = np.tile(np.append(np.full(full, d1), tail), a_size)
     b_flat = (tri_b + np.arange(a_size)[:, None]).ravel()
-    return a_size, s, (np.concatenate((a_flat, b_flat)),
-                       np.concatenate((a_sizes, b_sizes)))
+    return a_size, (np.concatenate((a_flat, b_flat)),
+                    np.concatenate((a_sizes, b_sizes)))
 
 
 def connectivity_gadget(n: int, p, d: int) -> DistributionModel:
@@ -446,9 +430,8 @@ def connectivity_gadget(n: int, p, d: int) -> DistributionModel:
     if d < 0:
         raise ValueError("dependence bound d must be nonnegative")
     _check_probability(p)
-    a_size, s, arrays = _gadget_layout(n, d)
-    return DistributionModel(CONNECTIVITY_GADGET, n, p, d,
-                             {"a_size": a_size, "group_size": s}, arrays=arrays)
+    _, arrays = _gadget_layout(n, d)
+    return DistributionModel(CONNECTIVITY_GADGET, n, p, d, arrays=arrays)
 
 
 def edge_block_exact(n: int, a: int, m: int) -> DistributionModel:
@@ -465,9 +448,9 @@ def edge_block_exact(n: int, a: int, m: int) -> DistributionModel:
     if L % m != 0:
         raise ValueError(f"block size {m} does not divide {L} edge slots")
     return DistributionModel(EDGE_BLOCK_EXACT, n, Fraction(a, m), m - 1,
-                             {"a": a, "m": m},
                              arrays=(np.arange(L, dtype=np.int64),
-                                     np.full(L // m, m, dtype=np.int64)))
+                                     np.full(L // m, m, dtype=np.int64)),
+                             a=a, m=m)
 
 
 def custom_blocks(n: int, p, blocks: Iterable[Iterable[int]]) -> DistributionModel:
@@ -484,7 +467,7 @@ def custom_blocks(n: int, p, blocks: Iterable[Iterable[int]]) -> DistributionMod
         raise ValueError("empty block in partition")
     flat, sizes = _block_arrays(normalized)
     model = DistributionModel(CUSTOM_BLOCKS, n, p, int(sizes.max(initial=1)) - 1,
-                              {}, arrays=(flat, sizes))
+                              arrays=(flat, sizes))
     if flat.size != num_edges(n):    # the model has checked them distinct
         missing = np.setdiff1d(np.arange(num_edges(n)), flat)[0]
         raise ValueError(f"blocks do not cover edge index {missing}")
@@ -559,21 +542,20 @@ def _presence_words(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     """The colex presence bitmap for one trial's values (_draw), as
     graphs.packed_words.
 
-    A layout whose columns are its edges, uniform subsets or coins without
+    A model whose columns are its edges, uniform subsets or coins without
     blocks, packs its values as they are.  With blocks the private coins are
-    packed and spread to their words (LatentLayout.spread), and the edges of
+    packed and spread to their words (DistributionModel.spread), and the edges of
     the blocks whose coin is on are set in them.
     """
-    layout = model.layout
-    if layout.width == layout.slots:
+    if model.width == model.slots:
         return packed_words(values)
-    words = np.zeros(row_words(num_edges(model.n)) + 1, dtype="<u8")
-    spread = layout.spread
+    words = np.zeros(row_words(model.slots) + 1, dtype="<u8")
+    spread = model.spread
     if spread.words.size:
-        pieces = read_windows(packed_words(values[layout.block_count:]), spread.at)
+        pieces = read_windows(packed_words(values[model.block_count:]), spread.at)
         pieces &= spread.masks
         words[spread.words] = np.bitwise_or.reduceat(pieces, spread.heads)
-    on = layout.flat[values[layout.bid]]
+    on = model.flat[values[model.bid]]
     np.bitwise_or.at(words, on >> 6, np.uint64(1) << (on & 63).astype(np.uint64))
     return words
 
@@ -613,7 +595,7 @@ def _picks(keys: np.ndarray, a: int) -> np.ndarray:
 def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, int]],
           out: np.ndarray) -> None:
     """Write the latent values of len(out) trials into out, a C-contiguous
-    (T, layout.width) array of bools: a coin per column for coin models, an
+    (T, model.width) array of bools: a coin per column for coin models, an
     edge's presence per column for uniform subsets.  runs yields (gen, k)
     pairs, k trials drawn in turn from gen, until they cover the T trials;
     each run's generator is used before the next one is taken.
@@ -629,16 +611,15 @@ def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, in
     blocks, and the a keys _picks picks mark their edges present.  Keeping
     all m edges of each block draws nothing.
     """
-    layout = model.layout
     flat = out.reshape(-1)
-    if not layout.draw_words:
+    if not model.draw_words:
         flat[:] = True
         return
-    group = layout.m if layout.uniform else 1
-    chunk, per_trial = batch_size(8 * group) * group, layout.draw_words
+    group = model.m if model.uniform else 1
+    chunk, per_trial = batch_size(8 * group) * group, model.draw_words
     size = min(chunk, flat.size)
-    if layout.uniform:
-        a, starts = layout.a, np.arange(0, size, group)[:, None]
+    if model.uniform:
+        a, starts = model.a, np.arange(0, size, group)[:, None]
 
         def settle(words, at):
             # words are the buffer's or a chunk's, which nothing reads again
@@ -674,15 +655,15 @@ def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, in
     settle(words[:fill], at)
 
 
-def _edge_slots(layout: LatentLayout) -> np.ndarray:
+def _edge_slots(model: DistributionModel) -> np.ndarray:
     """Per edge index, the value column (_draw) that records whether the
     edge is present: its latent's for coins, where an edge is present iff
     its latent is on, and its own for uniform subsets."""
-    if layout.uniform:
-        return np.arange(layout.slots)
-    slot = np.empty(layout.slots, dtype=np.int64)
-    slot[layout.flat] = layout.bid
-    slot[layout.singles] = np.arange(layout.block_count, layout.latents)
+    if model.uniform:
+        return np.arange(model.slots)
+    slot = np.empty(model.slots, dtype=np.int64)
+    slot[model.flat] = model.bid
+    slot[model.singles] = np.arange(model.block_count, model.latent_count())
     return slot
 
 
@@ -692,7 +673,7 @@ def _latent_rows(model: DistributionModel, trials: int) -> np.ndarray:
     _trial_values evaluates.  T is as large as keeps the wider per-trial
     array of a block within graphs.BATCH_BYTES: one trial's values or its
     rows (graphs.row_bytes)."""
-    width = model.layout.width
+    width = model.width
     per_trial = max(width, row_bytes(model.n))
     return np.empty((min(trials, batch_size(per_trial)), width), dtype=bool)
 
@@ -757,7 +738,7 @@ def _spans(model: DistributionModel,
     starts = [i * blocks // count * per_block for i in range(count)]
     stops = starts[1:] + [trials]
     if one:
-        words = model.layout.draw_words
+        words = model.draw_words
         sources = [source] + [rngmod.forward(source, start * words) for start in starts[1:]]
     else:
         sources = [source[start:stop] for start, stop in zip(starts, stops)]
@@ -795,7 +776,7 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
     """A block of T trials' latent values, as _latent_blocks yields them, as
     one (T, n, W) block in the layout of graphs.zero_rows.  Up to
     graphs.BATCH_MAX_N vertices one gather reads every row bit from the
-    value column behind it (LatentLayout.columns), and one flat packbits
+    value column behind it (DistributionModel.columns), and one flat packbits
     packs the rows, each a whole number of bytes, into their words; the
     gather takes a bool per row bit, so it runs on chunks of as many trials
     as keep it within graphs.BATCH_BYTES.  Beyond, each trial's rows are
@@ -807,10 +788,9 @@ def _rows(model: DistributionModel, values: np.ndarray) -> np.ndarray:
         for t in range(count):
             rows[t] = presence_rows(n, _presence_words(model, values[t]))
         return rows
-    layout = model.layout
-    if not layout.slots:
+    if not model.slots:
         return rows
-    table, adjacent = layout.columns
+    table, adjacent = model.columns
     step = batch_size(8 * row_bytes(n))
     for lo in range(0, count, step):
         chunk = values[lo:lo + step]
@@ -829,19 +809,19 @@ _IMAGE_HEAD = 5                                   # a sequence's code and count
 _IMAGE_TRUE, _IMAGE_FALSE = np.uint8(ord("T")), np.uint8(ord("F"))
 
 
-def _latent_state(layout: LatentLayout, values: np.ndarray) -> tuple:
+def _latent_state(model: DistributionModel, values: np.ndarray) -> tuple:
     """The latent state (SampleOutcome) of one trial's values (_draw)."""
-    if layout.uniform:
+    if model.uniform:
         # each block's kept positions, ascending; zip over the columns forms
         # the blocks' tuples without a call per row
-        picks = np.flatnonzero(values).reshape(-1, layout.a) % layout.m
+        picks = np.flatnonzero(values).reshape(-1, model.a) % model.m
         return tuple(zip(*picks.T.tolist()))
     # the coins' image, read back as a tuple of bools in one pass
     codes = values.view(np.uint8) * (_IMAGE_TRUE - _IMAGE_FALSE) + _IMAGE_FALSE
     return marshal.loads(b"(" + values.size.to_bytes(4, "little") + codes.tobytes())
 
 
-def _image_values(layout: LatentLayout, state: tuple | list) -> np.ndarray | None:
+def _image_values(model: DistributionModel, state: tuple | list) -> np.ndarray | None:
     """The values of a state of capture's form, read at C speed from its
     marshal image; None for a state of any other form.
 
@@ -855,46 +835,46 @@ def _image_values(layout: LatentLayout, state: tuple | list) -> np.ndarray | Non
         image = marshal.dumps(state, _IMAGE_VERSION)
     except ValueError:       # an entry marshal does not write, like np.int64
         return None
-    if not layout.uniform:
+    if not model.uniform:
         body = image[_IMAGE_HEAD:]
         if len(body) != len(state) or body.translate(None, b"TF"):
             return None
         return np.frombuffer(body, dtype=np.uint8) == _IMAGE_TRUE
     entry = np.dtype([("code", "u1"), ("count", "<i4"),
-                      ("items", [("code", "u1"), ("value", "<i4")], (layout.a,))])
+                      ("items", [("code", "u1"), ("value", "<i4")], (model.a,))])
     if len(image) != _IMAGE_HEAD + len(state) * entry.itemsize:
         return None
     entries = np.frombuffer(image, entry, offset=_IMAGE_HEAD)
     if not (np.isin(entries["code"], (ord("("), ord("["))).all()
-            and (entries["count"] == layout.a).all()
+            and (entries["count"] == model.a).all()
             and (entries["items"]["code"] == ord("i")).all()):
         return None
     return entries["items"]["value"]
 
 
-def _state_array(layout: LatentLayout, state: Sequence) -> np.ndarray:
+def _state_array(model: DistributionModel, state: Sequence) -> np.ndarray:
     """np.asarray(state), from the state's image when it has capture's form."""
-    values = _image_values(layout, state) if type(state) in (tuple, list) else None
+    values = _image_values(model, state) if type(state) in (tuple, list) else None
     return np.asarray(state) if values is None else values
 
 
-def _state_values(layout: LatentLayout, state: Sequence) -> np.ndarray:
+def _state_values(model: DistributionModel, state: Sequence) -> np.ndarray:
     """One trial's values (_draw) from a latent state, rejecting bad
     entries; a uniform subset's positions become its edges' presence."""
-    if len(state) != layout.latents:
+    if len(state) != model.latent_count():
         raise ValueError(f"state has {len(state)} entries, "
-                         f"model has {layout.latents} latents")
+                         f"model has {model.latent_count()} latents")
     try:
-        values = _state_array(layout, state)
+        values = _state_array(model, state)
     except (ValueError, TypeError, OverflowError):    # ragged entries
         values = None
-    if layout.uniform:
-        a, m = layout.a, layout.m
-        if (values is not None and values.shape == (layout.block_count, a)
+    if model.uniform:
+        a, m = model.a, model.m
+        if (values is not None and values.shape == (model.block_count, a)
                 and values.dtype.kind in "iu"
                 and values.min() >= 0 and values.max() < m
                 and (np.diff(np.sort(values, axis=1), axis=1) > 0).all()):
-            present = np.zeros((layout.block_count, m), dtype=bool)
+            present = np.zeros((model.block_count, m), dtype=bool)
             np.put_along_axis(present, values.astype(np.intp, copy=False), True, axis=1)
             return present.reshape(-1)
         raise ValueError(f"bad latent state: each entry must be {a} distinct "
@@ -920,7 +900,7 @@ def sample(model: DistributionModel, seed: int,
     """
     (values,) = _latent_blocks(model, (seed,), 1)
     graph = row_graphs(_rows(model, values))[0]
-    state = _latent_state(model.layout, values[0]) if keep_latents else None
+    state = _latent_state(model, values[0]) if keep_latents else None
     return SampleOutcome(graph, state)
 
 
@@ -931,7 +911,7 @@ def realize(model: DistributionModel, state: Sequence) -> Graph:
     for each coin, and for each uniform subset a distinct positions in
     range(m).
     """
-    values = _state_values(model.layout, state)
+    values = _state_values(model, state)
     return row_graphs(_rows(model, values[None]))[0]
 
 
@@ -992,9 +972,8 @@ class AuditReport:
 def _independent_pairs(model: DistributionModel, gen: np.random.Generator,
                        want: int) -> list[tuple[int, int]]:
     L = num_edges(model.n)
-    layout = model.layout
     owner = np.full(L, -1, dtype=np.int64)
-    owner[layout.flat] = layout.bid
+    owner[model.flat] = model.bid
     pairs: list[tuple[int, int]] = []
     seen = set()
     attempts = 0
@@ -1026,17 +1005,16 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
-    layout = model.layout
     # the drawn values are tallied as they are and each edge reads its
     # column's tally (_edge_slots).  Trials are drawn a batch at a time, as
     # a loop drawing in turn from gen would draw them, and each span of
     # them (_spans) is tallied apart; the tallies are integers, so their
     # sum does not depend on the span count.
-    slot = _edge_slots(layout)
+    slot = _edge_slots(model)
     s1, s2 = slot[e1s], slot[e2s]
 
     def tallies(start, blocks):
-        tally = np.zeros(layout.width, dtype=np.int64)
+        tally = np.zeros(model.width, dtype=np.int64)
         joint = np.zeros(len(pair_list), dtype=np.int64)
         for drawn in blocks:
             tally += drawn.sum(axis=0)
@@ -1091,7 +1069,7 @@ def _setting_text(model: DistributionModel, key: str) -> str:
         return format_probability(model.p)
     if key == "blocks":
         return "; ".join(" ".join(str(e) for e in b) for b in model.blocks)
-    return str(model.params[key] if key in model.params else getattr(model, key))
+    return str(getattr(model, key))
 
 
 def _read_setting(n: int, key: str, text: str):

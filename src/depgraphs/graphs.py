@@ -13,8 +13,8 @@ batch_dtype(n), the narrowest unsigned dtype that holds a row up to 64
 vertices (W = 1), and uint64 beyond.  Only the kernels read W: the
 connectivity and clique kernels run a loop over one word per row when
 W = 1.  presence_rows forms one graph's rows from its packed colex
-presence bitmap, with no edge index: the bitmap's bits tri(v) .. tri(v) +
-v - 1 are row v's bits below v.
+presence bitmap, with no edge index: the bitmap's bits num_edges(v) ..
+num_edges(v) + v - 1 are row v's bits below v.
 """
 
 from __future__ import annotations
@@ -89,14 +89,18 @@ def vertex_mask(vertices: Iterable[int], n: int) -> int:
     return m
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+
+
 class Graph:
     """Immutable simple undirected graph on labeled vertices."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int] | None = None):
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        _check_order(n)
         self.n = n
         if rows is None:
             self.rows = (0,) * n
@@ -137,6 +141,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             u, v = operator.index(u), operator.index(v)
@@ -148,6 +153,7 @@ class Graph:
 
     @classmethod
     def from_edge_indices(cls, n: int, indices: Iterable[int]) -> "Graph":
+        _check_order(n)
         rows = [0] * n
         for i in indices:
             u, v = edge_endpoints(operator.index(i), n)
@@ -685,8 +691,9 @@ _BELOW_DIAGONAL = ((np.uint64(1) << np.arange(64, dtype=np.uint64))
 def _lower_blocks(n: int) -> tuple[np.ndarray, np.ndarray, Windows]:
     """The 64x64 blocks (I, J), J <= I, of n-vertex rows, off-diagonal
     ones first, and where each block's words lie in the packed colex
-    presence bitmap: row v = 64I + i, word J holds edges tri(v) + 64J ..
-    + 63, so it is the window at that offset; rows past n read zeros."""
+    presence bitmap: row v = 64I + i, word J holds edges num_edges(v) +
+    64J .. + 63, so it is the window at that offset; rows past n read
+    zeros."""
     width = row_words(n)
     big, small = np.tril_indices(width)
     order = np.argsort(big == small, kind="stable")
@@ -702,10 +709,10 @@ def presence_rows(n: int, words: np.ndarray) -> np.ndarray:
     """The (n, W) uint64 row words, W = ceil(n / 64), of the graph whose
     colex presence bitmap is packed in words (packed_words).
 
-    Row v's bits below v are the bitmap's bits tri(v) .. tri(v) + v - 1,
-    so the lower triangle's 64x64 blocks are windows of the bitmap; the
-    upper triangle is their transpose (transpose_blocks).  No edge index
-    is formed.
+    Row v's bits below v are the bitmap's bits num_edges(v) ..
+    num_edges(v) + v - 1, so the lower triangle's 64x64 blocks are windows
+    of the bitmap; the upper triangle is their transpose
+    (transpose_blocks).  No edge index is formed.
     """
     big, small, at = _lower_blocks(n)
     width = row_words(n)

@@ -3,10 +3,13 @@
 Every exact query is the expectation of a per-outcome vector over one
 enumeration of the joint latent space (`_expectation`): an event's
 indicator, the edges' presence bits, a statistic's value and its square.
-The enumeration reads the latents from the model's LatentLayout and gives
-each latent value a table of the adjacency-row bits its edges set, sharing
-only the layout with the sampler, none of its presence code, so an exact
-value and a Monte Carlo estimate of it are computed independently.
+The enumeration reads the latents from the model itself (flat, singles,
+bid, the counts, and a and m for uniform subsets; there is no separate
+layout object nor params dict) and gives each latent value a table of the
+adjacency-row bits its edges set.  It never reads the sampler's views of
+the model (spread, columns), so it shares no presence code with the
+sampler, and an exact value and a Monte Carlo estimate of it are computed
+independently.
 
 One block source (`_walk_batches`) yields the outcomes at every
 n as blocks of (T, n, W) row words, the shape of graphs.zero_rows that the
@@ -63,22 +66,20 @@ JUMBLEDNESS_CHUNK = 1 << 14
 
 def state_space_size(model: DistributionModel) -> int:
     """Number of joint latent assignments the enumeration must visit."""
-    layout = model.layout
-    size = 1 << layout.coins
-    if layout.uniform:
-        size *= comb(layout.m, layout.a) ** layout.block_count
+    size = 1 << model.coins
+    if model.uniform:
+        size *= comb(model.m, model.a) ** model.block_count
     return size
 
 
 def _check_budget(model: DistributionModel) -> None:
-    layout = model.layout
-    if layout.uniform:
-        m, a, b = layout.m, layout.a, layout.block_count
+    if model.uniform:
+        m, a, b = model.m, model.a, model.block_count
         log2_size = b * (lgamma(m + 1) - lgamma(a + 1) - lgamma(m - a + 1)) / log(2)
         text = f"comb({m},{a})^{b}"
     else:
-        log2_size = layout.coins
-        text = f"2^{layout.coins}"
+        log2_size = model.coins
+        text = f"2^{model.coins}"
     # log2_size is off by far less than a bit, so a size a bit past the
     # budget is rejected without forming it: it can run to millions of digits
     if (log2_size > ENUMERATION_BUDGET.bit_length()
@@ -147,19 +148,18 @@ def _walk_batches(model: DistributionModel, cap: int):
     values are read in slices that fit a block with the low table, and
     each such block is XORed along T with every joint value of the latents
     above.  No table holds more than cap values, no array a row per edge
-    slot, and only the latent layout is shared with the sampler.
+    slot, and only the model's latent arrays are shared with the sampler.
     """
-    layout = model.layout
-    latents = layout.latents
+    latents = model.latent_count()
     n = model.n
     zero = zero_rows(1, n)
     words = zero.size
     # per latent edge slot (the flat edges, then the singles), where its
     # edge's bit lies in row u and in row v of one graph's flattened rows
-    u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    u, v = _endpoints(n, np.concatenate([model.flat, model.singles]))
     at, bits = row_bits(zero, np.array([u, v]), np.array([v, u]))
-    if layout.uniform:
-        m, a = layout.m, layout.a
+    if model.uniform:
+        m, a = model.m, model.a
         radix = comb(m, a)
         ladders = [np.array([comb(x, i) for x in range(m)], dtype=np.int64)
                    for i in range(1, a + 1)]
@@ -181,7 +181,7 @@ def _walk_batches(model: DistributionModel, cap: int):
             return np.zeros(s, dtype=np.int64), out
     else:
         radix = 2
-        owner = np.concatenate([layout.bid, np.arange(layout.block_count, latents)])
+        owner = np.concatenate([model.bid, np.arange(model.block_count, latents)])
         # [latent, word, value]: value 0 leaves the coin off, value 1 toggles it
         table = np.zeros((latents, words, 2), dtype=zero.dtype)
         np.bitwise_xor.at(table[..., 1], (np.concatenate([owner, owner]), at.ravel()),
@@ -207,7 +207,7 @@ def _walk_batches(model: DistributionModel, cap: int):
         h = 1
         for j in range(split):
             _join(np.bitwise_xor, relative[j], low[:, :h], low[:, h:h * radix])
-            if not layout.uniform:     # a uniform block sets no coins
+            if not model.uniform:     # a uniform block sets no coins
                 _join(np.add, vk[1:], low_k[:h], low_k[h:h * radix])
             h *= radix
         base = np.bitwise_xor.reduce(rows[..., 0], axis=0)
@@ -266,7 +266,7 @@ def _expectation(model: DistributionModel, values_of, columns: int) -> list:
     objects.  Float values sum in float64.
     """
     _check_budget(model)
-    size = model.layout.coins + 1
+    size = model.coins + 1
     sums = 0
     for k, rows in _walk_batches(model, _batch_cap(model.n, max(model.n, columns))):
         values = values_of(rows)
@@ -305,7 +305,7 @@ def _collapser(model: DistributionModel):
     gives exact Fractions from rational counts at every denominator, and a
     float p gives floats.
     """
-    coins = model.layout.coins
+    coins = model.coins
     combos = state_space_size(model) >> coins
     exact = isinstance(model.p, Fraction)
     pv, zero = (model.p, Fraction(0)) if exact else (float(model.p), 0.0)

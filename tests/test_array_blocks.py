@@ -4,17 +4,20 @@ edges formed only when read.
 The constructions emit their blocks as (flat, sizes) arrays by numpy
 broadcasting; they are pinned here against the tuple-building code they
 replaced, kept below as the reference.  The memory a build and a draw hold
-at n = 2000 is guarded too.
+at n = 2000 is guarded too, and so are the model's views of its latents:
+each formed once, read-only, and no part of the model's equality.
 """
 
 import math
 import tracemalloc
+from fractions import Fraction
 from math import ceil, isqrt, log
 
 import numpy as np
 import pytest
 
-from depgraphs.distributions import (build, connectivity_gadget, correlated_star,
+from depgraphs.distributions import (DistributionModel, _gadget_layout, build,
+                                     connectivity_gadget, correlated_star,
                                      custom_blocks, edge_block_exact, erdos_renyi,
                                      sample)
 from depgraphs.graphs import num_edges
@@ -79,7 +82,7 @@ def test_star_blocks_match_the_tuple_reference(n, d):
                                   (106, 24), (200, 3), (500, 15)])
 def test_gadget_blocks_match_the_tuple_reference(n, d):
     model = connectivity_gadget(n, 0.1, d)
-    a_size = model.params["a_size"]
+    a_size = _gadget_layout(n, d)[0]
     _pin(model, _reference_gadget(n, d))
     if (n, d) in ((21, 3), (22, 8), (53, 15), (106, 24)):
         assert (n - a_size) % (d + 1) == 1
@@ -113,9 +116,72 @@ def test_one_changed_custom_edge_changes_equality_and_hash():
 
 def test_block_arrays_are_read_only():
     model = correlated_star(10, 0.5, 2)
-    for arr in (model.flat, model.sizes, model.layout.bid, model.layout.singles):
+    for arr in (model.flat, model.sizes, model.bid, model.singles):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+# -- one model object ------------------------------------------------------
+
+VIEWS = ("bid", "singles", "spread", "columns", "blocks")
+
+# up to 64 vertices, where every view, the packer's columns too, is formed
+SMALL_BUILDS = [
+    lambda: erdos_renyi(10, 0.3),
+    lambda: correlated_star(40, Fraction(1, 3), 3),
+    lambda: connectivity_gadget(21, 0.1, 3),
+    lambda: edge_block_exact(9, 1, 3),
+    lambda: custom_blocks(5, 0.5, [(0, 1, 2), (3, 4), (5,), (6, 7), (8,), (9,)]),
+]
+
+
+def _arrays(view):
+    if isinstance(view, np.ndarray):
+        yield view
+    elif isinstance(view, tuple):
+        for part in view:
+            yield from _arrays(part)
+
+
+@pytest.mark.parametrize("make", SMALL_BUILDS)
+def test_each_view_is_formed_once_and_read_only(make):
+    model = make()
+    for name in VIEWS:
+        assert name not in vars(model)
+        view = getattr(model, name)
+        assert getattr(model, name) is view, name
+        arrays = list(_arrays(view))
+        assert arrays or name == "blocks"
+        assert not any(arr.flags.writeable for arr in arrays), name
+    assert all(type(block) is tuple for block in model.blocks)
+
+
+@pytest.mark.parametrize("make", SMALL_BUILDS)
+def test_a_model_with_its_views_read_equals_a_fresh_build(make):
+    used = make()
+    for name in VIEWS:
+        getattr(used, name)
+    sample(used, 1, keep_latents=True)
+    fresh = make()
+    assert used == fresh and hash(used) == hash(fresh)
+
+
+def test_only_edge_block_models_carry_a_and_m():
+    model = edge_block_exact(9, 1, 3)
+    assert (model.a, model.m) == (1, 3)
+    for make in SMALL_BUILDS:
+        coins = make()
+        if coins.kind != "edge-block-exact":
+            assert (coins.a, coins.m) == (None, None), coins.kind
+    for gone in ("params", "layout", "latents"):
+        assert not hasattr(model, gone)
+
+
+def test_a_and_m_go_with_the_edge_block_kind():
+    with pytest.raises(ValueError, match="^a and m are set for edge-block-exact"):
+        DistributionModel("edge-block-exact", 3, Fraction(1, 3), 2, ((0, 1, 2),))
+    with pytest.raises(ValueError, match="^a and m are set for edge-block-exact"):
+        DistributionModel("custom-blocks", 3, 0.5, 2, ((0, 1, 2),), a=1, m=3)
 
 
 def test_an_index_beyond_int64_is_out_of_range():
@@ -153,13 +219,13 @@ def test_draws_beyond_64_vertices_form_no_index_of_the_private_coins(make):
     sample(model, 1)
     sample(model, 2, keep_latents=True)
     sample_rows(model, [3, 4])
-    assert "singles" not in vars(model.layout)
-    singles = model.layout.singles    # formed on first read
-    assert singles.size == model.latent_count() - model.layout.block_count
-    assert vars(model.layout)["singles"] is singles
+    assert "singles" not in vars(model)
+    singles = model.singles    # formed on first read
+    assert singles.size == model.latent_count() - model.block_count
+    assert vars(model)["singles"] is singles
 
 
 def test_the_layout_counts_latents_without_the_private_coins_index():
     model = custom_blocks(4, 0.5, [(2, 4), (0,), (1,), (3,), (5,)])
     assert model.latent_count() == 5
-    assert "singles" not in vars(model.layout)
+    assert "singles" not in vars(model)

@@ -176,7 +176,7 @@ def test_single_picks_take_the_first_of_equal_keys(n, m):
     # draw of several trials into one array, and on one run per trial
     keys = list(itertools.product((0.0, 0.5, 0.75), repeat=m))
     model = edge_block_exact(n, 1, m)
-    blocks = model.layout.block_count
+    blocks = model.block_count
     out = np.empty((len(keys), num_edges(n)), dtype=bool)
     for row in keys:
         _draw(model, [(_Keys([row]), 1)], out[:1])
@@ -196,11 +196,11 @@ def test_uniform_runs_equal_one_draw(a, m):
     # trials drawn in runs of any length from one generator pick what one
     # draw of all their keys does
     model = edge_block_exact(9 if 36 % m == 0 else 16, a, m)
-    shape = (13, model.layout.block_count)
+    shape = (13, model.block_count)
     for runs in ([13], [1] * 13, [5, 1, 7]):
         gen = rng.generator(len(runs))
         want = _kept(_picks(rng.generator(len(runs)).random(shape + (m,)), a), m)
-        out = np.empty((13, model.layout.slots), dtype=bool)
+        out = np.empty((13, model.slots), dtype=bool)
         _draw(model, [(gen, k) for k in runs], out)
         assert np.array_equal(out, want), runs
 
@@ -210,7 +210,7 @@ def test_a_trial_past_the_word_buffer_settles_whole_blocks():
     # chunk by chunk as it is drawn; the chunks hold whole blocks of 3, and
     # together they keep what one _picks call over all the keys keeps
     model = edge_block_exact(300, 1, 3)
-    assert model.layout.slots == 44850 > batch_size(8) == 32768
+    assert model.slots == 44850 > batch_size(8) == 32768
     out = np.empty((1, 44850), dtype=bool)
     _draw(model, [(rng.generator(5), 1)], out)
     assert np.array_equal(out, _kept(_picks(rng.generator(5).random((1, 14950, 3)), 1), 3))
@@ -233,15 +233,14 @@ def _present_tallies(model, trials, seed, pairs):
     """The audit's pairs, per-edge counts and pair joints, tallied from
     presence formed the plain way: every trial's keys drawn in turn from the
     audit's generator, and the a smallest of each block's m kept."""
-    layout = model.layout
     L = num_edges(model.n)
     gen = rng.generator(seed)
     pair_list = _independent_pairs(model, gen, pairs) if L >= 2 else []
     e1s = np.array([a for a, _ in pair_list], dtype=np.int64)
     e2s = np.array([b for _, b in pair_list], dtype=np.int64)
-    shape = (trials, layout.block_count, layout.m)
-    keys = gen.random(shape) if layout.a < layout.m else np.zeros(shape)
-    on = _kept(np.argsort(keys, axis=-1, kind="stable")[..., :layout.a], layout.m)
+    shape = (trials, model.block_count, model.m)
+    keys = gen.random(shape) if model.a < model.m else np.zeros(shape)
+    on = _kept(np.argsort(keys, axis=-1, kind="stable")[..., :model.a], model.m)
     joint = (on[:, e1s] & on[:, e2s]).sum(axis=0)
     return pair_list, on.sum(axis=0).tolist(), joint.tolist()
 

@@ -251,6 +251,16 @@ def test_bounds_resource_limit_exit_2(capsys):
     assert "resource" in err.lower() or "2^" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("example-threshold", "--n", "10", "--d", "-1"), "d must be nonnegative"),
+    (("phi", "--pattern", "k3", "--n", "10", "--p", "1e-200", "--d", "0"),
+     "p ** 3 underflows to 0 in float64"),
+])
+def test_bounds_bad_inputs_exit_1_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # -- experiment and sweep ----------------------------------------------
 
 def test_experiment_csv_stdout(capsys):
@@ -471,6 +481,16 @@ def test_oracle_rational_at_large_denominator(capsys):
     assert Fraction(rational) == 3 * Fraction(1, 65537) ** 2 * Fraction(65536, 65537) \
         + Fraction(1, 65537) ** 3
     assert float(decimal) == float(Fraction(rational))
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_oracle_refuses_a_pattern_file_without_vertices(capsys, tmp_path, n):
+    path = tmp_path / "pattern.edges"
+    path.write_text(f"n {n}\n")
+    code, out, err = run(capsys, "oracle", "--dist", "er", "--n", "4", "--p", "1/2",
+                         "--predicate", f"contains:{path}")
+    assert (code, out, err) == (1, "", "error: predicate form is contains:<pattern>; "
+                                       "graph needs at least one vertex\n")
 
 
 def test_oracle_trivial_predicate(capsys):

@@ -49,7 +49,7 @@ def test_er_has_no_blocks():
     m = erdos_renyi(6, 0.3)
     assert m.d == 0 and m.blocks == ()
     assert m.latent_count() == 15
-    assert m.layout.singles.tolist() == list(range(15))
+    assert m.singles.tolist() == list(range(15))
 
 
 def test_star_blocks_are_stars():
@@ -161,7 +161,7 @@ def test_model_rejects_bad_probability():
 
 def test_model_rejects_overlapping_blocks():
     with pytest.raises(ValueError):
-        DistributionModel("custom-blocks", 4, 0.5, 2, {}, ((0, 1), (1, 2)))
+        DistributionModel("custom-blocks", 4, 0.5, 2, ((0, 1), (1, 2)))
 
 
 # -- dependency degree and latent order --------------------------------
@@ -175,10 +175,9 @@ def test_max_dependency_degree_is_largest_block_minus_one():
 
 def test_declared_order_blocks_then_singles():
     m = custom_blocks(4, 0.5, [(2, 4), (0,), (1,), (3,), (5,)])
-    layout = m.layout
-    assert layout.block_count == 1 and m.latent_count() == 5
-    assert layout.flat.tolist() == [2, 4] and layout.bid.tolist() == [0, 0]
-    assert layout.singles.tolist() == [0, 1, 3, 5]
+    assert m.block_count == 1 and m.latent_count() == 5
+    assert m.flat.tolist() == [2, 4] and m.bid.tolist() == [0, 0]
+    assert m.singles.tolist() == [0, 1, 3, 5]
 
 
 # -- sampling ----------------------------------------------------------
@@ -334,7 +333,7 @@ def test_realize_judges_states_as_asarray_does(monkeypatch, model, state):
     # in its place gives the same graph, or the same error
     got = _realized_or_error(model, state)
     monkeypatch.setattr(distributions, "_state_array",
-                        lambda layout, state: np.asarray(state))
+                        lambda model, state: np.asarray(state))
     assert _realized_or_error(model, state) == got
 
 
@@ -354,7 +353,7 @@ def test_captured_states_are_read_from_their_image(monkeypatch):
     monkeypatch.setattr(distributions, "np", NoAsarray())
     for m, out in zip(models, states):
         assert realize(m, out.latent_state) == out.graph
-        assert realize(m, [list(e) if m.layout.uniform else e
+        assert realize(m, [list(e) if m.uniform else e
                            for e in out.latent_state]) == out.graph
 
 
@@ -415,7 +414,7 @@ def test_empirical_marginals_near_p():
     trials = 3000
     for _ in range(trials):
         (values,) = _latent_blocks(m, gen, 1)
-        counts += values[0][_edge_slots(m.layout)]
+        counts += values[0][_edge_slots(m)]
     freq = counts / trials
     assert np.all(np.abs(freq - 0.25) < 0.05)
 
@@ -453,7 +452,7 @@ def test_audit_passes_honest_models():
 
 
 def test_audit_catches_understated_d():
-    lying = DistributionModel("custom-blocks", 4, 0.5, 0, {}, ((0, 1, 2),))
+    lying = DistributionModel("custom-blocks", 4, 0.5, 0, ((0, 1, 2),))
     rep = audit_model(lying, 300, seed=1)
     assert not rep.degree_ok
     assert rep.max_dependency_degree == 2

@@ -426,6 +426,14 @@ def test_edge_list_rejects_garbage():
         from_edge_list("n 3\n0\n")
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_no_constructor_makes_a_graph_without_vertices(n):
+    for make in (lambda: from_edge_list(f"n {n}\n"), lambda: Graph.from_edges(n, []),
+                 lambda: Graph.from_edge_indices(n, []), lambda: Graph(n)):
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            make()
+
+
 def test_graph_equality_and_hash():
     a = Graph.from_edges(4, [(0, 1), (2, 3)])
     b = Graph.from_edges(4, [(2, 3), (0, 1)])

@@ -59,17 +59,16 @@ def _walk(model: DistributionModel):
     consumer that keeps it must copy it.  Each step moves one latent, and
     only that latent's edges are toggled in rows.
     """
-    layout = model.layout
     n = model.n
     rows = [0] * n
-    u, v = _endpoints(n, np.concatenate([layout.flat, layout.singles]))
+    u, v = _endpoints(n, np.concatenate([model.flat, model.singles]))
     pairs = list(zip(u.tolist(), v.tolist()))
-    if layout.uniform:
-        yield from _walk_subsets(layout, rows, pairs)
+    if model.uniform:
+        yield from _walk_subsets(model, rows, pairs)
         return
     # per latent, the XOR toggle of its edges: (vertex, row mask) pairs
-    owner = layout.bid.tolist() + list(range(layout.block_count, layout.latents))
-    masks = [{} for _ in range(layout.latents)]
+    owner = model.bid.tolist() + list(range(model.block_count, model.latent_count()))
+    masks = [{} for _ in range(model.latent_count())]
     for j, (u, v) in zip(owner, pairs):
         masks[j][u] = masks[j].get(u, 0) | (1 << v)
         masks[j][v] = masks[j].get(v, 0) | (1 << u)
@@ -78,7 +77,7 @@ def _walk(model: DistributionModel):
     on = 0
     k = 0
     yield k, rows
-    for i in range(1, 1 << layout.latents):
+    for i in range(1, 1 << model.latent_count()):
         j = (i & -i).bit_length() - 1
         for v, mask in toggles[j]:
             rows[v] ^= mask
@@ -87,7 +86,7 @@ def _walk(model: DistributionModel):
         yield k, rows
 
 
-def _walk_subsets(layout, rows: list[int], pairs: list[tuple[int, int]]):
+def _walk_subsets(model, rows: list[int], pairs: list[tuple[int, int]]):
     """_walk for uniform-subset models: every block keeps a of its m slots.
 
     A block's choice is an m-bit mask with a bits set, and its choices run
@@ -95,7 +94,7 @@ def _walk_subsets(layout, rows: list[int], pairs: list[tuple[int, int]]):
     mixed-radix Gray order (TAOCP 7.2.1.1, Algorithm H), so each step
     moves one block to its next or previous choice.
     """
-    a, m, blocks = layout.a, layout.m, layout.block_count
+    a, m, blocks = model.a, model.m, model.block_count
     full = (1 << m) - 1
 
     def toggle(j: int, diff: int) -> None:
@@ -251,18 +250,17 @@ def walk_models(draw):
 
 def _brute_outcomes(model):
     """(weight, graph) for every latent state, through the sampler's realize."""
-    layout = model.layout
-    if layout.uniform:
-        choices = list(itertools.combinations(range(layout.m), layout.a))
-        per_latent = [choices] * layout.latents
-        combos = len(choices) ** layout.latents
+    if model.uniform:
+        choices = list(itertools.combinations(range(model.m), model.a))
+        per_latent = [choices] * model.latent_count()
+        combos = len(choices) ** model.latent_count()
     else:
-        per_latent = [(False, True)] * layout.latents
+        per_latent = [(False, True)] * model.latent_count()
         combos = 1
     p = model.p
     for state in itertools.product(*per_latent):
         k = sum(1 for value in state if value is True)
-        weight = p ** k * (1 - p) ** (layout.coins - k) / combos
+        weight = p ** k * (1 - p) ** (model.coins - k) / combos
         yield weight, realize(model, state)
 
 
@@ -290,7 +288,7 @@ def test_walk_steps_one_latent_at_a_time():
     # moves by one as that latent's coin turns on or off
     model = correlated_star(6, Fraction(1, 2), 2)
     latents = ([frozenset(b) for b in model.blocks]
-               + [frozenset([int(e)]) for e in model.layout.singles])
+               + [frozenset([int(e)]) for e in model.singles])
     previous = None
     for k, rows in _walk(model):
         edges = set(Graph(model.n, rows).edge_indices())
@@ -609,8 +607,8 @@ def test_mean_variance_statistic_without_kernel():
     model = correlated_star(5, Fraction(1, 3), 2)
     stat = Predicate("max-degree", lambda g: max(r.bit_count() for r in g.rows))
     collapse = _collapser(model)
-    s1 = [0] * (model.layout.coins + 1)
-    s2 = [0] * (model.layout.coins + 1)
+    s1 = [0] * (model.coins + 1)
+    s2 = [0] * (model.coins + 1)
     for k, rows in _walk(model):
         v = stat(Graph._from_rows_unchecked(model.n, rows))
         s1[k] += v
@@ -1006,13 +1004,12 @@ def _edges(model, values):
     the edges of each coin block whose coin is on and each private coin's
     edge that is on; for uniform subsets block j's kept positions q, as
     edges j * m + q, a of them in every block."""
-    layout = model.layout
-    if layout.uniform:
-        block, pick = np.nonzero(values.reshape(layout.block_count, layout.m))
-        assert (np.bincount(block, minlength=layout.block_count) == layout.a).all()
-        return block * layout.m + pick
-    return np.concatenate((layout.flat[values[layout.bid]],
-                           layout.singles[np.flatnonzero(values[layout.block_count:])]))
+    if model.uniform:
+        block, pick = np.nonzero(values.reshape(model.block_count, model.m))
+        assert (np.bincount(block, minlength=model.block_count) == model.a).all()
+        return block * model.m + pick
+    return np.concatenate((model.flat[values[model.bid]],
+                           model.singles[np.flatnonzero(values[model.block_count:])]))
 
 
 def _per_trial_moments(model, stat, trials, seed):

@@ -7,7 +7,7 @@ packed bitmap, and the upper triangle is their 64x64 bit-block transpose.
 Each piece is compared here with a plainer form: the packer with
 Graph.from_edge_indices over the same latent values, the transpose with
 unpackbits, a transpose and packbits.  The memory a trial takes and the
-lifetime of the per-layout arrays are checked too, and so is the one
+lifetime of the per-model arrays are checked too, and so is the one
 check of a model's blocks.
 """
 
@@ -40,7 +40,7 @@ def _models(n, p):
     model whose a/m is the nearest to p that its edge count allows."""
     yield erdos_renyi(n, p)
     # the blocks that custom_blocks keeps from a partition with these blocks
-    yield DistributionModel("custom-blocks", n, p, 3, {},
+    yield DistributionModel("custom-blocks", n, p, 3,
                             ((0, 1, 2, 3), (5, 9), (64, 65, 66), (2000, 31, 100)))
     yield correlated_star(n, p, 4)
     yield connectivity_gadget(n, p, 8)
@@ -54,13 +54,12 @@ def _edges(model, values):
     the edges of each coin block whose coin is on and each private coin's
     edge that is on; for uniform subsets block j's kept positions q, as
     edges j * m + q, a of them in every block."""
-    layout = model.layout
-    if layout.uniform:
-        block, pick = np.nonzero(values.reshape(layout.block_count, layout.m))
-        assert (np.bincount(block, minlength=layout.block_count) == layout.a).all()
-        return block * layout.m + pick
-    return np.concatenate((layout.flat[values[layout.bid]],
-                           layout.singles[np.flatnonzero(values[layout.block_count:])]))
+    if model.uniform:
+        block, pick = np.nonzero(values.reshape(model.block_count, model.m))
+        assert (np.bincount(block, minlength=model.block_count) == model.a).all()
+        return block * model.m + pick
+    return np.concatenate((model.flat[values[model.bid]],
+                           model.singles[np.flatnonzero(values[model.block_count:])]))
 
 
 # Graph.from_edge_indices takes about 1.5 s a million edges, so each edge
@@ -93,7 +92,7 @@ def test_packer_without_private_coins(n):
     """Blocks that cover every edge leave no single to spread."""
     size = num_edges(n)
     model = custom_blocks(n, 0.5, [range(i, min(i + 7, size)) for i in range(0, size, 7)])
-    assert model.layout.singles.size == 0
+    assert model.singles.size == 0
     for seed in (1, 2):
         (values,) = _latent_blocks(model, [seed], 1)
         want = Graph.from_edge_indices(n, _edges(model, values[0]).tolist()).rows
@@ -149,7 +148,7 @@ WIDE_TRIAL_PEAK = 5 * 2 ** 20
 @pytest.mark.parametrize("index", range(3))
 def test_one_wide_trial_stays_within_the_edge_list_packers_peak(index):
     model = _mc_large_models()[index]
-    sample_rows(model, [1])    # forms the layout and the per-n windows
+    sample_rows(model, [1])    # forms the model's views and the per-n windows
     tracemalloc.start()
     try:
         sample_rows(model, [2])
@@ -159,13 +158,13 @@ def test_one_wide_trial_stays_within_the_edge_list_packers_peak(index):
     assert peak <= WIDE_TRIAL_PEAK, peak
 
 
-def _layout_dies_with_the_model(n: int, table: str) -> None:
+def _view_dies_with_the_model(n: int, view: str) -> None:
     model = correlated_star(n, 0.1, 3)
     sample_rows(model, [1])
-    layout = model.layout
-    assert table in vars(layout)
-    gone = weakref.ref(layout)
-    del model, layout
+    assert view in vars(model)
+    # the last array of the view: Spread's masks, the columns' row masks
+    gone = weakref.ref(vars(model)[view][-1])
+    del model
     gc.collect()
     assert gone() is None
 
@@ -173,8 +172,8 @@ def _layout_dies_with_the_model(n: int, table: str) -> None:
 def test_per_layout_arrays_die_with_the_model():
     # the spread of the private coins beyond 64 vertices, the column table
     # of the packer up to 64
-    _layout_dies_with_the_model(300, "spread")
-    _layout_dies_with_the_model(40, "columns")
+    _view_dies_with_the_model(300, "spread")
+    _view_dies_with_the_model(40, "columns")
 
 
 def test_windows_read_zeros_before_the_stream():
@@ -206,17 +205,16 @@ def _count_block_checks(monkeypatch):
 def test_blocks_are_checked_once_per_model(monkeypatch, make):
     calls = _count_block_checks(monkeypatch)
     model = make()
-    layout = model.layout
     assert len(calls) == 1
     covered = np.zeros(num_edges(model.n), dtype=bool)
-    covered[layout.flat] = True
-    assert not covered[layout.singles].any()
-    assert np.count_nonzero(covered) + layout.singles.size == num_edges(model.n)
+    covered[model.flat] = True
+    assert not covered[model.singles].any()
+    assert np.count_nonzero(covered) + model.singles.size == num_edges(model.n)
 
 
 def test_erdos_renyi_checks_no_blocks(monkeypatch):
     calls = _count_block_checks(monkeypatch)
-    assert erdos_renyi(70, 0.1).layout.singles.size == num_edges(70)
+    assert erdos_renyi(70, 0.1).singles.size == num_edges(70)
     assert calls == []
 
 
@@ -233,6 +231,6 @@ def test_custom_block_errors_keep_their_messages(blocks, message):
 
 def test_model_block_errors_keep_their_messages():
     with pytest.raises(ValueError, match="^edge index 1 appears in two blocks$"):
-        DistributionModel("custom-blocks", 4, 0.5, 2, {}, ((0, 1), (1, 2)))
+        DistributionModel("custom-blocks", 4, 0.5, 2, ((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="^edge index 6 out of range for n=4$"):
-        DistributionModel("custom-blocks", 4, 0.5, 2, {}, ((0, 6),))
+        DistributionModel("custom-blocks", 4, 0.5, 2, ((0, 6),))

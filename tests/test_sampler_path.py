@@ -209,15 +209,14 @@ def _reference(model, seed) -> Graph:
     """One draw by the plain path: a fresh generator, uniforms, a Python
     scatter over the declared latents and from_edge_indices."""
     gen = rng.generator(seed)
-    layout = model.layout
-    if layout.uniform:
-        keys = gen.random((layout.block_count, layout.m))
-        picks = np.argpartition(keys, layout.a - 1, axis=1)[:, :layout.a]
+    if model.uniform:
+        keys = gen.random((model.block_count, model.m))
+        picks = np.argpartition(keys, model.a - 1, axis=1)[:, :model.a]
         edges = [b[i] for b, row in zip(model.blocks, picks.tolist()) for i in row]
     else:
-        on = (gen.random(layout.latents) < float(model.p)).tolist()
+        on = (gen.random(model.latent_count()) < float(model.p)).tolist()
         edges = [e for b, bit in zip(model.blocks, on) if bit for e in b]
-        edges += [int(e) for e, bit in zip(layout.singles, on[len(model.blocks):])
+        edges += [int(e) for e, bit in zip(model.singles, on[len(model.blocks):])
                   if bit]
     return Graph.from_edge_indices(model.n, edges)
 
@@ -262,7 +261,7 @@ def test_each_edge_reads_its_value_column(name):
     # the value column _edge_slots gives each edge is that edge's presence
     # in the sampled graph
     model = CASES[name]()
-    slots = _edge_slots(model.layout)
+    slots = _edge_slots(model)
     for seed in SEEDS:
         (values,) = _latent_blocks(model, [seed], 1)
         present = np.flatnonzero(values[0][slots]).tolist()

@@ -166,7 +166,7 @@ def test_uniform_blocks_are_sized_by_their_values_and_rows():
     # the 1128 values of one trial at n = 48, wider than its 384 bytes of
     # rows, size the block; the keys the drawer settles take no part
     model = edge_block_exact(48, 1, 3)
-    assert model.layout.width == 1128
+    assert model.width == 1128
     assert len(distributions._latent_rows(model, 300)) == graphs.BATCH_BYTES // 1128 == 232
 
 
