@@ -4,12 +4,11 @@ Every exact query is the expectation of a per-outcome vector over one
 enumeration of the joint latent space (`_expectation`): an event's
 indicator, the edges' presence bits, a statistic's value and its square.
 The enumeration reads the latents from the model itself (flat, singles,
-bid, the counts, and a and m for uniform subsets; there is no separate
-layout object nor params dict) and gives each latent value a table of the
-adjacency-row bits its edges set.  It never reads the sampler's views of
-the model (spread, columns), so it shares no presence code with the
-sampler, and an exact value and a Monte Carlo estimate of it are computed
-independently.
+bid, the counts, and a and m for uniform subsets) and gives each latent
+value a table of the adjacency-row bits its edges set.  It never reads the
+sampler's views of the model (spread, columns), so it shares no presence
+code with the sampler, and an exact value and a Monte Carlo estimate of it
+are computed independently.
 
 One block source (`_walk_batches`) yields the outcomes at every
 n as blocks of (T, n, W) row words, the shape of graphs.zero_rows that the
