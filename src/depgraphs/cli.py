@@ -87,6 +87,15 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, doc, comments, columns, rows) -> None:
+    """Write a command's result: its JSON document under --format json,
+    else its table (harness.write_table)."""
+    if args.format == "json":
+        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    else:
+        _emit(harness.write_table(comments, columns, rows), args.output)
+
+
 def _model_echo(model) -> str:
     parts = [f"kind={model.kind}", f"n={model.n}",
              f"p={format_probability(model.p)}", f"d={model.d}"]
@@ -118,25 +127,11 @@ def cmd_bounds(args) -> int:
         params["p"] = float(parse_probability(args.p))
     pattern = predicates.resolve_pattern(args.pattern) if args.pattern else None
     reports = boundsmod.evaluate(args.bound, pattern=pattern, **params)
-    if args.format == "json":
-        doc = [{"name": r.name, "inputs": {k: _json_value(v) for k, v in r.inputs.items()},
-                "value": r.value, "vacuous": r.vacuous, "hypothesis": r.hypothesis}
-               for r in reports]
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return EXIT_OK
-    lines = ["# depgraphs bounds", "name,params,value,vacuous,hypothesis"]
-    for r in reports:
-        inputs = ";".join(f"{k}={_cell(v)}" for k, v in sorted(r.inputs.items()))
-        lines.append(f"{r.name},{inputs},{_cell(r.value)},{_cell(r.vacuous)},"
-                     f"{_cell(r.hypothesis)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = [(r.name, ";".join(f"{k}={_cell(v)}" for k, v in sorted(r.inputs.items())),
+             r.value, r.vacuous, r.hypothesis) for r in reports]
+    _report(args, [vars(r) for r in reports], ["depgraphs bounds"],
+            ("name", "params", "value", "vacuous", "hypothesis"), rows)
     return EXIT_OK
-
-
-def _json_value(v):
-    if isinstance(v, Fraction):
-        return format_probability(v)
-    return v
 
 
 def _experiment_config(args, forced_task: str | None) -> harness.ExperimentConfig:
@@ -189,52 +184,42 @@ def cmd_audit(args) -> int:
     model = _model_from_args(args)
     seed = _resolve_seed(args)
     report = audit_model(model, args.trials, seed, pairs=args.pairs)
-    if args.format == "json":
-        doc = {
-            "model": _model_echo(model), "trials": report.trials,
-            "seed": report.seed,
-            "max_dependency_degree": report.max_dependency_degree,
-            "declared_d": report.declared_d, "degree_ok": report.degree_ok,
-            "marginal_misses": report.marginal_misses,
-            "marginal_tolerance": report.marginal_tolerance,
-            "pair_misses": report.pair_misses,
-            "pair_tolerance": report.pair_tolerance,
-            "flagged": report.flagged,
-            "marginals": [{"edge": m.edge, "successes": m.successes,
-                           "estimate": m.estimate, "ci_low": m.ci_low,
-                           "ci_high": m.ci_high, "flagged": m.flagged}
-                          for m in report.marginals],
-            "pairs": [{"edge_a": q.edge_a, "edge_b": q.edge_b,
-                       "table": list(q.table), "statistic": q.statistic,
-                       "p_value": q.p_value, "flagged": q.flagged}
-                      for q in report.pairs],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        lines = [
-            "# depgraphs audit",
-            f"# model: {_model_echo(model)}",
-            f"# trials: {report.trials}",
-            f"# seed: {report.seed}",
-            "record,edge_a,edge_b,successes,trials,estimate,ci_low,ci_high,"
-            "statistic,p_value,flagged",
-        ]
-        for mg in report.marginals:
-            lines.append(f"edge,{mg.edge},,{mg.successes},{mg.trials},"
-                         f"{_cell(mg.estimate)},{_cell(mg.ci_low)},{_cell(mg.ci_high)},,,"
-                         f"{_cell(mg.flagged)}")
-        for q in report.pairs:
-            lines.append(f"pair,{q.edge_a},{q.edge_b},{q.table[0]},{report.trials},"
-                         f",,,{_cell(q.statistic)},{_cell(q.p_value)},{_cell(q.flagged)}")
-        lines.append(f"summary-degree,,,,,,,,{report.max_dependency_degree},,"
-                     f"{_cell(not report.degree_ok)}")
-        lines.append(f"summary-marginals,,,{report.marginal_misses},,,,,"
-                     f"{_cell(report.marginal_tolerance)},,"
-                     f"{_cell(report.marginal_misses > report.marginal_tolerance)}")
-        lines.append(f"summary-pairs,,,{report.pair_misses},,,,,"
-                     f"{_cell(report.pair_tolerance)},,"
-                     f"{_cell(report.pair_misses > report.pair_tolerance)}")
-        _emit("\n".join(lines) + "\n", args.output)
+    doc = {
+        "model": _model_echo(model), "trials": report.trials,
+        "seed": report.seed,
+        "max_dependency_degree": report.max_dependency_degree,
+        "declared_d": report.declared_d, "degree_ok": report.degree_ok,
+        "marginal_misses": report.marginal_misses,
+        "marginal_tolerance": report.marginal_tolerance,
+        "pair_misses": report.pair_misses,
+        "pair_tolerance": report.pair_tolerance,
+        "flagged": report.flagged,
+        "marginals": [{"edge": m.edge, "successes": m.successes,
+                       "estimate": m.estimate, "ci_low": m.ci_low,
+                       "ci_high": m.ci_high, "flagged": m.flagged}
+                      for m in report.marginals],
+        "pairs": [{"edge_a": q.edge_a, "edge_b": q.edge_b,
+                   "table": list(q.table), "statistic": q.statistic,
+                   "p_value": q.p_value, "flagged": q.flagged}
+                  for q in report.pairs],
+    }
+    rows = [("edge", m.edge, None, m.successes, m.trials, m.estimate, m.ci_low,
+             m.ci_high, None, None, m.flagged) for m in report.marginals]
+    rows += [("pair", q.edge_a, q.edge_b, q.table[0], report.trials, None, None,
+              None, q.statistic, q.p_value, q.flagged) for q in report.pairs]
+    summaries = (
+        ("degree", None, report.max_dependency_degree, not report.degree_ok),
+        ("marginals", report.marginal_misses, report.marginal_tolerance,
+         report.marginal_misses > report.marginal_tolerance),
+        ("pairs", report.pair_misses, report.pair_tolerance,
+         report.pair_misses > report.pair_tolerance))
+    rows += [(f"summary-{name}", None, None, misses, None, None, None, None,
+              statistic, None, flagged)
+             for name, misses, statistic, flagged in summaries]
+    _report(args, doc, ["depgraphs audit", f"model: {doc['model']}",
+                        f"trials: {report.trials}", f"seed: {report.seed}"],
+            ("record", "edge_a", "edge_b", "successes", "trials", "estimate",
+             "ci_low", "ci_high", "statistic", "p_value", "flagged"), rows)
     return EXIT_AUDIT if report.flagged else EXIT_OK
 
 
@@ -244,17 +229,13 @@ def cmd_oracle(args) -> int:
     start = time.perf_counter()
     value = exact_event_probability(model, pred)
     duration = time.perf_counter() - start
-    rational = format_probability(value) if isinstance(value, Fraction) else ""
-    decimal = float(value)
-    if args.format == "json":
-        doc = {"model": _model_echo(model), "predicate": pred.name,
-               "rational": rational or None, "decimal": decimal,
-               "outcomes": state_space_size(model), "duration_s": duration}
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _emit(f"# depgraphs oracle\n# model: {_model_echo(model)}\n"
-              f"# predicate: {pred.name}\n"
-              f"rational,decimal\n{rational},{decimal!r}\n", args.output)
+    rational = format_probability(value) if isinstance(value, Fraction) else None
+    doc = {"model": _model_echo(model), "predicate": pred.name,
+           "rational": rational, "decimal": float(value),
+           "outcomes": state_space_size(model), "duration_s": duration}
+    _report(args, doc, ["depgraphs oracle", f"model: {doc['model']}",
+                        f"predicate: {pred.name}"],
+            ("rational", "decimal"), [(rational, doc["decimal"])])
     return EXIT_OK
 
 

@@ -203,19 +203,15 @@ class ExperimentResult:
         return bool(self.points) and all(p.error is not None for p in self.points)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         echo = json.dumps(self.config.echo(include_workers=False),
                           sort_keys=True, separators=(",", ":"))
-        buf.write("# depgraphs-experiment v1\n")
-        buf.write(f"# seed: {self.seed}\n")
-        buf.write(f"# config: {echo}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        rows = []
         for pt in self.points:
             row = {**vars(pt), **pt.params, "task": self.task}
             row["p"] = format_probability(row["p"])
-            writer.writerow([_cell(row.get(name)) for name in CSV_COLUMNS])
-        return buf.getvalue()
+            rows.append([row.get(name) for name in CSV_COLUMNS])
+        return write_table(("depgraphs-experiment v1", f"seed: {self.seed}",
+                            f"config: {echo}"), CSV_COLUMNS, rows)
 
     def to_json(self) -> str:
         doc = {
@@ -255,6 +251,18 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def write_table(comments, columns, rows) -> str:
+    """The CSV text of a table: one `# ` line per comment, then the header
+    and the rows, each cell formatted by _cell and quoted where it holds a
+    comma or a quote."""
+    buf = io.StringIO()
+    buf.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(_cell, row) for row in rows)
+    return buf.getvalue()
 
 
 def _default_model(pt: dict, blocks_text: str | None = None):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and provenance."""
 
+import csv
 import json
 import shlex
 import time
@@ -259,6 +260,17 @@ def test_bounds_resource_limit_exit_2(capsys):
 def test_bounds_bad_inputs_exit_1_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, "bounds", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bounds_row_quotes_a_pattern_file_name_with_a_comma(capsys, tmp_path):
+    path = tmp_path / 'tri,"a".edges'
+    path.write_text("n 3\n0 1\n1 2\n0 2\n", encoding="utf-8")
+    code, out, _ = run(capsys, "bounds", "phi", "--pattern", str(path),
+                       "--n", "10", "--p", "0.5", "--d", "1")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()[1:]))
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert rows[1][1] == 'd=1;n=10;p=0.5;pattern=tri,"a".edges'
 
 
 # -- experiment and sweep ----------------------------------------------
