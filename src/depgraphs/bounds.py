@@ -309,8 +309,8 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
     """Evaluate a named bound; interval-valued bounds yield one report per endpoint.
 
     Parameters the bound does not take are ignored.  Raises ValueError for
-    unknown names (listing what is available) or for missing/invalid
-    parameters.
+    unknown names (listing what is available), for missing/invalid
+    parameters, and for a negative d, which every bound takes.
     """
     try:
         bound = BOUNDS[name]
@@ -328,6 +328,8 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
     inputs = {key: default if params.get(key) is None else params[key]
               for key, default in wanted.items()}
     args = {key: int(v) if key in COUNTS else v for key, v in inputs.items()}
+    if args["d"] < 0:
+        raise ValueError("d must be nonnegative")
     if "pattern" in inputs:
         inputs["pattern"] = pattern.name or "custom"
 

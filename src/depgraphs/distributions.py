@@ -513,10 +513,14 @@ def build(kind: str, n: int, p=None, d: int | None = None, a: int | None = None,
           blocks: Iterable[Iterable[int]] | None = None) -> DistributionModel:
     """Uniform entry point used by config files and the command line: the
     kind's constructor, called with its settings, d = 0 where none is
-    given.  A given p or d other than the built model's is refused."""
+    given.  A given p or d other than the built model's is refused, and so
+    is a given a, m or blocks that the kind does not take."""
     kind = _canonical_kind(kind)
     given = {"p": p, "d": 0 if d is None else d, "a": a, "m": m, "blocks": blocks}
     settings = KINDS[kind].settings
+    for key in ("a", "m", "blocks"):
+        if given[key] is not None and key not in settings:
+            raise ValueError(f"{kind} models take no {key}")
     missing = [key for key in settings if given[key] is None]
     if missing:
         raise ValueError(f"missing required parameter {missing[0]!r}")

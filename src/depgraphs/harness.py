@@ -38,7 +38,7 @@ from . import bounds, predicates, stats
 # sample stays importable as harness.sample, a public alias that
 # perfbench's span wrappers rebind
 from .distributions import (CORRELATED_STAR, CUSTOM_BLOCKS, EDGE_BLOCK_EXACT,
-                            ERDOS_RENYI, _canonical_kind, _trial_values,
+                            ERDOS_RENYI, KINDS, _canonical_kind, _trial_values,
                             blocks_from_text, build, format_probability,
                             parse_probability, sample)
 from .errors import ResourceLimitError
@@ -108,6 +108,9 @@ class ExperimentConfig:
         if self.pattern is not None and self.task != "containment":
             raise ValueError(f"task {self.task} takes no pattern; "
                              "only containment looks for one")
+        for key in ("a", "m", "blocks"):
+            if getattr(self, key) is not None and key not in KINDS[self.kind].settings:
+                raise ValueError(f"{self.kind} grids take no {key}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -426,6 +429,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 raise ValueError(f"n={pt['n']} exceeds the exact {config.task} "
                                  f"search limit {task.max_n}")
             model = _default_model(pt, config.blocks)
+            # a custom-blocks model fixes its own d; every other kind's
+            # build has refused a p or d other than the point's
+            pt = {**pt, "p": model.p, "d": model.d}
+            row.params.update(p=model.p, d=model.d)
             extras = task.theory(pt, config, pattern)
             trial_fn = task.trial(pt, config, pattern)
             seeds = derive_seeds(config.seed, index, 0, config.trials)

@@ -115,6 +115,17 @@ def test_sample_refuses_a_setting_its_kind_fixes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sample", "--dist", "er", "--n", "4", "--p", "0.5", "--a", "3", "--m", "7",
+      "--blocks", "0 1", "--seed", "1"), "erdos-renyi models take no a"),
+    (("experiment", "--dist", "star", "--n", "6", "--p", "0.5", "--d", "1",
+      "--a", "2", "--m", "3", "--blocks", "0 1", "--trials", "3", "--seed", "1"),
+     "correlated-star grids take no a"),
+], ids=["sample", "experiment"])
+def test_a_setting_the_kind_does_not_take_is_refused(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 # a value for each kind setting, each a --dist model flag of its own name
 KIND_SETTING_FLAGS = {"p": "1/2", "d": "3", "a": "1", "m": "3", "blocks": "0 1 2; 3 4"}
 

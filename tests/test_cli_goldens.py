@@ -86,6 +86,15 @@ def test_command_bytes(capsys, golden):
         golden["exit"], golden["stdout"], golden["stderr"])
 
 
+@pytest.mark.parametrize("name", bounds.BOUND_NAMES)
+def test_every_bound_refuses_a_negative_d(capsys, name):
+    (golden,) = [g for g in GOLDENS["bounds"] if g["case"] == f"{name}-defaults-csv"]
+    code = cli.main([*golden["argv"], "--d", "-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "error: d must be nonnegative\n")
+
+
 @pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
 def test_evaluate_reports(case):
     name, params = EVALUATE_CASES[case]

@@ -281,6 +281,28 @@ def test_containment_annotations():
     assert pt.estimate == 0.0          # triangles everywhere at p = 1/2
 
 
+def test_a_custom_blocks_row_reports_and_uses_its_models_d():
+    # the largest block has 4 edges, so d = 3 whatever the grid's d, and
+    # the containment hypothesis is read at that d
+    c = cfg(task="containment", kind="custom", ns=(10,), ps=(0.4,),
+            blocks="0 1 2; 3 4 5 6", trials=20, seed=19, pattern="c5")
+    (pt,) = run_experiment(c).points
+    assert (pt.params["d"], pt.hypothesis) == (3, False)
+    assert pt.hypothesis == harness.bounds.containment_hypothesis(
+        graphs.named_pattern("c5"), 10, 3)
+
+
+@pytest.mark.parametrize("kind, settings", [
+    ("er", dict(a=3)), ("star", dict(m=3)), ("gadget", dict(blocks="0 1")),
+    ("custom", dict(a=2, m=3)), ("edge-block", dict(blocks="0 1")),
+])
+def test_a_setting_the_kind_does_not_take_is_refused(kind, settings):
+    key = next(iter(settings))
+    canonical = distributions._canonical_kind(kind)
+    with pytest.raises(ValueError, match=f"^{canonical} grids take no {key}$"):
+        cfg(kind=kind, **settings)
+
+
 def test_clique_statistic_mode():
     c = cfg(task="clique", kind="star", ns=(30,), ps=(0.25,), ds=(1,),
             trials=30, seed=1)
