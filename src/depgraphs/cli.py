@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,7 +127,12 @@ def cmd_bounds(args) -> int:
     if args.p is not None:
         params["p"] = float(parse_probability(args.p))
     pattern = predicates.resolve_pattern(args.pattern) if args.pattern else None
-    reports = boundsmod.evaluate(args.bound, pattern=pattern, **params)
+    # a bound's warning (a constant below the proved one) is one stderr line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reports = boundsmod.evaluate(args.bound, pattern=pattern, **params)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     rows = [(r.name, ";".join(f"{k}={_cell(v)}" for k, v in sorted(r.inputs.items())),
              r.value, r.vacuous, r.hypothesis) for r in reports]
     _report(args, [vars(r) for r in reports], ["depgraphs bounds"],

@@ -378,11 +378,8 @@ def correlated_star(n: int, p, d: int) -> DistributionModel:
     construction whose witness pair (S, common neighborhood of S) meets
     the jumbledness lower bound.
     """
-    if d < 0:
-        raise ValueError("dependence bound d must be nonnegative")
     if d + 1 > n - 1:
         raise ValueError(f"need d+1 <= n-1 so S is proper (got d={d}, n={n})")
-    _check_probability(p)
     return DistributionModel(CORRELATED_STAR, n, p, d,
                              arrays=_star_blocks(n, d) if d >= 1 else None)
 
@@ -459,9 +456,6 @@ def custom_blocks(n: int, p, blocks: Iterable[Iterable[int]]) -> DistributionMod
     blocks must partition all n(n-1)/2 edge indices.  The dependence bound
     is max(block size) - 1.  Anticorrelated couplings are out of scope.
     """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    _check_probability(p)
     normalized = [tuple(int(e) for e in b) for b in blocks]
     if not all(normalized):
         raise ValueError("empty block in partition")

@@ -3,9 +3,9 @@
 A config names a model family, a grid over (n, p, d), a task, a trial
 count, and a master seed; the SETTINGS table reads each of its settings
 from INI or flag text and echoes it into the provenance.  Each task is one row of the TASKS table, which
-gives per grid point the function each trial evaluates, the theory
-columns of the point's row, and whether the values merge as an event or
-as a statistic; run_experiment runs every task the same way.
+gives from each grid point's built model the function each trial evaluates,
+the theory columns of the point's row, and whether the values merge as an
+event or as a statistic; run_experiment runs every task the same way.
 
 Trial t of grid point i always runs on seed derive_seed(master, i, t), and
 the per-trial values merge in trial order, so the output is byte-identical
@@ -28,7 +28,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -37,10 +36,9 @@ import numpy as np
 from . import bounds, predicates, stats
 # sample stays importable as harness.sample, a public alias that
 # perfbench's span wrappers rebind
-from .distributions import (CORRELATED_STAR, CUSTOM_BLOCKS, EDGE_BLOCK_EXACT,
-                            ERDOS_RENYI, KINDS, _canonical_kind, _trial_values,
-                            blocks_from_text, build, format_probability,
-                            parse_probability, sample)
+from .distributions import (CORRELATED_STAR, ERDOS_RENYI, KINDS, DistributionModel,
+                            _canonical_kind, _trial_values, blocks_from_text, build,
+                            format_probability, parse_probability, sample)
 from .errors import ResourceLimitError
 from .graphs import Graph, clique_number, mask_words
 from .predicates import Predicate
@@ -79,9 +77,12 @@ SETTINGS = {
 class ExperimentConfig:
     """Declarative description of one experiment run.
 
-    The grid is the cross product ns x ps x ds in that nesting order; for
-    edge-block models the grid ranges over ns only, with p = a/m and
-    d = m - 1 implied, and a p grid is refused.
+    The grid is the cross product ns x ps x ds in that nesting order.  The
+    kind's settings (distributions.KINDS) decide which of p, a, m and
+    blocks a config must give and which it must not, p as a grid; an
+    edge-block grid, say, gives a and m and no p.  d stays optional, as in
+    build: the default ds = (0,) lets each model take its own d, and any
+    other d grid goes to build, which refuses a d the model does not have.
     """
     task: str = "probability"
     kind: str = ERDOS_RENYI
@@ -108,30 +109,28 @@ class ExperimentConfig:
         if self.pattern is not None and self.task != "containment":
             raise ValueError(f"task {self.task} takes no pattern; "
                              "only containment looks for one")
-        for key in ("a", "m", "blocks"):
-            if getattr(self, key) is not None and key not in KINDS[self.kind].settings:
+        settings = KINDS[self.kind].settings
+        given = {"a": self.a, "m": self.m, "blocks": self.blocks, "p": self.ps or None}
+        for key, value in given.items():
+            if value is not None and key not in settings:
                 raise ValueError(f"{self.kind} grids take no {key}")
+        for key in settings:
+            if key in given and given[key] is None:
+                raise ValueError(f"{self.kind} grids need {key}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.ns:
             raise ValueError("grid needs at least one n")
-        if self.kind == EDGE_BLOCK_EXACT:
-            if self.a is None or self.m is None:
-                raise ValueError("edge-block grids need a and m")
-            if self.ps:
-                raise ValueError("edge-block grids take no p; p is a/m")
-        elif not self.ps:
-            raise ValueError("grid needs at least one p")
 
     def grid_points(self) -> list[dict]:
-        if self.kind == EDGE_BLOCK_EXACT:
-            return [{"kind": self.kind, "n": n, "p": Fraction(self.a, self.m),
-                     "d": self.m - 1, "a": self.a, "m": self.m}
-                    for n in self.ns]
-        return [{"kind": self.kind, "n": n, "p": p, "d": d, "a": None, "m": None}
-                for n, p, d in product(self.ns, self.ps, self.ds)]
+        """The grid's points in grid order, each build's keyword settings
+        kind, n, p, d, a and m.  p is None for a kind with no p grid, and
+        d None under the default ds, so that each model takes its own d."""
+        ds = (None,) if self.ds == (0,) else self.ds
+        return [{"kind": self.kind, "n": n, "p": p, "d": d, "a": self.a, "m": self.m}
+                for n, p, d in product(self.ns, self.ps or (None,), ds)]
 
     def echo(self, include_workers: bool = True) -> dict:
         """JSON-safe config image for provenance output, keyed as SETTINGS."""
@@ -211,7 +210,8 @@ class ExperimentResult:
         rows = []
         for pt in self.points:
             row = {**vars(pt), **pt.params, "task": self.task}
-            row["p"] = format_probability(row["p"])
+            if row["p"] is not None:
+                row["p"] = format_probability(row["p"])
             rows.append([row.get(name) for name in CSV_COLUMNS])
         return write_table(("depgraphs-experiment v1", f"seed: {self.seed}",
                             f"config: {echo}"), CSV_COLUMNS, rows)
@@ -268,15 +268,6 @@ def write_table(comments, columns, rows) -> str:
     return buf.getvalue()
 
 
-def _default_model(pt: dict, blocks_text: str | None = None):
-    if pt["kind"] == CUSTOM_BLOCKS:
-        if not blocks_text:
-            raise ValueError("custom-blocks grids need a blocks specification")
-        return build(pt["kind"], pt["n"], p=pt["p"],
-                     blocks=blocks_from_text(pt["n"], blocks_text))
-    return build(pt["kind"], pt["n"], p=pt["p"], d=pt["d"], a=pt["a"], m=pt["m"])
-
-
 # -- tasks -------------------------------------------------------------
 
 class Task(NamedTuple):
@@ -285,52 +276,54 @@ class Task(NamedTuple):
     check(config) runs before any grid point: it raises ValueError for a
     config the task cannot run, and returns the pattern the task looks for,
     or None.  A grid point above max_n fails before its model is built.
-    Then theory(pt, config, pattern) gives the point's theory columns and
-    trial(pt, config, pattern) the function each trial evaluates on its
-    graph; a ValueError from any of these fails only that point.  An
+    Then theory(model, config, pattern) gives the point's theory columns
+    and trial(model, config, pattern) the function each trial evaluates on
+    its graph, both reading n, p and d from the point's built model; a
+    ValueError from building or from either fails only that point.  An
     event's values merge to a success count, an estimate and a Wilson
     interval, a statistic's to min, mean and max.
     """
-    trial: Callable[[dict, ExperimentConfig, object], Callable[[Graph], float]]
-    theory: Callable[[dict, ExperimentConfig, object], dict]
+    trial: Callable[[DistributionModel, ExperimentConfig, object],
+                    Callable[[Graph], float]]
+    theory: Callable[[DistributionModel, ExperimentConfig, object], dict]
     statistic: bool = False
     check: Callable[[ExperimentConfig], object] | None = None
     max_n: int | None = None
 
 
-def _predicate(pt, config, pattern):
-    return predicates.parse_predicate(config.predicate, p=pt["p"])
+def _predicate(model, config, pattern):
+    return predicates.parse_predicate(config.predicate, p=model.p)
 
 
-def _no_theory(pt, config, pattern):
+def _no_theory(model, config, pattern):
     return {}
 
 
 def _sweep_check(config):
-    if config.kind == EDGE_BLOCK_EXACT:
-        raise ValueError("sweep needs an explicit p grid, not an edge-block model")
+    if not config.ps:
+        raise ValueError(f"sweep needs a p grid; {config.kind} grids take no p")
     if any(float(q) <= float(p) for p, q in zip(config.ps, config.ps[1:])):
         raise ValueError("sweep p grid must be strictly increasing")
 
 
-def _sweep_theory(pt, config, pattern):
+def _sweep_theory(model, config, pattern):
     """The example lower threshold (1-eps)(d+1) ln(n/sqrt(d+1))/n and the
-    proved upper threshold (d+1) ln(n)/n at the point's (n, d)."""
+    proved upper threshold (d+1) ln(n)/n at the model's (n, d)."""
     return {
-        "theory_low": bounds.connectivity_example_threshold(pt["n"], pt["d"], config.eps),
-        "theory_high": bounds.connectivity_upper_threshold(pt["n"], pt["d"]),
+        "theory_low": bounds.connectivity_example_threshold(model.n, model.d, config.eps),
+        "theory_high": bounds.connectivity_upper_threshold(model.n, model.d),
     }
 
 
-def _degree_theory(pt, config, pattern):
-    lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
+def _degree_theory(model, config, pattern):
+    lo, hi = bounds.degree_interval(model.n, model.p, model.d)
     return {"theory_low": lo, "theory_high": hi,
-            "hypothesis": bounds.degree_hypothesis(pt["n"], pt["p"], pt["d"])}
+            "hypothesis": bounds.degree_hypothesis(model.n, model.p, model.d)}
 
 
-def _degree_violation(pt, config, pattern):
+def _degree_violation(model, config, pattern):
     """Some vertex leaves the degree interval np +- 4 sqrt(np d1 ln n)."""
-    lo, hi = bounds.degree_interval(pt["n"], pt["p"], pt["d"])
+    lo, hi = bounds.degree_interval(model.n, model.p, model.d)
     return predicates.negate(predicates.degree_in_range(lo, hi))
 
 
@@ -339,18 +332,18 @@ def _witness_check(config):
         raise ValueError("the witness experiment is defined for correlated-star")
 
 
-def _witness_theory(pt, config, pattern):
+def _witness_theory(model, config, pattern):
     """The witness floor at the typical size |B| = np(1 - (d+1)/n)."""
-    n, p, d = pt["n"], float(pt["p"]), pt["d"]
+    n, p, d = model.n, float(model.p), model.d
     typical_b = max(0, round(n * p * (1.0 - (d + 1) / n)))
     return {"theory_value": bounds.jumbledness_witness_floor(d + 1, typical_b, n, p, d)}
 
 
-def _witness(pt, config, pattern):
+def _witness(model, config, pattern):
     """The constructed witness pair beats its floor: with S the hub set and
     B the common neighborhood of S outside S,
     e(S,B) - p|S||B| > WITNESS_SLACK * floor(|S|, |B|)."""
-    n, p, d = pt["n"], float(pt["p"]), pt["d"]
+    n, p, d = model.n, float(model.p), model.d
     s = d + 1
     smask = (1 << s) - 1
 
@@ -379,10 +372,10 @@ def _witness(pt, config, pattern):
     return Predicate("witness", witness_beats_floor, batch)
 
 
-def _clique_theory(pt, config, pattern):
-    lo, hi = bounds.clique_bounds(pt["n"], pt["p"], pt["d"])
+def _clique_theory(model, config, pattern):
+    lo, hi = bounds.clique_bounds(model.n, model.p, model.d)
     return {"theory_low": lo, "theory_high": hi,
-            "hypothesis": bounds.clique_hypothesis(pt["n"], pt["p"], pt["d"])}
+            "hypothesis": bounds.clique_hypothesis(model.n, model.p, model.d)}
 
 
 def _containment_check(config):
@@ -391,11 +384,11 @@ def _containment_check(config):
     return predicates.resolve_pattern(config.pattern)
 
 
-def _containment_theory(pt, config, pattern):
+def _containment_theory(model, config, pattern):
     """The bound min(1, 10 Phi(H)) on P(no copy of H)."""
-    value = bounds.containment_failure_bound(pattern, pt["n"], pt["p"], pt["d"])
+    value = bounds.containment_failure_bound(pattern, model.n, model.p, model.d)
     return {"theory_value": min(1.0, value),
-            "hypothesis": bounds.containment_hypothesis(pattern, pt["n"], pt["d"])}
+            "hypothesis": bounds.containment_hypothesis(pattern, model.n, model.d)}
 
 
 # probability and sweep estimate P(predicate), sweep along an increasing p
@@ -406,9 +399,9 @@ TASKS = {
     "sweep": Task(_predicate, _sweep_theory, check=_sweep_check),
     "degree-violation": Task(_degree_violation, _degree_theory),
     "witness": Task(_witness, _witness_theory, check=_witness_check),
-    "containment": Task(lambda pt, config, pattern: predicates.lacks_pattern(pattern),
+    "containment": Task(lambda model, config, pattern: predicates.lacks_pattern(pattern),
                         _containment_theory, check=_containment_check),
-    "clique": Task(lambda pt, config, pattern: clique_number, _clique_theory,
+    "clique": Task(lambda model, config, pattern: clique_number, _clique_theory,
                    statistic=True, max_n=CLIQUE_MAX_N),
 }
 
@@ -428,13 +421,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             if task.max_n is not None and pt["n"] > task.max_n:
                 raise ValueError(f"n={pt['n']} exceeds the exact {config.task} "
                                  f"search limit {task.max_n}")
-            model = _default_model(pt, config.blocks)
-            # a custom-blocks model fixes its own d; every other kind's
-            # build has refused a p or d other than the point's
-            pt = {**pt, "p": model.p, "d": model.d}
+            model = build(**pt, blocks=None if config.blocks is None
+                          else blocks_from_text(pt["n"], config.blocks))
             row.params.update(p=model.p, d=model.d)
-            extras = task.theory(pt, config, pattern)
-            trial_fn = task.trial(pt, config, pattern)
+            extras = task.theory(model, config, pattern)
+            trial_fn = task.trial(model, config, pattern)
             seeds = derive_seeds(config.seed, index, 0, config.trials)
             values = _trial_values(model, seeds, config.trials, trial_fn,
                                    config.workers)

@@ -284,6 +284,17 @@ def test_bounds_row_quotes_a_pattern_file_name_with_a_comma(capsys, tmp_path):
     assert rows[1][1] == 'd=1;n=10;p=0.5;pattern=tri,"a".edges'
 
 
+def test_bounds_prints_a_warning_as_one_line(capsys):
+    code, out, err = run(capsys, "bounds", "jumbledness-deviation", "--a", "1",
+                         "--b", "1", "--n", "10", "--p", "0.5", "--d", "0",
+                         "--C", "1")
+    assert err == ("warning: jumbledness constant C=1.0 below the proved "
+                   "threshold 10\n")
+    assert (code, out) == (0, "# depgraphs bounds\nname,params,value,vacuous,hypothesis\n"
+                              "jumbledness-deviation,C=1.0;a=1;b=1;d=0;n=10;p=0.5,"
+                              "2.23606797749979,,\n")
+
+
 # -- experiment and sweep ----------------------------------------------
 
 def test_experiment_csv_stdout(capsys):
@@ -381,7 +392,71 @@ def test_experiment_edge_block_echoes_no_default_p(capsys):
     assert rows and all(row.split(",")[4] == "1/3" for row in rows)
     code, _, err = run(capsys, "experiment", "--dist", "edge-block", "--a", "1",
                        "--m", "3", "--n", "9", "--p", "0.5")
-    assert code == 1 and "a/m" in err
+    assert code == 1 and "take no p" in err
+
+
+def experiment_rows(out):
+    """The CSV rows of an experiment's output, keyed by column."""
+    return list(csv.DictReader(out.splitlines()[3:]))
+
+
+@pytest.mark.parametrize("model, kind, d", [
+    (("--dist", "custom", "--p", "0.5", "--n", "5", "--blocks", "0 1 2 3"),
+     "custom-blocks", 3),
+    (("--dist", "edge-block", "--a", "1", "--m", "3", "--n", "9"),
+     "edge-block-exact", 2),
+], ids=["custom", "edge-block"])
+def test_experiment_d_grid_is_checked_against_the_models_d(capsys, model, kind, d):
+    # a kind that fixes d refuses every other d of the grid, point by point
+    code, out, err = run(capsys, "experiment", *model, "--d", "0,5",
+                         "--trials", "5", "--seed", "1")
+    messages = [f"{kind} models have d = {d}, not d = {bad}" for bad in (0, 5)]
+    assert code == 1
+    assert [row["error"] for row in experiment_rows(out)] == messages
+    assert err == "".join(f"point {i}: {m}\n" for i, m in enumerate(messages))
+    code, out, _ = run(capsys, "experiment", *model, "--d", str(d),
+                       "--trials", "5", "--seed", "1")
+    (row,) = experiment_rows(out)
+    assert code == 0 and (row["d"], row["error"]) == (str(d), "")
+
+
+def test_experiment_custom_grid_without_blocks_is_refused(capsys):
+    code, out, err = run(capsys, "experiment", "--dist", "custom", "--n", "5",
+                         "--p", "0.5", "--trials", "5", "--seed", "1")
+    assert (code, out, err) == (1, "", "error: custom-blocks grids need blocks\n")
+
+
+def test_experiment_empty_blocks_give_every_edge_its_own_coin(capsys):
+    code, out, _ = run(capsys, "experiment", "--dist", "custom", "--n", "5",
+                       "--p", "0.5", "--blocks", "", "--trials", "5", "--seed", "1")
+    (row,) = experiment_rows(out)
+    assert code == 0 and (row["d"], row["error"]) == ("0", "")
+
+
+def test_experiment_failed_point_shows_the_settings_it_was_given(capsys):
+    # 28 edge slots at n = 8 do not split into blocks of 3; n = 9 runs
+    code, out, err = run(capsys, "experiment", "--dist", "edge-block", "--a", "1",
+                         "--m", "3", "--n", "8,9", "--trials", "5", "--seed", "1")
+    failed, ran = experiment_rows(out)
+    assert code == 0
+    assert err == "point 0: block size 3 does not divide 28 edge slots\n"
+    assert [failed[key] for key in ("n", "p", "d", "a", "m")] == ["8", "", "", "1", "3"]
+    assert [ran[key] for key in ("n", "p", "d", "error")] == ["9", "1/3", "2", ""]
+
+
+def test_every_kind_alias_runs_as_a_grid(capsys):
+    # the harness needs no code of its own for a kind: every KINDS row runs
+    for canonical, kind in KINDS.items():
+        argv = [f"--{key}={KIND_SETTING_FLAGS[key]}" for key in kind.settings]
+        code, out, err = run(capsys, "experiment", "--dist", kind.alias, "--n", "60",
+                             *argv, "--trials", "3", "--seed", "2")
+        assert code == 0, (kind.alias, err)
+        model = cli._model_from_args(cli.build_parser().parse_args(
+            ["sample", "--dist", kind.alias, "--n", "60", *argv]))
+        rows = experiment_rows(out)
+        assert rows and all(row["error"] == "" for row in rows), (kind.alias, rows)
+        assert all((row["kind"], row["d"]) == (canonical, str(model.d))
+                   for row in rows), kind.alias
 
 
 def test_experiment_bad_trials_exit_1(capsys):

@@ -46,7 +46,7 @@ def test_config_validation():
 
 def test_edge_block_grid_refuses_a_p_grid():
     # p = a/m is implied, so a given p would be echoed but never used
-    with pytest.raises(ValueError, match="a/m"):
+    with pytest.raises(ValueError, match="take no p"):
         ExperimentConfig(task="probability", kind="edge-block", ns=(9,),
                          ps=(0.5,), a=1, m=3)
 
@@ -66,7 +66,8 @@ def test_grid_points_edge_block():
                          a=1, m=3)
     pts = c.grid_points()
     assert len(pts) == 2
-    assert pts[0]["p"] == Fraction(1, 3) and pts[0]["d"] == 2
+    model = distributions.build(**pts[0])
+    assert model.p == Fraction(1, 3) and model.d == 2
 
 
 def from_ini(text):

@@ -156,7 +156,7 @@ def test_numpy_integer_vertices_keep_every_bit():
 @pytest.mark.parametrize("n,d", [(30, 3), (100, 3), (129, 8), (200, 70)])
 def test_witness_kernel_matches_witness_beats_floor(n, d):
     # hub sets inside one word and, at d = 70, across two
-    trial = harness._witness({"n": n, "p": 0.2, "d": d}, None, None)
+    trial = harness._witness(correlated_star(n, 0.2, d), None, None)
     model = correlated_star(n, 0.2, d)
     seeds = derive_seeds(6, n, 0, 30)
     rows = sample_rows(model, seeds)
@@ -171,7 +171,7 @@ def test_witness_kernel_matches_witness_beats_floor(n, d):
 def test_witness_kernel_decides_both_ways():
     # p near the floor gives witnesses that beat it and ones that do not
     for n, d in ((40, 3), (100, 3)):
-        trial = harness._witness({"n": n, "p": 0.3, "d": d}, None, None)
+        trial = harness._witness(correlated_star(n, 0.3, d), None, None)
         rows = sample_rows(correlated_star(n, 0.3, d), derive_seeds(2, n, 0, 60))
         want = [trial.fn(g) for g in row_graphs(rows)]
         assert 0 < sum(want) < len(want), (n, sum(want))
@@ -183,7 +183,7 @@ def test_run_trials_beyond_64_vertices_are_the_per_trial_values(workers, monkeyp
     # a small budget and two CPUs give two spans of several blocks at 2 workers
     monkeypatch.setattr(graphs, "BATCH_BYTES", 10000)
     monkeypatch.setattr(distributions, "_cpus", lambda: 2)
-    witness = harness._witness({"n": 100, "p": 0.1, "d": 3}, None, None)
+    witness = harness._witness(correlated_star(100, 0.1, 3), None, None)
     cases = [
         (erdos_renyi(65, 0.05), parse_predicate("connected")),
         (connectivity_gadget(129, 0.05, 8), parse_predicate("not-connected")),
