@@ -18,7 +18,6 @@ from __future__ import annotations
 import inspect
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -190,6 +189,8 @@ def phi_functional(pattern: SubgraphPattern, n: int, p: float, d: int) -> float:
     probability that G contains no copy of H.
     """
     pattern = _as_pattern(pattern)
+    if n < 1:
+        raise ValueError("need n >= 1")
     if float(p) <= 0:
         raise ValueError("p must be positive")
     ecount = pattern.edge_count
@@ -223,6 +224,8 @@ def containment_failure_bound(pattern: SubgraphPattern, n: int, p: float,
 
 def containment_hypothesis(pattern: SubgraphPattern, n: int, d: int) -> bool:
     """Whether d |E(H)| |V(H)| / n < 0.9 holds."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     pattern = _as_pattern(pattern)
     return d * pattern.edge_count * pattern.vertex_count / n < 0.9
 
@@ -247,8 +250,7 @@ def clique_hypothesis(n: int, p: float, d: int, slack: float = 10.0) -> bool:
     return slack * d / math.sqrt(n) <= p <= 0.25
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated bound: inputs echoed, value verbatim, vacuity flagged.
 
     vacuous is None for quantities that are not probabilities (interval
@@ -256,7 +258,7 @@ class BoundReport:
     has no side condition to report.
     """
     name: str
-    inputs: dict = field(compare=False)
+    inputs: dict
     value: float
     vacuous: bool | None = None
     hypothesis: bool | None = None
@@ -310,7 +312,8 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
 
     Parameters the bound does not take are ignored.  Raises ValueError for
     unknown names (listing what is available), for missing/invalid
-    parameters, and for a negative d, which every bound takes.
+    parameters, for a negative d, which every bound takes, and for a NaN
+    or infinite real parameter.
     """
     try:
         bound = BOUNDS[name]
@@ -330,6 +333,9 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
     args = {key: int(v) if key in COUNTS else v for key, v in inputs.items()}
     if args["d"] < 0:
         raise ValueError("d must be nonnegative")
+    for key, value in args.items():
+        if key not in COUNTS and key != "pattern" and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite")
     if "pattern" in inputs:
         inputs["pattern"] = pattern.name or "custom"
 

@@ -135,7 +135,7 @@ def cmd_bounds(args) -> int:
         print(f"warning: {warning.message}", file=sys.stderr)
     rows = [(r.name, ";".join(f"{k}={_cell(v)}" for k, v in sorted(r.inputs.items())),
              r.value, r.vacuous, r.hypothesis) for r in reports]
-    _report(args, [vars(r) for r in reports], ["depgraphs bounds"],
+    _report(args, [r._asdict() for r in reports], ["depgraphs bounds"],
             ("name", "params", "value", "vacuous", "hypothesis"), rows)
     return EXIT_OK
 

@@ -63,7 +63,6 @@ import io
 import marshal
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -915,8 +914,7 @@ def realize(model: DistributionModel, state: Sequence) -> Graph:
 
 # -- marginal and independence audit -----------------------------------
 
-@dataclass(frozen=True)
-class EdgeMarginal:
+class EdgeMarginal(NamedTuple):
     edge: int
     successes: int
     trials: int
@@ -926,8 +924,7 @@ class EdgeMarginal:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class PairIndependence:
+class PairIndependence(NamedTuple):
     edge_a: int
     edge_b: int
     table: tuple[int, int, int, int]    # (n11, n10, n01, n00)
@@ -936,8 +933,7 @@ class PairIndependence:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Empirical check that a model delivers its declared marginals and locality.
 
     Individual Wilson or chi-squared misses are expected at their nominal

@@ -40,11 +40,11 @@ Budgets are enforced, never silently degraded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb, lgamma, log
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -378,6 +378,10 @@ def er_connectivity_probability(n: int, p):
         for k in range(1, size):
             total += comb(size - 1, k - 1) * connected[k] * q ** (k * (size - k))
         connected.append(one - total)
+    # the float sum cancels: at p = 0.0076 it reads -7.8e-15 at n = 13
+    if not 0 <= connected[n] <= 1:
+        raise ValueError(f"float evaluation at n = {n}, p = {p} gives "
+                         f"{connected[n]}, outside [0, 1]; pass p as a Fraction")
     return connected[n]
 
 
@@ -402,8 +406,7 @@ def exact_binomial_two_sided_tail(N: int, p: float, t: float) -> float:
     return min(1.0, math.fsum(terms))
 
 
-@dataclass(frozen=True)
-class JumblednessViolation:
+class JumblednessViolation(NamedTuple):
     """A subset pair whose edge-count deviation beats its allowance."""
     a_vertices: tuple[int, ...]
     b_vertices: tuple[int, ...]
@@ -527,8 +530,7 @@ def exhaustive_jumbledness_check(g: Graph, p, d: int,
                                 float(allowance[len(b), len(a), 0]), float(top))
 
 
-@dataclass(frozen=True)
-class MeanVarianceReport:
+class MeanVarianceReport(NamedTuple):
     """Empirical moments of a graph statistic against exact enumerated values.
 
     exact_* are None when the latent space exceeds the enumeration budget.

@@ -18,6 +18,7 @@ its constructor's parameters but p in signature order, each after a colon
 from __future__ import annotations
 
 import inspect
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -148,14 +149,21 @@ def _ints(parts: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in parts.split(",") if tok.strip() != "")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 FORMS = {"true": always_true, "connected": connected,
          "not-connected": not_connected, "isolated-vertex": has_isolated_vertex,
          "contains": contains_pattern, "lacks": lacks_pattern,
          "edge-count": edge_count_equals, "degree-in": degree_in_range,
          "deviation": edge_deviation_exceeds}
 
-READERS = {"pattern": resolve_pattern, "k": int, "low": float, "high": float,
-           "t": float, "a": _ints, "b": _ints}
+READERS = {"pattern": resolve_pattern, "k": int, "low": _finite, "high": _finite,
+           "t": _finite, "a": _ints, "b": _ints}
 
 # each form's constructor parameters, read from its signature once
 PARAMETERS = {form: tuple(inspect.signature(construct).parameters)

@@ -294,6 +294,14 @@ def test_phi_rejects_zero_p():
         bounds.phi_functional(named_pattern("k3"), 100, 0.0, 0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_phi_and_its_hypothesis_reject_n_below_1(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        bounds.phi_functional(named_pattern("k3"), n, 0.3, 2)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        bounds.containment_hypothesis(named_pattern("k3"), n, 2)
+
+
 def test_containment_failure_bound_is_ten_phi():
     pat = named_pattern("c4")
     assert bounds.containment_failure_bound(pat, 300, 0.3, 2) == pytest.approx(

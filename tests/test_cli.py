@@ -267,6 +267,13 @@ def test_bounds_resource_limit_exit_2(capsys):
     (("example-threshold", "--n", "10", "--d", "-1"), "d must be nonnegative"),
     (("phi", "--pattern", "k3", "--n", "10", "--p", "1e-200", "--d", "0"),
      "p ** 3 underflows to 0 in float64"),
+    (("phi", "--n", "0", "--p", "0.3", "--d", "2", "--pattern", "k3"),
+     "need n >= 1"),
+    (("janson-bernstein", "--mu", "nan", "--t", "2", "--d", "2"), "mu must be finite"),
+    (("clique-bounds", "--n", "50", "--p", "0.3", "--d", "2", "--c2", "nan"),
+     "c2 must be finite"),
+    (("jumbledness-deviation", "--a", "2", "--b", "2", "--n", "10", "--p", "0.3",
+      "--d", "1", "--C", "inf"), "C must be finite"),
 ])
 def test_bounds_bad_inputs_exit_1_with_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, "bounds", *argv)
@@ -316,6 +323,24 @@ def test_experiment_file_plus_sidecar(capsys, tmp_path):
     doc = json.loads((tmp_path / "r.csv.json").read_text())
     assert doc["seed"] == 2
     assert doc["config"]["trials"] == 30
+
+
+def test_experiment_json_format_to_stdout_and_to_a_file(capsys, tmp_path):
+    args = ("experiment", "--task", "probability", "--kind", "er", "--n", "8",
+            "--p", "0.4", "--trials", "30", "--seed", "2", "--format", "json")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["format"], doc["seed"], doc["config"]["trials"]) == (
+        "depgraphs-experiment", 2, 30)
+    path = tmp_path / "r.json"
+    code, out, _ = run(capsys, *args, "--output", str(path))
+    assert (code, out) == (0, "")
+    # the same points, and no sidecar beside the document
+    written = json.loads(path.read_text())
+    assert ([pt["successes"] for pt in written["points"]]
+            == [pt["successes"] for pt in doc["points"]])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
 def test_experiment_deterministic_bytes(capsys, tmp_path):
@@ -542,8 +567,7 @@ def test_audit_flag_exit_3(capsys, monkeypatch):
 
     def rigged(model, trials, seed, pairs=50):
         rep = real(model, trials, seed, pairs=pairs)
-        object.__setattr__(rep, "degree_ok", False)
-        return rep
+        return rep._replace(degree_ok=False)
 
     monkeypatch.setattr(cli, "audit_model", rigged)
     code, out, _ = run(capsys, "audit", "--dist", "er", "--n", "4",

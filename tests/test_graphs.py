@@ -244,6 +244,12 @@ def test_clique_number_examples():
     assert clique_number(Graph.empty(5)) == 1
     assert clique_number(Graph.complete(7)) == 7
     assert clique_number(named_pattern("c5").graph) == 2
+    # the batch kernel answers the same at every k, the k = 1 base case too
+    gs = [Graph.empty(5), named_pattern("c5").graph, Graph.complete(5)]
+    rows = np.array([g.rows for g in gs], dtype=G.batch_dtype(5))[..., None]
+    for k in range(1, 6):
+        assert G.batch_has_clique(rows, k).tolist() == [clique_number(g) >= k
+                                                        for g in gs], k
 
 
 def test_graph_requires_a_vertex():
@@ -440,3 +446,10 @@ def test_graph_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Graph.from_edges(4, [(0, 1)])
     assert a != Graph.from_edges(5, [(0, 1), (2, 3)])
+    assert repr(a) == "Graph(n=4, edges=2)"
+    # a pattern is its graph: the name is not compared, only shown
+    k3, unnamed = named_pattern("k3"), SubgraphPattern(Graph.complete(3))
+    assert k3 == unnamed and hash(k3) == hash(unnamed)
+    assert k3 != named_pattern("path2") and k3 != Graph.complete(3)
+    assert repr(k3) == "SubgraphPattern('k3')"
+    assert repr(unnamed) == "SubgraphPattern(Graph(n=3, edges=3))"

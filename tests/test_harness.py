@@ -438,6 +438,11 @@ def test_monotone_trend_flags_real_drop():
     assert not check_monotone_trend(result)
     result.points = [mk(1, 0.2), mk(2, 0.21), mk(3, 0.9)]
     assert check_monotone_trend(result)
+    # a failed point is skipped, whatever estimate it carries
+    failed = mk(2, 0.0)
+    failed.error = "point failed"
+    result.points = [mk(1, 0.2), failed, mk(3, 0.9)]
+    assert check_monotone_trend(result)
 
 
 def test_monotone_trend_tolerates_noise_dips():

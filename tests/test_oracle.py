@@ -1099,8 +1099,21 @@ def _recursive_connectivity(n, p, memo):
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 7), Fraction(12345, 54321),
                                0.5, 0.1, 0.37, 1e-3])
 def test_er_connectivity_bottom_up_equals_recursion(p):
-    # same expression in the same order: bit-identical floats and Fractions
+    # same expression in the same order: bit-identical floats and Fractions,
+    # and a refusal where the float sum cancels out of [0, 1] (p = 1e-3, n = 9)
     for n in range(1, 31):
-        got = er_connectivity_probability(n, p)
         want = _recursive_connectivity(n, p, {})
+        if not 0 <= want <= 1:
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                er_connectivity_probability(n, p)
+            continue
+        got = er_connectivity_probability(n, p)
         assert got == want and type(got) is type(want), n
+
+
+def test_er_connectivity_float_out_of_range_raises():
+    # the float sum reads -7.8e-15 here; the exact path gives a probability
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        er_connectivity_probability(13, 0.0076)
+    exact = er_connectivity_probability(13, Fraction(19, 2500))
+    assert type(exact) is Fraction and 0 <= exact <= 1

@@ -88,6 +88,17 @@ def test_parse_predicate_grammar():
         parse_predicate("edge-count:x")
 
 
+@pytest.mark.parametrize("text, syntax", [
+    ("degree-in:nan:3", "degree-in:<low>:<high>"),
+    ("degree-in:0:inf", "degree-in:<low>:<high>"),
+    ("deviation:-inf:0:1", "deviation:<t>:<a>:<b>"),
+])
+def test_parse_refuses_a_non_finite_number(text, syntax):
+    # a NaN bound would make every degree test false, so the event never holds
+    with pytest.raises(ValueError, match=f"^predicate form is {syntax}; not a finite"):
+        parse_predicate(text, p=0.4)
+
+
 def test_parse_deviation_needs_p():
     with pytest.raises(ValueError):
         parse_predicate("deviation:5.0:0,1,2:0,1,2")
