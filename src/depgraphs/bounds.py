@@ -312,8 +312,9 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
 
     Parameters the bound does not take are ignored.  Raises ValueError for
     unknown names (listing what is available), for missing/invalid
-    parameters, for a negative d, which every bound takes, and for a NaN
-    or infinite real parameter.
+    parameters, for a count (n, d, a, b or s) that is not a finite integer
+    value, for a negative d, which every bound takes, and for a NaN or
+    infinite real parameter.
     """
     try:
         bound = BOUNDS[name]
@@ -330,6 +331,9 @@ def evaluate(name: str, pattern: SubgraphPattern | None = None,
         raise ValueError(f"bound {name!r} needs parameters: {', '.join(missing)}")
     inputs = {key: default if params.get(key) is None else params[key]
               for key, default in wanted.items()}
+    for key, value in inputs.items():
+        if key in COUNTS and not isinstance(value, int) and not float(value).is_integer():
+            raise ValueError(f"{key} must be an integer, not {value!r}")
     args = {key: int(v) if key in COUNTS else v for key, v in inputs.items()}
     if args["d"] < 0:
         raise ValueError("d must be nonnegative")

@@ -76,7 +76,7 @@ from . import stats
 from .graphs import (BATCH_MAX_N, Graph, Windows, batch_dtype, batch_size,
                      num_edges, packed_words, presence_rows, read_windows,
                      row_bytes, row_graphs, row_words, windows, zero_rows)
-from .predicates import evaluate_rows
+from .predicates import Predicate, evaluate_rows
 
 ERDOS_RENYI = "erdos-renyi"
 CORRELATED_STAR = "correlated-star"
@@ -751,8 +751,7 @@ def _spans(model: DistributionModel,
 
 def _trial_values(model: DistributionModel,
                   source: np.random.Generator | np.ndarray, trials: int,
-                  functional: Callable[[Graph], object],
-                  limit: int | None = None) -> np.ndarray:
+                  functional: Predicate, limit: int | None = None) -> np.ndarray:
     """functional's value on each of the trials trials' graphs, in trial
     order, as float64.  The trials are drawn from source as _spans(model,
     source, trials, ..., limit) draws them, and each block is packed

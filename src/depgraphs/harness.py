@@ -277,14 +277,13 @@ class Task(NamedTuple):
     config the task cannot run, and returns the pattern the task looks for,
     or None.  A grid point above max_n fails before its model is built.
     Then theory(model, config, pattern) gives the point's theory columns
-    and trial(model, config, pattern) the function each trial evaluates on
+    and trial(model, config, pattern) the Predicate each trial evaluates on
     its graph, both reading n, p and d from the point's built model; a
     ValueError from building or from either fails only that point.  An
     event's values merge to a success count, an estimate and a Wilson
     interval, a statistic's to min, mean and max.
     """
-    trial: Callable[[DistributionModel, ExperimentConfig, object],
-                    Callable[[Graph], float]]
+    trial: Callable[[DistributionModel, ExperimentConfig, object], Predicate]
     theory: Callable[[DistributionModel, ExperimentConfig, object], dict]
     statistic: bool = False
     check: Callable[[ExperimentConfig], object] | None = None
@@ -401,8 +400,8 @@ TASKS = {
     "witness": Task(_witness, _witness_theory, check=_witness_check),
     "containment": Task(lambda model, config, pattern: predicates.lacks_pattern(pattern),
                         _containment_theory, check=_containment_check),
-    "clique": Task(lambda model, config, pattern: clique_number, _clique_theory,
-                   statistic=True, max_n=CLIQUE_MAX_N),
+    "clique": Task(lambda model, config, pattern: Predicate("clique-number", clique_number),
+                   _clique_theory, statistic=True, max_n=CLIQUE_MAX_N),
 }
 
 

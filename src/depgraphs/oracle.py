@@ -392,6 +392,8 @@ def exact_binomial_two_sided_tail(N: int, p: float, t: float) -> float:
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError("p outside [0, 1]")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if t <= 0:
         return 1.0
     if p == 0.0 or p == 1.0:

@@ -2,13 +2,16 @@
 
 Keeping these in one place guarantees that the exact enumeration and the
 Monte Carlo estimate of the "same" event really evaluate the same
-indicator function.  Events and statistics are one type, a named
-functional (`Predicate`).  A functional may also carry `batch`, the same
-function over a block of graphs given as (T, n, W) row words in the layout
-of `graphs.zero_rows` (see the kernels in `graphs`).  The oracle's
-enumeration and the harness's trials both reach a functional as such
-blocks at every n; they use its kernel when it has one, and `fn` on each
-graph's Graph otherwise (`evaluate_rows`).
+indicator function.  Every functional, event or statistic, is one type,
+`Predicate`: a name, the function on a Graph, and optionally `batch`, the
+same function over a block of graphs given as (T, n, W) row words in the
+layout of `graphs.zero_rows` (see the kernels in `graphs`).  The oracle's
+enumeration and the harness's trials both reach a Predicate as such
+blocks at every n; they use its kernel when it has one, and the Predicate
+on each graph's Graph otherwise (`evaluate_rows`).  The edge-count,
+isolated-vertex and deviation events are thresholds of the edge-count,
+isolated-count and edges-between statistics, so each reuses its
+statistic's function and kernel.
 
 The command line names an event by a row of FORMS: the form's name, then
 its constructor's parameters but p in signature order, each after a colon
@@ -20,8 +23,7 @@ from __future__ import annotations
 import inspect
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,25 +34,30 @@ from .graphs import Graph, SubgraphPattern, named_pattern
 BATCH_CLIQUE_MAX = 4
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     """A named graph functional: a boolean event or a numeric statistic."""
     name: str
-    fn: Callable[[Graph], object] = field(compare=False)
-    batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    fn: Callable[[Graph], object]
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, g: Graph):
         return self.fn(g)
 
 
-def evaluate_rows(functional: Callable[[Graph], object], rows: np.ndarray):
+def evaluate_rows(functional: Predicate, rows: np.ndarray):
     """functional on each graph of a block of rows (graphs.zero_rows): its
     batch kernel when it has one, else the functional on each graph's
     Graph."""
-    batch = getattr(functional, "batch", None)
-    if batch is not None:
-        return batch(rows)
+    if functional.batch is not None:
+        return functional.batch(rows)
     return [functional(g) for g in graphs.row_graphs(rows)]
+
+
+def _threshold(statistic: Predicate, name: str, test) -> Predicate:
+    """The event test(x) on the statistic's value x; test takes a number
+    and an array of numbers alike."""
+    fn, batch = statistic.fn, statistic.batch
+    return Predicate(name, lambda g: test(fn(g)), lambda rows: test(batch(rows)))
 
 
 def always_true() -> Predicate:
@@ -66,8 +73,7 @@ def not_connected() -> Predicate:
 
 
 def has_isolated_vertex() -> Predicate:
-    return Predicate("isolated-vertex", lambda g: any(r == 0 for r in g.rows),
-                     lambda rows: graphs.batch_isolated(rows).any(axis=1))
+    return _threshold(isolated_count_statistic(), "isolated-vertex", lambda x: x > 0)
 
 
 def _contains_kernel(pattern: SubgraphPattern):
@@ -92,8 +98,7 @@ def lacks_pattern(pattern: SubgraphPattern) -> Predicate:
 
 
 def edge_count_equals(k: int) -> Predicate:
-    return Predicate(f"edge-count:{k}", lambda g: g.edge_count() == k,
-                     lambda rows: graphs.batch_edge_counts(rows) == k)
+    return _threshold(edge_count_statistic(), f"edge-count:{k}", lambda x: x == k)
 
 
 def degree_in_range(low: float, high: float) -> Predicate:
@@ -115,14 +120,9 @@ def edge_deviation_exceeds(t: float, a: tuple[int, ...], b: tuple[int, ...],
     if len(set(a)) < len(a) or len(set(b)) < len(b):
         raise ValueError(f"deviation sets repeat a vertex: A = {a}, B = {b}")
     expected = float(p) * len(a) * len(b)
-
-    def fn(g: Graph) -> bool:
-        return abs(graphs.count_edges_between(g, a, b) - expected) > t
-
-    def batch(rows: np.ndarray) -> np.ndarray:
-        return np.abs(graphs.batch_edges_between(rows, a, b) - expected) > t
     sets = ":".join(",".join(map(str, vertices)) for vertices in (a, b))
-    return Predicate(f"deviation:{t}:{sets}", fn, batch)
+    return _threshold(edges_between_statistic(a, b), f"deviation:{t}:{sets}",
+                      lambda x: abs(x - expected) > t)
 
 
 def negate(pred: Predicate, name: str | None = None) -> Predicate:
@@ -202,8 +202,7 @@ def edge_count_statistic() -> Predicate:
 
 
 def edges_between_statistic(a: tuple[int, ...], b: tuple[int, ...]) -> Predicate:
-    a = tuple(a)
-    b = tuple(b)
+    a, b = tuple(a), tuple(b)
     return Predicate("edges-between",
                      lambda g: graphs.count_edges_between(g, a, b),
                      lambda rows: graphs.batch_edges_between(rows, a, b))

@@ -33,8 +33,8 @@ from depgraphs.distributions import (_draw, _independent_pairs,
                                      erdos_renyi, sample)
 from depgraphs.graphs import (Graph, batch_dtype, batch_size, clique_number,
                               num_edges, row_bytes, row_graphs, zero_rows)
-from depgraphs.predicates import (connected, degree_in_range, evaluate_rows,
-                                  negate, parse_predicate)
+from depgraphs.predicates import (Predicate, connected, degree_in_range,
+                                  evaluate_rows, negate, parse_predicate)
 from depgraphs.rng import derive_seed, derive_seeds
 
 from helpers import sample_rows
@@ -313,8 +313,8 @@ def test_run_trials_values_are_the_per_trial_values(workers, monkeypatch):
     monkeypatch.setattr(distributions, "_cpus", lambda: 3)
     cases = [
         (erdos_renyi(30, 0.2), parse_predicate("connected")),
-        (correlated_star(24, 0.3, 2), _witness(24, 0.3, 2)),
-        (edge_block_exact(12, 1, 3), clique_number),
+        (correlated_star(24, 0.3, 2), Predicate("witness", _witness(24, 0.3, 2))),
+        (edge_block_exact(12, 1, 3), Predicate("clique-number", clique_number)),
         (erdos_renyi(66, 0.1), parse_predicate("isolated-vertex")),
     ]
     for point, (model, fn) in enumerate(cases):
@@ -337,5 +337,5 @@ def test_batched_points_run_in_the_calling_thread(monkeypatch):
         def fn(g):
             seen.add(threading.get_ident())
             return True
-        assert _trial_values(model, seeds, 90, fn, 3).all()
+        assert _trial_values(model, seeds, 90, Predicate("seen", fn), 3).all()
         assert (seen == {threading.get_ident()}) == in_caller

@@ -383,6 +383,23 @@ def test_evaluate_inputs_echoed():
     assert r.value == pytest.approx(bounds.jumbledness_witness_floor(5, 50, 100, 0.3, 2))
 
 
+def test_evaluate_refuses_a_count_that_is_not_a_finite_integer():
+    # a fractional count was truncated (computed at n = 10, d = 1 but
+    # echoed as 10.7 and 1.5), and an infinite one raised OverflowError
+    with pytest.raises(ValueError, match="n must be an integer, not 10.7"):
+        bounds.evaluate("degree-interval", n=10.7, p=0.5, d=1.5)
+    with pytest.raises(ValueError, match="n must be an integer, not inf"):
+        bounds.evaluate("degree-interval", n=float("inf"), p=0.5, d=1)
+    with pytest.raises(ValueError, match="d must be an integer, not nan"):
+        bounds.evaluate("degree-interval", n=10, p=0.5, d=float("nan"))
+    with pytest.raises(ValueError, match="s must be an integer, not 2.5"):
+        bounds.evaluate("witness-floor", s=2.5, b=50, n=100, p=0.3, d=2)
+    # an integral float is a count: it evaluates as its int
+    assert bounds.evaluate("degree-interval", n=10.0, p=0.5, d=1.0) == [
+        r._replace(inputs={"n": 10.0, "p": 0.5, "d": 1.0})
+        for r in bounds.evaluate("degree-interval", n=10, p=0.5, d=1)]
+
+
 def test_pattern_coercion_from_graph():
     g = Graph.complete(3)
     assert bounds.phi_functional(g, 100, 0.5, 0) == pytest.approx(

@@ -13,6 +13,7 @@ from depgraphs.harness import (CSV_COLUMNS, ExperimentConfig,
                                ExperimentResult, check_monotone_trend,
                                run_experiment)
 from depgraphs.oracle import er_connectivity_probability
+from depgraphs.predicates import Predicate
 from depgraphs.rng import derive_seed
 from depgraphs.stats import wilson_interval
 
@@ -22,6 +23,23 @@ def cfg(**kw):
                 trials=50, seed=0)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+# -- tasks -------------------------------------------------------------
+
+# what each task's check needs beyond cfg's er grid at n = 8
+TASK_SETTINGS = {"sweep": dict(ps=(0.2, 0.5)), "witness": dict(kind="star", ds=(2,)),
+                 "containment": dict(pattern="k3")}
+
+
+@pytest.mark.parametrize("name", sorted(harness.TASKS))
+def test_every_task_trial_is_a_predicate(name):
+    # one functional type: every trial the harness runs is a Predicate
+    task = harness.TASKS[name]
+    config = cfg(task=name, ns=(8,), **TASK_SETTINGS.get(name, {}))
+    pattern = task.check(config) if task.check else None
+    model = distributions.build(**config.grid_points()[0])
+    assert isinstance(task.trial(model, config, pattern), Predicate)
 
 
 # -- config ------------------------------------------------------------

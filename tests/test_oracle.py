@@ -664,6 +664,13 @@ def test_binomial_tail_edge_cases():
     assert exact_binomial_two_sided_tail(10, 0.5, 100.0) == 0.0
 
 
+def test_binomial_tail_refuses_a_non_finite_t():
+    # t = nan or inf kept no term and answered 0.0
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            exact_binomial_two_sided_tail(10, 0.3, t)
+
+
 def test_binomial_tail_small_case_by_hand():
     # N=2, p=1/2, t=1: |X-1| >= 1 iff X in {0, 2}: probability 1/2
     assert exact_binomial_two_sided_tail(2, 0.5, 1.0) == pytest.approx(0.5)

@@ -22,7 +22,7 @@ from depgraphs.distributions import (_trial_values, blocks_from_text,
 from depgraphs.graphs import (Graph, batch_edges_between, clique_number,
                               count_edges_between, num_edges, row_graphs,
                               row_ints, row_words, vertex_mask, zero_rows)
-from depgraphs.predicates import (connected, degree_in_range,
+from depgraphs.predicates import (Predicate, connected, degree_in_range,
                                   edge_count_statistic, edge_deviation_exceeds,
                                   edges_between_statistic, evaluate_rows,
                                   isolated_count_statistic, negate,
@@ -127,7 +127,8 @@ def test_functionals_without_a_kernel_take_each_graph():
         pred = parse_predicate(text)
         assert pred.batch is None
         assert list(evaluate_rows(pred, rows)) == [pred(g) for g in gs], text
-    assert evaluate_rows(clique_number, rows[:3]) == [clique_number(g) for g in gs[:3]]
+    clique = Predicate("clique-number", clique_number)
+    assert evaluate_rows(clique, rows[:3]) == [clique_number(g) for g in gs[:3]]
 
 
 def test_numpy_integer_vertices_keep_every_bit():
