@@ -17,21 +17,27 @@ junk text.  Each argv runs through cli.main in-process, and
 - an exit-0 CSV has rows as wide as its header and no nan cell.
 
 Examples stay small (n <= 8, trials <= 20, audit trials <= 200, patterns
-no larger than k5) and write no files; derandomize=True draws the same
-examples on every run.
+no larger than k5, and an oracle budget of ORACLE_BUDGET outcomes, beyond
+which the oracle exits 2) and write no files; derandomize=True draws the
+same examples on every run.
 """
 
 import contextlib
 import csv
 import io
 import re
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depgraphs import bounds, cli, harness
+from depgraphs import bounds, cli, harness, oracle
 from depgraphs.distributions import KINDS
 from depgraphs.predicates import FORMS, form_syntax
+
+# the 2^21 outcomes of er at n = 7 took about 20 s (2 vCPU x86) for a
+# pattern without a kernel, so the fuzz lowers the oracle's budget
+ORACLE_BUDGET = 1 << 12
 
 BAD = ("nan", "inf", "-inf", "-1", "-2.5", "0", "", "junk", "1/0", "0,x")
 
@@ -41,6 +47,7 @@ REALS = st.sampled_from(("0.25", "0.5", "1.5", "3", "12.5"))
 
 # a valid text for each flag and predicate field the tables name
 VALUES = {
+    **{key: REALS for key, kind in cli.BOUND_FLAGS.items() if kind is float},
     "n": st.integers(1, 8).map(str),
     "p": st.sampled_from(("0.3", "1/2", "0", "1", "0.05", "2/3")),
     "d": st.sampled_from(("0", "1", "3")),
@@ -55,8 +62,7 @@ VALUES = {
     "eps": st.sampled_from(("0.05", "0.2", "0.5")),
     "pattern": st.sampled_from(PATTERNS),
     "k": st.integers(0, 10).map(str),
-    "low": REALS, "high": REALS, "t": REALS,
-    **{key: REALS for key, kind in cli.BOUND_FLAGS.items() if kind is float},
+    "low": REALS, "high": REALS,
 }
 
 # predicate fields whose values are vertex lists
@@ -83,21 +89,33 @@ def _bounds(draw):
                     for key in bounds.BOUNDS[name].parameters]
 
 
+# the experiment settings that only some tasks take; every task takes the rest
+TASK_ONLY = {"predicate": ("probability", "sweep"), "eps": ("sweep",),
+             "pattern": ("containment",)}
+
+# the experiment settings that only some kinds take, by KINDS
+KIND_ONLY = {key for kind in KINDS.values() for key in kind.settings}
+
+
 def _experiment(draw):
+    """An experiment or a sweep: a flag for each harness.SETTINGS row that
+    its task and kind take, the model's from _model."""
     task = draw(st.sampled_from(sorted(harness.TASKS)))
-    command = "sweep" if task == "sweep" else "experiment"
-    items = [(f"--{key}", [draw(VALUES[key])]) for key in ("trials", "seed", "workers")]
-    if command == "experiment":
-        items.append(("--task", [task]))
-    items += [(flag, ["0.1,0.3"] if task == "sweep" and flag == "--p" else values)
-              for flag, values in _model(draw)]
-    if task in ("probability", "sweep"):
-        items.append(("--predicate", _predicate(draw)))
-    if task == "sweep":
-        items.append(("--eps", [draw(VALUES["eps"])]))
-    if task == "containment":
-        items.append(("--pattern", [draw(VALUES["pattern"])]))
-    return [command], items
+    model = dict(_model(draw))
+    items = []
+    for key in harness.SETTINGS:
+        flag = "--dist" if key == "kind" else f"--{key}"
+        if flag in model:
+            items.append((flag, ["0.1,0.3"] if task == "sweep" and key == "p"
+                          else model[flag]))
+        elif key == "task":
+            if task != "sweep":
+                items.append((flag, [task]))
+        elif key == "predicate" and task in TASK_ONLY[key]:
+            items.append((flag, _predicate(draw)))
+        elif key not in KIND_ONLY and task in TASK_ONLY.get(key, (task,)):
+            items.append((flag, [draw(VALUES[key])]))
+    return ["sweep" if task == "sweep" else "experiment"], items
 
 
 @st.composite
@@ -131,12 +149,13 @@ def _is_nan(cell: str) -> bool:
     return "nan" in re.split(r"[;=]", cell.lower())
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=1000, deadline=None, derandomize=True)
 @given(argvs())
 def test_generated_argv_answers_or_fails_with_one_error_line(case):
     argv, prints_csv = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (mock.patch.object(oracle, "ENUMERATION_BUDGET", ORACLE_BUDGET),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     lines = err.getvalue().splitlines()
