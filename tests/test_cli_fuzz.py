@@ -86,7 +86,7 @@ def _model(draw) -> list[tuple[str, list[str]]]:
 def _bounds(draw):
     name = draw(st.sampled_from(sorted(bounds.BOUNDS)))
     return ["bounds", name], [(f"--{key}", [draw(VALUES[key])])
-                    for key in bounds.BOUNDS[name].parameters]
+                              for key in bounds.BOUNDS[name].parameters]
 
 
 # the experiment settings that only some tasks take; every task takes the rest
