@@ -989,8 +989,8 @@ def _independent_pairs(model: DistributionModel, gen: np.random.Generator,
 def audit_model(model: DistributionModel, trials: int, seed: int,
                 pairs: int = 50) -> AuditReport:
     """Marginal frequencies, dependency degree, and pairwise independence checks."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials < 1 << 63:
+        raise ValueError("trials must be >= 1 and < 2^63 (the tallies are int64)")
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
     L = num_edges(model.n)

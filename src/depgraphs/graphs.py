@@ -11,8 +11,9 @@ The batch kernels at the end take many graphs at once, as one block: a
 row v holds bits 64i .. 64i + 63 of that row.  Its words are of
 batch_dtype(n), the narrowest unsigned dtype that holds a row up to 64
 vertices (W = 1), and uint64 beyond.  Only the kernels read W: the
-connectivity and clique kernels run a loop over one word per row when
-W = 1.  presence_rows forms one graph's rows from its packed colex
+connectivity kernel runs a loop over one word per row when W = 1, and
+the clique kernel searches a block beyond 64 vertices graph by graph.
+presence_rows forms one graph's rows from its packed colex
 presence bitmap, with no edge index: the bitmap's bits num_edges(v) ..
 num_edges(v) + v - 1 are row v's bits below v.
 """
@@ -228,15 +229,17 @@ def clique_number(g: Graph) -> int:
     Branch and bound with a greedy-coloring bound; intended for n up to
     roughly 60.  No approximate fallback: oversized inputs just take long.
     """
-    rows = g.rows
+    # per-vertex tables indexed by bit_length, so by v + 1 for vertex v:
+    # v's row, and the vertices that are neither v nor its neighbours
+    full = (1 << g.n) - 1
+    rows = (0, *g.rows)
+    apart = (0, *(full ^ row ^ (1 << v) for v, row in enumerate(g.rows)))
     best = 0
 
     def expand(size: int, cand: int) -> None:
+        # cand is never empty: a branch with no candidate left ends at its
+        # call site, as a clique of size + 1
         nonlocal best
-        if not cand:
-            if size > best:
-                best = size
-            return
         # color classes of the candidate set; a clique meets each class
         # once, so a vertex colored below best - size + 1 cannot lead past
         # best: its class is neither recorded nor branched on, and it stays
@@ -252,7 +255,7 @@ def clique_number(g: Graph) -> int:
             while avail:
                 low = avail & -avail
                 members |= low
-                avail &= ~(rows[low.bit_length() - 1] | low)
+                avail &= apart[low.bit_length()]
             uncolored ^= members
             if color >= least:
                 classes.append(members)
@@ -260,13 +263,18 @@ def clique_number(g: Graph) -> int:
             while members:
                 if size + color <= best:
                     return
-                v = members.bit_length() - 1
-                members ^= 1 << v
-                expand(size + 1, cand & rows[v])
-                cand &= ~(1 << v)
+                v = members.bit_length()
+                top = 1 << v - 1
+                members ^= top
+                sub = cand & rows[v]
+                if sub:
+                    expand(size + 1, sub)
+                elif size + 1 > best:
+                    best = size + 1
+                cand ^= top
             color -= 1
 
-    expand(0, (1 << g.n) - 1)
+    expand(0, full)
     return best
 
 
@@ -784,15 +792,65 @@ def _wide_connected(rows: np.ndarray) -> np.ndarray:
 
 
 def batch_has_clique(rows: np.ndarray, k: int) -> np.ndarray:
-    """Whether each graph has a k-clique, k >= 1; beyond 64 vertices by
-    contains_subgraph on each graph's Graph."""
-    if rows.shape[2] > 1:
-        pattern = SubgraphPattern.clique(k)
-        return np.array([contains_subgraph(g, pattern) for g in row_graphs(rows)],
-                        dtype=bool)
-    rows = rows[..., 0]
-    full = np.full(len(rows), (1 << rows.shape[1]) - 1, dtype=rows.dtype)
-    return _clique_among(_columns(rows), full, k)
+    """Whether each graph has a k-clique, k >= 1.  A block of T graphs on
+    n vertices is searched graph by graph (_has_clique) beyond 64 vertices
+    and where T < n^(k-2); else by _clique_among, whose n^(k-2) vector
+    steps serve the whole block at once."""
+    count, n, width = rows.shape
+    if width > 1:
+        stride = 8 * width
+        size = n * stride
+        buf = memoryview(np.ascontiguousarray(rows, dtype="<u8").tobytes())
+        tables = (_LazyRows(buf[t * size:(t + 1) * size], stride) for t in range(count))
+    elif count < n ** (k - 2):
+        tables = rows[..., 0].tolist()
+    else:
+        rows = rows[..., 0]
+        full = np.full(count, (1 << n) - 1, dtype=rows.dtype)
+        return _clique_among(_columns(rows), full, k)
+    return np.fromiter((_has_clique(table, n, k) for table in tables),
+                       dtype=bool, count=count)
+
+
+class _LazyRows(dict):
+    """One graph's rows of a wide block, by vertex, each made a Python int
+    from its little-endian bytes when first read."""
+
+    __slots__ = ("buf", "stride")
+
+    def __init__(self, buf: memoryview, stride: int):
+        super().__init__()
+        self.buf = buf
+        self.stride = stride
+
+    def __missing__(self, v: int) -> int:
+        at = v * self.stride
+        row = self[v] = int.from_bytes(self.buf[at:at + self.stride], "little")
+        return row
+
+
+def _has_clique(rows, n: int, k: int) -> bool:
+    """Whether the graph with these rows, indexed by vertex, has a k-clique.
+
+    Each clique is sought from its lowest vertex v, among v's higher
+    neighbours in the candidate set; a candidate set with fewer vertices
+    than the clique still needs is pruned (Tomita et al., WALCOM 2010;
+    San Segundo et al., Computers & OR 38, 2011).
+    """
+    def among(cand: int, need: int) -> bool:
+        # whether cand holds a clique of need >= 2 vertices
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            sub = cand & rows[low.bit_length() - 1]
+            if need == 2:
+                if sub:
+                    return True
+            elif sub.bit_count() >= need - 1 and among(sub, need - 1):
+                return True
+        return False
+
+    return k <= 1 or among((1 << n) - 1, k)
 
 
 def _clique_among(cols: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:

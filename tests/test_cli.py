@@ -280,6 +280,19 @@ def test_bounds_bad_inputs_exit_1_with_one_error_line(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# a count too large for a float
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree-interval", "--n", HUGE, "--p", "0.5", "--d", "1"),
+    ("janson-bernstein", "--mu", "1", "--t", "1", "--d", HUGE),
+])
+def test_bounds_overflow_exits_1_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, out, err) == (1, "", "error: int too large to convert to float\n")
+
+
 def test_bounds_row_quotes_a_pattern_file_name_with_a_comma(capsys, tmp_path):
     path = tmp_path / 'tri,"a".edges'
     path.write_text("n 3\n0 1\n1 2\n0 2\n", encoding="utf-8")
@@ -560,6 +573,15 @@ def test_audit_negative_pairs_exit_1(capsys):
                        "--p", "0.5", "--trials", "10", "--pairs", "-3")
     assert code == 1
     assert "pairs must be >= 0" in err
+
+
+def test_audit_refuses_trials_int64_tallies_cannot_count(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "audit", "--dist", "er", "--n", "5",
+                         "--p", "0.5", "--trials", HUGE)
+    assert time.perf_counter() - t0 < 5
+    assert (code, out, err) == (
+        1, "", "error: trials must be >= 1 and < 2^63 (the tallies are int64)\n")
 
 
 def test_audit_flag_exit_3(capsys, monkeypatch):

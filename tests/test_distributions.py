@@ -471,7 +471,8 @@ def test_audit_pair_selection_avoids_blocks():
 
 
 def test_audit_trials_validation():
-    for trials, pairs in ((0, 50), (10, -3)):
+    # 2^63 trials would overflow the int64 tallies; refused before a draw
+    for trials, pairs in ((0, 50), (10, -3), (1 << 63, 50)):
         with pytest.raises(ValueError):
             audit_model(erdos_renyi(4, 0.5), trials, seed=0, pairs=pairs)
 

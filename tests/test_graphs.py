@@ -252,6 +252,69 @@ def test_clique_number_examples():
                                                         for g in gs], k
 
 
+def _block(gs):
+    """Graphs as one block of (T, n, W) row words (graphs.zero_rows), split
+    into words by Python int arithmetic."""
+    rows = G.zero_rows(len(gs), gs[0].n)
+    bits = 8 * rows.dtype.itemsize
+    rows[...] = [[[row >> (bits * i) & ((1 << bits) - 1) for i in range(rows.shape[2])]
+                  for row in g.rows] for g in gs]
+    return rows
+
+
+def _has_clique(g, k):
+    return contains_subgraph(g, SubgraphPattern.clique(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 9), st.floats(0.1, 0.9),
+       st.integers(1, 5))
+def test_clique_search_paths_agree_on_both_sides_of_the_block_rule(seed, n, p, k):
+    # per graph (T < n^(k-2)) and all at once (T >= n^(k-2)) answer alike,
+    # and as contains_subgraph does, on the same graphs
+    rng = random.Random(seed)
+    gs = [random_graph(rng, n, p) for _ in range(6)] + [Graph.empty(n), Graph.complete(n)]
+    want = [_has_clique(g, k) for g in gs]
+    rows = _block(gs)
+    cols = np.ascontiguousarray(rows[..., 0].T)
+    full = np.full(len(gs), (1 << n) - 1, dtype=rows.dtype)
+    assert G._clique_among(cols, full, k).tolist() == want
+    assert [G._has_clique(g.rows, n, k) for g in gs] == want
+    assert [G.batch_has_clique(rows[t:t + 1], k)[0] for t in range(len(gs))] == want
+    reps = -(-max(1, n ** (k - 2)) // len(gs))
+    tiled = np.tile(rows, (reps, 1, 1))
+    assert len(tiled) >= n ** (k - 2)
+    assert G.batch_has_clique(tiled, k).tolist() == want * reps
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_clique_search_at_word_boundaries(n):
+    # a lone k-clique on vertices around bit 64, which a row of one word
+    # does not reach past n = 64; sparse graphs with no k-clique
+    rng = random.Random(n)
+    gs = [Graph.empty(n), Graph.complete(n)]
+    gs += [random_graph(rng, n, p) for p in (0.02, 0.1, 0.3)]
+    for k in range(1, 6):
+        around = range(max(0, min(n, 66) - k), min(n, 66))
+        gs.append(Graph.from_edges(n, itertools.combinations(around, 2)))
+    rows = _block(gs)
+    assert rows.shape[2] == G.row_words(n)
+    for k in range(1, 6):
+        want = [_has_clique(g, k) for g in gs]
+        assert G.batch_has_clique(rows, k).tolist() == want, k
+        assert k == 1 or not all(want)
+
+
+def test_clique_number_is_the_largest_k_batch_has_clique_finds():
+    rng = random.Random(90210)
+    for n in (1, 2, 9, 23, 40):
+        gs = [random_graph(rng, n, p) for p in (0.1, 0.3, 0.5) for _ in range(3)]
+        rows = _block(gs)
+        omega = [clique_number(g) for g in gs]
+        for k in range(1, max(omega) + 2):
+            assert G.batch_has_clique(rows, k).tolist() == [k <= w for w in omega], (n, k)
+
+
 def test_graph_requires_a_vertex():
     with pytest.raises(ValueError):
         Graph.empty(0)
