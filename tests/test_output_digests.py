@@ -84,6 +84,7 @@ AUDIT_CASES = {
     "star-24-1/4-3": (lambda: correlated_star(24, Fraction(1, 4), 3), 2500),
     "gadget-40-0.2-8": (lambda: connectivity_gadget(40, 0.2, 8), 1500),
     "edge-block-48-1-3": (lambda: edge_block_exact(48, 1, 3), 300),
+    "edge-block-24-1-2": (lambda: edge_block_exact(24, 1, 2), 800),
     "edge-block-9-2-4": (lambda: edge_block_exact(9, 2, 4), 1200),
     "edge-block-6-3-3": (lambda: edge_block_exact(6, 3, 3), 50),
     "custom-8-0.4": (lambda: custom_blocks(
@@ -99,6 +100,8 @@ AUDIT_DIGESTS = {
         "ae1177e3eed211186b30656edf6d64396c05fa42efa2a1cd8e9222102da83837",
     "edge-block-48-1-3":
         "9490c00170145fc28b31865ad8741c1a8a2f2fba3370f46a8828e50ba3fb2a8d",
+    "edge-block-24-1-2":
+        "d2b002542bbdc1fbf7219ae20dfe226620ed55b2ded38d0fc0a74bfa614db288",
     "edge-block-9-2-4":
         "1538da30d706ba16a6cc8e8eb60740ce753ff55a8c369011eebffe1b8d63196a",
     "edge-block-6-3-3":

@@ -35,6 +35,8 @@ CASES = {
     "gadget-200-1/20-8": lambda: connectivity_gadget(200, Fraction(1, 20), 8),
     "edge-block-4-2-2": lambda: edge_block_exact(4, 2, 2),
     "edge-block-6-2-5": lambda: edge_block_exact(6, 2, 5),
+    "edge-block-12-1-2": lambda: edge_block_exact(12, 1, 2),
+    "edge-block-257-1-2": lambda: edge_block_exact(257, 1, 2),
     "edge-block-30-1-3": lambda: edge_block_exact(30, 1, 3),
     "edge-block-25-3-4": lambda: edge_block_exact(25, 3, 4),
     "custom-4-1/2": lambda: custom_blocks(4, Fraction(1, 2),
@@ -71,6 +73,10 @@ DIGESTS = {
         "ac6ab389a2cd584ae090a9c5b1a2ece33d3c2803b1b588c74ee42234eea0d6ef"),
     "edge-block-6-2-5": ("d9d0c5a06f6fd7e02d6b448ad2b022876f828fa25a85f114e7cb610ea061aae2",
         "095b676cb5d5712f0c62ab3ff3351aa44873b84a3a0e12899b5a67cb4404710f"),
+    "edge-block-12-1-2": ("fd85247f16648a831add5745b47409435fadfa17cfdc215cf7ceab898428d677",
+        "a874bfe4e0a5da258d7cad93125569f281d5704468dd18fd5462db79cdd5c511"),
+    "edge-block-257-1-2": ("2b50947f3eba7be3b5df2b104c8ed4142392e1237f5601ab61856a80f800c006",
+        "d3bf06f69462599e7f0268ae2c257c51c5fb44c5c6e7fda69e83436eb42ec146"),
     "edge-block-30-1-3": ("687c57b369df08be8a0f1db9b31563be645ff7b68df1655487e157921d00b6ef",
         "16f22390c8b9a285a6fb7420d69152ce9dac84dafca0b4241330c3340e9277a2"),
     "edge-block-25-3-4": ("079be04b99d56a69f184c83695151d3763cf37485cb1fceec63bc028649ff0d3",
