@@ -175,7 +175,10 @@ def _run_experiment(args, forced_task: str | None = None) -> int:
     for pt in result.points:
         if pt.error is not None:
             print(f"point {pt.index}: {pt.error}", file=sys.stderr)
-    return EXIT_USAGE if result.all_failed() else EXIT_OK
+    if result.all_failed():
+        print("error: every grid point failed", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def cmd_experiment(args) -> int:

@@ -66,7 +66,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, repeat
-from math import ceil, isqrt, log
+from math import ceil, gcd, isqrt, log
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -569,24 +569,34 @@ def _coin_threshold(p) -> np.uint64 | None:
     return np.uint64((c << 11) - 1) if c else None
 
 
-def _first_min(keys: np.ndarray) -> np.ndarray:
-    """keys.argmin(axis=-1, keepdims=True) for rows of 2 or 3 keys (none
-    NaN), from elementwise compares, which cost less than argmin's loop over
-    a short axis.  A later key is picked only when it is below every earlier
-    one, so a tie goes to the first of the equal minima, as in argmin."""
-    k0, k1 = keys[..., :1], keys[..., 1:2]
-    later = k1 < k0
-    if keys.shape[-1] == 2:
-        return later.astype(np.intp)
-    return np.where(keys[..., 2:] < np.minimum(k0, k1), 2, later)
-
-
 def _picks(keys: np.ndarray, a: int) -> np.ndarray:
     """The positions of the a smallest keys along the last axis; for a = 1
     the first of equal minima, which argpartition need not pick."""
     if a > 1:
         return np.argpartition(keys, a - 1, axis=-1)[..., :a]
-    return _first_min(keys) if 2 <= keys.shape[-1] <= 3 else keys.argmin(-1, keepdims=True)
+    return keys.argmin(-1, keepdims=True)
+
+
+# the bits of a raw word above its low 11: raw & _KEY_BITS is (raw >> 11) << 11
+_KEY_BITS = np.uint64(0xFFFF_FFFF_FFFF_F800)
+
+
+def _one_hot(words: np.ndarray, present: np.ndarray) -> None:
+    """Write into present, (B, m) bools for m = 2 or 3, the single pick of
+    each row of words, (B, m) raw words: the first of the equal least keys
+    raw >> 11, from elementwise compares.  key_i < key_j exactly when
+    raw_i < raw_j & _KEY_BITS, so no key is formed.  Exactly one edge of a
+    block is kept, so edge 0 is kept when neither later edge is."""
+    w0, w1, last = words[:, 0], words[:, 1], words[:, -1]
+    if words.shape[1] == 2:
+        np.less(last, w0 & _KEY_BITS, out=present[:, 1])
+        np.logical_not(present[:, 1], out=present[:, 0])
+        return
+    low = np.minimum(w0, w1)
+    low &= _KEY_BITS
+    np.less(last, low, out=present[:, 2])
+    np.greater(w1 < (w0 & _KEY_BITS), present[:, 2], out=present[:, 1])
+    np.equal(present[:, 1], present[:, 2], out=present[:, 0])
 
 
 def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, int]],
@@ -605,8 +615,10 @@ def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, in
     doubles.  A uniform block's m words are its keys, the doubles
     gen.random() would give as the integers raw >> 11 they scale, which
     order and tie as the doubles do; the buffer and the chunks hold whole
-    blocks, and the a keys _picks picks mark their edges present.  Keeping
-    all m edges of each block draws nothing.
+    blocks.  A single pick from blocks of 2 or 3 is written one-hot from
+    elementwise compares of the raw words (_one_hot); otherwise the a keys
+    _picks picks mark their edges present.  Keeping all m edges of each
+    block draws nothing.
     """
     flat = out.reshape(-1)
     if not model.draw_words:
@@ -615,7 +627,10 @@ def _draw(model: DistributionModel, runs: Iterable[tuple[np.random.Generator, in
     group = model.m if model.uniform else 1
     chunk, per_trial = batch_size(8 * group) * group, model.draw_words
     size = min(chunk, flat.size)
-    if model.uniform:
+    if model.uniform and model.a == 1 and model.m <= 3:
+        def settle(words, at):
+            _one_hot(words.reshape(-1, group), flat[at:at + len(words)].reshape(-1, group))
+    elif model.uniform:
         a, starts = model.a, np.arange(0, size, group)[:, None]
 
         def settle(words, at):
@@ -986,6 +1001,24 @@ def _independent_pairs(model: DistributionModel, gen: np.random.Generator,
     return pairs
 
 
+def _column_counts(block: np.ndarray) -> np.ndarray:
+    """block.sum(axis=0) as int64, for a C-contiguous (T, W) bool block,
+    counted in byte lanes.  g = 8 / gcd(W, 8) rows are a whole number of
+    uint64 words, and byte j of a group of g rows is column j mod W, so up
+    to 255 such words add with no carry from one byte lane into the next
+    (SWAR; Warren, Hacker's Delight, ch. 5) before the lanes are folded
+    into the counts."""
+    T, W = block.shape
+    g = 8 // gcd(W, 8)
+    whole = T - T % g
+    counts = block[whole:].sum(axis=0)
+    words = block[:whole].reshape(whole // g, g * W).view(np.uint64)
+    lanes = np.zeros(g * W, dtype=np.int64)
+    for lo in range(0, len(words), 255):
+        lanes += words[lo:lo + 255].sum(axis=0).view(np.uint8)
+    return counts + lanes.reshape(g, W).sum(axis=0)
+
+
 def audit_model(model: DistributionModel, trials: int, seed: int,
                 pairs: int = 50) -> AuditReport:
     """Marginal frequencies, dependency degree, and pairwise independence checks."""
@@ -1010,30 +1043,29 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
         tally = np.zeros(model.width, dtype=np.int64)
         joint = np.zeros(len(pair_list), dtype=np.int64)
         for drawn in blocks:
-            tally += drawn.sum(axis=0)
-            joint += (drawn[:, s1] & drawn[:, s2]).sum(axis=0)
+            tally += _column_counts(drawn)
+            joint += _column_counts(drawn.take(s1, axis=1) & drawn.take(s2, axis=1))
         return tally, joint
 
     parts = _spans(model, gen, trials, tallies)
-    counts = sum(tally for tally, _ in parts)[slot]
+    counts = sum(tally for tally, _ in parts)[slot].tolist()
     joint = sum(joint for _, joint in parts)
 
+    # edges of one count share their estimate and interval
     pf = float(model.p)
-    marginals = []
-    misses = 0
-    for e in range(L):
-        lo, hi = stats.wilson_interval(int(counts[e]), trials)
-        bad = not lo <= pf <= hi
-        misses += bad
-        marginals.append(EdgeMarginal(e, int(counts[e]), trials,
-                                      int(counts[e]) / trials, lo, hi, bad))
+    cells = {}
+    for c in set(counts):
+        lo, hi = stats.wilson_interval(c, trials)
+        cells[c] = (c / trials, lo, hi, not lo <= pf <= hi)
+    marginals = tuple(EdgeMarginal(e, c, trials, *cells[c]) for e, c in enumerate(counts))
+    misses = sum(m.flagged for m in marginals)
 
     pair_reports = []
     pair_misses = 0
     for i, (a, b) in enumerate(pair_list):
         n11 = int(joint[i])
-        n10 = int(counts[a]) - n11
-        n01 = int(counts[b]) - n11
+        n10 = counts[a] - n11
+        n01 = counts[b] - n11
         n00 = trials - n11 - n10 - n01
         stat, pval = stats.chi2_independence_2x2(n11, n10, n01, n00)
         bad = pval < 0.001
@@ -1045,7 +1077,7 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
     return AuditReport(
         kind=model.kind, n=model.n, p=pf, declared_d=model.d,
         trials=trials, seed=seed,
-        marginals=tuple(marginals), pairs=tuple(pair_reports),
+        marginals=marginals, pairs=tuple(pair_reports),
         max_dependency_degree=max_deg, degree_ok=max_deg <= model.d,
         marginal_misses=misses,
         marginal_tolerance=stats.flag_tolerance(L, 0.01),

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depgraphs import distributions, graphs, rng
-from depgraphs.distributions import (_draw, _independent_pairs,
+from depgraphs.distributions import (_column_counts, _draw, _independent_pairs,
                                      _latent_blocks, _latent_rows, _picks,
                                      _trial_values, audit_model,
                                      blocks_from_text,
@@ -189,6 +189,45 @@ def test_single_picks_take_the_first_of_equal_keys(n, m):
                            0, axis=-1)[..., :1]
     _draw(model, [(_Keys([row]), 1) for row in keys], out)
     assert np.array_equal(out, _kept(want, m))
+
+
+class _Words:
+    """Stands in for a generator whose raw words repeat the given words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64).ravel()
+        self.bit_generator = self
+
+    def random_raw(self, count):
+        return np.resize(self.words, count)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (3, 3)])
+def test_single_picks_read_only_the_key_bits_of_a_word(n, m):
+    # words that agree in their top 53 bits are equal keys, whatever their
+    # low 11 bits, in either order: the first of the equal least keys is
+    # kept, as argmin over the keys raw >> 11 keeps it; keys 4 and 5 differ
+    # only in bit 11 of their words, so a mask of one bit more shows too
+    model = edge_block_exact(n, 1, m)
+    blocks = model.block_count
+    out = np.empty((1, num_edges(n)), dtype=bool)
+    for keys in itertools.product((4, 5), repeat=m):
+        for lows in itertools.product((0, 1, 0x400, 0x7FF), repeat=m):
+            row = [k << 11 | low for k, low in zip(keys, lows)]
+            _draw(model, [(_Words([row]), 1)], out)
+            want = np.argmin(np.resize(keys, (1, blocks, m)), axis=-1)[..., None]
+            assert np.array_equal(out, _kept(want, m)), row
+
+
+@pytest.mark.parametrize("W", range(1, 18))
+def test_column_counts_equal_the_column_sums(W):
+    # every W mod 8, and trial counts about the 255-word lane limit and the
+    # g = 8 / gcd(W, 8) rows a group of words takes
+    gen = np.random.default_rng(W)
+    for T in (1, 7, 254, 255, 256, 2040, 2041):
+        for block in (np.ones((T, W), dtype=bool), gen.random((T, W)) < 0.5):
+            got = _column_counts(block)
+            assert got.dtype == np.int64 and got.tolist() == block.sum(axis=0).tolist(), T
 
 
 @pytest.mark.parametrize("a,m", [(1, 3), (2, 5), (3, 4)])

@@ -451,7 +451,10 @@ def test_experiment_d_grid_is_checked_against_the_models_d(capsys, model, kind, 
     messages = [f"{kind} models have d = {d}, not d = {bad}" for bad in (0, 5)]
     assert code == 1
     assert [row["error"] for row in experiment_rows(out)] == messages
-    assert err == "".join(f"point {i}: {m}\n" for i, m in enumerate(messages))
+    # re-pinned when an experiment whose every point failed gained its
+    # closing error line; the point lines are as before
+    assert err == "".join(f"point {i}: {m}\n" for i, m in enumerate(messages)) + (
+        "error: every grid point failed\n")
     code, out, _ = run(capsys, "experiment", *model, "--d", str(d),
                        "--trials", "5", "--seed", "1")
     (row,) = experiment_rows(out)

@@ -10,10 +10,9 @@ junk text.  Each argv runs through cli.main in-process, and
 
 - the exit code is 0, 1, 2 or 3, and no exception escapes;
 - exit 1 or 2 prints exactly one stderr line that holds `error:` or starts
-  with `resource limit:`; but an experiment or sweep whose every grid point
-  failed writes its table and exits 1 with one `point <index>: <error>`
-  line per point, the error of its row (tests/predicate_goldens.json pins
-  these bytes);
+  with `resource limit:`; an experiment or sweep whose every grid point
+  failed writes its table and prints one `point <index>: <error>` line per
+  point, the error of its row, before that line;
 - an exit-0 CSV has rows as wide as its header and no nan cell.
 
 Examples stay small (n <= 8, trials <= 20, audit trials <= 200, patterns
@@ -162,9 +161,10 @@ def test_generated_argv_answers_or_fails_with_one_error_line(case):
     rows = list(csv.reader(line for line in out.getvalue().splitlines()
                            if not line.startswith("#")))
     if code == 1 and argv[0] in ("experiment", "sweep") and rows:
-        assert lines == [f"point {row[0]}: {row[-1]}" for row in rows[1:]], argv
+        assert lines[:-1] == [f"point {row[0]}: {row[-1]}" for row in rows[1:]], argv
+        assert lines[-1] == "error: every grid point failed", argv
         assert all(row[-1] for row in rows[1:]), argv
-    elif code in (1, 2):
+    if code in (1, 2):
         errors = [line for line in lines
                   if "error:" in line or line.startswith("resource limit:")]
         assert len(errors) == 1, (argv, lines)

@@ -7,7 +7,10 @@ model in CSV, the same in JSON with the timing field blanked, and of a
 tiny `depgraphs experiment` grid in CSV; for each malformed text, the
 same three runs, which exit 1.  The file was written before
 parse_predicate read its forms from one table, which had to leave the
-bytes of every accepted text as they were.
+bytes of every accepted text as they were.  The malformed texts'
+experiment stderr was re-pinned when an experiment whose every grid
+point failed gained a closing `error: every grid point failed` line; its
+`point 0:` line is as before.
 """
 
 import json
