@@ -1044,6 +1044,7 @@ def audit_model(model: DistributionModel, trials: int, seed: int,
         joint = np.zeros(len(pair_list), dtype=np.int64)
         for drawn in blocks:
             tally += _column_counts(drawn)
+            # take keeps the C order _column_counts reads; drawn[:, s1] does not
             joint += _column_counts(drawn.take(s1, axis=1) & drawn.take(s2, axis=1))
         return tally, joint
 

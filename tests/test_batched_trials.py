@@ -38,6 +38,7 @@ from depgraphs.predicates import (Predicate, connected, degree_in_range,
 from depgraphs.rng import derive_seed, derive_seeds
 
 from helpers import sample_rows
+from test_sampler_path import _Words
 
 U64 = st.integers(0, 2 ** 64 - 1)
 WIDE = st.integers(-2 ** 66, 2 ** 66) | U64
@@ -191,17 +192,6 @@ def test_single_picks_take_the_first_of_equal_keys(n, m):
     assert np.array_equal(out, _kept(want, m))
 
 
-class _Words:
-    """Stands in for a generator whose raw words repeat the given words."""
-
-    def __init__(self, words):
-        self.words = np.asarray(words, dtype=np.uint64).ravel()
-        self.bit_generator = self
-
-    def random_raw(self, count):
-        return np.resize(self.words, count)
-
-
 @pytest.mark.parametrize("n,m", [(4, 2), (3, 3)])
 def test_single_picks_read_only_the_key_bits_of_a_word(n, m):
     # words that agree in their top 53 bits are equal keys, whatever their
@@ -214,7 +204,7 @@ def test_single_picks_read_only_the_key_bits_of_a_word(n, m):
     for keys in itertools.product((4, 5), repeat=m):
         for lows in itertools.product((0, 1, 0x400, 0x7FF), repeat=m):
             row = [k << 11 | low for k, low in zip(keys, lows)]
-            _draw(model, [(_Words([row]), 1)], out)
+            _draw(model, [(_Words(np.resize(row, num_edges(n))), 1)], out)
             want = np.argmin(np.resize(keys, (1, blocks, m)), axis=-1)[..., None]
             assert np.array_equal(out, _kept(want, m)), row
 
